@@ -1,0 +1,47 @@
+"""Golden trace of the bundled scenario.
+
+The rows at each whole second of ``simulate`` on the bundled scenario (5 A
+on unit 1 for 5 s, then 1 s of cooling) are pinned in all 20 CSV columns.
+Any change to the physics, the step loop or the column contract that moves
+a written value shows here.
+"""
+
+import pytest
+
+from sma_neck.cli import main
+from sma_neck.traceio import HEADER, read_trace
+
+GOLDEN_ROWS = (
+    "1,0.309436335,1.04719755,1.59564564,311.373705,311.373705,298.15,298.15,"
+    "298.15,298.15,1,1,1,1,1,1,6.52116974,3.86860114,3.86860114,7.8472728e-12",
+    "2,0.578808003,1.04719755,2.98469301,322.858655,322.858655,298.15,298.15,"
+    "298.15,298.15,1,1,1,1,1,1,8.92611772,3.96322291,3.96322291,1.10128666e-11",
+    "3,0.813023187,1.04719755,4.19245175,332.833475,332.833475,298.15,298.15,"
+    "298.15,298.15,1,1,1,1,1,1,11.0180949,4.04465812,4.04465812,1.18720348e-11",
+    "4,1.03532724,1.04719755,5.33878933,341.065461,341.065461,298.15,298.15,"
+    "298.15,298.15,0.99360813,0.99360813,1,1,1,1,13.0050626,4.12118912,"
+    "4.12118912,2.55922833e-11",
+    "5,1.34512324,1.04719755,6.93628959,346.070487,346.070487,298.15,298.15,"
+    "298.15,298.15,0.950859675,0.950859675,1,1,1,1,15.7774436,4.22666164,"
+    "4.22666164,4.20776404e-11",
+    "6,1.19862442,1.04719755,6.18085084,339.769532,339.769532,298.15,298.15,"
+    "298.15,298.15,0.950859675,0.950859675,1,1,1,1,14.4659967,4.17710989,"
+    "4.17710989,6.92683234e-12",
+)
+
+
+@pytest.fixture(scope="module")
+def default_trace(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    assert main(["simulate", "--out", str(out), "--quiet"]) == 0
+    return read_trace(out / "neck_trace.csv")
+
+
+@pytest.mark.parametrize("line", GOLDEN_ROWS, ids=lambda line: f"t={line.split(',')[0]}s")
+def test_whole_second_rows(default_trace, line):
+    want = [float(v) for v in line.split(",")]
+    assert len(want) == len(HEADER) == 20
+    row = round(want[0] * 1000) - 1  # dt 1 ms, first row at t = dt
+    got = [default_trace[name][row] for name in HEADER]
+    for name, g, w in zip(HEADER, got, want):
+        assert g == pytest.approx(w, rel=1e-8), name
