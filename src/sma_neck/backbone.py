@@ -116,13 +116,13 @@ def _rotate_t(rot, v):
 
 
 def _elastic_moment_t(
-    kappa: float, phi: float, twist: float, geometry: BackboneGeometry
+    kappa: float, phi: float, twist: float, ei_y: float, gj_over_l: float, length: float
 ) -> tuple[float, float, float]:
     # diag(EIxx, EIyy, GJ/l) . [0, kappa, twist] has no x component, so the
     # EIxx entry never contributes under the constant-curvature assumption.
-    local_y = geometry.bending_stiffness_y * kappa
-    local_z = geometry.torsional_stiffness * twist / geometry.length
-    theta = kappa * geometry.length
+    local_y = ei_y * kappa
+    local_z = gj_over_l * twist
+    theta = kappa * length
     cb, sb = math.cos(theta), math.sin(theta)
     # Rz(phi) . Ry(theta) . (0, local_y, local_z)
     x1, y1, z1 = sb * local_z, local_y, cb * local_z
@@ -160,6 +160,11 @@ def elastic_moment(pose: ArcPose, geometry: BackboneGeometry) -> np.ndarray:
     """Restoring moment (N m, base frame) stored in the bent, twisted backbone."""
     return np.array(
         _elastic_moment_t(
-            pose.curvature, pose.bending_plane_angle, pose.twist, geometry
+            pose.curvature,
+            pose.bending_plane_angle,
+            pose.twist,
+            geometry.bending_stiffness_y,
+            geometry.torsional_stiffness / geometry.length,
+            geometry.length,
         )
     )

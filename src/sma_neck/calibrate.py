@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .engine import SimConfig, sweep
+from .engine import sweep
 from .scenario import CalibrationSpec, Scenario
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -84,16 +84,11 @@ def evaluate_targets(
 ) -> tuple[float, tuple[tuple[float, float], ...]]:
     """(loss, achieved table) of one parameter candidate."""
     candidate = apply_parameters(scenario, parameters)
-    system = candidate.build_system()
-    config = SimConfig(
-        dt=spec.dt if spec.dt is not None else candidate.dt,
-        duration=spec.hold,
-        solver_tolerance=candidate.solver_tolerance,
-        max_newton_iterations=candidate.max_newton_iterations,
-        max_temperature_step=candidate.max_temperature_step,
+    config = candidate.build_config(
+        dt=spec.dt if spec.dt is not None else candidate.dt, duration=spec.hold
     )
     rows = sweep(
-        system,
+        candidate.build_system(),
         [amps for amps, _ in spec.targets],
         spec.hold,
         config,
@@ -120,19 +115,14 @@ def calibrate(scenario: Scenario, spec: CalibrationSpec) -> CalibrationResult:
     incumbent on later passes).  Returns the best parameters seen; raises
     NonImprovement when a non-trivial starting loss could not be reduced.
     """
-    evaluations = 0
-    cache: dict[tuple[float, ...], float] = {}
+    cache: dict[tuple[float, ...], tuple[float, tuple[tuple[float, float], ...]]] = {}
     names = list(spec.free)
 
     def loss_of(params: dict[str, float]) -> float:
-        nonlocal evaluations
         key = tuple(params[n] for n in names)
-        if key in cache:
-            return cache[key]
-        evaluations += 1
-        value, _ = evaluate_targets(scenario, spec, params)
-        cache[key] = value
-        return value
+        if key not in cache:
+            cache[key] = evaluate_targets(scenario, spec, params)
+        return cache[key][0]
 
     best = current_parameters(scenario, names)
     for name in names:
@@ -175,13 +165,14 @@ def calibrate(scenario: Scenario, spec: CalibrationSpec) -> CalibrationResult:
 
     trivial = start_loss <= 1e-9
     if best_loss >= start_loss and not trivial:
-        raise NonImprovement(start_loss, best_loss, evaluations)
+        raise NonImprovement(start_loss, best_loss, len(cache))
 
-    final_loss, achieved = evaluate_targets(scenario, spec, best)
+    # every value ``best`` takes was first evaluated through loss_of
+    final_loss, achieved = cache[tuple(best[n] for n in names)]
     return CalibrationResult(
         parameters=best,
         loss=final_loss,
         start_loss=start_loss,
         achieved=achieved,
-        evaluations=evaluations,
+        evaluations=len(cache),
     )

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .calibrate import NonImprovement, calibrate
-from .engine import NoConvergence, PoseOutOfRange, SimConfig, simulate, sweep
+from .engine import NoConvergence, PoseOutOfRange, simulate, sweep
 from .plots import emit_plots
 from .scenario import (
     ParseError,
@@ -136,18 +136,18 @@ def _cmd_sweep(args) -> int:
         raise ValidationError(f"--currents: cannot parse {args.currents!r}") from None
     if not currents:
         raise ValidationError("--currents: need at least one value")
-    if args.hold <= 0.0:
-        raise ValidationError("--hold: must be positive")
+    if not all(math.isfinite(a) and a >= 0.0 for a in currents):
+        raise ValidationError(
+            f"--currents: values must be finite and non-negative, got {args.currents!r}"
+        )
+    if not (math.isfinite(args.hold) and args.hold >= scenario.dt):
+        raise ValidationError(
+            f"--hold: must be finite and cover at least one step of {scenario.dt:g} s"
+        )
     if not 1 <= args.unit <= 3:
         raise ValidationError("--unit: must be 1, 2 or 3")
     system = scenario.build_system()
-    config = SimConfig(
-        dt=scenario.dt,
-        duration=args.hold,
-        solver_tolerance=scenario.solver_tolerance,
-        max_newton_iterations=scenario.max_newton_iterations,
-        max_temperature_step=scenario.max_temperature_step,
-    )
+    config = scenario.build_config(duration=args.hold)
     rows = sweep(system, currents, args.hold, config, unit_index=args.unit)
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / f"{scenario.run_id}_sweep.csv"

@@ -1,13 +1,14 @@
 """Coupled simulation engine.
 
-Each time step advances all six spring states through their electro-thermal
-dynamics, aggregates the three tendon forces, and solves the quasi-static
-moment balance on the backbone (muscle moments + gravity - elastic restoring
-moment = 0) for the arc pose by damped Newton iteration with a
-finite-difference Jacobian.  Near the straight configuration the solve runs
-in Cartesian curvature components to remove the bending-plane indeterminacy.
+Each time step advances the three units' spring states through their
+electro-thermal dynamics (the springs of one unit share a state), aggregates
+the three tendon forces, and solves the quasi-static moment balance on the
+backbone (muscle moments + gravity - elastic restoring moment = 0) for the
+arc pose by damped Newton iteration with a finite-difference Jacobian.
+Near the straight configuration the solve runs in Cartesian curvature
+components to remove the bending-plane indeterminacy.
 
-Spring deflection rates are fed back from the pose change of the previous
+Spring stretch rates are fed back from the pose change of the previous
 accepted step (one-step lag), which breaks the algebraic loop between the
 force law and the pose solve.
 """
@@ -23,10 +24,17 @@ from .backbone import (
     STRAIGHT_THRESHOLD,
     ArcPose,
     BackboneGeometry,
+    _elastic_moment_t,
     _position_t,
     _rotation_t,
 )
-from .pennate import PennateUnit, _line_of_action_t, pennate_force, rest_chord_length
+from .pennate import (
+    PennateUnit,
+    _line_of_action_t,
+    pennate_force,
+    rest_chord_length,
+    tendon_force_from_stretch,
+)
 from .sma import (
     SmaMaterial,
     SpringGeometry,
@@ -151,22 +159,20 @@ class SimConfig:
 class SimTrace:
     """Time-indexed record of every observable quantity of a run.
 
-    Columns are plain float lists; ``phi_defined`` flags rows where the
-    backbone was effectively straight and the reported bending-plane angle is
-    carried over from the last bent row.
+    Columns are plain float lists; the spring temperature and martensite
+    fraction rows hold one value per unit.  ``phi_defined`` flags rows where
+    the backbone was effectively straight and the reported bending-plane angle
+    is carried over from the last bent row.
     """
 
-    def __init__(self, n_springs: int = 6):
-        self.n_springs = n_springs
+    def __init__(self):
         self.t: list[float] = []
         self.kappa: list[float] = []
         self.phi: list[float] = []
-        self.epsilon: list[float] = []
         self.theta: list[float] = []
-        self.spring_temperatures: list[tuple[float, ...]] = []
-        self.spring_fractions: list[tuple[float, ...]] = []
+        self.spring_temperatures: list[tuple[float, float, float]] = []
+        self.spring_fractions: list[tuple[float, float, float]] = []
         self.unit_forces: list[tuple[float, float, float]] = []
-        self.unit_moments: list[tuple[tuple[float, float, float], ...]] = []
         self.residual_norm: list[float] = []
         self.phi_defined: list[bool] = []
         self.markers: dict[str, float] = {}
@@ -176,12 +182,10 @@ class SimTrace:
         t: float,
         kappa: float,
         phi: float,
-        epsilon: float,
         theta: float,
-        temperatures: tuple[float, ...],
-        fractions: tuple[float, ...],
+        temperatures: tuple[float, float, float],
+        fractions: tuple[float, float, float],
         forces: tuple[float, float, float],
-        moments: tuple[tuple[float, float, float], ...],
         residual_norm: float,
         phi_defined: bool,
     ) -> None:
@@ -190,12 +194,10 @@ class SimTrace:
         self.t.append(t)
         self.kappa.append(kappa)
         self.phi.append(phi)
-        self.epsilon.append(epsilon)
         self.theta.append(theta)
         self.spring_temperatures.append(temperatures)
         self.spring_fractions.append(fractions)
         self.unit_forces.append(forces)
-        self.unit_moments.append(moments)
         self.residual_norm.append(residual_norm)
         self.phi_defined.append(phi_defined)
 
@@ -275,17 +277,10 @@ class _Statics:
             # head weight acting at the tip: tip x (0, 0, -w)
             mx += -self.head_weight * tip[1]
             my += self.head_weight * tip[0]
-        ex, ey, ez = self._elastic(kappa, phi, eps)
+        ex, ey, ez = _elastic_moment_t(
+            kappa, phi, eps, self.ei_y, self.gj_over_l, self.length
+        )
         return mx - ex, my - ey, mz - ez
-
-    def _elastic(self, kappa: float, phi: float, eps: float):
-        local_y = self.ei_y * kappa
-        local_z = self.gj_over_l * eps
-        theta = kappa * self.length
-        cb, sb = math.cos(theta), math.sin(theta)
-        x1, y1, z1 = sb * local_z, local_y, cb * local_z
-        ca, sa = math.cos(phi), math.sin(phi)
-        return ca * x1 - sa * y1, sa * x1 + ca * y1, z1
 
 
 def residual(system: NeckSystem, pose: ArcPose, unit_forces) -> np.ndarray:
@@ -464,7 +459,7 @@ def _combined_force(
     system: NeckSystem, unit: PennateUnit, spring_force: float, contraction: float
 ) -> float:
     active = pennate_force(unit, spring_force)
-    passive = max(unit.tendon_stiffness * contraction, 0.0)
+    passive = tendon_force_from_stretch(unit, contraction)
     if system.force_combination == "max":
         return max(active, passive)
     return active + passive
@@ -481,27 +476,26 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
     dt = config.dt
     n_steps = int(round(config.duration / dt))
 
-    units = list(system.units)
+    units = system.units
+    states = [u.spring for u in units]
     pose = ArcPose(0.0, 0.0, 0.0)
 
     def contractions(p: ArcPose):
         _, rows = statics.geometry(p.curvature, p.bending_plane_angle, p.twist)
         return [row[2] for row in rows]
 
-    dx_prev = contractions(pose)
-    dx_prev2 = list(dx_prev)
+    def unit_forces(dx):
+        return tuple(
+            _combined_force(system, u, s.force, x) for u, s, x in zip(units, states, dx)
+        )
 
     # resolve the initial equilibrium so pretension imbalances are not
     # attributed to the first step
-    forces0 = tuple(
-        _combined_force(system, u, u.springs[0].force, dx)
-        for u, dx in zip(units, dx_prev)
-    )
-    pose, _ = _solve_pose_statics(statics, forces0, pose, config)
+    pose, _ = _solve_pose_statics(statics, unit_forces(contractions(pose)), pose, config)
     dx_prev = contractions(pose)
     dx_prev2 = list(dx_prev)
 
-    trace = SimTrace(n_springs=sum(len(u.springs) for u in units))
+    trace = SimTrace()
     last_phi = pose.bending_plane_angle
     crossing_recorded = False
 
@@ -509,49 +503,28 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
         t_prev = step_index * dt
         t = t_prev + dt
         try:
-            new_units = []
             for k, unit in enumerate(units):
                 amps = profile.current(unit.index, t_prev)
                 rate = (dx_prev[k] - dx_prev2[k]) / dt
                 stretch_rate = -math.cos(unit.pennation_angle) * rate
-                springs = tuple(
-                    step_spring(
-                        system.material,
-                        system.spring_geometry,
-                        system.env,
-                        s,
-                        amps,
-                        stretch_rate,
-                        dt,
-                        config.max_temperature_step,
-                    )
-                    for s in unit.springs
+                states[k] = step_spring(
+                    system.material,
+                    system.spring_geometry,
+                    system.env,
+                    states[k],
+                    amps,
+                    stretch_rate,
+                    dt,
+                    config.max_temperature_step,
                 )
-                new_units.append(replace(unit, springs=springs))
-            units = new_units
-            forces = tuple(
-                _combined_force(system, u, u.springs[0].force, dx)
-                for u, dx in zip(units, dx_prev)
-            )
+            forces = unit_forces(dx_prev)
             pose, res_norm = _solve_pose_statics(statics, forces, pose, config)
         except (NoConvergence, PoseOutOfRange, StepTooLarge) as exc:
             exc.args = (f"at t={t:.6g} s: {exc}",)
             raise
 
-        tip, rows = statics.geometry(
-            pose.curvature, pose.bending_plane_angle, pose.twist
-        )
         dx_prev2 = dx_prev
-        dx_prev = [row[2] for row in rows]
-        moments = []
-        for (point, direction, _), force in zip(rows, forces):
-            lx, ly, lz = (
-                point[0] - tip[0],
-                point[1] - tip[1],
-                point[2] - tip[2],
-            )
-            fx, fy, fz = force * direction[0], force * direction[1], force * direction[2]
-            moments.append((ly * fz - lz * fy, lz * fx - lx * fz, lx * fy - ly * fx))
+        dx_prev = contractions(pose)
 
         theta = pose.curvature * statics.length
         if theta >= STRAIGHT_THRESHOLD:
@@ -560,38 +533,29 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
         else:
             phi_defined = False
 
-        temperatures = tuple(s.temperature for u in units for s in u.springs)
-        fractions = tuple(s.martensite_fraction for u in units for s in u.springs)
-
-        if not crossing_recorded and any(f < 1.0 for f in fractions):
-            crossing_recorded = True
-            for u in units:
-                for s in u.springs:
-                    if s.martensite_fraction < 1.0:
-                        sigma = shear_stress(system.spring_geometry, s.force)
-                        shift = sigma / system.material.stress_influence_reverse
-                        trace.markers["crossing_t_s"] = t
-                        trace.markers["as_prime_K"] = (
-                            system.material.austenite_start + shift
-                        )
-                        trace.markers["af_prime_K"] = (
-                            system.material.austenite_finish + shift
-                        )
-                        break
-                else:
-                    continue
-                break
+        if not crossing_recorded:
+            for s in states:
+                if s.martensite_fraction < 1.0:
+                    crossing_recorded = True
+                    sigma = shear_stress(system.spring_geometry, s.force)
+                    shift = sigma / system.material.stress_influence_reverse
+                    trace.markers["crossing_t_s"] = t
+                    trace.markers["as_prime_K"] = (
+                        system.material.austenite_start + shift
+                    )
+                    trace.markers["af_prime_K"] = (
+                        system.material.austenite_finish + shift
+                    )
+                    break
 
         trace.append(
             t,
             pose.curvature,
             last_phi,
-            pose.twist,
             theta,
-            temperatures,
-            fractions,
+            tuple(s.temperature for s in states),
+            tuple(s.martensite_fraction for s in states),
             forces,
-            tuple(moments),
             res_norm,
             phi_defined,
         )

@@ -23,10 +23,12 @@ _Vec3 = tuple[float, float, float]
 @dataclass(frozen=True)
 class PennateUnit:
     """One muscle unit: anchor points, pennation angle (rad), tendon stiffness
-    (N/m) and the dynamic states of its springs.
+    (N/m) and the dynamic state of its springs.
 
-    ``head_attachment_local`` is expressed in the head-mount (tip) frame;
-    ``base_attachment`` in the base frame.
+    The unit's ``fibers`` springs get the same current at the same pennation
+    angle, so they share one ``spring`` state.  ``head_attachment_local`` is
+    expressed in the head-mount (tip) frame; ``base_attachment`` in the base
+    frame.
     """
 
     index: int
@@ -35,7 +37,8 @@ class PennateUnit:
     head_attachment_local: _Vec3
     pennation_angle: float
     tendon_stiffness: float
-    springs: tuple[SpringState, ...]
+    spring: SpringState
+    fibers: int
 
     def __post_init__(self):
         if self.index < 1:
@@ -44,16 +47,12 @@ class PennateUnit:
             raise ValueError("pennation_angle must lie in [0, pi/2)")
         if self.tendon_stiffness <= 0.0:
             raise ValueError("tendon_stiffness must be positive")
-        if len(self.springs) < 1:
+        if self.fibers < 1:
             raise ValueError("a pennate unit needs at least one spring")
         object.__setattr__(self, "base_attachment", tuple(map(float, self.base_attachment)))
         object.__setattr__(
             self, "head_attachment_local", tuple(map(float, self.head_attachment_local))
         )
-
-    @property
-    def fiber_count(self) -> int:
-        return len(self.springs)
 
 
 def pennate_force(unit: PennateUnit, spring_force: float) -> float:
@@ -61,7 +60,7 @@ def pennate_force(unit: PennateUnit, spring_force: float) -> float:
     ``spring_force`` at the pennation angle."""
     if spring_force < 0.0:
         raise ValueError("spring_force must be non-negative")
-    return unit.fiber_count * spring_force * math.cos(unit.pennation_angle)
+    return unit.fibers * spring_force * math.cos(unit.pennation_angle)
 
 
 def tendon_force_from_stretch(unit: PennateUnit, contraction: float) -> float:

@@ -193,7 +193,6 @@ def emit_plots(trace: SimTrace, out_dir, run_id: str = "neck") -> list[Path]:
         )
     if "crossing_t_s" in trace.markers:
         v_lines.append(("crossing [s]", trace.markers["crossing_t_s"]))
-    n_springs = trace.n_springs
     path = out / f"{run_id}_temperature.svg"
     _line_plot(
         path,
@@ -202,11 +201,11 @@ def emit_plots(trace: SimTrace, out_dir, run_id: str = "neck") -> list[Path]:
         "temperature [degC]",
         [
             (
-                f"spring {i + 1}",
+                f"unit {k + 1}",
                 t,
-                [celsius_from_kelvin(row[i]) for row in trace.spring_temperatures],
+                [celsius_from_kelvin(row[k]) for row in trace.spring_temperatures],
             )
-            for i in range(n_springs)
+            for k in range(3)
         ],
         h_lines=h_lines,
         v_lines=v_lines,
@@ -220,8 +219,8 @@ def emit_plots(trace: SimTrace, out_dir, run_id: str = "neck") -> list[Path]:
         "time [s]",
         "fraction [1]",
         [
-            (f"spring {i + 1}", t, [row[i] for row in trace.spring_fractions])
-            for i in range(n_springs)
+            (f"unit {k + 1}", t, [row[k] for row in trace.spring_fractions])
+            for k in range(3)
         ],
         v_lines=v_lines,
     )

@@ -8,7 +8,7 @@ units and invariant violations are errors that name the offending field path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import yaml
@@ -16,7 +16,7 @@ import yaml
 from .backbone import BackboneGeometry
 from .engine import CurrentProfile, NeckSystem, Segment, SimConfig
 from .pennate import PennateUnit, rest_chord_length
-from .sma import SmaMaterial, SpringGeometry, SpringState, force_coefficients, ThermalEnvironment
+from .sma import SmaMaterial, SpringGeometry, SpringState, ThermalEnvironment
 from .units import UnitsError, format_quantity, parse_quantity
 
 SCHEMA_VERSION = 1
@@ -116,14 +116,10 @@ class Scenario:
             if self.spring_initial_temperature is not None
             else self.environment.ambient_temperature
         )
-        stiffness, _, _ = force_coefficients(
-            self.material, self.spring, self.spring_initial_fraction
-        )
         return SpringState(
             temperature=temperature,
             martensite_fraction=self.spring_initial_fraction,
             force=self.spring_initial_force,
-            deflection=self.spring_initial_force / stiffness,
         )
 
     def build_system(self) -> NeckSystem:
@@ -142,7 +138,8 @@ class Scenario:
                 ),
                 pennation_angle=self.pennation_angle,
                 tendon_stiffness=self.tendon_stiffness,
-                springs=(spring,) * self.springs_per_unit,
+                spring=spring,
+                fibers=self.springs_per_unit,
             )
             rest_chord_length(unit, self.backbone)  # rejects degenerate geometry
             units.append(unit)
@@ -157,8 +154,10 @@ class Scenario:
             force_combination=self.force_combination,
         )
 
-    def build_config(self) -> SimConfig:
-        return SimConfig(
+    def build_config(self, **changes) -> SimConfig:
+        """The scenario's run settings as a SimConfig, with ``changes``
+        (SimConfig field values) replacing the scenario's."""
+        config = SimConfig(
             dt=self.dt,
             duration=self.duration,
             current_profile=CurrentProfile(self.profile),
@@ -166,6 +165,7 @@ class Scenario:
             max_newton_iterations=self.max_newton_iterations,
             max_temperature_step=self.max_temperature_step,
         )
+        return replace(config, **changes)
 
 
 class _Section:

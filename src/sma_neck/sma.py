@@ -132,16 +132,14 @@ class ThermalEnvironment:
 class SpringState:
     """Dynamic state of one spring.
 
-    ``deflection`` is the mechanical stretch of the spring from free length;
-    its rate is what the force law integrates.  ``fraction_at_reverse_start``
-    and ``fraction_at_forward_start`` are latched when the state enters the
-    heating or cooling transformation band and anchor the cosine arcs.
+    ``fraction_at_reverse_start`` and ``fraction_at_forward_start`` are
+    latched when the state enters the heating or cooling transformation band
+    and anchor the cosine arcs.
     """
 
     temperature: float
     martensite_fraction: float
     force: float
-    deflection: float
     fraction_at_reverse_start: float = 1.0
     fraction_at_forward_start: float = 0.0
     branch: Branch = Branch.IDLE
@@ -531,7 +529,6 @@ def step_spring(
         temperature=t_new,
         martensite_fraction=xi_new,
         force=force_new,
-        deflection=state.deflection + stretch_rate * dt,
         fraction_at_reverse_start=reverse_latch,
         fraction_at_forward_start=forward_latch,
         branch=branch,

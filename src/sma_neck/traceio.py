@@ -2,7 +2,9 @@
 
 The CSV column contract is stable: every column name carries its unit, one
 row per accepted step, numbers with 9 significant digits, byte-deterministic
-output for a given trace.
+output for a given trace.  The contract has two temperature and two fraction
+columns per unit whatever the unit's spring count: unit k's spring state
+fills ``T{2k-1}_K``/``T{2k}_K`` and ``xi{2k-1}``/``xi{2k}``.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from pathlib import Path
 
 from .engine import SimTrace
 
-_FIXED_SPRINGS = 6
-_FIXED_UNITS = 3
+_UNITS = 3
+_SPRING_COLUMNS = 2 * _UNITS
 
 HEADER = (
     ["t_s", "kappa_per_m", "phi_rad", "theta_deg"]
-    + [f"T{i}_K" for i in range(1, _FIXED_SPRINGS + 1)]
-    + [f"xi{i}" for i in range(1, _FIXED_SPRINGS + 1)]
-    + [f"Fk{i}_N" for i in range(1, _FIXED_UNITS + 1)]
+    + [f"T{i}_K" for i in range(1, _SPRING_COLUMNS + 1)]
+    + [f"xi{i}" for i in range(1, _SPRING_COLUMNS + 1)]
+    + [f"Fk{i}_N" for i in range(1, _UNITS + 1)]
     + ["residual_Nm"]
 )
 
@@ -32,11 +34,6 @@ def write_trace(trace: SimTrace, destination) -> Path:
     """Write the trace as CSV to ``destination`` (path-like); returns the path."""
     if len(trace) == 0:
         raise ValueError("refusing to write an empty trace")
-    if trace.n_springs != _FIXED_SPRINGS:
-        raise ValueError(
-            f"trace carries {trace.n_springs} springs; the CSV contract fixes "
-            f"{_FIXED_SPRINGS}"
-        )
     path = Path(destination)
     lines = [",".join(HEADER)]
     for i in range(len(trace)):
@@ -46,8 +43,10 @@ def write_trace(trace: SimTrace, destination) -> Path:
             _fmt(trace.phi[i]),
             _fmt(math.degrees(trace.theta[i])),
         ]
-        row.extend(_fmt(v) for v in trace.spring_temperatures[i])
-        row.extend(_fmt(v) for v in trace.spring_fractions[i])
+        for per_unit in (trace.spring_temperatures[i], trace.spring_fractions[i]):
+            for v in per_unit:
+                text = _fmt(v)
+                row.extend((text, text))
         row.extend(_fmt(v) for v in trace.unit_forces[i])
         row.append(_fmt(trace.residual_norm[i]))
         lines.append(",".join(row))

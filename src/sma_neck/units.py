@@ -8,6 +8,8 @@ Dimensionless values are plain numbers.
 
 from __future__ import annotations
 
+import math
+
 
 class UnitsError(ValueError):
     """A quantity is missing its unit or carries one we do not know."""
@@ -55,12 +57,17 @@ def parse_quantity(raw: object, dimension: str, field: str) -> float:
 
     ``raw`` is either a "<number> <unit>" string for dimensional quantities or
     a bare number for dimensionless/count fields.  ``field`` is the dotted
-    config path used in error messages.
+    config path used in error messages.  NaN and infinite values are
+    rejected here, so they never reach the model.
     """
     if dimension in ("dimensionless", "count"):
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise UnitsError(f"{field}: expected a plain number, got {raw!r}")
-        return float(raw)
+        try:
+            value = float(raw)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        return _finite(value, raw, field)
     if dimension not in _TABLES:
         raise ValueError(f"unknown dimension {dimension!r} for {field}")
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
@@ -83,7 +90,13 @@ def parse_quantity(raw: object, dimension: str, field: str) -> float:
         known = ", ".join(sorted(table))
         raise UnitsError(f"{field}: unknown unit {unit!r} (accepted: {known})")
     scale, offset = table[unit]
-    return value * scale + offset
+    return _finite(value * scale + offset, raw, field)
+
+
+def _finite(value: float, raw: object, field: str) -> float:
+    if not math.isfinite(value):
+        raise UnitsError(f"{field}: value must be finite, got {raw!r}")
+    return value
 
 
 def canonical_unit(dimension: str) -> str:

@@ -67,7 +67,6 @@ def make_spring(material=None, temperature=298.15, fraction=1.0, force=2.0):
         temperature=temperature,
         martensite_fraction=fraction,
         force=force,
-        deflection=0.01,
     )
 
 
@@ -81,7 +80,8 @@ def make_unit(index, azimuth, radius=0.035, base_radius=0.035, alpha=math.radian
         head_attachment_local=(radius * ca, radius * sa, 0.0),
         pennation_angle=alpha,
         tendon_stiffness=tendon_stiffness,
-        springs=(make_spring(force=force), make_spring(force=force)),
+        spring=make_spring(force=force),
+        fibers=2,
     )
 
 

@@ -127,7 +127,6 @@ def test_criterion_2_thermal_steady_state(scenario):
             temperature=env.ambient_temperature,
             martensite_fraction=1.0,
             force=0.0,
-            deflection=0.0,
         )
         dt = 2e-3
         for _ in range(int(14.0 * tau / dt)):

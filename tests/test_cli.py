@@ -8,6 +8,7 @@ from sma_neck.scenario import (
     dump_scenario,
     load_scenario,
 )
+from sma_neck.traceio import HEADER, read_trace
 
 FAST = ['--set', 'simulation.duration=0.3 s', '--set', 'simulation.dt=2 ms']
 
@@ -141,3 +142,41 @@ def test_unit_override_units_error(scenario_file, capsys):
                  "--set", "spring.wire_diameter=0.001"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: units:")
+
+
+@pytest.mark.parametrize("springs", [1, 2, 3])
+def test_springs_per_unit_fill_the_fixed_columns(scenario_file, tmp_path, springs):
+    code = main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path),
+                 "--quiet", "--set", f"pennate.springs_per_unit={springs}", *FAST])
+    assert code == 0
+    columns = read_trace(tmp_path / "neck_trace.csv")
+    assert list(columns) == HEADER and len(HEADER) == 20
+    for k in (1, 2, 3):
+        assert columns[f"T{2 * k - 1}_K"] == columns[f"T{2 * k}_K"]
+        assert columns[f"xi{2 * k - 1}"] == columns[f"xi{2 * k}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--currents", "-3", "--hold", "0.3"],
+        ["sweep", "--currents", "nan", "--hold", "0.3"],
+        ["sweep", "--currents", "4,inf", "--hold", "0.3"],
+        ["sweep", "--currents", "4", "--hold", "nan"],
+        ["sweep", "--currents", "4", "--hold", "inf"],
+        ["sweep", "--currents", "4", "--hold", "0.0005"],
+        ["simulate", "--set", "simulation.dt=nan s"],
+        ["simulate", "--set", "simulation.duration=inf s"],
+        ["simulate", "--set", "profile.0.current=nan A"],
+        ["simulate", "--set", "material.poisson=.nan"],
+        ["simulate", "--set", "spring.active_coils=1" + "0" * 400],
+    ],
+    ids=lambda argv: " ".join(argv)[:60],
+)
+def test_invalid_number_is_one_error_line(scenario_file, tmp_path, capsys, argv):
+    command, *rest = argv
+    code = main([command, "--scenario", str(scenario_file), "--out", str(tmp_path), *rest])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+    assert "Traceback" not in err

@@ -113,7 +113,7 @@ def test_override_bad_syntax(default_text):
 def test_springs_per_unit_override(default_text):
     scenario = load_with_overrides(default_text, ["pennate.springs_per_unit=3"])
     system = scenario.build_system()
-    assert all(len(u.springs) == 3 for u in system.units)
+    assert all(u.fibers == 3 for u in system.units)
 
 
 def test_calibration_section_parsed(default_text):

@@ -245,7 +245,6 @@ class TestStepSpring:
         assert out.temperature == state.temperature
         assert out.martensite_fraction == state.martensite_fraction
         assert out.force == state.force
-        assert out.deflection == state.deflection
 
     def test_fraction_falls_only_after_band_entry(self, material, geometry, env):
         # hold a constant current; the fraction must stay put until the
@@ -324,8 +323,8 @@ class TestInvariantValidation:
 
     def test_spring_state_bounds(self):
         with pytest.raises(ValueError):
-            SpringState(temperature=300.0, martensite_fraction=1.2, force=0.0, deflection=0.0)
+            SpringState(temperature=300.0, martensite_fraction=1.2, force=0.0)
         with pytest.raises(ValueError):
-            SpringState(temperature=300.0, martensite_fraction=0.5, force=-1.0, deflection=0.0)
+            SpringState(temperature=300.0, martensite_fraction=0.5, force=-1.0)
         with pytest.raises(ValueError):
-            SpringState(temperature=-5.0, martensite_fraction=0.5, force=0.0, deflection=0.0)
+            SpringState(temperature=-5.0, martensite_fraction=0.5, force=0.0)

@@ -43,10 +43,10 @@ def test_round_trip_within_serialization_precision(system, tmp_path):
         [math.degrees(v) for v in trace.theta], rel=1e-8, abs=1e-12
     )
     assert columns["T3_K"] == pytest.approx(
-        [row[2] for row in trace.spring_temperatures], rel=1e-8
+        [row[1] for row in trace.spring_temperatures], rel=1e-8
     )
     assert columns["xi6"] == pytest.approx(
-        [row[5] for row in trace.spring_fractions], rel=1e-8
+        [row[2] for row in trace.spring_fractions], rel=1e-8
     )
     assert columns["Fk1_N"] == pytest.approx(
         [row[0] for row in trace.unit_forces], rel=1e-8
