@@ -25,21 +25,16 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class BackboneGeometry:
-    """Length (m), bending stiffnesses about the local x/y axes (N m^2) and
-    torsional stiffness (N m^2) of the backbone."""
+    """Length (m), bending stiffness about the local y axis (N m^2) and
+    torsional stiffness (N m^2) of the backbone.  A constant-curvature arc
+    never bends about x, so no x stiffness is kept."""
 
     length: float
-    bending_stiffness_x: float
     bending_stiffness_y: float
     torsional_stiffness: float
 
     def __post_init__(self):
-        for name in (
-            "length",
-            "bending_stiffness_x",
-            "bending_stiffness_y",
-            "torsional_stiffness",
-        ):
+        for name in ("length", "bending_stiffness_y", "torsional_stiffness"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 

@@ -11,10 +11,10 @@ deterministic for a given scenario and spec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .engine import sweep
-from .scenario import CalibrationSpec, Scenario
+from .scenario import CalibrationSpec, Scenario, apply_parameters, current_parameters
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _FAILED_RUN_LOSS = 1e12
@@ -42,56 +42,16 @@ class CalibrationResult:
     evaluations: int
 
 
-def apply_parameters(scenario: Scenario, parameters: dict[str, float]) -> Scenario:
-    """Return a scenario with the calibratable parameters replaced."""
-    out = scenario
-    for name, value in parameters.items():
-        if name == "convection_coefficient":
-            out = replace(
-                out, environment=replace(out.environment, convection_coefficient=value)
-            )
-        elif name == "phase_transform_tensor":
-            out = replace(
-                out, material=replace(out.material, phase_transform_tensor=value)
-            )
-        elif name == "tendon_stiffness":
-            out = replace(out, tendon_stiffness=value)
-        elif name == "pennation_angle":
-            out = replace(out, pennation_angle=value)
-        else:
-            raise ValueError(f"unknown calibration parameter {name!r}")
-    return out
-
-
-def current_parameters(scenario: Scenario, names) -> dict[str, float]:
-    values = {}
-    for name in names:
-        if name == "convection_coefficient":
-            values[name] = scenario.environment.convection_coefficient
-        elif name == "phase_transform_tensor":
-            values[name] = scenario.material.phase_transform_tensor
-        elif name == "tendon_stiffness":
-            values[name] = scenario.tendon_stiffness
-        elif name == "pennation_angle":
-            values[name] = scenario.pennation_angle
-        else:
-            raise ValueError(f"unknown calibration parameter {name!r}")
-    return values
-
-
 def evaluate_targets(
     scenario: Scenario, spec: CalibrationSpec, parameters: dict[str, float]
 ) -> tuple[float, tuple[tuple[float, float], ...]]:
     """(loss, achieved table) of one parameter candidate."""
     candidate = apply_parameters(scenario, parameters)
-    config = candidate.build_config(
-        dt=spec.dt if spec.dt is not None else candidate.dt, duration=spec.hold
-    )
     rows = sweep(
         candidate.build_system(),
         [amps for amps, _ in spec.targets],
         spec.hold,
-        config,
+        candidate.calibration_config(spec),
         unit_index=spec.unit_index,
     )
     loss = 0.0

@@ -1,15 +1,19 @@
 """Scenario documents: parsing, validation, dumping and system assembly.
 
 A scenario is a YAML document with explicit per-field units (see
-``data/default_scenario.yaml``).  Loading is strict: unknown keys, missing
-units and invariant violations are errors that name the offending field path.
+``data/default_scenario.yaml``).  ``FIELDS`` is the schema: one row per
+document field, walked by the parser, the dumper, the ``--set`` path check
+and the calibration parameter accessors.  Loading is strict: unknown keys,
+missing units and invariant violations are errors that name the offending
+field path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import yaml
 
@@ -20,13 +24,6 @@ from .sma import SmaMaterial, SpringGeometry, SpringState, ThermalEnvironment
 from .units import UnitsError, format_quantity, parse_quantity
 
 SCHEMA_VERSION = 1
-
-CALIBRATABLE_PARAMETERS = {
-    "convection_coefficient": "convection",
-    "phase_transform_tensor": "pressure",
-    "tendon_stiffness": "linear_stiffness",
-    "pennation_angle": "angle",
-}
 
 
 class ParseError(ValueError):
@@ -167,74 +164,352 @@ class Scenario:
         )
         return replace(config, **changes)
 
+    def calibration_config(self, spec: CalibrationSpec) -> SimConfig:
+        """Run settings of one calibration sweep row: ``spec``'s step size
+        (the scenario's when ``spec`` sets none) over its hold time."""
+        return self.build_config(
+            dt=spec.dt if spec.dt is not None else self.dt, duration=spec.hold
+        )
 
-class _Section:
-    """Cursor over one mapping of the document; tracks consumed keys so
-    anything left over is reported as an unknown key."""
 
-    def __init__(self, mapping: dict, path: str):
-        if not isinstance(mapping, dict):
-            raise ValidationError(f"{path}: expected a mapping")
-        self.mapping = mapping
-        self.path = path
-        self.seen: set[str] = set()
+class Codec(NamedTuple):
+    """Parser and dumper of a field whose value is not one scalar."""
 
-    def _get(self, key: str):
-        self.seen.add(key)
-        return self.mapping.get(key)
+    parse: Callable[[object, str], object]  # (raw value, field path) -> value
+    dump: Callable[[object], object]
+    fields: tuple = ()  # row table, for a list of mappings
 
-    def quantity(self, key: str, dimension: str) -> float:
-        raw = self._get(key)
+
+# ``Scenario`` attributes that are dataclasses, each built from the rows whose
+# target starts with its name (``material.poisson``); other targets are plain
+# ``Scenario`` attributes.
+_GROUPS = {
+    "material": SmaMaterial,
+    "spring": SpringGeometry,
+    "environment": ThermalEnvironment,
+    "backbone": BackboneGeometry,
+    "calibration": CalibrationSpec,
+}
+_REQUIRED = object()
+# plain YAML kinds: (Python type, what the error message expects)
+_PLAIN = {
+    "integer": (int, "an integer"),
+    "boolean": (bool, "true/false"),
+    "string": (str, "a string"),
+}
+
+
+@dataclass(frozen=True)
+class Field:
+    """One schema row.
+
+    ``path`` is the dotted document path; ``kind`` is a units dimension, a
+    plain kind (``integer``, ``boolean``, ``string``) or a ``Codec``.  An
+    absent field takes ``default``; a ``None`` default marks an optional field
+    that dumps leave out while unset.  ``check`` is a ``(predicate, message)``
+    constraint on the parsed value; ``{!r}`` in the message shows the value.
+    ``target`` is the dotted attribute path
+    on ``Scenario``; left empty, it is ``path`` in a ``_GROUPS`` section and
+    the last component of ``path`` elsewhere.  ``calibratable`` marks a
+    calibration handle, named by the last component of ``path``.
+    """
+
+    path: str
+    kind: str | Codec
+    default: object = _REQUIRED
+    check: tuple[Callable[[object], bool], str] | None = None
+    target: str = ""
+    calibratable: bool = False
+
+    def __post_init__(self):
+        if not self.target:
+            section, _, key = self.path.rpartition(".")
+            target = self.path if section in _GROUPS else key
+            object.__setattr__(self, "target", target)
+
+    def parse(self, raw: object, label: str):
         if raw is None:
-            raise ValidationError(f"{self.path}.{key}: missing")
-        return parse_quantity(raw, dimension, f"{self.path}.{key}")
+            if self.default is _REQUIRED:
+                raise ValidationError(f"{label}: missing")
+            return self.default
+        if isinstance(self.kind, Codec):
+            value = self.kind.parse(raw, label)
+        elif self.kind in _PLAIN:
+            typ, expected = _PLAIN[self.kind]
+            if not isinstance(raw, typ) or (typ is int and isinstance(raw, bool)):
+                raise ValidationError(f"{label}: expected {expected}")
+            value = raw
+        else:
+            value = parse_quantity(raw, self.kind, label)
+        if self.check is not None and not self.check[0](value):
+            raise ValidationError(f"{label}: {self.check[1].format(value)}")
+        return value
 
-    def optional_quantity(self, key: str, dimension: str, default):
-        raw = self._get(key)
-        if raw is None:
-            return default
-        return parse_quantity(raw, dimension, f"{self.path}.{key}")
+    def dump(self, value):
+        if isinstance(self.kind, Codec):
+            return self.kind.dump(value)
+        if self.kind in _PLAIN:
+            return value
+        return format_quantity(value, self.kind)
 
-    def integer(self, key: str, default=None) -> int:
-        raw = self._get(key)
-        if raw is None:
-            if default is None:
-                raise ValidationError(f"{self.path}.{key}: missing")
-            return default
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise ValidationError(f"{self.path}.{key}: expected an integer")
-        return raw
+    def get(self, obj):
+        """The value at ``target`` on ``obj``; None past an unset section."""
+        for attr in self.target.split("."):
+            if obj is None:
+                return None
+            obj = getattr(obj, attr)
+        return obj
 
-    def boolean(self, key: str, default: bool) -> bool:
-        raw = self._get(key)
-        if raw is None:
-            return default
-        if not isinstance(raw, bool):
-            raise ValidationError(f"{self.path}.{key}: expected true/false")
-        return raw
+    def set(self, obj, value):
+        """A copy of ``obj`` with ``value`` at ``target``."""
+        return _replaced(obj, self.target.split("."), value)
 
-    def string(self, key: str, default=None, choices=None) -> str:
-        raw = self._get(key)
-        if raw is None:
-            if default is None:
-                raise ValidationError(f"{self.path}.{key}: missing")
-            return default
-        if not isinstance(raw, str):
-            raise ValidationError(f"{self.path}.{key}: expected a string")
-        if choices and raw not in choices:
-            raise ValidationError(
-                f"{self.path}.{key}: must be one of {sorted(choices)}, got {raw!r}"
-            )
-        return raw
 
-    def raw(self, key: str):
-        return self._get(key)
+def _replaced(obj, attrs: list[str], value):
+    head, *rest = attrs
+    inner = _replaced(getattr(obj, head), rest, value) if rest else value
+    return replace(obj, **{head: inner})
 
-    def finish(self) -> None:
-        unknown = set(self.mapping) - self.seen
-        if unknown:
-            names = ", ".join(sorted(unknown))
-            raise ValidationError(f"{self.path}: unknown key(s): {names}")
+
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0.0, "must be non-negative")
+_UNIT_INDEX = (lambda v: 1 <= v <= 3, "must be 1, 2 or 3")
+
+
+def _at_least(n: int):
+    return (lambda v: v >= n, f"must be at least {n}")
+
+
+def _one_of(*choices: str):
+    return (lambda v: v in choices, f"must be one of {sorted(choices)}, got {{!r}}")
+
+
+def _reject_unknown(mapping: dict, known, label: str) -> None:
+    unknown = set(mapping) - set(known)
+    if unknown:
+        names = ", ".join(sorted(map(str, unknown)))
+        raise ValidationError(f"{label}: unknown key(s): {names}")
+
+
+def _rows(fields: tuple[Field, ...], noun: str, build, unbuild) -> Codec:
+    """Codec of a list of mappings with the keys of ``fields``.  ``build``
+    makes a record from the row's path and field values; ``unbuild`` gives
+    the field values of a record back."""
+
+    def parse(raw, label):
+        if not isinstance(raw, list):
+            raise ValidationError(f"{label}: expected a list of {noun}")
+        records = []
+        for i, item in enumerate(raw):
+            row = f"{label}[{i}]"
+            if not isinstance(item, dict):
+                raise ValidationError(f"{row}: expected a mapping")
+            _reject_unknown(item, (f.path for f in fields), row)
+            values = (f.parse(item.get(f.path), f"{row}.{f.path}") for f in fields)
+            records.append(build(row, *values))
+        return tuple(records)
+
+    def dump(records):
+        return [
+            {f.path: f.dump(v) for f, v in zip(fields, unbuild(record))}
+            for record in records
+        ]
+
+    return Codec(parse, dump, fields)
+
+
+def _segment(row: str, unit: int, start: float, end: float, current: float):
+    if end <= start:
+        raise ValidationError(f"{row}.end: must exceed start")
+    return Segment(unit, start, end, current)
+
+
+def _parse_azimuths(raw, label):
+    if not isinstance(raw, list) or len(raw) != 3:
+        raise ValidationError(f"{label}: expected a list of 3 angles")
+    return tuple(
+        parse_quantity(a, "angle", f"{label}[{i}]") for i, a in enumerate(raw)
+    )
+
+
+def _parse_free(raw, label):
+    if not isinstance(raw, list) or not raw:
+        raise ValidationError(f"{label}: expected a non-empty list")
+    return tuple(str(name) for name in raw)
+
+
+def _parse_bounds(raw, label):
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{label}: expected a mapping")
+    bounds: dict[str, tuple[float, float]] = {}
+    for name, pair in raw.items():
+        if name not in CALIBRATABLE_PARAMETERS:
+            raise ValidationError(f"{label}.{name}: not a calibratable parameter")
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValidationError(f"{label}.{name}: expected [low, high]")
+        kind = CALIBRATABLE_PARAMETERS[name].kind
+        bounds[name] = tuple(
+            parse_quantity(v, kind, f"{label}.{name}[{i}]") for i, v in enumerate(pair)
+        )
+    return bounds
+
+
+def _dump_bounds(bounds):
+    return {
+        name: [CALIBRATABLE_PARAMETERS[name].dump(v) for v in pair]
+        for name, pair in bounds.items()
+    }
+
+
+_PROFILE = _rows(
+    (
+        Field("unit", "integer", check=_UNIT_INDEX),
+        Field("start", "time", check=_NON_NEGATIVE),
+        Field("end", "time"),
+        Field("current", "current", check=_NON_NEGATIVE),
+    ),
+    "segments",
+    _segment,
+    astuple,
+)
+_TARGETS = _rows(
+    (Field("current", "current"), Field("max_bending", "angle")),
+    "target rows",
+    lambda row, amps, angle: (amps, math.degrees(angle)),
+    lambda target: (target[0], math.radians(target[1])),
+)
+
+# Document order; dumps follow it.
+FIELDS: tuple[Field, ...] = (
+    Field(
+        "schema_version",
+        "integer",
+        check=(lambda v: v == SCHEMA_VERSION, f"expected {SCHEMA_VERSION}, got {{!r}}"),
+    ),
+    Field("material.young_martensite", "pressure"),
+    Field("material.young_austenite", "pressure"),
+    Field("material.poisson", "dimensionless"),
+    Field("material.phase_transform_tensor", "pressure", calibratable=True),
+    Field("material.thermal_expansion_factor", "pressure_per_kelvin"),
+    Field("material.austenite_start", "temperature"),
+    Field("material.austenite_finish", "temperature"),
+    Field("material.martensite_start", "temperature"),
+    Field("material.martensite_finish", "temperature"),
+    Field("material.stress_influence_reverse", "pressure_per_kelvin"),
+    Field("material.stress_influence_forward", "pressure_per_kelvin"),
+    Field("material.resistance_martensite", "resistance"),
+    Field("material.resistance_austenite", "resistance"),
+    Field("material.specific_heat", "specific_heat"),
+    Field("material.latent_heat", "specific_energy"),
+    Field("spring.wire_diameter", "length"),
+    Field("spring.coil_diameter", "length"),
+    Field("spring.active_coils", "count"),
+    Field("spring.spring_mass", "mass"),
+    Field("spring.surface_area", "area"),
+    Field("spring.rest_length", "length"),
+    Field("spring.initial_force", "force", 0.0, _NON_NEGATIVE, "spring_initial_force"),
+    Field(
+        "spring.initial_martensite_fraction",
+        "dimensionless",
+        1.0,
+        (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+        "spring_initial_fraction",
+    ),
+    Field(
+        "spring.initial_temperature", "temperature", None, None,
+        "spring_initial_temperature",
+    ),
+    Field("environment.ambient_temperature", "temperature"),
+    Field("environment.convection_coefficient", "convection", calibratable=True),
+    Field("backbone.length", "length"),
+    Field("backbone.bending_stiffness_y", "bending_stiffness"),
+    Field("backbone.torsional_stiffness", "bending_stiffness"),
+    Field("head.mass", "mass", check=_NON_NEGATIVE, target="head_mass"),
+    Field("head.gravity", "boolean", False, target="gravity_enabled"),
+    Field("pennate.attachment_radius", "length"),
+    Field("pennate.base_radius", "length"),
+    Field(
+        "pennate.azimuths",
+        Codec(_parse_azimuths, lambda az: [format_quantity(a, "angle") for a in az]),
+    ),
+    Field(
+        "pennate.pennation_angle",
+        "angle",
+        check=(lambda v: 0.0 <= v < 0.5 * math.pi, "must lie in [0 deg, 90 deg)"),
+        calibratable=True,
+    ),
+    Field(
+        "pennate.tendon_stiffness", "linear_stiffness", check=_POSITIVE,
+        calibratable=True,
+    ),
+    Field("pennate.springs_per_unit", "integer", 2, _at_least(1)),
+    Field("pennate.force_combination", "string", "additive", _one_of("additive", "max")),
+    Field("simulation.dt", "time", check=_POSITIVE),
+    Field("simulation.duration", "time"),
+    Field("simulation.solver_tolerance", "moment", 1e-9, _POSITIVE),
+    Field("simulation.max_newton_iterations", "integer", 60, _at_least(1)),
+    Field("simulation.max_temperature_step", "temperature_delta", 1.0, _POSITIVE),
+    Field("profile", _PROFILE, ()),
+    Field("output.run_id", "string", "neck"),
+    Field("calibration.free", Codec(_parse_free, list)),
+    Field("calibration.bounds", Codec(_parse_bounds, _dump_bounds)),
+    Field("calibration.targets", _TARGETS),
+    Field("calibration.hold", "time", 5.0),
+    Field("calibration.unit", "integer", 1, _UNIT_INDEX, "calibration.unit_index"),
+    Field("calibration.passes", "integer", 2, _at_least(1)),
+    Field("calibration.golden_iterations", "integer", 10, _at_least(3)),
+    Field("calibration.dt", "time", None, _POSITIVE),
+)
+
+_OPTIONAL_SECTION = "calibration"
+
+CALIBRATABLE_PARAMETERS = {
+    f.path.rpartition(".")[2]: f for f in FIELDS if f.calibratable
+}
+
+
+def _section_keys() -> dict[str, set[str]]:
+    keys: dict[str, set[str]] = {"": set()}
+    for f in FIELDS:
+        section, _, key = f.path.rpartition(".")
+        keys[""].add(section or key)
+        keys.setdefault(section, set()).add(key)
+    return keys
+
+
+_SECTION_KEYS = _section_keys()
+
+# Every dotted path a ``--set`` override may name; list items are addressed
+# by index, which these paths leave out (``profile.current``).
+SCHEMA_PATHS = frozenset(
+    [section for section in _SECTION_KEYS if section]
+    + [f.path for f in FIELDS]
+    + [
+        f"{f.path}.{row.path}"
+        for f in FIELDS
+        if isinstance(f.kind, Codec)
+        for row in f.kind.fields
+    ]
+    + [f"calibration.bounds.{name}" for name in CALIBRATABLE_PARAMETERS]
+)
+
+
+def _calibratable(name: str) -> Field:
+    try:
+        return CALIBRATABLE_PARAMETERS[name]
+    except KeyError:
+        raise ValueError(f"unknown calibration parameter {name!r}") from None
+
+
+def apply_parameters(scenario: Scenario, parameters: dict[str, float]) -> Scenario:
+    """Return a scenario with the calibratable parameters replaced."""
+    for name, value in parameters.items():
+        scenario = _calibratable(name).set(scenario, value)
+    return scenario
+
+
+def current_parameters(scenario: Scenario, names) -> dict[str, float]:
+    return {name: _calibratable(name).get(scenario) for name in names}
 
 
 def _wrap_invariant(path: str, fn, *args, **kwargs):
@@ -248,13 +523,7 @@ def _wrap_invariant(path: str, fn, *args, **kwargs):
 
 def load_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document given as text."""
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"malformed scenario document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("scenario document must be a mapping")
-    return parse_document(doc)
+    return load_with_overrides(text)
 
 
 def load_scenario_file(path) -> Scenario:
@@ -277,412 +546,63 @@ def load_default_scenario() -> Scenario:
 
 
 def parse_document(doc: dict) -> Scenario:
-    root = _Section(doc, "scenario")
-    version = root.integer("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValidationError(
-            f"scenario.schema_version: expected {SCHEMA_VERSION}, got {version}"
-        )
+    _reject_unknown(doc, _SECTION_KEYS[""], "scenario")
+    for section, keys in _SECTION_KEYS.items():
+        if section and doc.get(section) is not None:
+            if not isinstance(doc[section], dict):
+                raise ValidationError(f"{section}: expected a mapping")
+            _reject_unknown(doc[section], keys, section)
 
-    mat = _Section(root.raw("material") or {}, "material")
-    material = _wrap_invariant(
-        "material",
-        SmaMaterial,
-        young_martensite=mat.quantity("young_martensite", "pressure"),
-        young_austenite=mat.quantity("young_austenite", "pressure"),
-        poisson=mat.quantity("poisson", "dimensionless"),
-        phase_transform_tensor=mat.quantity("phase_transform_tensor", "pressure"),
-        thermal_expansion_factor=mat.quantity(
-            "thermal_expansion_factor", "pressure_per_kelvin"
-        ),
-        austenite_start=mat.quantity("austenite_start", "temperature"),
-        austenite_finish=mat.quantity("austenite_finish", "temperature"),
-        martensite_start=mat.quantity("martensite_start", "temperature"),
-        martensite_finish=mat.quantity("martensite_finish", "temperature"),
-        stress_influence_reverse=mat.quantity(
-            "stress_influence_reverse", "pressure_per_kelvin"
-        ),
-        stress_influence_forward=mat.quantity(
-            "stress_influence_forward", "pressure_per_kelvin"
-        ),
-        resistance_martensite=mat.quantity("resistance_martensite", "resistance"),
-        resistance_austenite=mat.quantity("resistance_austenite", "resistance"),
-        specific_heat=mat.quantity("specific_heat", "specific_heat"),
-        latent_heat=mat.quantity("latent_heat", "specific_energy"),
-    )
-    mat.finish()
+    attributes: dict = {_OPTIONAL_SECTION: None}
+    groups: dict[str, dict] = {}
+    for f in FIELDS:
+        section, _, key = f.path.rpartition(".")
+        if section == _OPTIONAL_SECTION and doc.get(section) is None:
+            continue
+        mapping = (doc.get(section) or {}) if section else doc
+        # root scalars are named under the document itself
+        label = f.path if section or isinstance(f.kind, Codec) else f"scenario.{key}"
+        value = f.parse(mapping.get(key), label)
+        group, _, name = f.target.rpartition(".")
+        (groups.setdefault(group, {}) if group else attributes)[name] = value
+    for group, kwargs in groups.items():
+        attributes[group] = _wrap_invariant(group, _GROUPS[group], **kwargs)
+    scenario = Scenario(**attributes)
 
-    spr = _Section(root.raw("spring") or {}, "spring")
-    spring = _wrap_invariant(
-        "spring",
-        SpringGeometry,
-        wire_diameter=spr.quantity("wire_diameter", "length"),
-        coil_diameter=spr.quantity("coil_diameter", "length"),
-        active_coils=spr.quantity("active_coils", "count"),
-        spring_mass=spr.quantity("spring_mass", "mass"),
-        surface_area=spr.quantity("surface_area", "area"),
-        rest_length=spr.quantity("rest_length", "length"),
-    )
-    initial_force = spr.optional_quantity("initial_force", "force", 0.0)
-    if initial_force < 0.0:
-        raise ValidationError("spring.initial_force: must be non-negative")
-    initial_temperature = spr.optional_quantity(
-        "initial_temperature", "temperature", None
-    )
-    initial_fraction = spr.optional_quantity(
-        "initial_martensite_fraction", "dimensionless", 1.0
-    )
-    if not 0.0 <= initial_fraction <= 1.0:
-        raise ValidationError("spring.initial_martensite_fraction: must lie in [0, 1]")
-    spr.finish()
-
-    envs = _Section(root.raw("environment") or {}, "environment")
-    environment = _wrap_invariant(
-        "environment",
-        ThermalEnvironment,
-        ambient_temperature=envs.quantity("ambient_temperature", "temperature"),
-        convection_coefficient=envs.quantity("convection_coefficient", "convection"),
-    )
-    envs.finish()
-
-    bb = _Section(root.raw("backbone") or {}, "backbone")
-    backbone = _wrap_invariant(
-        "backbone",
-        BackboneGeometry,
-        length=bb.quantity("length", "length"),
-        bending_stiffness_x=bb.quantity("bending_stiffness_x", "bending_stiffness"),
-        bending_stiffness_y=bb.quantity("bending_stiffness_y", "bending_stiffness"),
-        torsional_stiffness=bb.quantity("torsional_stiffness", "bending_stiffness"),
-    )
-    bb.finish()
-
-    head = _Section(root.raw("head") or {}, "head")
-    head_mass = head.quantity("mass", "mass")
-    if head_mass < 0.0:
-        raise ValidationError("head.mass: must be non-negative")
-    gravity_enabled = head.boolean("gravity", False)
-    head.finish()
-
-    pen = _Section(root.raw("pennate") or {}, "pennate")
-    attachment_radius = pen.quantity("attachment_radius", "length")
-    base_radius = pen.quantity("base_radius", "length")
-    raw_azimuths = pen.raw("azimuths")
-    if not isinstance(raw_azimuths, list) or len(raw_azimuths) != 3:
-        raise ValidationError("pennate.azimuths: expected a list of 3 angles")
-    azimuths = tuple(
-        parse_quantity(a, "angle", f"pennate.azimuths[{i}]")
-        for i, a in enumerate(raw_azimuths)
-    )
-    pennation_angle = pen.quantity("pennation_angle", "angle")
-    if not 0.0 <= pennation_angle < 0.5 * math.pi:
-        raise ValidationError("pennate.pennation_angle: must lie in [0 deg, 90 deg)")
-    tendon_stiffness = pen.quantity("tendon_stiffness", "linear_stiffness")
-    if tendon_stiffness <= 0.0:
-        raise ValidationError("pennate.tendon_stiffness: must be positive")
-    springs_per_unit = pen.integer("springs_per_unit", 2)
-    if springs_per_unit < 1:
-        raise ValidationError("pennate.springs_per_unit: must be at least 1")
-    force_combination = pen.string(
-        "force_combination", "additive", choices={"additive", "max"}
-    )
-    pen.finish()
-
-    sim = _Section(root.raw("simulation") or {}, "simulation")
-    dt = sim.quantity("dt", "time")
-    duration = sim.quantity("duration", "time")
-    solver_tolerance = sim.optional_quantity("solver_tolerance", "moment", 1e-9)
-    max_newton = sim.integer("max_newton_iterations", 60)
-    max_temp_step = sim.optional_quantity(
-        "max_temperature_step", "temperature_delta", 1.0
-    )
-    sim.finish()
-    if dt <= 0.0:
-        raise ValidationError("simulation.dt: must be positive")
-    if duration < dt:
+    if scenario.duration < scenario.dt:
         raise ValidationError("simulation.duration: must cover at least one step")
-    if solver_tolerance <= 0.0:
-        raise ValidationError("simulation.solver_tolerance: must be positive")
-    if max_newton < 1:
-        raise ValidationError("simulation.max_newton_iterations: must be at least 1")
-    if max_temp_step <= 0.0:
-        raise ValidationError("simulation.max_temperature_step: must be positive")
-
-    raw_profile = root.raw("profile")
-    segments: list[Segment] = []
-    if raw_profile is not None:
-        if not isinstance(raw_profile, list):
-            raise ValidationError("profile: expected a list of segments")
-        for i, raw_seg in enumerate(raw_profile):
-            seg = _Section(raw_seg, f"profile[{i}]")
-            unit_index = seg.integer("unit")
-            if not 1 <= unit_index <= 3:
-                raise ValidationError(f"profile[{i}].unit: must be 1, 2 or 3")
-            start = seg.quantity("start", "time")
-            end = seg.quantity("end", "time")
-            amps = seg.quantity("current", "current")
-            seg.finish()
-            if start < 0.0:
-                raise ValidationError(f"profile[{i}].start: must be non-negative")
-            if end <= start:
-                raise ValidationError(f"profile[{i}].end: must exceed start")
-            if amps < 0.0:
-                raise ValidationError(f"profile[{i}].current: must be non-negative")
-            segments.append(Segment(unit_index, start, end, amps))
-        by_unit: dict[int, list[Segment]] = {}
-        for i, seg_obj in enumerate(segments):
-            by_unit.setdefault(seg_obj.unit, []).append(seg_obj)
-        for unit_index, segs in by_unit.items():
-            ordered = sorted(segs, key=lambda s: s.start)
-            for a, b in zip(ordered, ordered[1:]):
-                if b.start < a.end:
-                    raise ValidationError(
-                        f"profile: segments for unit {unit_index} overlap at "
-                        f"{b.start:.6g} s"
-                    )
-
-    calibration = None
-    raw_cal = root.raw("calibration")
-    if raw_cal is not None:
-        cal = _Section(raw_cal, "calibration")
-        raw_free = cal.raw("free")
-        if not isinstance(raw_free, list) or not raw_free:
-            raise ValidationError("calibration.free: expected a non-empty list")
-        free = tuple(str(name) for name in raw_free)
-        raw_bounds = cal.raw("bounds")
-        if not isinstance(raw_bounds, dict):
-            raise ValidationError("calibration.bounds: expected a mapping")
-        bounds: dict[str, tuple[float, float]] = {}
-        for name, pair in raw_bounds.items():
-            if name not in CALIBRATABLE_PARAMETERS:
-                raise ValidationError(
-                    f"calibration.bounds.{name}: not a calibratable parameter"
-                )
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValidationError(
-                    f"calibration.bounds.{name}: expected [low, high]"
-                )
-            dimension = CALIBRATABLE_PARAMETERS[name]
-            lo = parse_quantity(pair[0], dimension, f"calibration.bounds.{name}[0]")
-            hi = parse_quantity(pair[1], dimension, f"calibration.bounds.{name}[1]")
-            bounds[name] = (lo, hi)
-        raw_targets = cal.raw("targets")
-        if not isinstance(raw_targets, list) or not raw_targets:
-            raise ValidationError("calibration.targets: expected a non-empty list")
-        targets = []
-        for i, raw_target in enumerate(raw_targets):
-            row = _Section(raw_target, f"calibration.targets[{i}]")
-            amps = row.quantity("current", "current")
-            angle = row.quantity("max_bending", "angle")
-            row.finish()
-            targets.append((amps, math.degrees(angle)))
-        hold = cal.optional_quantity("hold", "time", 5.0)
-        cal_unit = cal.integer("unit", 1)
-        if not 1 <= cal_unit <= 3:
-            raise ValidationError("calibration.unit: must be 1, 2 or 3")
-        cal_dt = cal.optional_quantity("dt", "time", None)
-        passes = cal.integer("passes", 2)
-        golden = cal.integer("golden_iterations", 10)
-        cal.finish()
-        if passes < 1 or golden < 3:
+    ordered = sorted(scenario.profile, key=lambda s: (s.unit, s.start))
+    for a, b in zip(ordered, ordered[1:]):
+        if a.unit == b.unit and b.start < a.end:
             raise ValidationError(
-                "calibration: passes must be >= 1 and golden_iterations >= 3"
+                f"profile: segments for unit {a.unit} overlap at {b.start:.6g} s"
             )
-        calibration = CalibrationSpec(
-            free=free,
-            bounds=bounds,
-            targets=tuple(targets),
-            hold=hold,
-            unit_index=cal_unit,
-            dt=cal_dt,
-            passes=passes,
-            golden_iterations=golden,
-        )
-
-    out = _Section(root.raw("output") or {}, "output")
-    run_id = out.string("run_id", "neck")
-    out.finish()
-
-    root.seen.update(
-        {
-            "material",
-            "spring",
-            "environment",
-            "backbone",
-            "head",
-            "pennate",
-            "simulation",
-            "profile",
-            "calibration",
-            "output",
-        }
-    )
-    root.finish()
-
-    scenario = Scenario(
-        schema_version=version,
-        material=material,
-        spring=spring,
-        spring_initial_force=initial_force,
-        spring_initial_temperature=initial_temperature,
-        spring_initial_fraction=initial_fraction,
-        environment=environment,
-        backbone=backbone,
-        head_mass=head_mass,
-        gravity_enabled=gravity_enabled,
-        attachment_radius=attachment_radius,
-        base_radius=base_radius,
-        azimuths=azimuths,
-        pennation_angle=pennation_angle,
-        tendon_stiffness=tendon_stiffness,
-        springs_per_unit=springs_per_unit,
-        force_combination=force_combination,
-        dt=dt,
-        duration=duration,
-        solver_tolerance=solver_tolerance,
-        max_newton_iterations=max_newton,
-        max_temperature_step=max_temp_step,
-        profile=tuple(segments),
-        calibration=calibration,
-        run_id=run_id,
-    )
     # building the system re-checks the cross-type invariants (azimuth
     # spacing, degenerate attachments) before the scenario is handed out
     _wrap_invariant("scenario", scenario.build_system)
+    cal = scenario.calibration
+    if cal is not None:
+        _wrap_invariant("calibration.hold", scenario.calibration_config, cal)
+        # the search may evaluate any point between the bounds; the dataclass
+        # invariants on these parameters are ranges, so both ends cover it
+        for name in cal.free:
+            for value in cal.bounds[name]:
+                _wrap_invariant(
+                    f"calibration.bounds.{name}",
+                    lambda: apply_parameters(scenario, {name: value}).build_system(),
+                )
     return scenario
 
 
 def scenario_to_document(scenario: Scenario) -> dict:
     """Canonical SI document for a scenario (inverse of parse_document)."""
-    mat = scenario.material
-    doc: dict = {
-        "schema_version": scenario.schema_version,
-        "material": {
-            "young_martensite": format_quantity(mat.young_martensite, "pressure"),
-            "young_austenite": format_quantity(mat.young_austenite, "pressure"),
-            "poisson": mat.poisson,
-            "phase_transform_tensor": format_quantity(
-                mat.phase_transform_tensor, "pressure"
-            ),
-            "thermal_expansion_factor": format_quantity(
-                mat.thermal_expansion_factor, "pressure_per_kelvin"
-            ),
-            "austenite_start": format_quantity(mat.austenite_start, "temperature"),
-            "austenite_finish": format_quantity(mat.austenite_finish, "temperature"),
-            "martensite_start": format_quantity(mat.martensite_start, "temperature"),
-            "martensite_finish": format_quantity(
-                mat.martensite_finish, "temperature"
-            ),
-            "stress_influence_reverse": format_quantity(
-                mat.stress_influence_reverse, "pressure_per_kelvin"
-            ),
-            "stress_influence_forward": format_quantity(
-                mat.stress_influence_forward, "pressure_per_kelvin"
-            ),
-            "resistance_martensite": format_quantity(
-                mat.resistance_martensite, "resistance"
-            ),
-            "resistance_austenite": format_quantity(
-                mat.resistance_austenite, "resistance"
-            ),
-            "specific_heat": format_quantity(mat.specific_heat, "specific_heat"),
-            "latent_heat": format_quantity(mat.latent_heat, "specific_energy"),
-        },
-        "spring": {
-            "wire_diameter": format_quantity(scenario.spring.wire_diameter, "length"),
-            "coil_diameter": format_quantity(scenario.spring.coil_diameter, "length"),
-            "active_coils": scenario.spring.active_coils,
-            "spring_mass": format_quantity(scenario.spring.spring_mass, "mass"),
-            "surface_area": format_quantity(scenario.spring.surface_area, "area"),
-            "rest_length": format_quantity(scenario.spring.rest_length, "length"),
-            "initial_force": format_quantity(scenario.spring_initial_force, "force"),
-            "initial_martensite_fraction": scenario.spring_initial_fraction,
-        },
-        "environment": {
-            "ambient_temperature": format_quantity(
-                scenario.environment.ambient_temperature, "temperature"
-            ),
-            "convection_coefficient": format_quantity(
-                scenario.environment.convection_coefficient, "convection"
-            ),
-        },
-        "backbone": {
-            "length": format_quantity(scenario.backbone.length, "length"),
-            "bending_stiffness_x": format_quantity(
-                scenario.backbone.bending_stiffness_x, "bending_stiffness"
-            ),
-            "bending_stiffness_y": format_quantity(
-                scenario.backbone.bending_stiffness_y, "bending_stiffness"
-            ),
-            "torsional_stiffness": format_quantity(
-                scenario.backbone.torsional_stiffness, "bending_stiffness"
-            ),
-        },
-        "head": {
-            "mass": format_quantity(scenario.head_mass, "mass"),
-            "gravity": scenario.gravity_enabled,
-        },
-        "pennate": {
-            "attachment_radius": format_quantity(
-                scenario.attachment_radius, "length"
-            ),
-            "base_radius": format_quantity(scenario.base_radius, "length"),
-            "azimuths": [format_quantity(a, "angle") for a in scenario.azimuths],
-            "pennation_angle": format_quantity(scenario.pennation_angle, "angle"),
-            "tendon_stiffness": format_quantity(
-                scenario.tendon_stiffness, "linear_stiffness"
-            ),
-            "springs_per_unit": scenario.springs_per_unit,
-            "force_combination": scenario.force_combination,
-        },
-        "simulation": {
-            "dt": format_quantity(scenario.dt, "time"),
-            "duration": format_quantity(scenario.duration, "time"),
-            "solver_tolerance": format_quantity(scenario.solver_tolerance, "moment"),
-            "max_newton_iterations": scenario.max_newton_iterations,
-            "max_temperature_step": format_quantity(
-                scenario.max_temperature_step, "temperature_delta"
-            ),
-        },
-        "profile": [
-            {
-                "unit": seg.unit,
-                "start": format_quantity(seg.start, "time"),
-                "end": format_quantity(seg.end, "time"),
-                "current": format_quantity(seg.current, "current"),
-            }
-            for seg in scenario.profile
-        ],
-        "output": {"run_id": scenario.run_id},
-    }
-    if scenario.spring_initial_temperature is not None:
-        doc["spring"]["initial_temperature"] = format_quantity(
-            scenario.spring_initial_temperature, "temperature"
-        )
-    if scenario.calibration is not None:
-        cal = scenario.calibration
-        doc["calibration"] = {
-            "free": list(cal.free),
-            "bounds": {
-                name: [
-                    format_quantity(lo, CALIBRATABLE_PARAMETERS[name]),
-                    format_quantity(hi, CALIBRATABLE_PARAMETERS[name]),
-                ]
-                for name, (lo, hi) in cal.bounds.items()
-            },
-            "targets": [
-                {
-                    "current": format_quantity(amps, "current"),
-                    "max_bending": format_quantity(math.radians(angle), "angle"),
-                }
-                for amps, angle in cal.targets
-            ],
-            "hold": format_quantity(cal.hold, "time"),
-            "unit": cal.unit_index,
-            "passes": cal.passes,
-            "golden_iterations": cal.golden_iterations,
-        }
-        if cal.dt is not None:
-            doc["calibration"]["dt"] = format_quantity(cal.dt, "time")
+    doc: dict = {}
+    for f in FIELDS:
+        value = f.get(scenario)
+        if value is None:  # unset optional field or section
+            continue
+        section, _, key = f.path.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[key] = f.dump(value)
     return doc
 
 
@@ -695,9 +615,10 @@ def dump_scenario(scenario: Scenario) -> str:
 def apply_override(doc: dict, assignment: str) -> None:
     """Apply one ``dotted.key=value`` override to the raw document in place.
 
-    The path must already exist (a typo would otherwise silently add a key
-    that validation then rejects anyway, but failing here gives a better
-    message).  List items are addressed numerically, e.g. ``profile.0.current``.
+    The path must be in the document or in ``SCHEMA_PATHS``, so an optional
+    field (or section) the document leaves out can be set; a typo fails here
+    with the unknown key named.  List items are addressed numerically, e.g.
+    ``profile.0.current``, and must exist.
     """
     if "=" not in assignment:
         raise ValidationError(f"override {assignment!r}: expected key=value")
@@ -710,6 +631,7 @@ def apply_override(doc: dict, assignment: str) -> None:
     except yaml.YAMLError as exc:
         raise ValidationError(f"override {assignment!r}: bad value: {exc}") from exc
     node = doc
+    schema_path: list[str] = []
     for i, key in enumerate(keys):
         is_last = i == len(keys) - 1
         if isinstance(node, list):
@@ -725,8 +647,11 @@ def apply_override(doc: dict, assignment: str) -> None:
             else:
                 node = node[idx]
         elif isinstance(node, dict):
+            schema_path.append(key)
             if key not in node:
-                raise ValidationError(f"override {dotted!r}: unknown key {key!r}")
+                if ".".join(schema_path) not in SCHEMA_PATHS:
+                    raise ValidationError(f"override {dotted!r}: unknown key {key!r}")
+                node[key] = {}
             if is_last:
                 node[key] = value
             else:

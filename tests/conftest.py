@@ -56,7 +56,6 @@ def env():
 def backbone():
     return BackboneGeometry(
         length=0.09,
-        bending_stiffness_x=0.3,
         bending_stiffness_y=0.3,
         torsional_stiffness=0.2,
     )

@@ -210,7 +210,6 @@ def test_criterion_4_equilibrium_oracle(scenario):
             backbone=replace(
                 scenario.backbone,
                 length=length,
-                bending_stiffness_x=ei,
                 bending_stiffness_y=ei,
                 torsional_stiffness=ei,
             ),

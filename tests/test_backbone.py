@@ -29,7 +29,7 @@ class TestArcPosition:
         assert p == pytest.approx([0.0, 0.0, 0.05])
 
     def test_quarter_circle(self):
-        geometry = BackboneGeometry(1.0, 1.0, 1.0, 1.0)
+        geometry = BackboneGeometry(1.0, 1.0, 1.0)
         kappa = 0.5 * math.pi  # kappa * l = pi/2
         p = arc_position(ArcPose(kappa, 0.0), geometry, 1.0)
         assert p == pytest.approx([1 / kappa, 0.0, 1 / kappa], rel=1e-12)
@@ -175,6 +175,6 @@ class TestElasticMoment:
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
-            BackboneGeometry(0.0, 1.0, 1.0, 1.0)
+            BackboneGeometry(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            BackboneGeometry(0.1, 1.0, -1.0, 1.0)
+            BackboneGeometry(0.1, -1.0, 1.0)

@@ -170,6 +170,13 @@ def test_springs_per_unit_fill_the_fixed_columns(scenario_file, tmp_path, spring
         ["simulate", "--set", "profile.0.current=nan A"],
         ["simulate", "--set", "material.poisson=.nan"],
         ["simulate", "--set", "spring.active_coils=1" + "0" * 400],
+        ["calibrate", "--set", "calibration.dt=0 s"],
+        ["calibrate", "--set", "calibration.hold=1 ms"],
+        [
+            "calibrate",
+            "--set",
+            "calibration.bounds.convection_coefficient=[-100 W/(m^2 K), 1 W/(m^2 K)]",
+        ],
     ],
     ids=lambda argv: " ".join(argv)[:60],
 )

@@ -1,0 +1,116 @@
+"""Property tests of the command line: whatever a ``--set`` override or a
+``--currents`` list says, the run ends with a documented exit code, a failure
+prints exactly one ``error:`` line, and nothing ends in a traceback.  A
+scenario that validates must also build everything a command builds from it.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sma_neck.cli import main
+from sma_neck.scenario import (
+    SCHEMA_PATHS,
+    apply_parameters,
+    default_scenario_text,
+    load_with_overrides,
+)
+
+# list rows are addressed by index on the command line; the bare schema path
+# stays in the draw as an address that must be rejected cleanly
+PATHS = sorted(SCHEMA_PATHS) + [
+    path.replace(rows, f"{rows}.0", 1)
+    for path in sorted(SCHEMA_PATHS)
+    for rows in ("profile", "calibration.targets", "pennate.azimuths")
+    if path.startswith(f"{rows}.") or path == rows
+]
+
+UNITS = [
+    "K", "degC", "m", "mm", "s", "ms", "A", "N", "deg", "rad", "GPa", "MPa/K",
+    "W/(m^2 K)", "N/m", "N m", "N m^2", "g", "kg", "ohm", "J/kg", "J/(kg K)",
+    "cm^2", "furlong",
+]
+NUMBERS = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(
+        ["0", "-0", "1e308", "1e-320", ".nan", ".inf", "-.inf", "nan", "1" + "0" * 400]
+    ),
+)
+SCALARS = st.one_of(
+    st.builds(lambda number, unit: f"{number} {unit}", NUMBERS, st.sampled_from(UNITS)),
+    NUMBERS,
+    st.sampled_from(["true", "null", "additive", "{}", "[]", "convection_coefficient"]),
+    st.text(max_size=12),
+)
+SEGMENTS = st.builds(
+    lambda unit, start, end, amps: (
+        f"[{{unit: {unit}, start: {start}, end: {end}, current: {amps}}}]"
+    ),
+    st.sampled_from(["1", "3", "0", "x"]),
+    st.sampled_from(["0 s", "-1 s", "2 s"]),
+    st.sampled_from(["1 s", "3 s", "1 A"]),
+    SCALARS,
+)
+VALUES = st.one_of(
+    SCALARS,
+    st.lists(SCALARS, max_size=4).map(lambda items: "[" + ", ".join(items) + "]"),
+    SEGMENTS,
+)
+
+
+def run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_one_error_line(err):
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1, err
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(PATHS), value=VALUES)
+def test_any_override_validates_or_fails_in_one_line(path, value):
+    assignment = f"{path}={value}"
+    code, err = run(["validate-config", "--quiet", "--set", assignment])
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code:
+        assert_one_error_line(err)
+        return
+    scenario = load_with_overrides(default_scenario_text(), [assignment])
+    scenario.build_system()
+    scenario.build_config()
+    cal = scenario.calibration
+    if cal is not None:
+        scenario.calibration_config(cal)
+        for name in cal.free:
+            for endpoint in cal.bounds[name]:
+                apply_parameters(scenario, {name: endpoint}).build_system()
+
+
+@pytest.fixture(scope="module")
+def sweep_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("sweep")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    currents=st.one_of(
+        st.text(alphabet="0123456789.,-+eEinfaINF x", max_size=16),
+        st.lists(NUMBERS, min_size=1, max_size=4).map(",".join),
+    )
+)
+def test_any_currents_text_is_handled(sweep_out, currents):
+    code, err = run(
+        ["sweep", f"--currents={currents}", "--hold", "0.002", "--out", str(sweep_out)]
+    )
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert_one_error_line(err)

@@ -95,7 +95,6 @@ class TestSolvePose:
             bb = replace(
                 backbone,
                 length=length,
-                bending_stiffness_x=ei,
                 bending_stiffness_y=ei,
                 torsional_stiffness=ei,
             )

@@ -78,8 +78,13 @@ def test_schema_version_checked(default_text):
         load_scenario(broken)
 
 
-def test_dump_load_round_trip_is_identity(default_text):
-    scenario = load_scenario(default_text)
+@pytest.mark.parametrize(
+    "overrides",
+    [(), ("spring.initial_temperature=300 K",), ("calibration.dt=null",)],
+    ids=["bundled", "initial_temperature_set", "calibration_dt_unset"],
+)
+def test_dump_load_round_trip_is_identity(default_text, overrides):
+    scenario = load_with_overrides(default_text, overrides)
     dumped = dump_scenario(scenario)
     again = load_scenario(dumped)
     assert again == scenario
