@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sma_neck import (
     ArcPose,
@@ -17,8 +18,10 @@ from sma_neck import (
     simulate,
     solve_pose,
     sweep,
+    unit_line_of_action,
     unit_moment,
 )
+from sma_neck.engine import _Statics
 from conftest import make_system
 
 
@@ -48,6 +51,38 @@ class TestResidual:
         r = residual(system, straight_pose, (5.0, 0.0, 0.0))
         m = unit_moment(system.units[0], straight_pose, system.backbone, 5.0)
         assert r == pytest.approx(m)
+
+    # the system fixture is frozen, so sharing it across examples is safe
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        theta=st.floats(1e-3, 3.0),
+        phi=st.floats(0.0, 2 * math.pi),
+        twist=st.floats(-0.3, 0.3),
+        force=st.floats(0.01, 50.0),
+    )
+    def test_superposition_over_bent_poses(self, system, theta, phi, twist, force):
+        # each unit's share of the residual is its unit moment, and the
+        # engine's chord contractions are the unit lines of action
+        backbone = system.backbone
+        pose = ArcPose(theta / backbone.length, phi, twist)
+        unloaded = residual(system, pose, (0.0, 0.0, 0.0))
+        _, rows = _Statics(system).geometry(
+            pose.curvature, pose.bending_plane_angle, pose.twist
+        )
+        for k, unit in enumerate(system.units):
+            forces = [0.0, 0.0, 0.0]
+            forces[k] = force
+            share = residual(system, pose, forces) - unloaded
+            m = unit_moment(unit, pose, backbone, force)
+            scale = np.linalg.norm(m) + np.linalg.norm(unloaded)
+            assert np.linalg.norm(share - m) <= 1e-9 * scale
+            assert rows[k][2] == unit_line_of_action(unit, pose, backbone)[2]
 
     def test_rejects_negative_force(self, system, straight_pose):
         with pytest.raises(ValueError):

@@ -218,6 +218,38 @@ class TestHeatingRate:
         assert state.martensite_fraction == 1.0
 
 
+class TestEnergyBalance:
+    def test_reverse_transformation_conserves_energy(self, material, geometry, env):
+        # oracle: over a full heating run the stored heat (sensible plus the
+        # latent heat of the fraction that transformed) equals the
+        # trapezoid integral of Joule input minus convective loss
+        current, dt = 7.0, 1e-3
+
+        def powers(state):
+            joule = current * current * phase_resistance(material, state.martensite_fraction)
+            loss = geometry.surface_area * env.convection_coefficient * (
+                state.temperature - env.ambient_temperature
+            )
+            return joule, joule - loss
+
+        start = state = make_spring(temperature=env.ambient_temperature, force=2.0)
+        joule_in = net_in = 0.0
+        for _ in range(14000):
+            stepped = step_spring(material, geometry, env, state, current, 0.0, dt)
+            (j0, n0), (j1, n1) = powers(state), powers(stepped)
+            joule_in += 0.5 * dt * (j0 + j1)
+            net_in += 0.5 * dt * (n0 + n1)
+            state = stepped
+        assert state.martensite_fraction == 0.0
+        mass = geometry.spring_mass
+        stored = mass * material.specific_heat * (
+            state.temperature - start.temperature
+        ) + mass * material.latent_heat * (
+            start.martensite_fraction - state.martensite_fraction
+        )
+        assert abs(stored - net_in) <= 1e-3 * joule_in
+
+
 class TestForceRate:
     def test_no_drivers_no_change(self, material, geometry):
         state = make_spring()
