@@ -54,7 +54,6 @@ from .sma import (
     StepTooLarge,
     ThermalEnvironment,
     effective_modulus,
-    force_rate,
     forward_fraction,
     heating_rate,
     reverse_fraction,
@@ -98,7 +97,6 @@ __all__ = [
     "effective_modulus",
     "elastic_moment",
     "emit_plots",
-    "force_rate",
     "forward_fraction",
     "heating_rate",
     "load_default_scenario",

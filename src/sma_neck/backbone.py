@@ -64,10 +64,6 @@ class ArcPose:
         object.__setattr__(self, "curvature", kappa)
         object.__setattr__(self, "bending_plane_angle", phi)
 
-    def bending_angle(self, geometry: BackboneGeometry) -> float:
-        """Total bending angle over the backbone (rad)."""
-        return self.curvature * geometry.length
-
 
 def _position_t(kappa: float, phi: float, s: float) -> tuple[float, float, float]:
     ks = kappa * s
@@ -99,6 +95,11 @@ def _rotation_t(
         r10 * cc + r11 * sc, -r10 * sc + r11 * cc, r12,
         r20 * cc + r21 * sc, -r20 * sc + r21 * cc, r22,
     )
+
+
+def _frame_t(kappa: float, phi: float, twist: float, s: float):
+    """Position and row-major rotation of the cross-section at arc length ``s``."""
+    return _position_t(kappa, phi, s), _rotation_t(phi, kappa * s, twist)
 
 
 def _rotate_t(rot, v):
@@ -139,8 +140,7 @@ def arc_position(pose: ArcPose, geometry: BackboneGeometry, s: float) -> np.ndar
 def arc_frame(pose: ArcPose, geometry: BackboneGeometry, s: float) -> np.ndarray:
     """Homogeneous transform (4x4) of the arc cross-section at ``s``."""
     _check_arc_coordinate(s, geometry.length)
-    rot = _rotation_t(pose.bending_plane_angle, pose.curvature * s, pose.twist)
-    px, py, pz = _position_t(pose.curvature, pose.bending_plane_angle, s)
+    (px, py, pz), rot = _frame_t(pose.curvature, pose.bending_plane_angle, pose.twist, s)
     return np.array(
         [
             [rot[0], rot[1], rot[2], px],

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .calibrate import NonImprovement, calibrate
-from .engine import NoConvergence, PoseOutOfRange, simulate, sweep
+from .engine import SOLVER_FAILURES, simulate, sweep
 from .plots import emit_plots
 from .scenario import (
     ParseError,
@@ -23,7 +23,6 @@ from .scenario import (
     default_scenario_text,
     load_with_overrides,
 )
-from .sma import StepTooLarge
 from .traceio import write_trace
 from .units import UnitsError
 
@@ -153,10 +152,9 @@ def _cmd_sweep(args) -> int:
     csv_path = args.out / f"{scenario.run_id}_sweep.csv"
     lines = ["I_A,max_theta_deg"]
     print("I_A    max_theta_deg")
-    failed = False
+    failed = [row for row in rows if row.error is not None]
     for row in rows:
-        if row.max_bending_angle is None:
-            failed = True
+        if row.error is not None:
             print(f"{row.current:<6.4g} failed: {row.error}")
             continue
         deg = math.degrees(row.max_bending_angle)
@@ -165,7 +163,15 @@ def _cmd_sweep(args) -> int:
     csv_path.write_text("\n".join(lines) + "\n", newline="\n")
     if not args.quiet:
         print(f"wrote {csv_path}")
-    return EXIT_SOLVER if failed else EXIT_OK
+    if failed:
+        return _fail(
+            "solver",
+            f"{len(failed)} of {len(rows)} rows failed: {failed[0].error}",
+            "The listed currents could not be simulated; try a smaller dt or "
+            "weaker currents.",
+            EXIT_SOLVER,
+        )
+    return EXIT_OK
 
 
 def _cmd_calibrate(args) -> int:
@@ -233,7 +239,7 @@ def main(argv=None) -> int:
             "The scenario failed validation; fix the named field and re-run.",
             EXIT_VALIDATION,
         )
-    except (NoConvergence, PoseOutOfRange, StepTooLarge) as exc:
+    except SOLVER_FAILURES as exc:
         return _fail(
             "solver",
             str(exc),

@@ -25,12 +25,12 @@ from .backbone import (
     ArcPose,
     BackboneGeometry,
     _elastic_moment_t,
-    _position_t,
-    _rotation_t,
+    _frame_t,
 )
 from .pennate import (
     PennateUnit,
     _line_of_action_t,
+    _moment_t,
     pennate_force,
     rest_chord_length,
     tendon_force_from_stretch,
@@ -40,6 +40,7 @@ from .sma import (
     SpringGeometry,
     StepTooLarge,
     ThermalEnvironment,
+    _reverse_band,
     shear_stress,
     step_spring,
 )
@@ -66,6 +67,10 @@ class NoConvergence(RuntimeError):
 
 class PoseOutOfRange(RuntimeError):
     """The solved bending angle left the workspace bound [0, pi]."""
+
+
+# the failures a run can end in; a sweep records them per row
+SOLVER_FAILURES = (NoConvergence, PoseOutOfRange, StepTooLarge)
 
 
 @dataclass(frozen=True)
@@ -250,29 +255,22 @@ class _Statics:
     def geometry(self, kappa: float, phi: float, eps: float):
         """Per-unit (attachment point, pull direction, contraction) plus the
         tip position for the given pose."""
-        theta = kappa * self.length
-        rot = _rotation_t(phi, theta, eps)
-        tip = _position_t(kappa, phi, self.length)
+        tip, rot = _frame_t(kappa, phi, eps, self.length)
         rows = []
         for head, base, rest in zip(self.heads, self.bases, self.rest_chords):
             rows.append(_line_of_action_t(head, base, rest, tip, rot))
         return tip, rows
 
-    def residual(
-        self, kappa: float, phi: float, eps: float, forces
-    ) -> tuple[float, float, float]:
+    def residual(self, kappa: float, phi: float, eps: float, forces):
+        """Net moment at the pose, plus the per-unit geometry rows it was
+        computed from."""
         tip, rows = self.geometry(kappa, phi, eps)
         mx = my = mz = 0.0
         for (point, direction, _), force in zip(rows, forces):
-            lx = point[0] - tip[0]
-            ly = point[1] - tip[1]
-            lz = point[2] - tip[2]
-            fx = force * direction[0]
-            fy = force * direction[1]
-            fz = force * direction[2]
-            mx += ly * fz - lz * fy
-            my += lz * fx - lx * fz
-            mz += lx * fy - ly * fx
+            ux, uy, uz = _moment_t(point, direction, tip, force)
+            mx += ux
+            my += uy
+            mz += uz
         if self.gravity_on:
             # head weight acting at the tip: tip x (0, 0, -w)
             mx += -self.head_weight * tip[1]
@@ -280,21 +278,26 @@ class _Statics:
         ex, ey, ez = _elastic_moment_t(
             kappa, phi, eps, self.ei_y, self.gj_over_l, self.length
         )
-        return mx - ex, my - ey, mz - ez
+        return (mx - ex, my - ey, mz - ez), rows
 
 
-def residual(system: NeckSystem, pose: ArcPose, unit_forces) -> np.ndarray:
-    """Net moment (N m) on the head mount: muscle moments plus gravity minus
-    the backbone's elastic restoring moment.  Zero at equilibrium."""
+def _tendon_forces(unit_forces) -> tuple[float, float, float]:
     forces = tuple(float(f) for f in unit_forces)
     if len(forces) != 3:
         raise ValueError("unit_forces must have exactly 3 entries")
     if any(f < 0.0 for f in forces):
         raise ValueError("unit forces must be non-negative")
-    statics = _Statics(system)
-    return np.array(
-        statics.residual(pose.curvature, pose.bending_plane_angle, pose.twist, forces)
+    return forces
+
+
+def residual(system: NeckSystem, pose: ArcPose, unit_forces) -> np.ndarray:
+    """Net moment (N m) on the head mount: muscle moments plus gravity minus
+    the backbone's elastic restoring moment.  Zero at equilibrium."""
+    forces = _tendon_forces(unit_forces)
+    moment, _ = _Statics(system).residual(
+        pose.curvature, pose.bending_plane_angle, pose.twist, forces
     )
+    return np.array(moment)
 
 
 def _solve3(j, r):
@@ -343,39 +346,34 @@ def _pose_from_vars(x, chart: str, length: float):
 
 
 def _solve_pose_statics(
-    statics: _Statics,
-    forces,
-    initial_guess: ArcPose,
-    config: SimConfig,
-    chart: str = "auto",
-) -> tuple[ArcPose, float]:
+    statics: _Statics, forces, initial_guess: ArcPose, config: SimConfig
+) -> tuple[ArcPose, float, tuple[float, float, float]]:
+    """Equilibrium pose, its residual norm and the unit chord contractions
+    at that pose."""
     length = statics.length
-    if chart == "auto":
-        chart = (
-            "cartesian"
-            if initial_guess.curvature * length < _CHART_SWITCH_ANGLE
-            else "polar"
-        )
-    if chart == "polar":
+    if initial_guess.curvature * length < _CHART_SWITCH_ANGLE:
+        chart = "cartesian"
+        k0, p0 = initial_guess.curvature, initial_guess.bending_plane_angle
+        x = [k0 * math.cos(p0), k0 * math.sin(p0), initial_guess.twist]
+    else:
+        chart = "polar"
         x = [
             initial_guess.curvature,
             initial_guess.bending_plane_angle,
             initial_guess.twist,
         ]
-    elif chart == "cartesian":
-        k0, p0 = initial_guess.curvature, initial_guess.bending_plane_angle
-        x = [k0 * math.cos(p0), k0 * math.sin(p0), initial_guess.twist]
-    else:
-        raise ValueError("chart must be 'auto', 'polar' or 'cartesian'")
 
     def eval_res(vars_):
         kappa, phi, eps = _pose_from_vars(vars_, chart, length)
         return statics.residual(kappa, phi, eps, forces)
 
+    def contractions(rows):
+        return tuple(row[2] for row in rows)
+
     tol = config.solver_tolerance
-    res = eval_res(x)
+    res, rows = eval_res(x)
     norm = _norm3(res)
-    best_x, best_norm = list(x), norm
+    best_x, best_norm, best_rows = list(x), norm, rows
     # cap on per-iteration curvature-variable moves (keeps theta steps <= ~29 deg)
     max_move = 0.5 / length
 
@@ -387,15 +385,15 @@ def _solve_pose_statics(
                 raise PoseOutOfRange(
                     f"bending angle {math.degrees(theta):.1f} deg exceeds 180 deg"
                 )
-            return ArcPose(kappa, phi, eps), norm
+            return ArcPose(kappa, phi, eps), norm, contractions(rows)
         # central-difference Jacobian
         jac = [[0.0] * 3 for _ in range(3)]
         for col in range(3):
             h = 1e-7 * max(1.0, abs(x[col]))
             x[col] += h
-            r_plus = eval_res(x)
+            r_plus, _ = eval_res(x)
             x[col] -= 2.0 * h
-            r_minus = eval_res(x)
+            r_minus, _ = eval_res(x)
             x[col] += h
             inv = 0.5 / h
             for row in range(3):
@@ -413,45 +411,39 @@ def _solve_pose_statics(
         accepted = False
         for _halving in range(9):
             cand = [x[0] + step[0], x[1] + step[1], x[2] + step[2]]
-            cand_res = eval_res(cand)
+            cand_res, cand_rows = eval_res(cand)
             cand_norm = _norm3(cand_res)
             if cand_norm < norm or math.isclose(cand_norm, 0.0):
-                x, res, norm = cand, cand_res, cand_norm
+                x, res, norm, rows = cand, cand_res, cand_norm, cand_rows
                 accepted = True
                 break
             step = [0.5 * s for s in step]
         if not accepted:
             # take the least-bad candidate to escape flat spots
             x = [x[0] + step[0], x[1] + step[1], x[2] + step[2]]
-            res = eval_res(x)
+            res, rows = eval_res(x)
             norm = _norm3(res)
         if norm < best_norm:
-            best_x, best_norm = list(x), norm
+            best_x, best_norm, best_rows = list(x), norm, rows
 
     if best_norm < tol:
         kappa, phi, eps = _pose_from_vars(best_x, chart, length)
-        return ArcPose(kappa, phi, eps), best_norm
+        return ArcPose(kappa, phi, eps), best_norm, contractions(best_rows)
     kappa, phi, eps = _pose_from_vars(best_x, chart, length)
     raise NoConvergence(ArcPose(kappa, phi, eps), best_norm, tol)
 
 
 def solve_pose(
-    system: NeckSystem,
-    unit_forces,
-    initial_guess: ArcPose,
-    config: SimConfig,
-    chart: str = "auto",
+    system: NeckSystem, unit_forces, initial_guess: ArcPose, config: SimConfig
 ) -> ArcPose:
     """Equilibrium pose for fixed tendon force magnitudes.
 
-    Damped Newton iteration on the pose chart, warm-started from
-    ``initial_guess``.  Raises NoConvergence or PoseOutOfRange.
+    Damped Newton iteration, warm-started from ``initial_guess``, in Cartesian
+    curvature components when the guess is near straight and in polar ones
+    otherwise.  Raises NoConvergence or PoseOutOfRange.
     """
-    forces = tuple(float(f) for f in unit_forces)
-    if len(forces) != 3:
-        raise ValueError("unit_forces must have exactly 3 entries")
-    statics = _Statics(system)
-    pose, _ = _solve_pose_statics(statics, forces, initial_guess, config, chart)
+    forces = _tendon_forces(unit_forces)
+    pose, _, _ = _solve_pose_statics(_Statics(system), forces, initial_guess, config)
     return pose
 
 
@@ -480,10 +472,6 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
     states = [u.spring for u in units]
     pose = ArcPose(0.0, 0.0, 0.0)
 
-    def contractions(p: ArcPose):
-        _, rows = statics.geometry(p.curvature, p.bending_plane_angle, p.twist)
-        return [row[2] for row in rows]
-
     def unit_forces(dx):
         return tuple(
             _combined_force(system, u, s.force, x) for u, s, x in zip(units, states, dx)
@@ -491,9 +479,10 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
 
     # resolve the initial equilibrium so pretension imbalances are not
     # attributed to the first step
-    pose, _ = _solve_pose_statics(statics, unit_forces(contractions(pose)), pose, config)
-    dx_prev = contractions(pose)
-    dx_prev2 = list(dx_prev)
+    _, rest_rows = statics.geometry(0.0, 0.0, 0.0)
+    rest_forces = unit_forces([row[2] for row in rest_rows])
+    pose, _, dx_prev = _solve_pose_statics(statics, rest_forces, pose, config)
+    dx_prev2 = dx_prev
 
     trace = SimTrace()
     last_phi = pose.bending_plane_angle
@@ -518,13 +507,12 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
                     config.max_temperature_step,
                 )
             forces = unit_forces(dx_prev)
-            pose, res_norm = _solve_pose_statics(statics, forces, pose, config)
-        except (NoConvergence, PoseOutOfRange, StepTooLarge) as exc:
+            pose, res_norm, dx = _solve_pose_statics(statics, forces, pose, config)
+        except SOLVER_FAILURES as exc:
             exc.args = (f"at t={t:.6g} s: {exc}",)
             raise
 
-        dx_prev2 = dx_prev
-        dx_prev = contractions(pose)
+        dx_prev2, dx_prev = dx_prev, dx
 
         theta = pose.curvature * statics.length
         if theta >= STRAIGHT_THRESHOLD:
@@ -538,14 +526,10 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
                 if s.martensite_fraction < 1.0:
                     crossing_recorded = True
                     sigma = shear_stress(system.spring_geometry, s.force)
-                    shift = sigma / system.material.stress_influence_reverse
+                    as_prime, af_prime = _reverse_band(system.material, sigma)
                     trace.markers["crossing_t_s"] = t
-                    trace.markers["as_prime_K"] = (
-                        system.material.austenite_start + shift
-                    )
-                    trace.markers["af_prime_K"] = (
-                        system.material.austenite_finish + shift
-                    )
+                    trace.markers["as_prime_K"] = as_prime
+                    trace.markers["af_prime_K"] = af_prime
                     break
 
         trace.append(
@@ -589,6 +573,6 @@ def sweep(
         try:
             trace = simulate(system, run_cfg)
             rows.append(SweepRow(float(amps), trace.max_bending_angle()))
-        except (NoConvergence, PoseOutOfRange, RuntimeError) as exc:
+        except SOLVER_FAILURES as exc:
             rows.append(SweepRow(float(amps), None, str(exc)))
     return rows

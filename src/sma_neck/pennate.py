@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import ArcPose, BackboneGeometry, _position_t, _rotate_t, _rotation_t
+from .backbone import ArcPose, BackboneGeometry, _frame_t, _rotate_t
 from .sma import SpringState
 
 _Vec3 = tuple[float, float, float]
@@ -103,22 +103,35 @@ def _line_of_action_t(
     return (px, py, pz), (cx * inv, cy * inv, cz * inv), rest_chord - chord
 
 
-def unit_line_of_action(
-    unit: PennateUnit, pose: ArcPose, geometry: BackboneGeometry
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Attachment point (m), unit direction of pull (toward the base anchor)
-    and chord contraction relative to rest (m, positive = shortened)."""
-    rot = _rotation_t(
-        pose.bending_plane_angle, pose.curvature * geometry.length, pose.twist
+def _moment_t(point: _Vec3, direction: _Vec3, tip: _Vec3, force: float) -> _Vec3:
+    """Moment about the tip of ``force`` pulling along ``direction`` at
+    ``point``: the lever from the tip crossed with the force vector."""
+    lx, ly, lz = point[0] - tip[0], point[1] - tip[1], point[2] - tip[2]
+    fx, fy, fz = force * direction[0], force * direction[1], force * direction[2]
+    return ly * fz - lz * fy, lz * fx - lx * fz, lx * fy - ly * fx
+
+
+def _unit_line(unit: PennateUnit, pose: ArcPose, geometry: BackboneGeometry):
+    """Tip position and the unit's line of action at ``pose``."""
+    tip, rot = _frame_t(
+        pose.curvature, pose.bending_plane_angle, pose.twist, geometry.length
     )
-    tip = _position_t(pose.curvature, pose.bending_plane_angle, geometry.length)
-    point, direction, contraction = _line_of_action_t(
+    line = _line_of_action_t(
         unit.head_attachment_local,
         unit.base_attachment,
         rest_chord_length(unit, geometry),
         tip,
         rot,
     )
+    return tip, line
+
+
+def unit_line_of_action(
+    unit: PennateUnit, pose: ArcPose, geometry: BackboneGeometry
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Attachment point (m), unit direction of pull (toward the base anchor)
+    and chord contraction relative to rest (m, positive = shortened)."""
+    _, (point, direction, contraction) = _unit_line(unit, pose, geometry)
     return np.array(point), np.array(direction), contraction
 
 
@@ -129,7 +142,5 @@ def unit_moment(
     pulling with ``tendon_force`` along its chord."""
     if tendon_force < 0.0:
         raise ValueError("tendon_force must be non-negative")
-    point, direction, _ = unit_line_of_action(unit, pose, geometry)
-    tip = np.array(_position_t(pose.curvature, pose.bending_plane_angle, geometry.length))
-    lever = point - tip
-    return np.cross(lever, tendon_force * direction)
+    tip, (point, direction, _) = _unit_line(unit, pose, geometry)
+    return np.array(_moment_t(point, direction, tip, tendon_force))

@@ -178,6 +178,18 @@ def shear_stress(geometry: SpringGeometry, force: float) -> float:
     return 8.0 * force * geometry.coil_diameter / (math.pi * d * d * d)
 
 
+def _reverse_band(material: SmaMaterial, stress: float) -> tuple[float, float]:
+    """Austenite start and finish temperatures (K) shifted by ``stress`` (Pa)."""
+    shift = stress / material.stress_influence_reverse
+    return material.austenite_start + shift, material.austenite_finish + shift
+
+
+def _forward_band(material: SmaMaterial, stress: float) -> tuple[float, float]:
+    """Martensite start and finish temperatures (K) shifted by ``stress`` (Pa)."""
+    shift = stress / material.stress_influence_forward
+    return material.martensite_start + shift, material.martensite_finish + shift
+
+
 def reverse_fraction(
     material: SmaMaterial, temperature: float, stress: float, fraction_at_start: float
 ) -> float:
@@ -191,6 +203,7 @@ def reverse_fraction(
         raise ValueError("fraction_at_start must lie in [0, 1]")
     if stress < 0.0:
         raise ValueError("stress must be non-negative")
+    # _reverse_band inlined: the step's closure evaluates this ~47 times
     shift = stress / material.stress_influence_reverse
     start = material.austenite_start + shift
     finish = material.austenite_finish + shift
@@ -218,6 +231,7 @@ def forward_fraction(
         raise ValueError("fraction_at_start must lie in [0, 1]")
     if stress < 0.0:
         raise ValueError("stress must be non-negative")
+    # _forward_band inlined, as in reverse_fraction
     shift = stress / material.stress_influence_forward
     start = material.martensite_start + shift
     finish = material.martensite_finish + shift
@@ -246,7 +260,8 @@ def heating_rate(
     material: SmaMaterial,
     geometry: SpringGeometry,
     env: ThermalEnvironment,
-    state: SpringState,
+    temperature: float,
+    fraction: float,
     current: float,
     fraction_rate: float = 0.0,
 ) -> float:
@@ -254,10 +269,10 @@ def heating_rate(
     loss and latent heat of the active transformation (zero when idle)."""
     if current < 0.0:
         raise ValueError("current must be non-negative")
-    resistance = phase_resistance(material, state.martensite_fraction)
+    resistance = phase_resistance(material, fraction)
     power = current * current * resistance
     loss = geometry.surface_area * env.convection_coefficient * (
-        state.temperature - env.ambient_temperature
+        temperature - env.ambient_temperature
     )
     latent = geometry.spring_mass * material.latent_heat * fraction_rate
     return (power - loss + latent) / (geometry.spring_mass * material.specific_heat)
@@ -280,26 +295,6 @@ def force_coefficients(
     transform = math.pi * d3 * material.phase_transform_tensor / (8.0 * _SQRT3 * big_d)
     thermal = math.pi * d3 * material.thermal_expansion_factor / (8.0 * _SQRT3 * big_d)
     return stiffness, transform, thermal
-
-
-def force_rate(
-    material: SmaMaterial,
-    geometry: SpringGeometry,
-    state: SpringState,
-    stretch_rate: float,
-    fraction_rate: float,
-    temperature_rate: float,
-) -> float:
-    """Force rate (N/s) of the spring; the caller floors the integrated force
-    at zero when the tendon goes slack."""
-    stiffness, transform, thermal = force_coefficients(
-        material, geometry, state.martensite_fraction
-    )
-    return (
-        stiffness * stretch_rate
-        + transform * fraction_rate
-        + thermal * temperature_rate
-    )
 
 
 def _fraction_on_branch(
@@ -326,32 +321,29 @@ def _reverse_entry_latch(
     Entering at the band edge this is just the current fraction; re-entering
     mid-band (heating resumed after an interruption) the anchor is chosen so
     the cosine arc passes through the current (T, fraction) point, keeping
-    the fraction continuous.
+    the fraction continuous.  The arc is linear in its anchor, so the anchor
+    is the fraction over the arc anchored at 1.
     """
-    shift = stress / material.stress_influence_reverse
-    if temperature <= material.austenite_start + shift or fraction <= 0.0:
+    start, finish = _reverse_band(material, stress)
+    if temperature <= start or fraction <= 0.0 or temperature >= finish:
         return fraction
-    if temperature >= material.austenite_finish + shift:
-        return fraction
-    slope = math.pi / (material.austenite_finish - material.austenite_start)
-    arg = slope * (temperature - material.austenite_start) - (
-        slope / material.stress_influence_reverse
-    ) * stress
-    denom = 1.0 + math.cos(arg)
-    if denom < 1e-12:
+    full_arc = reverse_fraction(material, temperature, stress, 1.0)
+    if full_arc < 0.5e-12:
         return 1.0
-    return min(max(2.0 * fraction / denom, fraction), 1.0)
+    return min(max(fraction / full_arc, fraction), 1.0)
 
 
 def _forward_entry_latch(
     material: SmaMaterial, temperature: float, stress: float, fraction: float
 ) -> float:
     """Anchor fraction for a forward arc entered at the given state; the
-    mid-band form keeps the fraction continuous on re-entry."""
-    shift = stress / material.stress_influence_forward
-    if temperature >= material.martensite_start + shift or fraction >= 1.0:
-        return fraction
-    if temperature <= material.martensite_finish + shift:
+    mid-band form keeps the fraction continuous on re-entry.
+
+    The cosine is taken directly rather than read back from forward_fraction,
+    whose affine form rounds it away when the anchor is solved for.
+    """
+    start, finish = _forward_band(material, stress)
+    if temperature >= start or fraction >= 1.0 or temperature <= finish:
         return fraction
     slope = math.pi / (material.martensite_start - material.martensite_finish)
     arg = slope * (temperature - material.martensite_finish) - (
@@ -380,16 +372,12 @@ def _integrate_temperature(
     """Classic RK4 on the heat balance with the phase fraction (and hence the
     resistance) evaluated algebraically at every stage.  Latent heat is not in
     the stage function; it is applied by the coupled correction afterwards."""
-    mass_cp = geometry.spring_mass * material.specific_heat
-    area_h = geometry.surface_area * env.convection_coefficient
-    power = current * current
-    ambient = env.ambient_temperature
 
     def rate(t: float) -> float:
         xi = _fraction_on_branch(
             material, branch, t, stress, reverse_latch, forward_latch, idle_fraction
         )
-        return (power * phase_resistance(material, xi) - area_h * (t - ambient)) / mass_cp
+        return heating_rate(material, geometry, env, t, xi, current)
 
     k1 = rate(temperature)
     k2 = rate(temperature + 0.5 * dt * k1)
@@ -449,16 +437,10 @@ def step_spring(
 
     # Branch entries latch the current fraction as the cosine-arc anchor.
     if branch is Branch.IDLE:
-        shift_rev = stress0 / material.stress_influence_reverse
-        shift_fwd = stress0 / material.stress_influence_forward
-        if heating and xi0 > 0.0 and t_star > material.austenite_start + shift_rev:
+        if heating and xi0 > 0.0 and t_star > _reverse_band(material, stress0)[0]:
             branch = Branch.REVERSE
             reverse_latch = _reverse_entry_latch(material, t0, stress0, xi0)
-        elif (
-            not heating
-            and xi0 < 1.0
-            and t_star < material.martensite_start + shift_fwd
-        ):
+        elif not heating and xi0 < 1.0 and t_star < _forward_band(material, stress0)[0]:
             branch = Branch.FORWARD
             forward_latch = _forward_entry_latch(material, t0, stress0, xi0)
         if branch is not state.branch:
@@ -472,6 +454,11 @@ def step_spring(
         math.pi * geometry.wire_diameter**3
     )
     latent_gain = material.latent_heat / material.specific_heat
+    elastic_force = f0 + stiffness * stretch_rate * dt
+
+    def force_after(d_xi: float, delta_t: float) -> float:
+        """The rate-form force law integrated over the step."""
+        return elastic_force + transform * d_xi + thermal * delta_t
 
     if branch is Branch.IDLE:
         t_new = t_star
@@ -482,11 +469,9 @@ def step_spring(
         # temperature (latent heat) and on the band edges (stress shift).
         # Both couplings are affine in d_xi, so the residual below is strictly
         # decreasing and bisection always converges.
-        elastic_force = f0 + stiffness * stretch_rate * dt
-
         def residual(d_xi: float) -> float:
             t_cand = t_star + latent_gain * d_xi
-            force_cand = elastic_force + transform * d_xi + thermal * (t_cand - t0)
+            force_cand = force_after(d_xi, t_cand - t0)
             stress_cand = stress_per_force * max(force_cand, 0.0)
             xi_cand = _fraction_on_branch(
                 material, branch, t_cand, stress_cand,
@@ -510,11 +495,11 @@ def step_spring(
         d_xi = xi_new - xi0
 
     delta_t = t_new - t0
-    if abs(delta_t) > max_temperature_step:
+    # written so that a NaN step fails the guard too
+    if not abs(delta_t) <= max_temperature_step:
         raise StepTooLarge(delta_t, max_temperature_step)
 
-    force_new = f0 + stiffness * stretch_rate * dt + transform * d_xi + thermal * delta_t
-    force_new = max(force_new, 0.0)
+    force_new = max(force_after(d_xi, delta_t), 0.0)
 
     # Transformation completed: park the branch until conditions re-enter it.
     if branch is Branch.REVERSE and xi_new <= 0.0:

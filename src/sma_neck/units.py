@@ -120,9 +120,5 @@ def format_quantity(value: float, dimension: str) -> object:
     return f"{(value - offset) / scale!r} {unit}"
 
 
-def kelvin_from_celsius(celsius: float) -> float:
-    return celsius + 273.15
-
-
 def celsius_from_kelvin(kelvin: float) -> float:
     return kelvin - 273.15

@@ -127,6 +127,19 @@ def test_solver_failure_exits_two(scenario_file, tmp_path, capsys):
     assert "t=" in err
 
 
+def test_failed_sweep_row_prints_one_error_line(scenario_file, tmp_path, capsys):
+    code = main(
+        ["sweep", "--scenario", str(scenario_file), "--out", str(tmp_path),
+         "--currents", "4,1e6", "--hold", "0.002"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [err[0]]
+    assert err[0].startswith("error: solver: 1 of 2 rows failed: at t=")
+    csv_lines = (tmp_path / "neck_sweep.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in csv_lines] == ["I_A", "4"]
+
+
 def test_calibrate_requires_section(tmp_path, capsys):
     scenario = load_scenario(default_scenario_text())
     trimmed = dump_scenario(replace(scenario, calibration=None))

@@ -157,15 +157,22 @@ class TestSolvePose:
             assert abs(delta) < 1e-6
 
     def test_chart_consistency(self, system):
+        # a straight warm start solves in Cartesian curvature components, a
+        # bent one in polar components; both reach the same pose
         cfg = quick_config()
         forces = (6.0, 0.0, 1.0)
-        polar = solve_pose(system, forces, ArcPose(1.0, 1.0), cfg, chart="polar")
-        cartesian = solve_pose(system, forces, ArcPose(1.0, 1.0), cfg, chart="cartesian")
+        polar = solve_pose(system, forces, ArcPose(1.0, 1.0), cfg)
+        cartesian = solve_pose(system, forces, ArcPose(0.0), cfg)
         assert polar.curvature == pytest.approx(cartesian.curvature, abs=1e-8)
         delta = (polar.bending_plane_angle - cartesian.bending_plane_angle + math.pi) % (
             2 * math.pi
         ) - math.pi
         assert abs(delta) < 1e-8
+
+    def test_rejects_negative_force(self, system, straight_pose):
+        # the same force check as the residual
+        with pytest.raises(ValueError):
+            solve_pose(system, (-3.0, 0.0, 0.0), straight_pose, quick_config())
 
     def test_no_convergence_reports_best(self, system, straight_pose):
         cfg = quick_config(solver_tolerance=1e-30, max_newton_iterations=2)
