@@ -30,7 +30,7 @@ from .backbone import (
 from .pennate import (
     PennateUnit,
     _line_of_action_t,
-    _moment_t,
+    _tendon_moment_t,
     pennate_force,
     rest_chord_length,
     tendon_force_from_stretch,
@@ -265,12 +265,7 @@ class _Statics:
         """Net moment at the pose, plus the per-unit geometry rows it was
         computed from."""
         tip, rows = self.geometry(kappa, phi, eps)
-        mx = my = mz = 0.0
-        for (point, direction, _), force in zip(rows, forces):
-            ux, uy, uz = _moment_t(point, direction, tip, force)
-            mx += ux
-            my += uy
-            mz += uz
+        mx, my, mz = _tendon_moment_t(tip, rows, forces)
         if self.gravity_on:
             # head weight acting at the tip: tip x (0, 0, -w)
             mx += -self.head_weight * tip[1]

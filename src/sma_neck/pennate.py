@@ -103,12 +103,18 @@ def _line_of_action_t(
     return (px, py, pz), (cx * inv, cy * inv, cz * inv), rest_chord - chord
 
 
-def _moment_t(point: _Vec3, direction: _Vec3, tip: _Vec3, force: float) -> _Vec3:
-    """Moment about the tip of ``force`` pulling along ``direction`` at
-    ``point``: the lever from the tip crossed with the force vector."""
-    lx, ly, lz = point[0] - tip[0], point[1] - tip[1], point[2] - tip[2]
-    fx, fy, fz = force * direction[0], force * direction[1], force * direction[2]
-    return ly * fz - lz * fy, lz * fx - lx * fz, lx * fy - ly * fx
+def _tendon_moment_t(tip: _Vec3, lines, forces) -> _Vec3:
+    """Summed moment about the tip of tendons pulling ``forces`` along
+    ``lines`` (as from ``_line_of_action_t``): each lever from the tip
+    crossed with its force vector."""
+    mx = my = mz = 0.0
+    for (point, direction, _), force in zip(lines, forces):
+        lx, ly, lz = point[0] - tip[0], point[1] - tip[1], point[2] - tip[2]
+        fx, fy, fz = force * direction[0], force * direction[1], force * direction[2]
+        mx += ly * fz - lz * fy
+        my += lz * fx - lx * fz
+        mz += lx * fy - ly * fx
+    return mx, my, mz
 
 
 def _unit_line(unit: PennateUnit, pose: ArcPose, geometry: BackboneGeometry):
@@ -142,5 +148,5 @@ def unit_moment(
     pulling with ``tendon_force`` along its chord."""
     if tendon_force < 0.0:
         raise ValueError("tendon_force must be non-negative")
-    tip, (point, direction, _) = _unit_line(unit, pose, geometry)
-    return np.array(_moment_t(point, direction, tip, tendon_force))
+    tip, line = _unit_line(unit, pose, geometry)
+    return np.array(_tendon_moment_t(tip, (line,), (tendon_force,)))
