@@ -20,6 +20,9 @@ import numpy as np
 # kappa * s below this switches the arc formulas to their series limit
 STRAIGHT_THRESHOLD = 1e-7
 
+# bending angle below which the Jacobian's arc coefficients use their series
+_SERIES_ANGLE = 0.05
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -124,6 +127,68 @@ def _elastic_moment_t(
     x1, y1, z1 = sb * local_z, local_y, cb * local_z
     ca, sa = math.cos(phi), math.sin(phi)
     return ca * x1 - sa * y1, sa * x1 + ca * y1, z1
+
+
+def _arc_coefficients(theta: float):
+    """sin(t)/t, (1-cos t)/t^2, (1-A)/t^2, (cos t-A)/t^2, (A-2B)/t^2 and cos t
+    at t = ``theta``; series below ``_SERIES_ANGLE``, where the closed forms
+    cancel."""
+    t2 = theta * theta
+    if theta < _SERIES_ANGLE:
+        a = 1.0 - t2 * (1.0 / 6.0 - t2 * (1.0 / 120.0 - t2 / 5040.0))
+        b = 0.5 - t2 * (1.0 / 24.0 - t2 * (1.0 / 720.0 - t2 / 40320.0))
+        c = 1.0 / 6.0 - t2 * (1.0 / 120.0 - t2 * (1.0 / 5040.0 - t2 / 362880.0))
+        d = -1.0 / 3.0 + t2 * (1.0 / 30.0 - t2 * (1.0 / 840.0 - t2 / 45360.0))
+        e = -1.0 / 12.0 + t2 * (1.0 / 180.0 - t2 * (1.0 / 6720.0 - t2 / 453600.0))
+        return a, b, c, d, e, math.cos(theta)
+    cos_t = math.cos(theta)
+    half = math.sin(0.5 * theta)
+    a = math.sin(theta) / theta
+    b = 2.0 * half * half / t2
+    return a, b, (1.0 - a) / t2, (cos_t - a) / t2, (a - 2.0 * b) / t2, cos_t
+
+
+def _arc_rates_t(
+    ux: float, uy: float, twist: float, ei_y: float, gj_over_l: float, length: float
+):
+    """Derivatives of the tip frame and of the elastic moment with respect to
+    (u_x, u_y, twist), where u = kappa (cos phi, sin phi).
+
+    Returns three triples of 3-vectors, one vector per variable: the tip
+    velocity, the angular velocity of the tip cross-section and the rate of
+    ``_elastic_moment_t``.  The rotation is exp([w]x) . Rz(twist) with
+    w = length (-u_y, u_x, 0) (Webster & Jones 2010, constant curvature), so
+    its angular velocity is the left Jacobian of SO(3) applied to dw.
+    """
+    ll = length * length
+    theta = length * math.hypot(ux, uy)
+    a, b, c, d, e, cos_t = _arc_coefficients(theta)
+    wx, wy = -length * uy, length * ux
+    gx, gy = ll * ux, ll * uy
+    # tip = (L^2 B u_x, L^2 B u_y, L A)
+    exy = ll * ll * e * ux * uy
+    d3 = ll * length * d
+    tip_rates = (
+        (ll * (b + e * gx * ux), exy, d3 * ux),
+        (exy, ll * (b + e * gy * uy), d3 * uy),
+        (0.0, 0.0, 0.0),
+    )
+    la = length * a
+    spins = (
+        (c * wx * gx, la + c * wy * gx, -b * gy),
+        (-la + c * wx * gy, c * wy * gy, b * gx),
+        (la * ux, la * uy, cos_t),
+    )
+    # elastic = (L A u_x g_z - EI u_y, L A u_y g_z + EI u_x, cos(theta) g_z)
+    g_z = gj_over_l * twist
+    lgz = length * g_z
+    dxy = lgz * d * gx * uy
+    elastic_rates = (
+        (lgz * (a + d * gx * ux), dxy + ei_y, -ll * a * ux * g_z),
+        (dxy - ei_y, lgz * (a + d * gy * uy), -ll * a * uy * g_z),
+        (la * ux * gj_over_l, la * uy * gj_over_l, cos_t * gj_over_l),
+    )
+    return tip_rates, spins, elastic_rates
 
 
 def _check_arc_coordinate(s: float, length: float) -> None:

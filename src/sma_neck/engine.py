@@ -4,9 +4,12 @@ Each time step advances the three units' spring states through their
 electro-thermal dynamics (the springs of one unit share a state), aggregates
 the three tendon forces, and solves the quasi-static moment balance on the
 backbone (muscle moments + gravity - elastic restoring moment = 0) for the
-arc pose by damped Newton iteration with a finite-difference Jacobian.
-Near the straight configuration the solve runs in Cartesian curvature
-components to remove the bending-plane indeterminacy.
+arc pose by damped Newton iteration.  The Jacobian is exact: it is
+assembled from the closed-form derivatives of the constant-curvature arc
+(tip velocity, angular velocity of the head mount and elastic moment rate)
+and of each tendon's moment.  Near the straight configuration the solve runs
+in Cartesian curvature components to remove the bending-plane
+indeterminacy.
 
 Spring stretch rates are fed back from the pose change of the previous
 accepted step (one-step lag), which breaks the algebraic loop between the
@@ -24,12 +27,14 @@ from .backbone import (
     STRAIGHT_THRESHOLD,
     ArcPose,
     BackboneGeometry,
+    _arc_rates_t,
     _elastic_moment_t,
     _frame_t,
 )
 from .pennate import (
     PennateUnit,
     _line_of_action_t,
+    _tendon_moment_rates_t,
     _tendon_moment_t,
     pennate_force,
     rest_chord_length,
@@ -262,8 +267,8 @@ class _Statics:
         return tip, rows
 
     def residual(self, kappa: float, phi: float, eps: float, forces):
-        """Net moment at the pose, plus the per-unit geometry rows it was
-        computed from."""
+        """Net moment at the pose, plus the tip position and the per-unit
+        geometry rows it was computed from."""
         tip, rows = self.geometry(kappa, phi, eps)
         mx, my, mz = _tendon_moment_t(tip, rows, forces)
         if self.gravity_on:
@@ -273,7 +278,43 @@ class _Statics:
         ex, ey, ez = _elastic_moment_t(
             kappa, phi, eps, self.ei_y, self.gj_over_l, self.length
         )
-        return (mx - ex, my - ey, mz - ez), rows
+        return (mx - ex, my - ey, mz - ez), tip, rows
+
+    def jacobian(self, x, chart: str, forces, tip, rows):
+        """Row-major 3x3 derivative of ``residual`` with respect to the chart
+        variables ``x``: (u_x, u_y, twist) in the Cartesian chart, (kappa,
+        phi, twist) in the polar one, with u = kappa (cos phi, sin phi).
+        ``tip`` and ``rows`` are what ``residual`` returned at ``x``."""
+        if chart == "polar":
+            kappa, phi = x[0], x[1]
+            cos_p, sin_p = math.cos(phi), math.sin(phi)
+            ux, uy = kappa * cos_p, kappa * sin_p
+        else:
+            ux, uy = x[0], x[1]
+        tip_rates, spins, elastic_rates = _arc_rates_t(
+            ux, uy, x[2], self.ei_y, self.gj_over_l, self.length
+        )
+        moment_rates = _tendon_moment_rates_t(
+            tip, rows, self.rest_chords, forces, tip_rates, spins
+        )
+        a, b, c = [
+            [mx - ex, my - ey, mz - ez]
+            for (mx, my, mz), (ex, ey, ez) in zip(moment_rates, elastic_rates)
+        ]
+        if self.gravity_on:
+            # head weight at the tip: tip x (0, 0, -w)
+            w = self.head_weight
+            for col, (tx, ty, _) in zip((a, b), tip_rates):
+                col[0] -= w * ty
+                col[1] += w * tx
+        if chart == "polar":
+            # d/dkappa = (cos phi, sin phi) . d/du, d/dphi = (-u_y, u_x) . d/du
+            a, b = (
+                [cos_p * a[0] + sin_p * b[0], cos_p * a[1] + sin_p * b[1],
+                 cos_p * a[2] + sin_p * b[2]],
+                [ux * b[0] - uy * a[0], ux * b[1] - uy * a[1], ux * b[2] - uy * a[2]],
+            )
+        return [[a[0], b[0], c[0]], [a[1], b[1], c[1]], [a[2], b[2], c[2]]]
 
 
 def _tendon_forces(unit_forces) -> tuple[float, float, float]:
@@ -289,7 +330,7 @@ def residual(system: NeckSystem, pose: ArcPose, unit_forces) -> np.ndarray:
     """Net moment (N m) on the head mount: muscle moments plus gravity minus
     the backbone's elastic restoring moment.  Zero at equilibrium."""
     forces = _tendon_forces(unit_forces)
-    moment, _ = _Statics(system).residual(
+    moment, _, _ = _Statics(system).residual(
         pose.curvature, pose.bending_plane_angle, pose.twist, forces
     )
     return np.array(moment)
@@ -328,7 +369,7 @@ def _norm3(v) -> float:
     return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
-def _pose_from_vars(x, chart: str, length: float):
+def _pose_from_vars(x, chart: str):
     if chart == "polar":
         kappa, phi, eps = x
         if kappa < 0.0:
@@ -336,7 +377,7 @@ def _pose_from_vars(x, chart: str, length: float):
     else:
         kx, ky, eps = x
         kappa = math.hypot(kx, ky)
-        phi = math.atan2(ky, kx) if kappa * length >= STRAIGHT_THRESHOLD else 0.0
+        phi = math.atan2(ky, kx)
     return kappa, phi % _TWO_PI, eps
 
 
@@ -359,14 +400,14 @@ def _solve_pose_statics(
         ]
 
     def eval_res(vars_):
-        kappa, phi, eps = _pose_from_vars(vars_, chart, length)
+        kappa, phi, eps = _pose_from_vars(vars_, chart)
         return statics.residual(kappa, phi, eps, forces)
 
     def contractions(rows):
         return tuple(row[2] for row in rows)
 
     tol = config.solver_tolerance
-    res, rows = eval_res(x)
+    res, tip, rows = eval_res(x)
     norm = _norm3(res)
     best_x, best_norm, best_rows = list(x), norm, rows
     # cap on per-iteration curvature-variable moves (keeps theta steps <= ~29 deg)
@@ -374,26 +415,14 @@ def _solve_pose_statics(
 
     for _ in range(config.max_newton_iterations):
         if norm < tol:
-            kappa, phi, eps = _pose_from_vars(x, chart, length)
+            kappa, phi, eps = _pose_from_vars(x, chart)
             theta = kappa * length
             if theta > math.pi:
                 raise PoseOutOfRange(
                     f"bending angle {math.degrees(theta):.1f} deg exceeds 180 deg"
                 )
             return ArcPose(kappa, phi, eps), norm, contractions(rows)
-        # central-difference Jacobian
-        jac = [[0.0] * 3 for _ in range(3)]
-        for col in range(3):
-            h = 1e-7 * max(1.0, abs(x[col]))
-            x[col] += h
-            r_plus, _ = eval_res(x)
-            x[col] -= 2.0 * h
-            r_minus, _ = eval_res(x)
-            x[col] += h
-            inv = 0.5 / h
-            for row in range(3):
-                jac[row][col] = (r_plus[row] - r_minus[row]) * inv
-        step = _solve3(jac, res)
+        step = _solve3(statics.jacobian(x, chart, forces, tip, rows), res)
         if step is None:
             # singular Jacobian: nudge along the residual direction
             scale = max_move / max(norm, 1e-300)
@@ -406,25 +435,25 @@ def _solve_pose_statics(
         accepted = False
         for _halving in range(9):
             cand = [x[0] + step[0], x[1] + step[1], x[2] + step[2]]
-            cand_res, cand_rows = eval_res(cand)
+            cand_res, cand_tip, cand_rows = eval_res(cand)
             cand_norm = _norm3(cand_res)
             if cand_norm < norm or math.isclose(cand_norm, 0.0):
-                x, res, norm, rows = cand, cand_res, cand_norm, cand_rows
+                x, res, norm, tip, rows = cand, cand_res, cand_norm, cand_tip, cand_rows
                 accepted = True
                 break
             step = [0.5 * s for s in step]
         if not accepted:
             # take the least-bad candidate to escape flat spots
             x = [x[0] + step[0], x[1] + step[1], x[2] + step[2]]
-            res, rows = eval_res(x)
+            res, tip, rows = eval_res(x)
             norm = _norm3(res)
         if norm < best_norm:
             best_x, best_norm, best_rows = list(x), norm, rows
 
     if best_norm < tol:
-        kappa, phi, eps = _pose_from_vars(best_x, chart, length)
+        kappa, phi, eps = _pose_from_vars(best_x, chart)
         return ArcPose(kappa, phi, eps), best_norm, contractions(best_rows)
-    kappa, phi, eps = _pose_from_vars(best_x, chart, length)
+    kappa, phi, eps = _pose_from_vars(best_x, chart)
     raise NoConvergence(ArcPose(kappa, phi, eps), best_norm, tol)
 
 
@@ -452,11 +481,25 @@ def _combined_force(
     return active + passive
 
 
+def _annotate_failure(exc: Exception, step: int, t: float) -> None:
+    """Prefix a solver failure's message with the step (0 is the rest solve)
+    and time it happened at; a stalled solve also names its best pose."""
+    message = f"at t={t:.6g} s (step {step}): {exc}"
+    if isinstance(exc, NoConvergence):
+        pose = exc.best_pose
+        message += (
+            f"; best pose kappa={pose.curvature:.6g} 1/m, "
+            f"phi={pose.bending_plane_angle:.6g} rad, twist={pose.twist:.6g} rad"
+        )
+    exc.args = (message,)
+
+
 def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
     """Run the coupled spring/pose dynamics and return the full trace.
 
     Deterministic: identical inputs produce identical traces.  Solver
-    failures are re-raised with the failing timestamp attached.
+    failures are re-raised with the failing step and time attached, plus the
+    best pose when the pose solve stalled.
     """
     statics = _Statics(system)
     profile = config.current_profile
@@ -476,7 +519,11 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
     # attributed to the first step
     _, rest_rows = statics.geometry(0.0, 0.0, 0.0)
     rest_forces = unit_forces([row[2] for row in rest_rows])
-    pose, _, dx_prev = _solve_pose_statics(statics, rest_forces, pose, config)
+    try:
+        pose, _, dx_prev = _solve_pose_statics(statics, rest_forces, pose, config)
+    except SOLVER_FAILURES as exc:
+        _annotate_failure(exc, 0, 0.0)
+        raise
     dx_prev2 = dx_prev
 
     trace = SimTrace()
@@ -504,7 +551,7 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
             forces = unit_forces(dx_prev)
             pose, res_norm, dx = _solve_pose_statics(statics, forces, pose, config)
         except SOLVER_FAILURES as exc:
-            exc.args = (f"at t={t:.6g} s: {exc}",)
+            _annotate_failure(exc, step_index + 1, t)
             raise
 
         dx_prev2, dx_prev = dx_prev, dx

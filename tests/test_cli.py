@@ -140,6 +140,23 @@ def test_failed_sweep_row_prints_one_error_line(scenario_file, tmp_path, capsys)
     assert [line.split(",")[0] for line in csv_lines] == ["I_A", "4"]
 
 
+def test_small_current_sweep_solves_every_row(scenario_file, tmp_path):
+    # currents too weak to leave the straight pose's neighbourhood once
+    # stalled the solve in the Cartesian chart
+    code = main(
+        ["sweep", "--scenario", str(scenario_file), "--out", str(tmp_path), "--quiet",
+         "--currents", "0,0.01,0.05,0.1,0.2,0.3", "--hold", "2",
+         "--set", "simulation.dt=2 ms"]
+    )
+    assert code == 0
+    rows = (tmp_path / "neck_sweep.csv").read_text().splitlines()[1:]
+    table = [tuple(float(v) for v in row.split(",")) for row in rows]
+    assert [amps for amps, _ in table] == [0.0, 0.01, 0.05, 0.1, 0.2, 0.3]
+    angles = [deg for amps, deg in table if amps > 0.0]
+    assert 0.0 < angles[0]
+    assert all(a < b for a, b in zip(angles, angles[1:]))
+
+
 def test_calibrate_requires_section(tmp_path, capsys):
     scenario = load_scenario(default_scenario_text())
     trimmed = dump_scenario(replace(scenario, calibration=None))

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sma_neck import (
     ArcPose,
@@ -21,7 +21,8 @@ from sma_neck import (
     unit_line_of_action,
     unit_moment,
 )
-from sma_neck.engine import _Statics
+from sma_neck.engine import _CHART_SWITCH_ANGLE, _Statics, _pose_from_vars
+from sma_neck.scenario import load_default_scenario
 from conftest import make_system
 
 
@@ -101,6 +102,63 @@ class TestResidual:
         heavy = replace(system, gravity_enabled=True)
         r = residual(heavy, straight_pose, (0.0, 0.0, 0.0))
         assert np.linalg.norm(r) < 1e-15
+
+
+def _central_jacobian(statics, x, chart, forces):
+    def f(v):
+        return statics.residual(*_pose_from_vars(v, chart), forces)[0]
+
+    jac = [[0.0] * 3 for _ in range(3)]
+    for col in range(3):
+        h = 1e-6 * max(1.0, abs(x[col]))
+        plus, minus = list(x), list(x)
+        plus[col] += h
+        minus[col] -= h
+        r_plus, r_minus = f(plus), f(minus)
+        for row in range(3):
+            jac[row][col] = (r_plus[row] - r_minus[row]) / (2.0 * h)
+    return np.array(jac)
+
+
+class TestJacobian:
+    # the system fixture is frozen, so sharing it across examples is safe
+    @pytest.mark.parametrize("gravity", [False, True], ids=["no_gravity", "gravity"])
+    @pytest.mark.parametrize("chart", ["cartesian", "polar"])
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        theta=st.just(0.0) | st.floats(-4.0, math.log10(3.0)).map(lambda e: 10.0**e),
+        phi=st.floats(-7.0, 7.0),
+        twist=st.floats(-0.3, 0.3),
+        flip=st.booleans(),
+        forces=st.tuples(*[st.just(0.0) | st.floats(0.01, 50.0)] * 3),
+    )
+    @example(theta=0.0, phi=0.0, twist=0.0, flip=False, forces=(2.0, 2.0, 2.0))
+    @example(theta=_CHART_SWITCH_ANGLE * (1 - 1e-6), phi=1.0, twist=0.1, flip=True,
+             forces=(9.0, 2.0, 0.0))
+    @example(theta=_CHART_SWITCH_ANGLE * (1 + 1e-6), phi=1.0, twist=0.1, flip=True,
+             forces=(9.0, 2.0, 0.0))
+    def test_matches_central_differences(
+        self, system, chart, gravity, theta, phi, twist, flip, forces
+    ):
+        statics = _Statics(replace(system, gravity_enabled=gravity))
+        kappa = theta / statics.length
+        if chart == "polar":
+            # a negative raw curvature is the same pose with the plane turned by pi
+            x = [-kappa, phi - math.pi, twist] if flip else [kappa, phi, twist]
+        else:
+            x = [kappa * math.cos(phi), kappa * math.sin(phi), twist]
+        _, tip, rows = statics.residual(*_pose_from_vars(x, chart), forces)
+        jac = np.array(statics.jacobian(x, chart, forces, tip, rows))
+        fd = _central_jacobian(statics, x, chart, forces)
+        # below 1e-2 rad the differences carry the rounding of (1 - cos ks) / k
+        tol = 1e-8 if theta >= 1e-2 else 1e-6
+        assert np.max(np.abs(jac - fd)) <= tol * np.max(np.abs(jac))
 
 
 class TestSolvePose:
@@ -244,6 +302,38 @@ class TestSimulate:
         temp_before = trace.spring_temperatures[i_before][0]
         assert temp_before == pytest.approx(system.env.ambient_temperature, abs=1e-6)
         assert trace.spring_temperatures[-1][0] > temp_before
+
+    def test_residual_evaluations_per_step(self, monkeypatch):
+        # the exact Jacobian leaves one evaluation for the warm start and one
+        # per Newton step; at most three per step on a 1 s bundled run
+        scenario = load_default_scenario()
+        calls = 0
+        residual_fn = _Statics.residual
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return residual_fn(self, *args)
+
+        monkeypatch.setattr(_Statics, "residual", counted)
+        trace = simulate(scenario.build_system(), scenario.build_config(duration=1.0))
+        assert len(trace) == 1000
+        assert calls <= 3 * len(trace)
+
+    def test_solver_failure_names_step_and_best_pose(self):
+        # the bundled rest pose balances exactly; the first heated step
+        # cannot reach a tolerance below rounding
+        scenario = load_default_scenario()
+        cfg = scenario.build_config(duration=0.01, solver_tolerance=1e-30)
+        with pytest.raises(NoConvergence) as err:
+            simulate(scenario.build_system(), cfg)
+        message = str(err.value)
+        best = err.value.best_pose
+        assert message.startswith("at t=0.001 s (step 1): pose solve stalled")
+        assert f"residual {err.value.best_residual:.3e} N m" in message
+        assert f"best pose kappa={best.curvature:.6g} 1/m" in message
+        assert f"phi={best.bending_plane_angle:.6g} rad" in message
+        assert f"twist={best.twist:.6g} rad" in message
 
     def test_phi_defined_flags(self, system):
         # straight rows carry the last well-defined plane angle and a flag
