@@ -11,6 +11,7 @@ field path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass, replace
 from importlib import resources
 from typing import Callable, NamedTuple
@@ -20,7 +21,14 @@ import yaml
 from .backbone import BackboneGeometry
 from .engine import CurrentProfile, NeckSystem, Segment, SimConfig
 from .pennate import PennateUnit, rest_chord_length
-from .sma import SmaMaterial, SpringGeometry, SpringState, ThermalEnvironment
+from .sma import (
+    SmaMaterial,
+    SpringGeometry,
+    SpringState,
+    ThermalEnvironment,
+    force_coefficients,
+    shear_stress,
+)
 from .units import UnitsError, format_quantity, parse_quantity
 
 SCHEMA_VERSION = 1
@@ -120,6 +128,7 @@ class Scenario:
         )
 
     def build_system(self) -> NeckSystem:
+        self._check_spring_constants()
         spring = self.initial_spring_state()
         units = []
         for k, azimuth in enumerate(self.azimuths, start=1):
@@ -151,6 +160,42 @@ class Scenario:
             force_combination=self.force_combination,
         )
 
+    def _check_spring_constants(self) -> None:
+        """Reject fields whose derived per-spring constants leave the float
+        range.  Each field passes its own check, yet a 1e-200 m wire cubed
+        is 0 and a 1e200 m coil cubed overflows; a run would then end in a
+        traceback or a NaN step."""
+        material, spring, env = self.material, self.spring, self.environment
+        _require_normal(
+            "shear stress per newton (wire_diameter, coil_diameter)", "Pa",
+            lambda: shear_stress(spring, 1.0),
+        )
+        force_law = (
+            ("stiffness", "N/m", "active_coils, material moduli", 1.0),
+            ("transformation coefficient", "N", "material.phase_transform_tensor",
+             material.phase_transform_tensor),
+            ("thermal coefficient", "N/K", "material.thermal_expansion_factor",
+             material.thermal_expansion_factor),
+        )
+        for xi in (0.0, 1.0):
+            for i, (name, unit, fields, factor) in enumerate(force_law):
+                # zero only where the material constant it scales is zero
+                _require_normal(
+                    f"force-law {name} at martensite fraction {xi:g} "
+                    f"(wire_diameter, coil_diameter, {fields})", unit,
+                    lambda: force_coefficients(material, spring, xi)[i],
+                    factor == 0.0,
+                )
+        _require_normal(
+            "heat capacity (spring_mass, material.specific_heat)", "J/K",
+            lambda: spring.spring_mass * material.specific_heat,
+        )
+        _require_normal(
+            "convective conductance (surface_area, "
+            "environment.convection_coefficient)", "W/K",
+            lambda: spring.surface_area * env.convection_coefficient,
+        )
+
     def build_config(self, **changes) -> SimConfig:
         """The scenario's run settings as a SimConfig, with ``changes``
         (SimConfig field values) replacing the scenario's."""
@@ -170,6 +215,23 @@ class Scenario:
         return self.build_config(
             dt=spec.dt if spec.dt is not None else self.dt, duration=spec.hold
         )
+
+
+def _require_normal(what: str, unit: str, compute, may_be_zero: bool = False):
+    """A derived spring constant must be a finite, normal float: a zero or
+    subnormal one has underflowed, and dividing by it overflows."""
+    try:
+        value = compute()
+    except (ZeroDivisionError, OverflowError):  # an intermediate left the range
+        value = math.inf
+    if math.isfinite(value) and (
+        abs(value) >= sys.float_info.min or (may_be_zero and value == 0.0)
+    ):
+        return
+    raise ValidationError(
+        f"spring: {what} is {value:.3g} {unit}; it must be finite and at least "
+        f"{sys.float_info.min:.3g} in magnitude"
+    )
 
 
 class Codec(NamedTuple):

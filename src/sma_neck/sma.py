@@ -11,10 +11,13 @@ inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
 _SQRT3 = math.sqrt(3.0)
+_EPS = sys.float_info.epsilon
+_ROOT_TOLERANCE = 1e-14  # bracket width at which step_spring's root is accepted
 
 
 class Branch(Enum):
@@ -203,10 +206,7 @@ def reverse_fraction(
         raise ValueError("fraction_at_start must lie in [0, 1]")
     if stress < 0.0:
         raise ValueError("stress must be non-negative")
-    # _reverse_band inlined: the step's closure evaluates this ~47 times
-    shift = stress / material.stress_influence_reverse
-    start = material.austenite_start + shift
-    finish = material.austenite_finish + shift
+    start, finish = _reverse_band(material, stress)
     if temperature <= start:
         return fraction_at_start
     if temperature >= finish:
@@ -231,10 +231,7 @@ def forward_fraction(
         raise ValueError("fraction_at_start must lie in [0, 1]")
     if stress < 0.0:
         raise ValueError("stress must be non-negative")
-    # _forward_band inlined, as in reverse_fraction
-    shift = stress / material.stress_influence_forward
-    start = material.martensite_start + shift
-    finish = material.martensite_finish + shift
+    start, finish = _forward_band(material, stress)
     if temperature >= start:
         return fraction_at_start
     if temperature <= finish:
@@ -403,8 +400,8 @@ def step_spring(
     cooling through the martensite band, idle otherwise) with the starting
     fraction latched on entry.  On an active branch the fraction change, the
     latent-heat temperature correction and the stress feedback on the band
-    edges are solved together as one monotone scalar root so that the update
-    is stable for physically large latent heats.  The force then advances by
+    edges are solved together as one monotone scalar root, found by Brent's
+    zeroin, so that the update is stable for physically large latent heats.  The force then advances by
     the rate law using the realized discrete rates, floored at zero.
 
     Raises StepTooLarge when the temperature moves more than
@@ -450,9 +447,6 @@ def step_spring(
             )
 
     stiffness, transform, thermal = force_coefficients(material, geometry, xi0)
-    stress_per_force = 8.0 * geometry.coil_diameter / (
-        math.pi * geometry.wire_diameter**3
-    )
     latent_gain = material.latent_heat / material.specific_heat
     elastic_force = f0 + stiffness * stretch_rate * dt
 
@@ -468,11 +462,11 @@ def step_spring(
         # Joint per-step closure: the fraction change feeds back on the
         # temperature (latent heat) and on the band edges (stress shift).
         # Both couplings are affine in d_xi, so the residual below is strictly
-        # decreasing and bisection always converges.
+        # decreasing: its root in the bracket is unique, and zeroin finds it.
         def residual(d_xi: float) -> float:
             t_cand = t_star + latent_gain * d_xi
             force_cand = force_after(d_xi, t_cand - t0)
-            stress_cand = stress_per_force * max(force_cand, 0.0)
+            stress_cand = shear_stress(geometry, max(force_cand, 0.0))
             xi_cand = _fraction_on_branch(
                 material, branch, t_cand, stress_cand,
                 reverse_latch, forward_latch, xi0,
@@ -487,9 +481,9 @@ def step_spring(
         r_hi = residual(hi)
         if branch is Branch.REVERSE:
             # residual(0) >= 0 means the band edge outran the temperature.
-            d_xi = 0.0 if r_hi >= 0.0 else _bisect(residual, lo, hi, r_lo, r_hi)
+            d_xi = 0.0 if r_hi >= 0.0 else _zeroin(residual, lo, hi, r_lo, r_hi)
         else:
-            d_xi = 0.0 if r_lo <= 0.0 else _bisect(residual, lo, hi, r_lo, r_hi)
+            d_xi = 0.0 if r_lo <= 0.0 else _zeroin(residual, lo, hi, r_lo, r_hi)
         t_new = t_star + latent_gain * d_xi
         xi_new = min(max(xi0 + d_xi, 0.0), 1.0)
         d_xi = xi_new - xi0
@@ -520,21 +514,49 @@ def step_spring(
     )
 
 
-def _bisect(fn, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """Root of a monotone decreasing scalar on [lo, hi] by bisection."""
-    if f_lo <= 0.0:
-        return lo
-    if f_hi >= 0.0:
-        return hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-14:
-            return mid
-        f_mid = fn(mid)
-        if f_mid > 0.0:
-            lo = mid
-        elif f_mid < 0.0:
-            hi = mid
+def _zeroin(fn, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of a decreasing scalar ``fn`` on [a, b], given fa = fn(a) and
+    fb = fn(b), by Brent's zeroin (Algorithms for Minimization without
+    Derivatives, 1973, ch. 4): inverse quadratic or secant steps, with a
+    bisection step whenever they would not shrink the bracket fast enough.
+    The root lies within _ROOT_TOLERANCE + 4 eps |x| of the returned x."""
+    if fa <= 0.0:
+        return a
+    if fb >= 0.0:
+        return b
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * _ROOT_TOLERANCE
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p = 2.0 * xm * s
+                q = 1.0 - s
+            else:  # inverse quadratic interpolation
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * xm * q - abs(tol1 * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = xm
         else:
-            return mid
-    return 0.5 * (lo + hi)
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = fn(b)
+        if (fb > 0.0) == (fc > 0.0) and fb != 0.0:
+            c, fc = a, fa
+            d = e = b - a

@@ -217,3 +217,31 @@ def test_invalid_number_is_one_error_line(scenario_file, tmp_path, capsys, argv)
     err = capsys.readouterr().err
     assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        # d**3 underflows to 0: a ZeroDivisionError in shear_stress before
+        ("spring.wire_diameter=1e-200 m", "shear stress per newton"),
+        # D**3 overflows: an OverflowError in force_coefficients before
+        ("spring.coil_diameter=1e200 m", "force-law stiffness"),
+        # a subnormal heat capacity: the first step moved the temperature NaN K
+        ("spring.spring_mass=1e-320 kg", "heat capacity"),
+        # 2 (1 + poisson) = 0: a ZeroDivisionError in effective_modulus before
+        ("material.poisson=-1", "force-law stiffness"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate-config", "simulate"])
+def test_degenerate_spring_constant_fails_validation(
+    scenario_file, tmp_path, capsys, command, override, field
+):
+    code = main([command, "--scenario", str(scenario_file), "--out", str(tmp_path),
+                 "--set", override, *FAST])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        err.splitlines()[0]
+    ]
+    assert err.startswith(f"error: validation: spring: {field}")
+    assert "Traceback" not in err

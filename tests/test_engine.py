@@ -21,8 +21,13 @@ from sma_neck import (
     unit_line_of_action,
     unit_moment,
 )
+from sma_neck import sma
 from sma_neck.engine import _CHART_SWITCH_ANGLE, _Statics, _pose_from_vars
-from sma_neck.scenario import load_default_scenario
+from sma_neck.scenario import (
+    default_scenario_text,
+    load_default_scenario,
+    load_with_overrides,
+)
 from conftest import make_system
 
 
@@ -319,6 +324,41 @@ class TestSimulate:
         trace = simulate(scenario.build_system(), scenario.build_config(duration=1.0))
         assert len(trace) == 1000
         assert calls <= 3 * len(trace)
+
+    def test_closure_evaluations_per_phase_solve(self, monkeypatch):
+        # zeroin needs about five closure evaluations per active spring step
+        # where bisection to 1e-14 needs 44-47.  A 0.5 g spring heats through
+        # the austenite band at 8 A within 0.5 s and cools back into the
+        # martensite band within 2 s, so both branches are counted.
+        scenario = load_with_overrides(
+            default_scenario_text(),
+            [
+                "spring.spring_mass=0.5 g",
+                "simulation.dt=2 ms",
+                "simulation.duration=2 s",
+                "profile=[{unit: 1, start: 0 s, end: 0.5 s, current: 8 A}]",
+            ],
+        )
+        counts = {"reverse": [], "forward": []}
+        zeroin = sma._zeroin
+
+        def counted(fn, lo, hi, f_lo, f_hi):
+            calls = 0
+
+            def closure(d_xi):
+                nonlocal calls
+                calls += 1
+                return fn(d_xi)
+
+            root = zeroin(closure, lo, hi, f_lo, f_hi)
+            counts["reverse" if lo < 0.0 else "forward"].append(calls)
+            return root
+
+        monkeypatch.setattr(sma, "_zeroin", counted)
+        simulate(scenario.build_system(), scenario.build_config())
+        assert len(counts["reverse"]) >= 50 and len(counts["forward"]) >= 50
+        evaluations = counts["reverse"] + counts["forward"]
+        assert sum(evaluations) / len(evaluations) <= 8.0
 
     def test_solver_failure_names_step_and_best_pose(self):
         # the bundled rest pose balances exactly; the first heated step

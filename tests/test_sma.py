@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from sma_neck import (
     Branch,
@@ -15,6 +15,7 @@ from sma_neck import (
     shear_stress,
     step_spring,
 )
+from sma_neck import sma
 from sma_neck.sma import SmaMaterial, force_coefficients, phase_resistance
 
 from conftest import make_spring
@@ -356,6 +357,86 @@ class TestStepSpring:
             state = step_spring(material, geometry, env, state, 6.0, 0.0, 1e-3)
         assert state.branch is Branch.REVERSE
         assert state.fraction_at_reverse_start == 1.0
+
+
+def _bisection_root(fn, lo, hi, f_lo, f_hi):
+    """Oracle: the sign change of a decreasing ``fn`` on [lo, hi], halved
+    until the bracket holds two adjacent floats."""
+    if f_lo <= 0.0:
+        return lo
+    if f_hi >= 0.0:
+        return hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        f_mid = fn(mid)
+        if f_mid == 0.0:
+            return mid
+        if f_mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    branch=st.sampled_from([Branch.REVERSE, Branch.FORWARD]),
+    band_position=st.floats(0.0, 1.0),
+    latch=st.floats(0.05, 1.0),
+    force=st.floats(0.0, 8.0),
+    drive=st.floats(0.0, 1.0),
+    stretch_rate=st.floats(-2e-3, 2e-3),
+)
+def test_phase_root_matches_bisection_oracle(
+    material, geometry, env, branch, band_position, latch, force, drive, stretch_rate
+):
+    # A state on its branch's cosine arc, inside the stress-shifted band:
+    # 6-12 A heats a reverse state, 0-1 A lets a forward state cool.
+    stress = shear_stress(geometry, force)
+    if branch is Branch.REVERSE:
+        start, finish = sma._reverse_band(material, stress)
+        temperature = start + band_position * (finish - start)
+        fraction = reverse_fraction(material, temperature, stress, latch)
+        latches = dict(fraction_at_reverse_start=latch)
+        current = 6.0 + 6.0 * drive
+    else:
+        latch = 1.0 - latch
+        start, finish = sma._forward_band(material, stress)
+        temperature = finish + band_position * (start - finish)
+        fraction = forward_fraction(material, temperature, stress, latch)
+        latches = dict(fraction_at_forward_start=latch)
+        current = drive
+    state = SpringState(
+        temperature=temperature,
+        martensite_fraction=fraction,
+        force=force,
+        branch=branch,
+        **latches,
+    )
+    solves = []
+    zeroin = sma._zeroin
+
+    def recorded(fn, lo, hi, f_lo, f_hi):
+        root = zeroin(fn, lo, hi, f_lo, f_hi)
+        solves.append((fn, lo, hi, f_lo, f_hi, root))
+        return root
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sma, "_zeroin", recorded)
+        step_spring(material, geometry, env, state, current, stretch_rate, 1e-3)
+    # the band edge can outrun the temperature, which needs no root
+    assume(solves)
+    (fn, lo, hi, f_lo, f_hi, root), = solves
+    assert abs(root - _bisection_root(fn, lo, hi, f_lo, f_hi)) <= 1e-13
+    if root not in (lo, hi):
+        step = 1e-14
+        assert fn(root) == 0.0 or fn(root - step) > 0.0 > fn(root + step)
 
 
 class TestInvariantValidation:
