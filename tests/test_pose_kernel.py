@@ -1,0 +1,308 @@
+"""Oracles for the pose solve's inner kernel.
+
+The engine evaluates the moment balance, its Jacobian and the 3x3 Newton
+step with hand-fused code.  These tests pin that code bit for bit to the
+plain compositions it replaces: the residual to the public helpers' scalar
+building blocks, the Jacobian to the per-variable rate builders kept below,
+and the elimination to the generic partial-pivot loop kept below.  Equal
+bits here keep the trace CSV byte-identical.
+"""
+
+import math
+import random
+import struct
+from dataclasses import replace
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from sma_neck.backbone import (
+    STRAIGHT_THRESHOLD,
+    _arc_coefficients,
+    _elastic_moment_t,
+    _frame_t,
+)
+from sma_neck.engine import _Statics, _pose_from_vars, _solve3
+from sma_neck.pennate import _line_of_action_t, _tendon_moment_t
+from sma_neck.scenario import load_default_scenario
+
+_ORACLE = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+_FORCES = st.tuples(*[st.just(0.0) | st.floats(0.01, 50.0)] * 3)
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@pytest.fixture(params=["fixture", "bundled"])
+def base_system(request, system):
+    if request.param == "fixture":
+        return system
+    return load_default_scenario().build_system()
+
+
+def _composed_residual(statics, kappa, phi, eps, forces):
+    """The moment balance as the composition of the scalar helpers that the
+    public ``arc_frame``, ``unit_line_of_action``, ``unit_moment`` and
+    ``elastic_moment`` are built from."""
+    tip, rot = _frame_t(kappa, phi, eps, statics.length)
+    lines = [
+        _line_of_action_t(head, base, rest, tip, rot)
+        for head, base, rest in zip(statics.heads, statics.bases, statics.rest_chords)
+    ]
+    mx, my, mz = _tendon_moment_t(tip, lines, forces)
+    if statics.gravity_on:
+        mx += -statics.head_weight * tip[1]
+        my += statics.head_weight * tip[0]
+    ex, ey, ez = _elastic_moment_t(
+        kappa, phi, eps, statics.ei_y, statics.gj_over_l, statics.length
+    )
+    return (mx - ex, my - ey, mz - ez), tip, tuple(line[2] for line in lines)
+
+
+class TestResidualOracle:
+    @pytest.mark.parametrize("gravity", [False, True], ids=["no_gravity", "gravity"])
+    @_ORACLE
+    @given(
+        theta=st.just(0.0)
+        | st.floats(0.0, STRAIGHT_THRESHOLD, exclude_max=True)
+        | st.floats(STRAIGHT_THRESHOLD, 3.0),
+        phi=st.floats(-20.0, 20.0),
+        twist=st.floats(-0.5, 0.5),
+        forces=_FORCES,
+    )
+    @example(theta=0.0, phi=0.0, twist=0.0, forces=(0.0, 0.0, 0.0))
+    @example(theta=STRAIGHT_THRESHOLD, phi=-1.0, twist=0.1, forces=(3.0, 0.0, 7.0))
+    @example(theta=1e-9, phi=2 * math.pi, twist=-0.2, forces=(1.0, 2.0, 3.0))
+    def test_equals_composition(self, base_system, gravity, theta, phi, twist, forces):
+        statics = _Statics(replace(base_system, gravity_enabled=gravity))
+        kappa = theta / statics.length
+        moment, tip, rows = statics.residual(kappa, phi, twist, forces)
+        want_moment, want_tip, want_contractions = _composed_residual(
+            statics, kappa, phi, twist, forces
+        )
+        assert moment == want_moment
+        assert tip == want_tip
+        assert tuple(row[-1] for row in rows) == want_contractions
+
+
+def _arc_rates(ux, uy, twist, ei_y, gj_over_l, length):
+    """Tip velocity, tip angular velocity and elastic moment rate along
+    (u_x, u_y, twist), one 3-vector per variable."""
+    ll = length * length
+    theta = length * math.hypot(ux, uy)
+    a, b, c, d, e, cos_t = _arc_coefficients(theta)
+    wx, wy = -length * uy, length * ux
+    gx, gy = ll * ux, ll * uy
+    exy = ll * ll * e * ux * uy
+    d3 = ll * length * d
+    tip_rates = (
+        (ll * (b + e * gx * ux), exy, d3 * ux),
+        (exy, ll * (b + e * gy * uy), d3 * uy),
+        (0.0, 0.0, 0.0),
+    )
+    la = length * a
+    spins = (
+        (c * wx * gx, la + c * wy * gx, -b * gy),
+        (-la + c * wx * gy, c * wy * gy, b * gx),
+        (la * ux, la * uy, cos_t),
+    )
+    g_z = gj_over_l * twist
+    lgz = length * g_z
+    dxy = lgz * d * gx * uy
+    elastic_rates = (
+        (lgz * (a + d * gx * ux), dxy + ei_y, -ll * a * ux * g_z),
+        (dxy - ei_y, lgz * (a + d * gy * uy), -ll * a * uy * g_z),
+        (la * ux * gj_over_l, la * uy * gj_over_l, cos_t * gj_over_l),
+    )
+    return tip_rates, spins, elastic_rates
+
+
+def _tendon_moment_rates(tip, lines, rest_chords, forces, tip_rates, spins):
+    """Rates of the summed tendon moment, one per variable."""
+    levers = [
+        (point[0] - tip[0], point[1] - tip[1], point[2] - tip[2],
+         dx, dy, dz, 1.0 / (rest - contraction), force)
+        for (point, (dx, dy, dz), contraction), rest, force in zip(
+            lines, rest_chords, forces
+        )
+    ]
+    out = []
+    for (tx, ty, tz), (wx, wy, wz) in zip(tip_rates, spins):
+        mx = my = mz = 0.0
+        for ax, ay, az, dx, dy, dz, inv, force in levers:
+            vx, vy, vz = wy * az - wz * ay, wz * ax - wx * az, wx * ay - wy * ax
+            cx, cy, cz = -tx - vx, -ty - vy, -tz - vz
+            along = dx * cx + dy * cy + dz * cz
+            ex = (cx - dx * along) * inv
+            ey = (cy - dy * along) * inv
+            ez = (cz - dz * along) * inv
+            mx += force * (vy * dz - vz * dy + ay * ez - az * ey)
+            my += force * (vz * dx - vx * dz + az * ex - ax * ez)
+            mz += force * (vx * dy - vy * dx + ax * ey - ay * ex)
+        out.append((mx, my, mz))
+    return out
+
+
+def _composed_jacobian(statics, x, chart, forces):
+    """The Jacobian assembled from the per-variable rate builders."""
+    kappa, phi, eps = _pose_from_vars(x, chart)
+    tip, rot = _frame_t(kappa, phi, eps, statics.length)
+    lines = [
+        _line_of_action_t(head, base, rest, tip, rot)
+        for head, base, rest in zip(statics.heads, statics.bases, statics.rest_chords)
+    ]
+    if chart == "polar":
+        cos_p, sin_p = math.cos(x[1]), math.sin(x[1])
+        ux, uy = x[0] * cos_p, x[0] * sin_p
+    else:
+        ux, uy = x[0], x[1]
+    tip_rates, spins, elastic_rates = _arc_rates(
+        ux, uy, x[2], statics.ei_y, statics.gj_over_l, statics.length
+    )
+    moment_rates = _tendon_moment_rates(
+        tip, lines, statics.rest_chords, forces, tip_rates, spins
+    )
+    a, b, c = [
+        [mx - ex, my - ey, mz - ez]
+        for (mx, my, mz), (ex, ey, ez) in zip(moment_rates, elastic_rates)
+    ]
+    if statics.gravity_on:
+        w = statics.head_weight
+        for col, (tx, ty, _) in zip((a, b), tip_rates):
+            col[0] -= w * ty
+            col[1] += w * tx
+    if chart == "polar":
+        a, b = (
+            [cos_p * a[0] + sin_p * b[0], cos_p * a[1] + sin_p * b[1],
+             cos_p * a[2] + sin_p * b[2]],
+            [ux * b[0] - uy * a[0], ux * b[1] - uy * a[1], ux * b[2] - uy * a[2]],
+        )
+    return [[a[0], b[0], c[0]], [a[1], b[1], c[1]], [a[2], b[2], c[2]]]
+
+
+class TestJacobianOracle:
+    @pytest.mark.parametrize("gravity", [False, True], ids=["no_gravity", "gravity"])
+    @pytest.mark.parametrize("chart", ["cartesian", "polar"])
+    @_ORACLE
+    @given(
+        theta=st.just(0.0) | st.floats(-9.0, math.log10(3.0)).map(lambda e: 10.0**e),
+        phi=st.floats(-20.0, 20.0),
+        twist=st.floats(-0.5, 0.5),
+        flip=st.booleans(),
+        forces=_FORCES,
+    )
+    @example(theta=0.0, phi=0.0, twist=0.0, flip=False, forces=(2.0, 2.0, 2.0))
+    @example(theta=0.05, phi=1.0, twist=0.1, flip=True, forces=(9.0, 2.0, 0.0))
+    def test_equals_rate_builders(
+        self, base_system, chart, gravity, theta, phi, twist, flip, forces
+    ):
+        statics = _Statics(replace(base_system, gravity_enabled=gravity))
+        kappa = theta / statics.length
+        if chart == "polar":
+            x = (-kappa, phi - math.pi, twist) if flip else (kappa, phi, twist)
+        else:
+            x = (kappa * math.cos(phi), kappa * math.sin(phi), twist)
+        _, tip, rows = statics.residual(*_pose_from_vars(x, chart), forces)
+        got = statics.jacobian(x, chart, forces, tip, rows)
+        want = _composed_jacobian(statics, x, chart, forces)
+        assert _bits([v for row in got for v in row]) == _bits(
+            [v for row in want for v in row]
+        )
+
+
+def _generic_solve3(j, r):
+    """Gaussian elimination with partial pivoting on row lists."""
+    a = [
+        [j[0][0], j[0][1], j[0][2], -r[0]],
+        [j[1][0], j[1][1], j[1][2], -r[1]],
+        [j[2][0], j[2][1], j[2][2], -r[2]],
+    ]
+    for col in range(3):
+        pivot = max(range(col, 3), key=lambda i: abs(a[i][col]))
+        if abs(a[pivot][col]) < 1e-300:
+            return None
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+        inv = 1.0 / a[col][col]
+        for row in range(col + 1, 3):
+            factor = a[row][col] * inv
+            if factor != 0.0:
+                for k in range(col, 4):
+                    a[row][k] -= factor * a[col][k]
+    x = [0.0, 0.0, 0.0]
+    for row in (2, 1, 0):
+        acc = a[row][3]
+        for k in range(row + 1, 3):
+            acc -= a[row][k] * x[k]
+        x[row] = acc / a[row][row]
+    return x
+
+
+def _assert_same_solution(j, r):
+    got, want = _solve3(j, r), _generic_solve3(j, r)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and _bits(got) == _bits(want)
+
+
+_ENTRY = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0])
+
+
+class TestSolve3Oracle:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(j=st.tuples(*[st.tuples(_ENTRY, _ENTRY, _ENTRY)] * 3),
+           r=st.tuples(_ENTRY, _ENTRY, _ENTRY))
+    def test_matches_generic_elimination(self, j, r):
+        _assert_same_solution(j, r)
+
+    def test_random_matrices_across_scales(self):
+        rng = random.Random(7)
+        for _ in range(5000):
+            scale = 10.0 ** rng.uniform(-12, 12)
+            j = [[rng.gauss(0.0, scale) for _ in range(3)] for _ in range(3)]
+            r = [rng.gauss(0.0, 1.0) for _ in range(3)]
+            _assert_same_solution(j, r)
+
+    @pytest.mark.parametrize(
+        "j",
+        [
+            # pivot ties: the first of equal magnitudes wins
+            [[1.0, 2.0, 3.0], [-1.0, 5.0, 1.0], [1.0, -4.0, 2.0]],
+            [[2.0, 1.0, 1.0], [2.0, 3.0, 1.0], [-2.0, 1.0, 4.0]],
+            [[1.0, 1.0, 2.0], [3.0, 1.0, 5.0], [-3.0, -1.0, 7.0]],
+            [[0.5, 4.0, 1.0], [1.0, 2.0, 3.0], [1.0, -2.0, 1.0]],
+            # zero sub-pivots: the factor != 0 skip, with both zero signs
+            [[3.0, 1.0, 2.0], [0.0, 2.0, 1.0], [-0.0, 1.0, 4.0]],
+            [[3.0, 1.0, 2.0], [1.0, 2.0, 1.0], [0.0, 0.0, 4.0]],
+            [[-0.0, 1.0, 2.0], [2.0, -0.0, 1.0], [0.0, 3.0, -0.0]],
+            [[1e-320, 1.0, 0.0], [1.0, 1e-320, 0.0], [0.0, 0.0, 1.0]],
+        ],
+    )
+    @pytest.mark.parametrize("r", [(1.0, -2.0, 3.0), (0.0, -0.0, 0.0)])
+    def test_ties_and_zero_sub_pivots(self, j, r):
+        assert _solve3(j, r) is not None
+        _assert_same_solution(j, r)
+
+    @pytest.mark.parametrize(
+        "j",
+        [
+            [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            [[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]],
+            [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]],
+            [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [0.0, 1.0, 1.0]],
+            [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]],
+            [[1e-301, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        ],
+    )
+    def test_singular_returns_none(self, j):
+        assert _generic_solve3(j, (1.0, 2.0, 3.0)) is None
+        assert _solve3(j, (1.0, 2.0, 3.0)) is None
