@@ -6,8 +6,9 @@ frames follow the usual arc geometry; the elastic restoring moment is the
 Euler-Bernoulli bending/torsion law rotated into the base frame.
 
 Scalar helpers (suffix ``_t``) operate on plain floats/tuples; the public
-functions wrap them in numpy arrays.  The equilibrium solver calls the scalar
-forms in its inner loop.
+functions wrap them in numpy arrays.  The engine's pose kernel
+(``engine._Statics``) writes the same formulas out in one pass, bit-identical
+to these scalar forms.
 """
 
 from __future__ import annotations
@@ -146,49 +147,6 @@ def _arc_coefficients(theta: float):
     a = math.sin(theta) / theta
     b = 2.0 * half * half / t2
     return a, b, (1.0 - a) / t2, (cos_t - a) / t2, (a - 2.0 * b) / t2, cos_t
-
-
-def _arc_rates_t(
-    ux: float, uy: float, twist: float, ei_y: float, gj_over_l: float, length: float
-):
-    """Derivatives of the tip frame and of the elastic moment with respect to
-    (u_x, u_y, twist), where u = kappa (cos phi, sin phi).
-
-    Returns three triples of 3-vectors, one vector per variable: the tip
-    velocity, the angular velocity of the tip cross-section and the rate of
-    ``_elastic_moment_t``.  The rotation is exp([w]x) . Rz(twist) with
-    w = length (-u_y, u_x, 0) (Webster & Jones 2010, constant curvature), so
-    its angular velocity is the left Jacobian of SO(3) applied to dw.
-    """
-    ll = length * length
-    theta = length * math.hypot(ux, uy)
-    a, b, c, d, e, cos_t = _arc_coefficients(theta)
-    wx, wy = -length * uy, length * ux
-    gx, gy = ll * ux, ll * uy
-    # tip = (L^2 B u_x, L^2 B u_y, L A)
-    exy = ll * ll * e * ux * uy
-    d3 = ll * length * d
-    tip_rates = (
-        (ll * (b + e * gx * ux), exy, d3 * ux),
-        (exy, ll * (b + e * gy * uy), d3 * uy),
-        (0.0, 0.0, 0.0),
-    )
-    la = length * a
-    spins = (
-        (c * wx * gx, la + c * wy * gx, -b * gy),
-        (-la + c * wx * gy, c * wy * gy, b * gx),
-        (la * ux, la * uy, cos_t),
-    )
-    # elastic = (L A u_x g_z - EI u_y, L A u_y g_z + EI u_x, cos(theta) g_z)
-    g_z = gj_over_l * twist
-    lgz = length * g_z
-    dxy = lgz * d * gx * uy
-    elastic_rates = (
-        (lgz * (a + d * gx * ux), dxy + ei_y, -ll * a * ux * g_z),
-        (dxy - ei_y, lgz * (a + d * gy * uy), -ll * a * uy * g_z),
-        (la * ux * gj_over_l, la * uy * gj_over_l, cos_t * gj_over_l),
-    )
-    return tip_rates, spins, elastic_rates
 
 
 def _check_arc_coordinate(s: float, length: float) -> None:

@@ -23,6 +23,7 @@ from .scenario import (
     default_scenario_text,
     load_with_overrides,
 )
+from .sma import StepTooLarge
 from .traceio import write_trace
 from .units import UnitsError
 
@@ -240,12 +241,14 @@ def main(argv=None) -> int:
             EXIT_VALIDATION,
         )
     except SOLVER_FAILURES as exc:
-        return _fail(
-            "solver",
-            str(exc),
-            "The simulation could not proceed; try a smaller dt or weaker loads.",
-            EXIT_SOLVER,
-        )
+        if isinstance(exc, StepTooLarge) and exc.overflowed:
+            explanation = (
+                "No step size helps; bring the current and the spring's thermal "
+                "constants into range."
+            )
+        else:
+            explanation = "The simulation could not proceed; try a smaller dt or weaker loads."
+        return _fail("solver", str(exc), explanation, EXIT_SOLVER)
     except NonImprovement as exc:
         return _fail(
             "calibration",

@@ -27,15 +27,12 @@ from .backbone import (
     STRAIGHT_THRESHOLD,
     ArcPose,
     BackboneGeometry,
-    _arc_rates_t,
-    _elastic_moment_t,
+    _arc_coefficients,
     _frame_t,
 )
 from .pennate import (
     PennateUnit,
     _line_of_action_t,
-    _tendon_moment_rates_t,
-    _tendon_moment_t,
     pennate_force,
     rest_chord_length,
     tendon_force_from_stretch,
@@ -237,11 +234,22 @@ class SweepRow:
 
 
 class _Statics:
-    """Precomputed constants for fast pose-residual evaluation."""
+    """Precomputed constants and the fused kernels of the pose solve.
+
+    ``residual`` writes out in one pass what the public helpers compose
+    (``backbone._frame_t``, ``pennate._line_of_action_t``,
+    ``pennate._tendon_moment_t`` and ``backbone._elastic_moment_t``), taking
+    each angle's cosine and sine once.  ``jacobian`` reuses its levers and
+    pull directions; it takes its own angles from the raw chart variables,
+    whose rounding differs from the normalised pose the residual sees.
+    Every floating-point operation keeps its order and operands, so both are
+    bit-identical to the compositions they replace
+    (``tests/test_pose_kernel.py``).
+    """
 
     __slots__ = (
         "length", "ei_y", "gj_over_l", "bases", "heads", "rest_chords",
-        "head_weight", "gravity_on",
+        "attachments", "head_weight", "gravity_on",
     )
 
     def __init__(self, system: NeckSystem):
@@ -253,6 +261,10 @@ class _Statics:
         self.heads = tuple(u.head_attachment_local for u in system.units)
         self.rest_chords = tuple(
             rest_chord_length(u, bb) for u in system.units
+        )
+        self.attachments = tuple(
+            head + base + (rest,)
+            for head, base, rest in zip(self.heads, self.bases, self.rest_chords)
         )
         self.head_weight = system.head_mass * GRAVITY
         self.gravity_on = system.gravity_enabled and system.head_mass > 0.0
@@ -267,54 +279,160 @@ class _Statics:
         return tip, rows
 
     def residual(self, kappa: float, phi: float, eps: float, forces):
-        """Net moment at the pose, plus the tip position and the per-unit
-        geometry rows it was computed from."""
-        tip, rows = self.geometry(kappa, phi, eps)
-        mx, my, mz = _tendon_moment_t(tip, rows, forces)
+        """Net moment at the pose, the tip position and one frame row per
+        unit: (lever from the tip to the attachment, unit pull direction,
+        chord contraction), which ``jacobian`` reuses."""
+        length = self.length
+        theta = kappa * length
+        ca, sa = math.cos(phi), math.sin(phi)
+        cb, sb = math.cos(theta), math.sin(theta)
+        psi = eps - phi
+        cc, sc = math.cos(psi), math.sin(psi)
+        if theta < STRAIGHT_THRESHOLD:
+            # 4th-order series keeps the residual smooth through zero
+            radial = 0.5 * kappa * length * length * (1.0 - theta * theta / 12.0)
+            tz = length * (1.0 - theta * theta / 6.0)
+        else:
+            radial = (1.0 - cb) / kappa
+            tz = sb / kappa
+        tx, ty = ca * radial, sa * radial
+        # rotation Rz(phi) . Ry(theta) . Rz(psi), row-major
+        r00, r10 = ca * cb, sa * cb
+        q00, q01, q02 = r00 * cc - sa * sc, -r00 * sc - sa * cc, ca * sb
+        q10, q11, q12 = r10 * cc + ca * sc, -r10 * sc + ca * cc, sa * sb
+        q20, q21 = -sb * cc, sb * sc
+
+        mx = my = mz = 0.0
+        rows = []
+        for (hx, hy, hz, bx, by, bz, rest), force in zip(self.attachments, forces):
+            px = tx + (q00 * hx + q01 * hy + q02 * hz)
+            py = ty + (q10 * hx + q11 * hy + q12 * hz)
+            pz = tz + (q20 * hx + q21 * hy + cb * hz)
+            cx, cy, cz = bx - px, by - py, bz - pz
+            chord = math.sqrt(cx * cx + cy * cy + cz * cz)
+            if chord < 1e-12:
+                raise ValueError(
+                    "degenerate muscle geometry: attachment reached the anchor"
+                )
+            inv = 1.0 / chord
+            dx, dy, dz = cx * inv, cy * inv, cz * inv
+            lx, ly, lz = px - tx, py - ty, pz - tz
+            fx, fy, fz = force * dx, force * dy, force * dz
+            mx += ly * fz - lz * fy
+            my += lz * fx - lx * fz
+            mz += lx * fy - ly * fx
+            rows.append((lx, ly, lz, dx, dy, dz, rest - chord))
         if self.gravity_on:
             # head weight acting at the tip: tip x (0, 0, -w)
-            mx += -self.head_weight * tip[1]
-            my += self.head_weight * tip[0]
-        ex, ey, ez = _elastic_moment_t(
-            kappa, phi, eps, self.ei_y, self.gj_over_l, self.length
-        )
-        return (mx - ex, my - ey, mz - ez), tip, rows
+            mx += -self.head_weight * ty
+            my += self.head_weight * tx
+        # elastic moment Rz(phi) . Ry(theta) . (0, EI kappa, GJ/l twist)
+        local_y = self.ei_y * kappa
+        local_z = self.gj_over_l * eps
+        x1 = sb * local_z
+        ex, ey, ez = ca * x1 - sa * local_y, sa * x1 + ca * local_y, cb * local_z
+        return (mx - ex, my - ey, mz - ez), (tx, ty, tz), rows
 
     def jacobian(self, x, chart: str, forces, tip, rows):
         """Row-major 3x3 derivative of ``residual`` with respect to the chart
         variables ``x``: (u_x, u_y, twist) in the Cartesian chart, (kappa,
         phi, twist) in the polar one, with u = kappa (cos phi, sin phi).
-        ``tip`` and ``rows`` are what ``residual`` returned at ``x``."""
+        ``tip`` and ``rows`` are what ``residual`` returned at ``x``.
+
+        Per variable it takes the tip velocity t, the angular velocity w of
+        the head mount and the rate of the elastic moment.  The rotation is
+        exp([v]x) . Rz(twist) with v = length (-u_y, u_x, 0) (Webster & Jones
+        2010, constant curvature), so w is the left Jacobian of SO(3) applied
+        to dv.  Each lever a turns with the mount (da = w x a); its chord
+        changes by -(t + da) and the pull direction by the part of that
+        normal to itself, over the chord length.
+        """
         if chart == "polar":
-            kappa, phi = x[0], x[1]
-            cos_p, sin_p = math.cos(phi), math.sin(phi)
-            ux, uy = kappa * cos_p, kappa * sin_p
+            cos_p, sin_p = math.cos(x[1]), math.sin(x[1])
+            ux, uy = x[0] * cos_p, x[0] * sin_p
         else:
             ux, uy = x[0], x[1]
-        tip_rates, spins, elastic_rates = _arc_rates_t(
-            ux, uy, x[2], self.ei_y, self.gj_over_l, self.length
-        )
-        moment_rates = _tendon_moment_rates_t(
-            tip, rows, self.rest_chords, forces, tip_rates, spins
-        )
-        a, b, c = [
-            [mx - ex, my - ey, mz - ez]
-            for (mx, my, mz), (ex, ey, ez) in zip(moment_rates, elastic_rates)
-        ]
+        length = self.length
+        ll = length * length
+        ka, kb, kc, kd, ke, cos_t = _arc_coefficients(length * math.hypot(ux, uy))
+        vx, vy = -length * uy, length * ux
+        gx, gy = ll * ux, ll * uy
+        # tip = (L^2 B u_x, L^2 B u_y, L A); t2 = 0
+        exy = ll * ll * ke * ux * uy
+        d3 = ll * length * kd
+        t0x, t0y, t0z = ll * (kb + ke * gx * ux), exy, d3 * ux
+        t1x, t1y, t1z = exy, ll * (kb + ke * gy * uy), d3 * uy
+        la = length * ka
+        w0x, w0y, w0z = kc * vx * gx, la + kc * vy * gx, -kb * gy
+        w1x, w1y, w1z = -la + kc * vx * gy, kc * vy * gy, kb * gx
+        w2x, w2y, w2z = la * ux, la * uy, cos_t
+
+        # summed tendon moment rate m_i = sum F (da x d + a x dd)
+        m0x = m0y = m0z = m1x = m1y = m1z = m2x = m2y = m2z = 0.0
+        for (ax, ay, az, dx, dy, dz, contraction), rest, force in zip(
+            rows, self.rest_chords, forces
+        ):
+            inv = 1.0 / (rest - contraction)
+            px, py, pz = w0y * az - w0z * ay, w0z * ax - w0x * az, w0x * ay - w0y * ax
+            cx, cy, cz = -t0x - px, -t0y - py, -t0z - pz
+            along = dx * cx + dy * cy + dz * cz
+            ex = (cx - dx * along) * inv
+            ey = (cy - dy * along) * inv
+            ez = (cz - dz * along) * inv
+            m0x += force * (py * dz - pz * dy + ay * ez - az * ey)
+            m0y += force * (pz * dx - px * dz + az * ex - ax * ez)
+            m0z += force * (px * dy - py * dx + ax * ey - ay * ex)
+
+            px, py, pz = w1y * az - w1z * ay, w1z * ax - w1x * az, w1x * ay - w1y * ax
+            cx, cy, cz = -t1x - px, -t1y - py, -t1z - pz
+            along = dx * cx + dy * cy + dz * cz
+            ex = (cx - dx * along) * inv
+            ey = (cy - dy * along) * inv
+            ez = (cz - dz * along) * inv
+            m1x += force * (py * dz - pz * dy + ay * ez - az * ey)
+            m1y += force * (pz * dx - px * dz + az * ex - ax * ez)
+            m1z += force * (px * dy - py * dx + ax * ey - ay * ex)
+
+            # twist: the tip does not move
+            px, py, pz = w2y * az - w2z * ay, w2z * ax - w2x * az, w2x * ay - w2y * ax
+            cx, cy, cz = -px, -py, -pz
+            along = dx * cx + dy * cy + dz * cz
+            ex = (cx - dx * along) * inv
+            ey = (cy - dy * along) * inv
+            ez = (cz - dz * along) * inv
+            m2x += force * (py * dz - pz * dy + ay * ez - az * ey)
+            m2y += force * (pz * dx - px * dz + az * ex - ax * ez)
+            m2z += force * (px * dy - py * dx + ax * ey - ay * ex)
+
+        # minus the elastic moment rate; elastic =
+        # (L A u_x g_z - EI u_y, L A u_y g_z + EI u_x, cos(theta) g_z)
+        ei_y, gj_over_l = self.ei_y, self.gj_over_l
+        g_z = gj_over_l * x[2]
+        lgz = length * g_z
+        dxy = lgz * kd * gx * uy
+        a0 = m0x - lgz * (ka + kd * gx * ux)
+        a1 = m0y - (dxy + ei_y)
+        a2 = m0z + ll * ka * ux * g_z
+        b0 = m1x - (dxy - ei_y)
+        b1 = m1y - lgz * (ka + kd * gy * uy)
+        b2 = m1z + ll * ka * uy * g_z
+        c0 = m2x - la * ux * gj_over_l
+        c1 = m2y - la * uy * gj_over_l
+        c2 = m2z - cos_t * gj_over_l
         if self.gravity_on:
             # head weight at the tip: tip x (0, 0, -w)
             w = self.head_weight
-            for col, (tx, ty, _) in zip((a, b), tip_rates):
-                col[0] -= w * ty
-                col[1] += w * tx
+            a0 -= w * t0y
+            a1 += w * t0x
+            b0 -= w * t1y
+            b1 += w * t1x
         if chart == "polar":
             # d/dkappa = (cos phi, sin phi) . d/du, d/dphi = (-u_y, u_x) . d/du
-            a, b = (
-                [cos_p * a[0] + sin_p * b[0], cos_p * a[1] + sin_p * b[1],
-                 cos_p * a[2] + sin_p * b[2]],
-                [ux * b[0] - uy * a[0], ux * b[1] - uy * a[1], ux * b[2] - uy * a[2]],
+            a0, a1, a2, b0, b1, b2 = (
+                cos_p * a0 + sin_p * b0, cos_p * a1 + sin_p * b1, cos_p * a2 + sin_p * b2,
+                ux * b0 - uy * a0, ux * b1 - uy * a1, ux * b2 - uy * a2,
             )
-        return [[a[0], b[0], c[0]], [a[1], b[1], c[1]], [a[2], b[2], c[2]]]
+        return (a0, b0, c0), (a1, b1, c1), (a2, b2, c2)
 
 
 def _tendon_forces(unit_forces) -> tuple[float, float, float]:
@@ -338,38 +456,50 @@ def residual(system: NeckSystem, pose: ArcPose, unit_forces) -> np.ndarray:
 
 def _solve3(j, r):
     """Solve the 3x3 system j . x = -r by Gaussian elimination with partial
-    pivoting; returns None when singular."""
-    a = [
-        [j[0][0], j[0][1], j[0][2], -r[0]],
-        [j[1][0], j[1][1], j[1][2], -r[1]],
-        [j[2][0], j[2][1], j[2][2], -r[2]],
-    ]
-    for col in range(3):
-        pivot = max(range(col, 3), key=lambda i: abs(a[i][col]))
-        if abs(a[pivot][col]) < 1e-300:
-            return None
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-        inv = 1.0 / a[col][col]
-        for row in range(col + 1, 3):
-            factor = a[row][col] * inv
-            if factor != 0.0:
-                for k in range(col, 4):
-                    a[row][k] -= factor * a[col][k]
-    x = [0.0, 0.0, 0.0]
-    for row in (2, 1, 0):
-        acc = a[row][3]
-        for k in range(row + 1, 3):
-            acc -= a[row][k] * x[k]
-        x[row] = acc / a[row][row]
-    return x
+    pivoting; returns None when singular.
 
-
-def _norm3(v) -> float:
-    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    Unrolled on scalars.  The first of equal pivot magnitudes wins and a row
+    whose elimination factor is zero is left as it is."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = j
+    b0, b1, b2 = -r[0], -r[1], -r[2]
+    if abs(a10) > abs(a00):
+        if abs(a20) > abs(a10):
+            a00, a01, a02, b0, a20, a21, a22, b2 = a20, a21, a22, b2, a00, a01, a02, b0
+        else:
+            a00, a01, a02, b0, a10, a11, a12, b1 = a10, a11, a12, b1, a00, a01, a02, b0
+    elif abs(a20) > abs(a00):
+        a00, a01, a02, b0, a20, a21, a22, b2 = a20, a21, a22, b2, a00, a01, a02, b0
+    if abs(a00) < 1e-300:
+        return None
+    inv = 1.0 / a00
+    factor = a10 * inv
+    if factor != 0.0:
+        a11 -= factor * a01
+        a12 -= factor * a02
+        b1 -= factor * b0
+    factor = a20 * inv
+    if factor != 0.0:
+        a21 -= factor * a01
+        a22 -= factor * a02
+        b2 -= factor * b0
+    if abs(a21) > abs(a11):
+        a11, a12, b1, a21, a22, b2 = a21, a22, b2, a11, a12, b1
+    if abs(a11) < 1e-300:
+        return None
+    factor = a21 * (1.0 / a11)
+    if factor != 0.0:
+        a22 -= factor * a12
+        b2 -= factor * b1
+    if abs(a22) < 1e-300:
+        return None
+    x2 = b2 / a22
+    x1 = (b1 - a12 * x2) / a11
+    return (b0 - a01 * x1 - a02 * x2) / a00, x1, x2
 
 
 def _pose_from_vars(x, chart: str):
+    """(kappa, phi in [0, 2 pi), twist) of the chart variables ``x``; the
+    Newton driver inlines the same conversion."""
     if chart == "polar":
         kappa, phi, eps = x
         if kappa < 0.0:
@@ -385,75 +515,75 @@ def _solve_pose_statics(
     statics: _Statics, forces, initial_guess: ArcPose, config: SimConfig
 ) -> tuple[ArcPose, float, tuple[float, float, float]]:
     """Equilibrium pose, its residual norm and the unit chord contractions
-    at that pose."""
+    at that pose, by damped Newton on the three chart variables."""
     length = statics.length
-    if initial_guess.curvature * length < _CHART_SWITCH_ANGLE:
-        chart = "cartesian"
-        k0, p0 = initial_guess.curvature, initial_guess.bending_plane_angle
-        x = [k0 * math.cos(p0), k0 * math.sin(p0), initial_guess.twist]
-    else:
+    kappa = initial_guess.curvature
+    phi = initial_guess.bending_plane_angle
+    eps = initial_guess.twist
+    polar = kappa * length >= _CHART_SWITCH_ANGLE
+    if polar:
         chart = "polar"
-        x = [
-            initial_guess.curvature,
-            initial_guess.bending_plane_angle,
-            initial_guess.twist,
-        ]
-
-    def eval_res(vars_):
-        kappa, phi, eps = _pose_from_vars(vars_, chart)
-        return statics.residual(kappa, phi, eps, forces)
-
-    def contractions(rows):
-        return tuple(row[2] for row in rows)
+        x0, x1 = kappa, phi
+    else:
+        chart = "cartesian"
+        x0, x1 = kappa * math.cos(phi), kappa * math.sin(phi)
+        kappa, phi = math.hypot(x0, x1), math.atan2(x1, x0)
+    x2 = eps
+    phi %= _TWO_PI
 
     tol = config.solver_tolerance
-    res, tip, rows = eval_res(x)
-    norm = _norm3(res)
-    best_x, best_norm, best_rows = list(x), norm, rows
+    res, tip, rows = statics.residual(kappa, phi, eps, forces)
+    norm = math.sqrt(res[0] * res[0] + res[1] * res[1] + res[2] * res[2])
+    best = (kappa, phi, eps, rows)
+    best_norm = norm
     # cap on per-iteration curvature-variable moves (keeps theta steps <= ~29 deg)
     max_move = 0.5 / length
 
     for _ in range(config.max_newton_iterations):
         if norm < tol:
-            kappa, phi, eps = _pose_from_vars(x, chart)
             theta = kappa * length
             if theta > math.pi:
                 raise PoseOutOfRange(
                     f"bending angle {math.degrees(theta):.1f} deg exceeds 180 deg"
                 )
-            return ArcPose(kappa, phi, eps), norm, contractions(rows)
-        step = _solve3(statics.jacobian(x, chart, forces, tip, rows), res)
+            return (
+                ArcPose(kappa, phi, eps), norm, (rows[0][6], rows[1][6], rows[2][6])
+            )
+        step = _solve3(statics.jacobian((x0, x1, x2), chart, forces, tip, rows), res)
         if step is None:
             # singular Jacobian: nudge along the residual direction
             scale = max_move / max(norm, 1e-300)
-            step = [-res[0] * scale, -res[1] * scale, -res[2] * scale]
-        move = max(abs(step[0]), abs(step[1]), abs(step[2]))
+            s0, s1, s2 = -res[0] * scale, -res[1] * scale, -res[2] * scale
+        else:
+            s0, s1, s2 = step
+        move = max(abs(s0), abs(s1), abs(s2))
         if move > max_move:
             shrink = max_move / move
-            step = [s * shrink for s in step]
-        # damped update: halve on residual increase, up to 8 times
-        accepted = False
-        for _halving in range(9):
-            cand = [x[0] + step[0], x[1] + step[1], x[2] + step[2]]
-            cand_res, cand_tip, cand_rows = eval_res(cand)
-            cand_norm = _norm3(cand_res)
-            if cand_norm < norm or math.isclose(cand_norm, 0.0):
-                x, res, norm, tip, rows = cand, cand_res, cand_norm, cand_tip, cand_rows
-                accepted = True
+            s0, s1, s2 = s0 * shrink, s1 * shrink, s2 * shrink
+        # damped update: halve the step until the residual falls; after nine
+        # tries the tenth, smallest candidate is taken anyway to escape flat
+        # spots
+        for halving in range(10):
+            c0, c1, eps = x0 + s0, x1 + s1, x2 + s2
+            if polar:
+                kappa, phi = (-c0, c1 + math.pi) if c0 < 0.0 else (c0, c1)
+            else:
+                kappa, phi = math.hypot(c0, c1), math.atan2(c1, c0)
+            phi %= _TWO_PI
+            cand_res, cand_tip, cand_rows = statics.residual(kappa, phi, eps, forces)
+            r0, r1, r2 = cand_res
+            cand_norm = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
+            if cand_norm < norm or cand_norm == 0.0 or halving == 9:
                 break
-            step = [0.5 * s for s in step]
-        if not accepted:
-            # take the least-bad candidate to escape flat spots
-            x = [x[0] + step[0], x[1] + step[1], x[2] + step[2]]
-            res, tip, rows = eval_res(x)
-            norm = _norm3(res)
+            s0, s1, s2 = 0.5 * s0, 0.5 * s1, 0.5 * s2
+        x0, x1, x2 = c0, c1, eps
+        res, tip, rows, norm = cand_res, cand_tip, cand_rows, cand_norm
         if norm < best_norm:
-            best_x, best_norm, best_rows = list(x), norm, rows
+            best, best_norm = (kappa, phi, eps, rows), norm
 
+    kappa, phi, eps, rows = best
     if best_norm < tol:
-        kappa, phi, eps = _pose_from_vars(best_x, chart)
-        return ArcPose(kappa, phi, eps), best_norm, contractions(best_rows)
-    kappa, phi, eps = _pose_from_vars(best_x, chart)
+        return ArcPose(kappa, phi, eps), best_norm, (rows[0][6], rows[1][6], rows[2][6])
     raise NoConvergence(ArcPose(kappa, phi, eps), best_norm, tol)
 
 

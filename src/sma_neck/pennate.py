@@ -117,41 +117,6 @@ def _tendon_moment_t(tip: _Vec3, lines, forces) -> _Vec3:
     return mx, my, mz
 
 
-def _tendon_moment_rates_t(tip: _Vec3, lines, rest_chords, forces, tip_rates, spins):
-    """Rates of ``_tendon_moment_t`` along each pose variable, given the tip
-    velocity and the head mount's angular velocity per variable (as from
-    ``backbone._arc_rates_t``): one moment rate per variable.
-
-    The lever a = point - tip turns with the mount (da = w x a); the chord
-    c = base - point changes by -(dtip + da) and its unit direction by the
-    part of that normal to itself, over the chord length.
-    """
-    levers = [
-        (point[0] - tip[0], point[1] - tip[1], point[2] - tip[2],
-         dx, dy, dz, 1.0 / (rest - contraction), force)
-        for (point, (dx, dy, dz), contraction), rest, force in zip(
-            lines, rest_chords, forces
-        )
-    ]
-    out = []
-    for (tx, ty, tz), (wx, wy, wz) in zip(tip_rates, spins):
-        mx = my = mz = 0.0
-        for ax, ay, az, dx, dy, dz, inv, force in levers:
-            # da = w x a
-            vx, vy, vz = wy * az - wz * ay, wz * ax - wx * az, wx * ay - wy * ax
-            cx, cy, cz = -tx - vx, -ty - vy, -tz - vz
-            along = dx * cx + dy * cy + dz * cz
-            ex = (cx - dx * along) * inv
-            ey = (cy - dy * along) * inv
-            ez = (cz - dz * along) * inv
-            # F (da x d + a x dd)
-            mx += force * (vy * dz - vz * dy + ay * ez - az * ey)
-            my += force * (vz * dx - vx * dz + az * ex - ax * ez)
-            mz += force * (vx * dy - vy * dx + ax * ey - ay * ex)
-        out.append((mx, my, mz))
-    return out
-
-
 def _unit_line(unit: PennateUnit, pose: ArcPose, geometry: BackboneGeometry):
     """Tip position and the unit's line of action at ``pose``."""
     tip, rot = _frame_t(

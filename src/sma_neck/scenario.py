@@ -646,13 +646,14 @@ def parse_document(doc: dict) -> Scenario:
     if cal is not None:
         _wrap_invariant("calibration.hold", scenario.calibration_config, cal)
         # the search may evaluate any point between the bounds; the dataclass
-        # invariants on these parameters are ranges, so both ends cover it
+        # invariants on these parameters are ranges, so both ends cover it.
+        # Any failure there, the build checks included, is the bound's fault.
         for name in cal.free:
             for value in cal.bounds[name]:
-                _wrap_invariant(
-                    f"calibration.bounds.{name}",
-                    lambda: apply_parameters(scenario, {name: value}).build_system(),
-                )
+                try:
+                    apply_parameters(scenario, {name: value}).build_system()
+                except ValueError as exc:
+                    raise ValidationError(f"calibration.bounds.{name}: {exc}") from exc
     return scenario
 
 

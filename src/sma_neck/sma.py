@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 _SQRT3 = math.sqrt(3.0)
@@ -29,13 +29,22 @@ class Branch(Enum):
 
 
 class StepTooLarge(RuntimeError):
-    """Per-step temperature change exceeded the stability bound; reduce dt."""
+    """Per-step temperature change exceeded the stability bound (reduce dt),
+    or the heat balance overflowed, which no dt cures."""
 
     def __init__(self, delta: float, bound: float):
-        super().__init__(
-            f"temperature moved {delta:.3g} K in one step "
-            f"(bound {bound:.3g} K); reduce dt"
-        )
+        self.overflowed = not math.isfinite(delta)
+        if self.overflowed:
+            message = (
+                f"heat balance overflowed: temperature moved {delta:.3g} K in one "
+                "step; the current or the spring's thermal constants are out of range"
+            )
+        else:
+            message = (
+                f"temperature moved {delta:.3g} K in one step "
+                f"(bound {bound:.3g} K); reduce dt"
+            )
+        super().__init__(message)
         self.delta = delta
         self.bound = bound
 
@@ -503,15 +512,8 @@ def step_spring(
         xi_new = 1.0
         branch = Branch.IDLE
 
-    return replace(
-        state,
-        temperature=t_new,
-        martensite_fraction=xi_new,
-        force=force_new,
-        fraction_at_reverse_start=reverse_latch,
-        fraction_at_forward_start=forward_latch,
-        branch=branch,
-    )
+    # every field is new, so build the state directly (in field order)
+    return SpringState(t_new, xi_new, force_new, reverse_latch, forward_latch, branch)
 
 
 def _zeroin(fn, a: float, b: float, fa: float, fb: float) -> float:

@@ -245,3 +245,36 @@ def test_degenerate_spring_constant_fails_validation(
     ]
     assert err.startswith(f"error: validation: spring: {field}")
     assert "Traceback" not in err
+
+
+def test_overflowing_heat_balance_is_not_blamed_on_dt(scenario_file, tmp_path, capsys):
+    # the heat capacity is a normal float, so validation passes; the first
+    # RK4 stage then overflows, and no step size would cure that
+    code = main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path),
+                 "--set", "material.specific_heat=1e-300 J/(kg K)", *FAST])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        err.splitlines()[0]
+    ]
+    assert err.startswith("error: solver: at t=0.002 s (step 1): heat balance overflowed")
+    assert "dt" not in err
+    assert "Traceback" not in err
+
+
+def test_degenerate_calibration_bound_names_the_bound(scenario_file, capsys):
+    # the bound builds a subnormal convective conductance; the build check
+    # that rejects it must say which bound was at fault
+    code = main([
+        "validate-config", "--scenario", str(scenario_file), "--set",
+        "calibration.bounds.convection_coefficient=[1e-320 W/(m^2 K), 98 W/(m^2 K)]",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        err.splitlines()[0]
+    ]
+    assert err.startswith(
+        "error: validation: calibration.bounds.convection_coefficient: spring: "
+        "convective conductance"
+    )
