@@ -6,7 +6,7 @@ frames follow the usual arc geometry; the elastic restoring moment is the
 Euler-Bernoulli bending/torsion law rotated into the base frame.
 
 Scalar helpers (suffix ``_t``) operate on plain floats/tuples; the public
-functions wrap them in numpy arrays.  The engine's pose kernel
+functions check their arguments and return tuples.  The engine's pose kernel
 (``engine._Statics``) writes the same formulas out in one pass, bit-identical
 to these scalar forms.
 """
@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # kappa * s below this switches the arc formulas to their series limit
 STRAIGHT_THRESHOLD = 1e-7
 
@@ -25,6 +23,8 @@ STRAIGHT_THRESHOLD = 1e-7
 _SERIES_ANGLE = 0.05
 
 _TWO_PI = 2.0 * math.pi
+
+_Vec3 = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,15 @@ class ArcPose:
         if kappa < 0.0:
             kappa = -kappa
             phi = phi + math.pi
-        phi = phi % _TWO_PI
         object.__setattr__(self, "curvature", kappa)
-        object.__setattr__(self, "bending_plane_angle", phi)
+        object.__setattr__(self, "bending_plane_angle", _wrap_angle(phi))
+
+
+def _wrap_angle(phi: float) -> float:
+    """``phi`` wrapped to [0, 2 pi).  A tiny negative angle's ``% 2 pi``
+    rounds up to exactly 2 pi, which is taken as 0."""
+    phi %= _TWO_PI
+    return 0.0 if phi == _TWO_PI else phi
 
 
 def _position_t(kappa: float, phi: float, s: float) -> tuple[float, float, float]:
@@ -154,35 +160,32 @@ def _check_arc_coordinate(s: float, length: float) -> None:
         raise ValueError(f"arc coordinate {s} outside [0, {length}]")
 
 
-def arc_position(pose: ArcPose, geometry: BackboneGeometry, s: float) -> np.ndarray:
+def arc_position(pose: ArcPose, geometry: BackboneGeometry, s: float) -> _Vec3:
     """Position (m) of the backbone point at arc length ``s`` from the base."""
     _check_arc_coordinate(s, geometry.length)
-    return np.array(_position_t(pose.curvature, pose.bending_plane_angle, s))
+    return _position_t(pose.curvature, pose.bending_plane_angle, s)
 
 
-def arc_frame(pose: ArcPose, geometry: BackboneGeometry, s: float) -> np.ndarray:
-    """Homogeneous transform (4x4) of the arc cross-section at ``s``."""
+def arc_frame(pose: ArcPose, geometry: BackboneGeometry, s: float):
+    """Homogeneous transform (4x4) of the arc cross-section at ``s``, as four
+    row tuples."""
     _check_arc_coordinate(s, geometry.length)
     (px, py, pz), rot = _frame_t(pose.curvature, pose.bending_plane_angle, pose.twist, s)
-    return np.array(
-        [
-            [rot[0], rot[1], rot[2], px],
-            [rot[3], rot[4], rot[5], py],
-            [rot[6], rot[7], rot[8], pz],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
+    return (
+        (rot[0], rot[1], rot[2], px),
+        (rot[3], rot[4], rot[5], py),
+        (rot[6], rot[7], rot[8], pz),
+        (0.0, 0.0, 0.0, 1.0),
     )
 
 
-def elastic_moment(pose: ArcPose, geometry: BackboneGeometry) -> np.ndarray:
+def elastic_moment(pose: ArcPose, geometry: BackboneGeometry) -> _Vec3:
     """Restoring moment (N m, base frame) stored in the bent, twisted backbone."""
-    return np.array(
-        _elastic_moment_t(
-            pose.curvature,
-            pose.bending_plane_angle,
-            pose.twist,
-            geometry.bending_stiffness_y,
-            geometry.torsional_stiffness / geometry.length,
-            geometry.length,
-        )
+    return _elastic_moment_t(
+        pose.curvature,
+        pose.bending_plane_angle,
+        pose.twist,
+        geometry.bending_stiffness_y,
+        geometry.torsional_stiffness / geometry.length,
+        geometry.length,
     )

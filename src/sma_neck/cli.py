@@ -140,14 +140,13 @@ def _cmd_sweep(args) -> int:
         raise ValidationError(
             f"--currents: values must be finite and non-negative, got {args.currents!r}"
         )
-    if not (math.isfinite(args.hold) and args.hold >= scenario.dt):
-        raise ValidationError(
-            f"--hold: must be finite and cover at least one step of {scenario.dt:g} s"
-        )
+    try:
+        config = scenario.build_config(duration=args.hold)
+    except ValueError as exc:
+        raise ValidationError(f"--hold: {exc}") from None
     if not 1 <= args.unit <= 3:
         raise ValidationError("--unit: must be 1, 2 or 3")
     system = scenario.build_system()
-    config = scenario.build_config(duration=args.hold)
     rows = sweep(system, currents, args.hold, config, unit_index=args.unit)
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / f"{scenario.run_id}_sweep.csv"

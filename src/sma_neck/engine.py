@@ -21,18 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .backbone import (
     STRAIGHT_THRESHOLD,
     ArcPose,
     BackboneGeometry,
     _arc_coefficients,
-    _frame_t,
+    _Vec3,
+    _wrap_angle,
 )
 from .pennate import (
     PennateUnit,
-    _line_of_action_t,
     pennate_force,
     rest_chord_length,
     tendon_force_from_stretch,
@@ -53,6 +51,10 @@ _TWO_PI = 2.0 * math.pi
 
 # warm-start bending angle below which the Cartesian curvature chart is used
 _CHART_SWITCH_ANGLE = 1e-2
+
+# most time steps one run may take (duration / dt); the bundled scenario
+# takes 6000
+MAX_STEPS = 1_000_000
 
 
 class NoConvergence(RuntimeError):
@@ -153,10 +155,16 @@ class SimConfig:
     max_temperature_step: float = 1.0  # K
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.duration < self.dt:
+        if not self.duration >= self.dt:
             raise ValueError("duration must cover at least one step")
+        steps = self.duration / self.dt
+        if steps > MAX_STEPS:
+            raise ValueError(
+                f"duration {self.duration:g} s at dt {self.dt:g} s is {steps:.3g} "
+                f"steps; at most {MAX_STEPS} are allowed"
+            )
         if self.solver_tolerance <= 0.0:
             raise ValueError("solver_tolerance must be positive")
         if self.max_newton_iterations < 1:
@@ -268,15 +276,6 @@ class _Statics:
         )
         self.head_weight = system.head_mass * GRAVITY
         self.gravity_on = system.gravity_enabled and system.head_mass > 0.0
-
-    def geometry(self, kappa: float, phi: float, eps: float):
-        """Per-unit (attachment point, pull direction, contraction) plus the
-        tip position for the given pose."""
-        tip, rot = _frame_t(kappa, phi, eps, self.length)
-        rows = []
-        for head, base, rest in zip(self.heads, self.bases, self.rest_chords):
-            rows.append(_line_of_action_t(head, base, rest, tip, rot))
-        return tip, rows
 
     def residual(self, kappa: float, phi: float, eps: float, forces):
         """Net moment at the pose, the tip position and one frame row per
@@ -444,14 +443,14 @@ def _tendon_forces(unit_forces) -> tuple[float, float, float]:
     return forces
 
 
-def residual(system: NeckSystem, pose: ArcPose, unit_forces) -> np.ndarray:
+def residual(system: NeckSystem, pose: ArcPose, unit_forces) -> _Vec3:
     """Net moment (N m) on the head mount: muscle moments plus gravity minus
     the backbone's elastic restoring moment.  Zero at equilibrium."""
     forces = _tendon_forces(unit_forces)
     moment, _, _ = _Statics(system).residual(
         pose.curvature, pose.bending_plane_angle, pose.twist, forces
     )
-    return np.array(moment)
+    return moment
 
 
 def _solve3(j, r):
@@ -512,14 +511,12 @@ def _pose_from_vars(x, chart: str):
 
 
 def _solve_pose_statics(
-    statics: _Statics, forces, initial_guess: ArcPose, config: SimConfig
-) -> tuple[ArcPose, float, tuple[float, float, float]]:
-    """Equilibrium pose, its residual norm and the unit chord contractions
-    at that pose, by damped Newton on the three chart variables."""
+    statics: _Statics, forces, kappa: float, phi: float, eps: float, config: SimConfig
+):
+    """Equilibrium pose (kappa, phi in [0, 2 pi), twist), its residual norm
+    and the unit chord contractions at that pose, by damped Newton on the
+    three chart variables warm-started at (``kappa``, ``phi``, ``eps``)."""
     length = statics.length
-    kappa = initial_guess.curvature
-    phi = initial_guess.bending_plane_angle
-    eps = initial_guess.twist
     polar = kappa * length >= _CHART_SWITCH_ANGLE
     if polar:
         chart = "polar"
@@ -546,9 +543,8 @@ def _solve_pose_statics(
                 raise PoseOutOfRange(
                     f"bending angle {math.degrees(theta):.1f} deg exceeds 180 deg"
                 )
-            return (
-                ArcPose(kappa, phi, eps), norm, (rows[0][6], rows[1][6], rows[2][6])
-            )
+            contractions = (rows[0][6], rows[1][6], rows[2][6])
+            return kappa, _wrap_angle(phi), eps, norm, contractions
         step = _solve3(statics.jacobian((x0, x1, x2), chart, forces, tip, rows), res)
         if step is None:
             # singular Jacobian: nudge along the residual direction
@@ -583,7 +579,8 @@ def _solve_pose_statics(
 
     kappa, phi, eps, rows = best
     if best_norm < tol:
-        return ArcPose(kappa, phi, eps), best_norm, (rows[0][6], rows[1][6], rows[2][6])
+        contractions = (rows[0][6], rows[1][6], rows[2][6])
+        return kappa, _wrap_angle(phi), eps, best_norm, contractions
     raise NoConvergence(ArcPose(kappa, phi, eps), best_norm, tol)
 
 
@@ -597,8 +594,12 @@ def solve_pose(
     otherwise.  Raises NoConvergence or PoseOutOfRange.
     """
     forces = _tendon_forces(unit_forces)
-    pose, _, _ = _solve_pose_statics(_Statics(system), forces, initial_guess, config)
-    return pose
+    guess = initial_guess
+    kappa, phi, eps, _, _ = _solve_pose_statics(
+        _Statics(system), forces, guess.curvature, guess.bending_plane_angle,
+        guess.twist, config,
+    )
+    return ArcPose(kappa, phi, eps)
 
 
 def _combined_force(
@@ -638,7 +639,6 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
 
     units = system.units
     states = [u.spring for u in units]
-    pose = ArcPose(0.0, 0.0, 0.0)
 
     def unit_forces(dx):
         return tuple(
@@ -647,17 +647,19 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
 
     # resolve the initial equilibrium so pretension imbalances are not
     # attributed to the first step
-    _, rest_rows = statics.geometry(0.0, 0.0, 0.0)
-    rest_forces = unit_forces([row[2] for row in rest_rows])
+    _, _, rest_rows = statics.residual(0.0, 0.0, 0.0, (0.0, 0.0, 0.0))
+    rest_forces = unit_forces([row[6] for row in rest_rows])
     try:
-        pose, _, dx_prev = _solve_pose_statics(statics, rest_forces, pose, config)
+        kappa, phi, eps, _, dx_prev = _solve_pose_statics(
+            statics, rest_forces, 0.0, 0.0, 0.0, config
+        )
     except SOLVER_FAILURES as exc:
         _annotate_failure(exc, 0, 0.0)
         raise
     dx_prev2 = dx_prev
 
     trace = SimTrace()
-    last_phi = pose.bending_plane_angle
+    last_phi = phi
     crossing_recorded = False
 
     for step_index in range(n_steps):
@@ -679,16 +681,18 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
                     config.max_temperature_step,
                 )
             forces = unit_forces(dx_prev)
-            pose, res_norm, dx = _solve_pose_statics(statics, forces, pose, config)
+            kappa, phi, eps, res_norm, dx = _solve_pose_statics(
+                statics, forces, kappa, phi, eps, config
+            )
         except SOLVER_FAILURES as exc:
             _annotate_failure(exc, step_index + 1, t)
             raise
 
         dx_prev2, dx_prev = dx_prev, dx
 
-        theta = pose.curvature * statics.length
+        theta = kappa * statics.length
         if theta >= STRAIGHT_THRESHOLD:
-            last_phi = pose.bending_plane_angle
+            last_phi = phi
             phi_defined = True
         else:
             phi_defined = False
@@ -706,7 +710,7 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
 
         trace.append(
             t,
-            pose.curvature,
+            kappa,
             last_phi,
             theta,
             tuple(s.temperature for s in states),

@@ -12,12 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .backbone import ArcPose, BackboneGeometry, _frame_t, _rotate_t
+from .backbone import ArcPose, BackboneGeometry, _frame_t, _rotate_t, _Vec3
 from .sma import SpringState
-
-_Vec3 = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -134,19 +130,18 @@ def _unit_line(unit: PennateUnit, pose: ArcPose, geometry: BackboneGeometry):
 
 def unit_line_of_action(
     unit: PennateUnit, pose: ArcPose, geometry: BackboneGeometry
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[_Vec3, _Vec3, float]:
     """Attachment point (m), unit direction of pull (toward the base anchor)
     and chord contraction relative to rest (m, positive = shortened)."""
-    _, (point, direction, contraction) = _unit_line(unit, pose, geometry)
-    return np.array(point), np.array(direction), contraction
+    return _unit_line(unit, pose, geometry)[1]
 
 
 def unit_moment(
     unit: PennateUnit, pose: ArcPose, geometry: BackboneGeometry, tendon_force: float
-) -> np.ndarray:
+) -> _Vec3:
     """Moment (N m, base frame) the unit applies about the backbone tip when
     pulling with ``tendon_force`` along its chord."""
     if tendon_force < 0.0:
         raise ValueError("tendon_force must be non-negative")
     tip, line = _unit_line(unit, pose, geometry)
-    return np.array(_tendon_moment_t(tip, (line,), (tendon_force,)))
+    return _tendon_moment_t(tip, (line,), (tendon_force,))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .engine import SimTrace
 from .units import celsius_from_kelvin
@@ -19,6 +18,11 @@ _ML, _MR, _MT, _MB = 64, 16, 32, 44
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 PANELS = ("phi", "theta", "force", "temperature", "xi")
+
+
+def escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` as XML entities (``&`` first)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:

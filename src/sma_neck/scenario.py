@@ -631,8 +631,7 @@ def parse_document(doc: dict) -> Scenario:
         attributes[group] = _wrap_invariant(group, _GROUPS[group], **kwargs)
     scenario = Scenario(**attributes)
 
-    if scenario.duration < scenario.dt:
-        raise ValidationError("simulation.duration: must cover at least one step")
+    _wrap_invariant("simulation.dt/simulation.duration", scenario.build_config)
     ordered = sorted(scenario.profile, key=lambda s: (s.unit, s.start))
     for a, b in zip(ordered, ordered[1:]):
         if a.unit == b.unit and b.start < a.end:

@@ -156,7 +156,7 @@ def test_criterion_3_kinematics(scenario):
             rng.uniform(-0.5, 0.5),
         )
         s = rng.uniform(0.0, length)
-        rot = arc_frame(pose, backbone, s)[:3, :3]
+        rot = np.array(arc_frame(pose, backbone, s))[:3, :3]
         worst_ortho = max(worst_ortho, np.max(np.abs(rot.T @ rot - np.eye(3))))
         if pose.curvature * s > 1e-4:
             p = arc_position(pose, backbone, s)
@@ -186,8 +186,10 @@ def test_criterion_3_kinematics(scenario):
 
     kappa_edge = 1e-7 / length
     for s in (0.3 * length, length):
-        hi = arc_position(ArcPose(kappa_edge, 0.8), backbone, s)
-        lo = arc_position(ArcPose(kappa_edge * (1 - 1e-6), 0.8), backbone, s)
+        hi = np.array(arc_position(ArcPose(kappa_edge, 0.8), backbone, s))
+        lo = np.array(
+            arc_position(ArcPose(kappa_edge * (1 - 1e-6), 0.8), backbone, s)
+        )
         if np.max(np.abs(hi - lo)) > 1e-10 * length:
             failures.append("straight-limit continuity")
 

@@ -18,6 +18,11 @@ class TestArcPose:
         pose = ArcPose(1.0, 2 * math.pi + 0.5)
         assert pose.bending_plane_angle == pytest.approx(0.5)
 
+    def test_plane_angle_never_wraps_to_two_pi(self):
+        # -1e-20 % 2 pi rounds up to exactly 2 pi, outside [0, 2 pi)
+        assert ArcPose(1.0, -1e-20).bending_plane_angle == 0.0
+        assert ArcPose(1.0, 2 * math.pi).bending_plane_angle == 0.0
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             ArcPose(float("nan"), 0.0)
@@ -59,8 +64,8 @@ class TestArcPosition:
         kappa_hi = STRAIGHT_THRESHOLD / length
         kappa_lo = kappa_hi * (1.0 - 1e-6)
         for s in (0.25 * length, 0.7 * length, length):
-            hi = arc_position(ArcPose(kappa_hi, 1.1), backbone, s)
-            lo = arc_position(ArcPose(kappa_lo, 1.1), backbone, s)
+            hi = np.array(arc_position(ArcPose(kappa_hi, 1.1), backbone, s))
+            lo = np.array(arc_position(ArcPose(kappa_lo, 1.1), backbone, s))
             assert np.max(np.abs(hi - lo)) < 1e-10 * length
 
     def test_arc_length_preserved(self, backbone):
@@ -77,7 +82,7 @@ class TestArcPosition:
 
 class TestArcFrame:
     def test_identity_at_rest(self, backbone):
-        frame = arc_frame(ArcPose(0.0, 0.0, 0.0), backbone, 0.04)
+        frame = np.array(arc_frame(ArcPose(0.0, 0.0, 0.0), backbone, 0.04))
         assert frame[:3, :3] == pytest.approx(np.eye(3), abs=1e-15)
         assert frame[:3, 3] == pytest.approx([0.0, 0.0, 0.04])
         assert frame[3] == pytest.approx([0.0, 0.0, 0.0, 1.0])
@@ -86,7 +91,7 @@ class TestArcFrame:
         kappa = 2.0
         s = 0.05
         theta = kappa * s
-        frame = arc_frame(ArcPose(kappa, 0.0, 0.0), backbone, s)
+        frame = np.array(arc_frame(ArcPose(kappa, 0.0, 0.0), backbone, s))
         expected = np.array(
             [
                 [math.cos(theta), 0.0, math.sin(theta)],
@@ -105,14 +110,14 @@ class TestArcFrame:
                 rng.uniform(-0.5, 0.5),
             )
             s = rng.uniform(0.0, backbone.length)
-            rot = arc_frame(pose, backbone, s)[:3, :3]
+            rot = np.array(arc_frame(pose, backbone, s))[:3, :3]
             assert np.max(np.abs(rot.T @ rot - np.eye(3))) < 1e-12
             assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
 
     def test_translation_matches_arc_position(self, backbone):
         pose = ArcPose(3.0, 1.2, 0.1)
         s = 0.06
-        frame = arc_frame(pose, backbone, s)
+        frame = np.array(arc_frame(pose, backbone, s))
         assert np.array_equal(frame[:3, 3], arc_position(pose, backbone, s))
 
     def test_half_arcs_compose(self, backbone):
@@ -120,10 +125,10 @@ class TestArcFrame:
         kappa, phi = 4.0, 0.9
         pose = ArcPose(kappa, phi, 0.0)
         half = backbone.length / 2
-        first = arc_frame(pose, backbone, half)
+        first = np.array(arc_frame(pose, backbone, half))
         # second half expressed in the frame of the first half's end
-        second = arc_frame(ArcPose(kappa, phi, 0.0), backbone, half)
-        full = arc_frame(pose, backbone, backbone.length)
+        second = np.array(arc_frame(ArcPose(kappa, phi, 0.0), backbone, half))
+        full = np.array(arc_frame(pose, backbone, backbone.length))
         assert np.max(np.abs(first @ second - full)) < 1e-9
 
 

@@ -1,7 +1,11 @@
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import sma_neck
 from sma_neck.cli import main
 from sma_neck.scenario import (
     default_scenario_text,
@@ -278,3 +282,64 @@ def test_degenerate_calibration_bound_names_the_bound(scenario_file, capsys):
         "error: validation: calibration.bounds.convection_coefficient: spring: "
         "convective conductance"
     )
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        # 6e300, 1e12 and 5e11 steps: each once ran until it was killed
+        ("simulation.dt=1e-300 s", "simulation.dt/simulation.duration"),
+        ("simulation.duration=1e9 s", "simulation.dt/simulation.duration"),
+        ("calibration.hold=1e9 s", "calibration.hold"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("validate-config", []),
+        ("simulate", []),
+        ("sweep", ["--currents", "5", "--hold", "1"]),
+        ("calibrate", []),
+    ],
+    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+)
+def test_run_past_the_step_cap_fails_validation(
+    scenario_file, tmp_path, capsys, command, argv, override, field
+):
+    code = main([command, "--scenario", str(scenario_file), "--out", str(tmp_path),
+                 *argv, "--set", override])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        err.splitlines()[0]
+    ]
+    assert err.startswith(f"error: validation: {field}: ")
+    assert "at most 1000000" in err
+
+
+def test_sweep_hold_past_the_step_cap_fails_validation(scenario_file, tmp_path, capsys):
+    code = main(["sweep", "--scenario", str(scenario_file), "--out", str(tmp_path),
+                 "--currents", "5", "--hold", "1e9"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        err.splitlines()[0]
+    ]
+    assert err.startswith("error: validation: --hold: ")
+    assert "at most 1000000" in err
+
+
+def test_cli_import_leaves_out_numpy_and_the_network_stack():
+    # numpy's import about doubles the start-up time of every command, and
+    # xml.sax.saxutils would pull in urllib.request and http.client
+    probe = (
+        "import sys, sma_neck.cli; "
+        "print(sorted(m for m in ('numpy', 'urllib.request', 'http.client') "
+        "if m in sys.modules))"
+    )
+    src = str(Path(sma_neck.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {probe}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -22,7 +22,13 @@ from sma_neck import (
     unit_moment,
 )
 from sma_neck import sma
-from sma_neck.engine import _CHART_SWITCH_ANGLE, _Statics, _pose_from_vars
+from sma_neck.engine import (
+    _CHART_SWITCH_ANGLE,
+    MAX_STEPS,
+    _solve_pose_statics,
+    _Statics,
+    _pose_from_vars,
+)
 from sma_neck.scenario import (
     default_scenario_text,
     load_default_scenario,
@@ -51,7 +57,7 @@ class TestResidual:
     def test_unloaded_bend_leaves_elastic_moment(self, system):
         pose = ArcPose(2.0, 0.4, 0.0)
         r = residual(system, pose, (0.0, 0.0, 0.0))
-        assert r == pytest.approx(-elastic_moment(pose, system.backbone))
+        assert r == pytest.approx(-np.array(elastic_moment(pose, system.backbone)))
 
     def test_single_unit_superposition(self, system, straight_pose):
         r = residual(system, straight_pose, (5.0, 0.0, 0.0))
@@ -77,18 +83,18 @@ class TestResidual:
         # engine's chord contractions are the unit lines of action
         backbone = system.backbone
         pose = ArcPose(theta / backbone.length, phi, twist)
-        unloaded = residual(system, pose, (0.0, 0.0, 0.0))
-        _, rows = _Statics(system).geometry(
-            pose.curvature, pose.bending_plane_angle, pose.twist
+        unloaded = np.array(residual(system, pose, (0.0, 0.0, 0.0)))
+        _, _, rows = _Statics(system).residual(
+            pose.curvature, pose.bending_plane_angle, pose.twist, (0.0, 0.0, 0.0)
         )
         for k, unit in enumerate(system.units):
             forces = [0.0, 0.0, 0.0]
             forces[k] = force
-            share = residual(system, pose, forces) - unloaded
+            share = np.array(residual(system, pose, forces)) - unloaded
             m = unit_moment(unit, pose, backbone, force)
             scale = np.linalg.norm(m) + np.linalg.norm(unloaded)
             assert np.linalg.norm(share - m) <= 1e-9 * scale
-            assert rows[k][2] == unit_line_of_action(unit, pose, backbone)[2]
+            assert rows[k][6] == unit_line_of_action(unit, pose, backbone)[2]
 
     def test_rejects_negative_force(self, system, straight_pose):
         with pytest.raises(ValueError):
@@ -101,7 +107,7 @@ class TestResidual:
         without = residual(system, pose, (0.0, 0.0, 0.0))
         tip = arc_frame_tip(pose, system.backbone)
         expected = np.cross(tip, [0.0, 0.0, -system.head_mass * 9.80665])
-        assert with_gravity - without == pytest.approx(expected, rel=1e-12)
+        assert np.array(with_gravity) - without == pytest.approx(expected, rel=1e-12)
 
     def test_gravity_vanishes_on_straight_backbone(self, system, straight_pose):
         heavy = replace(system, gravity_enabled=True)
@@ -248,6 +254,20 @@ class TestSolvePose:
         with pytest.raises(PoseOutOfRange):
             solve_pose(system, (5000.0, 0.0, 0.0), straight_pose, quick_config())
 
+    def test_plane_angle_rounding_up_to_two_pi_is_handed_on_as_zero(self, system):
+        # the Cartesian warm start re-derives phi = atan2(-1e-32, 1e-12) =
+        # -1e-20, whose % 2 pi rounds up to exactly 2 pi; the residual is
+        # already below tolerance, so that angle is the solution.  The pose
+        # handed to the next step must be the one ArcPose would hold.
+        cfg = quick_config()
+        kappa, phi, eps, norm, _ = _solve_pose_statics(
+            _Statics(system), (0.0, 0.0, 0.0), 1e-12, -1e-20, 0.0, cfg
+        )
+        assert norm < cfg.solver_tolerance
+        assert -1e-20 % (2 * math.pi) == 2 * math.pi
+        assert phi == 0.0
+        assert ArcPose(kappa, 2 * math.pi, eps).bending_plane_angle == phi
+
 
 class TestSimulate:
     def test_zero_current_stays_straight(self, system):
@@ -383,6 +403,20 @@ class TestSimulate:
         i_on = int(0.1 / cfg.dt)
         assert not any(trace.phi_defined[: i_on - 1])
         assert trace.phi_defined[-1]
+
+
+class TestSimConfig:
+    def test_step_cap(self):
+        SimConfig(dt=1.0, duration=float(MAX_STEPS))
+        with pytest.raises(ValueError, match="at most 1000000"):
+            SimConfig(dt=1.0, duration=float(MAX_STEPS + 1))
+
+    @pytest.mark.parametrize(
+        "dt, duration", [(1e-300, 6.0), (1e-3, 1e9), (1e-3, math.inf), (1e-3, math.nan)]
+    )
+    def test_rejects_runs_past_the_cap(self, dt, duration):
+        with pytest.raises(ValueError):
+            SimConfig(dt=dt, duration=duration)
 
 
 class TestSweep:

@@ -100,7 +100,7 @@ class TestUnitMoment:
             unit = make_unit(2, math.radians(180.0))
             m = unit_moment(unit, pose, backbone, 7.0)
             point, direction, _ = unit_line_of_action(unit, pose, backbone)
-            tip = arc_frame(pose, backbone, backbone.length)[:3, 3]
+            tip = np.array(arc_frame(pose, backbone, backbone.length))[:3, 3]
             lever = point - tip
             assert abs(np.dot(m, lever)) < 1e-12 * max(np.linalg.norm(m), 1.0)
             assert abs(np.dot(m, direction)) < 1e-12 * max(np.linalg.norm(m), 1.0)
@@ -135,12 +135,12 @@ class TestUnitMoment:
             unit = make_unit(1, math.radians(60.0))
             force = rng.uniform(0.1, 30.0)
             m_base = unit_moment(unit, pose, backbone, force)
-            frame = arc_frame(pose, backbone, backbone.length)
+            frame = np.array(arc_frame(pose, backbone, backbone.length))
             rot = frame[:3, :3]
             tip = frame[:3, 3]
             point, direction, _ = unit_line_of_action(unit, pose, backbone)
-            lever_tip = rot.T @ (point - tip)
-            force_tip = rot.T @ (force * direction)
+            lever_tip = rot.T @ (np.array(point) - tip)
+            force_tip = rot.T @ (force * np.array(direction))
             m_tip = np.cross(lever_tip, force_tip)
             assert np.max(np.abs(rot @ m_tip - m_base)) < 1e-9
 
