@@ -5,7 +5,8 @@ drives the martensite fraction through cosine transformation kinetics with
 stress-shifted band edges, and both feed a rate-form force law whose stiffness
 coefficient depends on the phase mix.  ``step_spring`` advances all three
 states over one explicit time step; everything here is a pure function of its
-inputs.
+inputs (``step_spring`` caches the constants of the last spring it stepped,
+which changes no result).
 """
 
 from __future__ import annotations
@@ -159,14 +160,15 @@ class SpringState:
     def __post_init__(self):
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive (kelvin)")
-        for name in (
-            "martensite_fraction",
-            "fraction_at_reverse_start",
-            "fraction_at_forward_start",
-        ):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        v = self.martensite_fraction
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"martensite_fraction must lie in [0, 1], got {v}")
+        v = self.fraction_at_reverse_start
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"fraction_at_reverse_start must lie in [0, 1], got {v}")
+        v = self.fraction_at_forward_start
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"fraction_at_forward_start must lie in [0, 1], got {v}")
         if self.force < 0.0:
             raise ValueError("force must be non-negative (tendon cannot push)")
 
@@ -303,22 +305,6 @@ def force_coefficients(
     return stiffness, transform, thermal
 
 
-def _fraction_on_branch(
-    material: SmaMaterial,
-    branch: Branch,
-    temperature: float,
-    stress: float,
-    reverse_latch: float,
-    forward_latch: float,
-    idle_fraction: float,
-) -> float:
-    if branch is Branch.REVERSE:
-        return reverse_fraction(material, temperature, stress, reverse_latch)
-    if branch is Branch.FORWARD:
-        return forward_fraction(material, temperature, stress, forward_latch)
-    return idle_fraction
-
-
 def _reverse_entry_latch(
     material: SmaMaterial, temperature: float, stress: float, fraction: float
 ) -> float:
@@ -362,10 +348,124 @@ def _forward_entry_latch(
     return min(max(value, 0.0), fraction)
 
 
-def _integrate_temperature(
-    material: SmaMaterial,
-    geometry: SpringGeometry,
-    env: ThermalEnvironment,
+class _SpringConstants:
+    """What ``step_spring`` reads from one (material, geometry, env) triple,
+    computed once.  Each entry uses the operands and the left-to-right order
+    of the law it comes from, so that every product rounds as it does there.
+    """
+
+    __slots__ = (
+        "material", "geometry", "env",
+        "conductance", "ambient", "heat_capacity", "idle_latent",
+        "r_martensite", "r_austenite", "young_martensite", "young_austenite",
+        "shear_divisor", "d4", "stiffness_divisor", "transform", "thermal",
+        "latent_gain", "a_start", "a_finish", "m_start", "m_finish",
+        "c_reverse", "c_forward", "coil_diameter", "pi_d3",
+        "reverse_slope", "reverse_slope_c", "forward_slope", "forward_slope_c",
+    )
+
+    def __init__(
+        self, material: SmaMaterial, geometry: SpringGeometry, env: ThermalEnvironment
+    ):
+        self.material, self.geometry, self.env = material, geometry, env
+        # heating_rate; the latent term is (m L) * 0.0, NaN if m L overflows
+        self.conductance = geometry.surface_area * env.convection_coefficient
+        self.ambient = env.ambient_temperature
+        self.heat_capacity = geometry.spring_mass * material.specific_heat
+        self.idle_latent = geometry.spring_mass * material.latent_heat * 0.0
+        # phase_resistance and effective_modulus
+        self.r_martensite = material.resistance_martensite
+        self.r_austenite = material.resistance_austenite
+        self.young_martensite = material.young_martensite
+        self.young_austenite = material.young_austenite
+        self.shear_divisor = 2.0 * (1.0 + material.poisson)
+        # force_coefficients
+        d = geometry.wire_diameter
+        big_d = geometry.coil_diameter
+        d3 = d * d * d
+        self.d4 = d3 * d
+        self.stiffness_divisor = 8.0 * geometry.active_coils * big_d**3
+        self.transform = (
+            math.pi * d3 * material.phase_transform_tensor / (8.0 * _SQRT3 * big_d)
+        )
+        self.thermal = (
+            math.pi * d3 * material.thermal_expansion_factor / (8.0 * _SQRT3 * big_d)
+        )
+        self.latent_gain = material.latent_heat / material.specific_heat
+        # the band kinetics
+        self.a_start = material.austenite_start
+        self.a_finish = material.austenite_finish
+        self.m_start = material.martensite_start
+        self.m_finish = material.martensite_finish
+        self.c_reverse = material.stress_influence_reverse
+        self.c_forward = material.stress_influence_forward
+        self.reverse_slope = math.pi / (self.a_finish - self.a_start)
+        self.reverse_slope_c = self.reverse_slope / self.c_reverse
+        self.forward_slope = math.pi / (self.m_start - self.m_finish)
+        self.forward_slope_c = self.forward_slope / self.c_forward
+        # shear_stress
+        self.coil_diameter = big_d
+        self.pi_d3 = math.pi * d * d * d
+
+
+# One entry: the engine passes the same three objects on every step, a
+# calibration passes new ones per candidate.  The entry holds the objects it
+# was built from, so an id cannot be reused while it is kept.
+_last_constants: _SpringConstants | None = None
+
+
+def _spring_constants(
+    material: SmaMaterial, geometry: SpringGeometry, env: ThermalEnvironment
+) -> _SpringConstants:
+    global _last_constants
+    k = _last_constants
+    if k is None or k.material is not material or k.geometry is not geometry or k.env is not env:
+        k = _last_constants = _SpringConstants(material, geometry, env)
+    return k
+
+
+def _fraction(
+    k: _SpringConstants,
+    branch: Branch,
+    temperature: float,
+    stress: float,
+    reverse_latch: float,
+    forward_latch: float,
+    idle_fraction: float,
+) -> float:
+    """``reverse_fraction`` or ``forward_fraction`` on ``branch``'s arc, or
+    the held fraction when idle, with the same checks and roundings."""
+    if branch is Branch.REVERSE:
+        if not 0.0 <= reverse_latch <= 1.0:
+            raise ValueError("fraction_at_start must lie in [0, 1]")
+        if stress < 0.0:
+            raise ValueError("stress must be non-negative")
+        shift = stress / k.c_reverse
+        if temperature <= k.a_start + shift:
+            return reverse_latch
+        if temperature >= k.a_finish + shift:
+            return 0.0
+        arg = k.reverse_slope * (temperature - k.a_start) - k.reverse_slope_c * stress
+        value = 0.5 * reverse_latch * (math.cos(arg) + 1.0)
+        return min(max(value, 0.0), reverse_latch)
+    if branch is Branch.FORWARD:
+        if not 0.0 <= forward_latch <= 1.0:
+            raise ValueError("fraction_at_start must lie in [0, 1]")
+        if stress < 0.0:
+            raise ValueError("stress must be non-negative")
+        shift = stress / k.c_forward
+        if temperature >= k.m_start + shift:
+            return forward_latch
+        if temperature <= k.m_finish + shift:
+            return 1.0
+        arg = k.forward_slope * (temperature - k.m_finish) - k.forward_slope_c * stress
+        value = 0.5 * (1.0 - forward_latch) * math.cos(arg) + 0.5 * (1.0 + forward_latch)
+        return min(max(value, forward_latch), 1.0)
+    return idle_fraction
+
+
+def _temperature_on_branch(
+    k: _SpringConstants,
     branch: Branch,
     temperature: float,
     stress: float,
@@ -378,12 +478,13 @@ def _integrate_temperature(
     """Classic RK4 on the heat balance with the phase fraction (and hence the
     resistance) evaluated algebraically at every stage.  Latent heat is not in
     the stage function; it is applied by the coupled correction afterwards."""
+    r_m, r_a = k.r_martensite, k.r_austenite
+    g, ambient, latent, capacity = k.conductance, k.ambient, k.idle_latent, k.heat_capacity
 
     def rate(t: float) -> float:
-        xi = _fraction_on_branch(
-            material, branch, t, stress, reverse_latch, forward_latch, idle_fraction
-        )
-        return heating_rate(material, geometry, env, t, xi, current)
+        xi = _fraction(k, branch, t, stress, reverse_latch, forward_latch, idle_fraction)
+        power = current * current * (r_m * xi + r_a * (1.0 - xi))
+        return (power - g * (t - ambient) + latent) / capacity
 
     k1 = rate(temperature)
     k2 = rate(temperature + 0.5 * dt * k1)
@@ -410,8 +511,17 @@ def step_spring(
     fraction latched on entry.  On an active branch the fraction change, the
     latent-heat temperature correction and the stress feedback on the band
     edges are solved together as one monotone scalar root, found by Brent's
-    zeroin, so that the update is stable for physically large latent heats.  The force then advances by
-    the rate law using the realized discrete rates, floored at zero.
+    zeroin, so that the update is stable for physically large latent heats.
+    The force then advances by the rate law using the realized discrete
+    rates, floored at zero.
+
+    This is a fused kernel: the constants of the (material, geometry, env)
+    triple are computed once and kept for the next call with the same three
+    objects, and an idle spring's RK4 runs inline with the Joule power taken
+    once per step.  It computes exactly what ``heating_rate``,
+    ``reverse_fraction``, ``forward_fraction``, ``force_coefficients`` and
+    ``shear_stress`` compose to; ``tests/test_spring_kernel.py`` pins every
+    bit of the result and every exception to that composition.
 
     Raises StepTooLarge when the temperature moves more than
     ``max_temperature_step`` in a single step.
@@ -420,19 +530,31 @@ def step_spring(
         raise ValueError("dt must be positive")
     if current < 0.0:
         raise ValueError("current must be non-negative")
+    k = _spring_constants(material, geometry, env)
 
     t0 = state.temperature
     xi0 = state.martensite_fraction
     f0 = state.force
-    stress0 = shear_stress(geometry, f0)
+    if f0 < 0.0:
+        raise ValueError("force must be non-negative")
+    stress0 = 8.0 * f0 * k.coil_diameter / k.pi_d3
     reverse_latch = state.fraction_at_reverse_start
     forward_latch = state.fraction_at_forward_start
 
     branch = state.branch
-    t_star = _integrate_temperature(
-        material, geometry, env, branch, t0, stress0,
-        reverse_latch, forward_latch, xi0, current, dt,
-    )
+    if branch is Branch.IDLE:
+        # the phase mix is held, so the Joule power is one number per step
+        power = current * current * (k.r_martensite * xi0 + k.r_austenite * (1.0 - xi0))
+        g, ambient, latent, capacity = k.conductance, k.ambient, k.idle_latent, k.heat_capacity
+        k1 = (power - g * (t0 - ambient) + latent) / capacity
+        k2 = (power - g * (t0 + 0.5 * dt * k1 - ambient) + latent) / capacity
+        k3 = (power - g * (t0 + 0.5 * dt * k2 - ambient) + latent) / capacity
+        k4 = (power - g * (t0 + dt * k3 - ambient) + latent) / capacity
+        t_star = t0 + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    else:
+        t_star = _temperature_on_branch(
+            k, branch, t0, stress0, reverse_latch, forward_latch, xi0, current, dt
+        )
     heating = t_star > t0
 
     # Branch exits: direction reversed or the transformation has completed.
@@ -441,27 +563,28 @@ def step_spring(
     elif branch is Branch.FORWARD and (heating or xi0 >= 1.0):
         branch = Branch.IDLE
 
+    shear = (k.young_martensite * xi0 + k.young_austenite * (1.0 - xi0)) / k.shear_divisor
+    elastic_force = f0 + k.d4 * shear / k.stiffness_divisor * stretch_rate * dt
+    transform, thermal = k.transform, k.thermal
+
     # Branch entries latch the current fraction as the cosine-arc anchor.
     if branch is Branch.IDLE:
-        if heating and xi0 > 0.0 and t_star > _reverse_band(material, stress0)[0]:
+        if heating and xi0 > 0.0 and t_star > k.a_start + stress0 / k.c_reverse:
             branch = Branch.REVERSE
             reverse_latch = _reverse_entry_latch(material, t0, stress0, xi0)
-        elif not heating and xi0 < 1.0 and t_star < _forward_band(material, stress0)[0]:
+        elif not heating and xi0 < 1.0 and t_star < k.m_start + stress0 / k.c_forward:
             branch = Branch.FORWARD
             forward_latch = _forward_entry_latch(material, t0, stress0, xi0)
-        if branch is not state.branch:
-            t_star = _integrate_temperature(
-                material, geometry, env, branch, t0, stress0,
-                reverse_latch, forward_latch, xi0, current, dt,
-            )
-
-    stiffness, transform, thermal = force_coefficients(material, geometry, xi0)
-    latent_gain = material.latent_heat / material.specific_heat
-    elastic_force = f0 + stiffness * stretch_rate * dt
-
-    def force_after(d_xi: float, delta_t: float) -> float:
-        """The rate-form force law integrated over the step."""
-        return elastic_force + transform * d_xi + thermal * delta_t
+        elif state.branch is Branch.IDLE:
+            # Still idle: the fraction holds and no closure is needed.
+            delta_t = t_star - t0
+            if not abs(delta_t) <= max_temperature_step:
+                raise StepTooLarge(delta_t, max_temperature_step)
+            force_new = max(elastic_force + transform * 0.0 + thermal * delta_t, 0.0)
+            return SpringState(t_star, xi0, force_new, reverse_latch, forward_latch, branch)
+        t_star = _temperature_on_branch(
+            k, branch, t0, stress0, reverse_latch, forward_latch, xi0, current, dt
+        )
 
     if branch is Branch.IDLE:
         t_new = t_star
@@ -472,13 +595,14 @@ def step_spring(
         # temperature (latent heat) and on the band edges (stress shift).
         # Both couplings are affine in d_xi, so the residual below is strictly
         # decreasing: its root in the bracket is unique, and zeroin finds it.
+        latent_gain, coil_diameter, pi_d3 = k.latent_gain, k.coil_diameter, k.pi_d3
+
         def residual(d_xi: float) -> float:
             t_cand = t_star + latent_gain * d_xi
-            force_cand = force_after(d_xi, t_cand - t0)
-            stress_cand = shear_stress(geometry, max(force_cand, 0.0))
-            xi_cand = _fraction_on_branch(
-                material, branch, t_cand, stress_cand,
-                reverse_latch, forward_latch, xi0,
+            force_cand = elastic_force + transform * d_xi + thermal * (t_cand - t0)
+            stress_cand = 8.0 * max(force_cand, 0.0) * coil_diameter / pi_d3
+            xi_cand = _fraction(
+                k, branch, t_cand, stress_cand, reverse_latch, forward_latch, xi0
             )
             return xi_cand - xi0 - d_xi
 
@@ -502,7 +626,7 @@ def step_spring(
     if not abs(delta_t) <= max_temperature_step:
         raise StepTooLarge(delta_t, max_temperature_step)
 
-    force_new = max(force_after(d_xi, delta_t), 0.0)
+    force_new = max(elastic_force + transform * d_xi + thermal * delta_t, 0.0)
 
     # Transformation completed: park the branch until conditions re-enter it.
     if branch is Branch.REVERSE and xi_new <= 0.0:

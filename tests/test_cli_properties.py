@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sma_neck.cli import main
+from sma_neck.units import DIMENSIONS, canonical_unit
 from sma_neck.scenario import (
+    FIELDS,
     SCHEMA_PATHS,
     apply_parameters,
     default_scenario_text,
@@ -111,6 +113,59 @@ def test_any_currents_text_is_handled(sweep_out, currents):
         ["sweep", f"--currents={currents}", "--hold", "0.002", "--out", str(sweep_out)]
     )
     assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert_one_error_line(err)
+
+
+# Every numeric field, top-level or in the first profile and target row, but
+# the step size and the duration, which the step cap and its CLI tests cover.
+_NUMERIC = [
+    (path, kind)
+    for path, kind in [(f.path, f.kind) for f in FIELDS]
+    + [
+        (f"{f.path}.0.{row.path}", row.kind)
+        for f in FIELDS
+        if f.path in ("profile", "calibration.targets")
+        for row in f.kind.fields
+    ]
+    if (kind in DIMENSIONS or kind == "integer")
+    and path not in ("simulation.dt", "simulation.duration")
+]
+
+
+def _extreme_value(kind, negative, exponent):
+    """A value of 1e-300 to 1e300 in magnitude, in the field's SI unit."""
+    if kind == "integer":
+        magnitude = 10 ** max(0, round(exponent))
+        return str(-magnitude if negative else magnitude)
+    number = repr(-(10.0**exponent) if negative else 10.0**exponent)
+    unit = canonical_unit(kind)
+    return f"{number} {unit}" if unit else number
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    field=st.sampled_from(_NUMERIC),
+    negative=st.booleans(),
+    exponent=st.sampled_from([-300.0, 300.0]) | st.floats(-300.0, 300.0),
+)
+def test_extreme_magnitude_simulates_or_fails_in_one_line(
+    sweep_out, field, negative, exponent
+):
+    path, kind = field
+    assignment = f"{path}={_extreme_value(kind, negative, exponent)}"
+    code, err = run(["validate-config", "--quiet", "--set", assignment])
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code:
+        assert_one_error_line(err)
+        return
+    code, err = run(
+        ["simulate", "--quiet", "--out", str(sweep_out), "--set", assignment,
+         "--set", "simulation.duration=0.01 s"]
+    )
+    assert code in (0, 1, 2), (assignment, err)
     assert "Traceback" not in err
     if code:
         assert_one_error_line(err)
