@@ -356,7 +356,7 @@ class _SpringConstants:
 
     __slots__ = (
         "material", "geometry", "env",
-        "conductance", "ambient", "heat_capacity", "idle_latent",
+        "conductance", "ambient", "heat_capacity", "zero_latent",
         "r_martensite", "r_austenite", "young_martensite", "young_austenite",
         "shear_divisor", "d4", "stiffness_divisor", "transform", "thermal",
         "latent_gain", "a_start", "a_finish", "m_start", "m_finish",
@@ -372,7 +372,7 @@ class _SpringConstants:
         self.conductance = geometry.surface_area * env.convection_coefficient
         self.ambient = env.ambient_temperature
         self.heat_capacity = geometry.spring_mass * material.specific_heat
-        self.idle_latent = geometry.spring_mass * material.latent_heat * 0.0
+        self.zero_latent = geometry.spring_mass * material.latent_heat * 0.0
         # phase_resistance and effective_modulus
         self.r_martensite = material.resistance_martensite
         self.r_austenite = material.resistance_austenite
@@ -410,7 +410,9 @@ class _SpringConstants:
 
 # One entry: the engine passes the same three objects on every step, a
 # calibration passes new ones per candidate.  The entry holds the objects it
-# was built from, so an id cannot be reused while it is kept.
+# was built from, so an id cannot be reused while it is kept; a caller reads
+# the entry once and checks that same entry, so racing threads at worst
+# build it twice.
 _last_constants: _SpringConstants | None = None
 
 
@@ -419,7 +421,12 @@ def _spring_constants(
 ) -> _SpringConstants:
     global _last_constants
     k = _last_constants
-    if k is None or k.material is not material or k.geometry is not geometry or k.env is not env:
+    if (
+        k is None
+        or k.material is not material
+        or k.geometry is not geometry
+        or k.env is not env
+    ):
         k = _last_constants = _SpringConstants(material, geometry, env)
     return k
 
@@ -479,7 +486,8 @@ def _temperature_on_branch(
     resistance) evaluated algebraically at every stage.  Latent heat is not in
     the stage function; it is applied by the coupled correction afterwards."""
     r_m, r_a = k.r_martensite, k.r_austenite
-    g, ambient, latent, capacity = k.conductance, k.ambient, k.idle_latent, k.heat_capacity
+    g, ambient, capacity = k.conductance, k.ambient, k.heat_capacity
+    latent = k.zero_latent
 
     def rate(t: float) -> float:
         xi = _fraction(k, branch, t, stress, reverse_latch, forward_latch, idle_fraction)
@@ -545,7 +553,8 @@ def step_spring(
     if branch is Branch.IDLE:
         # the phase mix is held, so the Joule power is one number per step
         power = current * current * (k.r_martensite * xi0 + k.r_austenite * (1.0 - xi0))
-        g, ambient, latent, capacity = k.conductance, k.ambient, k.idle_latent, k.heat_capacity
+        g, ambient, capacity = k.conductance, k.ambient, k.heat_capacity
+        latent = k.zero_latent
         k1 = (power - g * (t0 - ambient) + latent) / capacity
         k2 = (power - g * (t0 + 0.5 * dt * k1 - ambient) + latent) / capacity
         k3 = (power - g * (t0 + 0.5 * dt * k2 - ambient) + latent) / capacity
@@ -580,6 +589,8 @@ def step_spring(
             delta_t = t_star - t0
             if not abs(delta_t) <= max_temperature_step:
                 raise StepTooLarge(delta_t, max_temperature_step)
+            # the law's d_xi term stays: it keeps the sign of a zero force
+            # and the NaN of an infinite coefficient
             force_new = max(elastic_force + transform * 0.0 + thermal * delta_t, 0.0)
             return SpringState(t_star, xi0, force_new, reverse_latch, forward_latch, branch)
         t_star = _temperature_on_branch(

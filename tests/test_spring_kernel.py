@@ -214,7 +214,9 @@ _MATERIALS = (
 )
 _GEOMETRIES = (
     _BUNDLED.spring_geometry,
-    replace(_BUNDLED.spring_geometry, wire_diameter=0.75e-3, active_coils=12, spring_mass=1.4e-3),
+    replace(
+        _BUNDLED.spring_geometry, wire_diameter=0.75e-3, active_coils=12, spring_mass=1.4e-3
+    ),
 )
 _ENVS = (
     _BUNDLED.env,
@@ -362,7 +364,8 @@ def test_draws_reach_every_path():
         seen.add((state.branch.name, new.branch.name))
         if new.force == 0.0 and state.force > 0.0:
             seen.add("floored")
-        if new.branch is not Branch.IDLE and new.martensite_fraction != state.martensite_fraction:
+        moved = new.martensite_fraction != state.martensite_fraction
+        if new.branch is not Branch.IDLE and moved:
             seen.add(("moved", new.branch.name))
     for path in [
         ("IDLE", "IDLE"), ("IDLE", "REVERSE"), ("IDLE", "FORWARD"),
@@ -409,8 +412,10 @@ def test_same_exceptions(triple, current, dt, bound, raises):
     material, geometry, env = TRIPLES[triple]
     for state in _states(material, geometry):
         assert_same_step(material, geometry, env, state, current, 0.0, dt, bound)
-        _, exc = _outcome(step_spring, material, geometry, env, state, current, 0.0, dt, bound)
-        assert type(exc) is type(None) if raises is None else type(exc) is raises
+        _, exc = _outcome(
+            step_spring, material, geometry, env, state, current, 0.0, dt, bound
+        )
+        assert type(exc) is (raises or type(None))
 
 
 def test_overflow_is_reported_as_overflow():
@@ -419,6 +424,15 @@ def test_overflow_is_reported_as_overflow():
     with pytest.raises(StepTooLarge) as err:
         step_spring(material, geometry, env, state, 1e155, 0.0, 1e-3)
     assert err.value.overflowed
+
+
+def test_overflowing_coil_cube_raises_the_same_error():
+    material, geometry, env = TRIPLES[0]
+    huge_coil = replace(geometry, coil_diameter=1e200)
+    for state in _states(material, geometry):
+        assert_same_step(material, huge_coil, env, state, 5.0, 0.0, 1e-3)
+        _, exc = _outcome(step_spring, material, huge_coil, env, state, 5.0, 0.0, 1e-3)
+        assert type(exc) is OverflowError
 
 
 # --- the constants follow their inputs ---------------------------------------
