@@ -160,15 +160,14 @@ class SpringState:
     def __post_init__(self):
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive (kelvin)")
-        v = self.martensite_fraction
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"martensite_fraction must lie in [0, 1], got {v}")
-        v = self.fraction_at_reverse_start
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"fraction_at_reverse_start must lie in [0, 1], got {v}")
-        v = self.fraction_at_forward_start
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"fraction_at_forward_start must lie in [0, 1], got {v}")
+        for name in (
+            "martensite_fraction",
+            "fraction_at_reverse_start",
+            "fraction_at_forward_start",
+        ):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.force < 0.0:
             raise ValueError("force must be non-negative (tendon cannot push)")
 
@@ -349,18 +348,17 @@ def _forward_entry_latch(
 
 
 class _SpringConstants:
-    """What ``step_spring`` reads from one (material, geometry, env) triple,
-    computed once.  Each entry uses the operands and the left-to-right order
-    of the law it comes from, so that every product rounds as it does there.
+    """The products ``step_spring`` derives from one (material, geometry, env)
+    triple, computed once.  Each entry uses the operands and the left-to-right
+    order of the law it comes from, so that every product rounds as it does
+    there.  Raw fields are read from the three objects themselves.
     """
 
     __slots__ = (
         "material", "geometry", "env",
-        "conductance", "ambient", "heat_capacity", "zero_latent",
-        "r_martensite", "r_austenite", "young_martensite", "young_austenite",
+        "conductance", "heat_capacity", "zero_latent",
         "shear_divisor", "d4", "stiffness_divisor", "transform", "thermal",
-        "latent_gain", "a_start", "a_finish", "m_start", "m_finish",
-        "c_reverse", "c_forward", "coil_diameter", "pi_d3",
+        "latent_gain", "pi_d3",
         "reverse_slope", "reverse_slope_c", "forward_slope", "forward_slope_c",
     )
 
@@ -370,14 +368,9 @@ class _SpringConstants:
         self.material, self.geometry, self.env = material, geometry, env
         # heating_rate; the latent term is (m L) * 0.0, NaN if m L overflows
         self.conductance = geometry.surface_area * env.convection_coefficient
-        self.ambient = env.ambient_temperature
         self.heat_capacity = geometry.spring_mass * material.specific_heat
         self.zero_latent = geometry.spring_mass * material.latent_heat * 0.0
-        # phase_resistance and effective_modulus
-        self.r_martensite = material.resistance_martensite
-        self.r_austenite = material.resistance_austenite
-        self.young_martensite = material.young_martensite
-        self.young_austenite = material.young_austenite
+        # effective_modulus
         self.shear_divisor = 2.0 * (1.0 + material.poisson)
         # force_coefficients
         d = geometry.wire_diameter
@@ -392,20 +385,17 @@ class _SpringConstants:
             math.pi * d3 * material.thermal_expansion_factor / (8.0 * _SQRT3 * big_d)
         )
         self.latent_gain = material.latent_heat / material.specific_heat
-        # the band kinetics
-        self.a_start = material.austenite_start
-        self.a_finish = material.austenite_finish
-        self.m_start = material.martensite_start
-        self.m_finish = material.martensite_finish
-        self.c_reverse = material.stress_influence_reverse
-        self.c_forward = material.stress_influence_forward
-        self.reverse_slope = math.pi / (self.a_finish - self.a_start)
-        self.reverse_slope_c = self.reverse_slope / self.c_reverse
-        self.forward_slope = math.pi / (self.m_start - self.m_finish)
-        self.forward_slope_c = self.forward_slope / self.c_forward
         # shear_stress
-        self.coil_diameter = big_d
         self.pi_d3 = math.pi * d * d * d
+        # the band kinetics
+        self.reverse_slope = math.pi / (
+            material.austenite_finish - material.austenite_start
+        )
+        self.reverse_slope_c = self.reverse_slope / material.stress_influence_reverse
+        self.forward_slope = math.pi / (
+            material.martensite_start - material.martensite_finish
+        )
+        self.forward_slope_c = self.forward_slope / material.stress_influence_forward
 
 
 # One entry: the engine passes the same three objects on every step, a
@@ -438,37 +428,56 @@ def _fraction(
     stress: float,
     reverse_latch: float,
     forward_latch: float,
-    idle_fraction: float,
 ) -> float:
-    """``reverse_fraction`` or ``forward_fraction`` on ``branch``'s arc, or
-    the held fraction when idle, with the same checks and roundings."""
+    """``reverse_fraction`` or ``forward_fraction`` on the active ``branch``'s
+    arc, with the same checks and roundings."""
+    m = k.material
     if branch is Branch.REVERSE:
         if not 0.0 <= reverse_latch <= 1.0:
             raise ValueError("fraction_at_start must lie in [0, 1]")
         if stress < 0.0:
             raise ValueError("stress must be non-negative")
-        shift = stress / k.c_reverse
-        if temperature <= k.a_start + shift:
+        a_start = m.austenite_start
+        shift = stress / m.stress_influence_reverse
+        if temperature <= a_start + shift:
             return reverse_latch
-        if temperature >= k.a_finish + shift:
+        if temperature >= m.austenite_finish + shift:
             return 0.0
-        arg = k.reverse_slope * (temperature - k.a_start) - k.reverse_slope_c * stress
+        arg = k.reverse_slope * (temperature - a_start) - k.reverse_slope_c * stress
         value = 0.5 * reverse_latch * (math.cos(arg) + 1.0)
         return min(max(value, 0.0), reverse_latch)
-    if branch is Branch.FORWARD:
-        if not 0.0 <= forward_latch <= 1.0:
-            raise ValueError("fraction_at_start must lie in [0, 1]")
-        if stress < 0.0:
-            raise ValueError("stress must be non-negative")
-        shift = stress / k.c_forward
-        if temperature >= k.m_start + shift:
-            return forward_latch
-        if temperature <= k.m_finish + shift:
-            return 1.0
-        arg = k.forward_slope * (temperature - k.m_finish) - k.forward_slope_c * stress
-        value = 0.5 * (1.0 - forward_latch) * math.cos(arg) + 0.5 * (1.0 + forward_latch)
-        return min(max(value, forward_latch), 1.0)
-    return idle_fraction
+    # Branch.FORWARD
+    if not 0.0 <= forward_latch <= 1.0:
+        raise ValueError("fraction_at_start must lie in [0, 1]")
+    if stress < 0.0:
+        raise ValueError("stress must be non-negative")
+    m_finish = m.martensite_finish
+    shift = stress / m.stress_influence_forward
+    if temperature >= m.martensite_start + shift:
+        return forward_latch
+    if temperature <= m_finish + shift:
+        return 1.0
+    arg = k.forward_slope * (temperature - m_finish) - k.forward_slope_c * stress
+    value = 0.5 * (1.0 - forward_latch) * math.cos(arg) + 0.5 * (1.0 + forward_latch)
+    return min(max(value, forward_latch), 1.0)
+
+
+def _idle_temperature(
+    k: _SpringConstants, temperature: float, fraction: float, current: float, dt: float
+) -> float:
+    """Classic RK4 on the heat balance with the phase fraction held, so the
+    Joule power is one number for all four stages."""
+    m = k.material
+    power = current * current * (
+        m.resistance_martensite * fraction + m.resistance_austenite * (1.0 - fraction)
+    )
+    g, ambient, capacity = k.conductance, k.env.ambient_temperature, k.heat_capacity
+    latent = k.zero_latent
+    k1 = (power - g * (temperature - ambient) + latent) / capacity
+    k2 = (power - g * (temperature + 0.5 * dt * k1 - ambient) + latent) / capacity
+    k3 = (power - g * (temperature + 0.5 * dt * k2 - ambient) + latent) / capacity
+    k4 = (power - g * (temperature + dt * k3 - ambient) + latent) / capacity
+    return temperature + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
 def _temperature_on_branch(
@@ -478,19 +487,20 @@ def _temperature_on_branch(
     stress: float,
     reverse_latch: float,
     forward_latch: float,
-    idle_fraction: float,
     current: float,
     dt: float,
 ) -> float:
     """Classic RK4 on the heat balance with the phase fraction (and hence the
-    resistance) evaluated algebraically at every stage.  Latent heat is not in
-    the stage function; it is applied by the coupled correction afterwards."""
-    r_m, r_a = k.r_martensite, k.r_austenite
-    g, ambient, capacity = k.conductance, k.ambient, k.heat_capacity
+    resistance) evaluated on the active ``branch``'s arc at every stage.
+    Latent heat is not in the stage function; it is applied by the coupled
+    correction afterwards."""
+    m = k.material
+    r_m, r_a = m.resistance_martensite, m.resistance_austenite
+    g, ambient, capacity = k.conductance, k.env.ambient_temperature, k.heat_capacity
     latent = k.zero_latent
 
     def rate(t: float) -> float:
-        xi = _fraction(k, branch, t, stress, reverse_latch, forward_latch, idle_fraction)
+        xi = _fraction(k, branch, t, stress, reverse_latch, forward_latch)
         power = current * current * (r_m * xi + r_a * (1.0 - xi))
         return (power - g * (t - ambient) + latent) / capacity
 
@@ -523,9 +533,9 @@ def step_spring(
     The force then advances by the rate law using the realized discrete
     rates, floored at zero.
 
-    This is a fused kernel: the constants of the (material, geometry, env)
-    triple are computed once and kept for the next call with the same three
-    objects, and an idle spring's RK4 runs inline with the Joule power taken
+    This is a fused kernel: the products derived from the (material,
+    geometry, env) triple are computed once and kept for the next call with
+    the same three objects, and an idle spring's RK4 takes the Joule power
     once per step.  It computes exactly what ``heating_rate``,
     ``reverse_fraction``, ``forward_fraction``, ``force_coefficients`` and
     ``shear_stress`` compose to; ``tests/test_spring_kernel.py`` pins every
@@ -545,24 +555,16 @@ def step_spring(
     f0 = state.force
     if f0 < 0.0:
         raise ValueError("force must be non-negative")
-    stress0 = 8.0 * f0 * k.coil_diameter / k.pi_d3
+    stress0 = 8.0 * f0 * geometry.coil_diameter / k.pi_d3
     reverse_latch = state.fraction_at_reverse_start
     forward_latch = state.fraction_at_forward_start
 
     branch = state.branch
     if branch is Branch.IDLE:
-        # the phase mix is held, so the Joule power is one number per step
-        power = current * current * (k.r_martensite * xi0 + k.r_austenite * (1.0 - xi0))
-        g, ambient, capacity = k.conductance, k.ambient, k.heat_capacity
-        latent = k.zero_latent
-        k1 = (power - g * (t0 - ambient) + latent) / capacity
-        k2 = (power - g * (t0 + 0.5 * dt * k1 - ambient) + latent) / capacity
-        k3 = (power - g * (t0 + 0.5 * dt * k2 - ambient) + latent) / capacity
-        k4 = (power - g * (t0 + dt * k3 - ambient) + latent) / capacity
-        t_star = t0 + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        t_star = _idle_temperature(k, t0, xi0, current, dt)
     else:
         t_star = _temperature_on_branch(
-            k, branch, t0, stress0, reverse_latch, forward_latch, xi0, current, dt
+            k, branch, t0, stress0, reverse_latch, forward_latch, current, dt
         )
     heating = t_star > t0
 
@@ -572,21 +574,37 @@ def step_spring(
     elif branch is Branch.FORWARD and (heating or xi0 >= 1.0):
         branch = Branch.IDLE
 
-    shear = (k.young_martensite * xi0 + k.young_austenite * (1.0 - xi0)) / k.shear_divisor
+    shear = (
+        material.young_martensite * xi0 + material.young_austenite * (1.0 - xi0)
+    ) / k.shear_divisor
     elastic_force = f0 + k.d4 * shear / k.stiffness_divisor * stretch_rate * dt
     transform, thermal = k.transform, k.thermal
 
     # Branch entries latch the current fraction as the cosine-arc anchor.
     if branch is Branch.IDLE:
-        if heating and xi0 > 0.0 and t_star > k.a_start + stress0 / k.c_reverse:
+        if (
+            heating
+            and xi0 > 0.0
+            and t_star > material.austenite_start
+            + stress0 / material.stress_influence_reverse
+        ):
             branch = Branch.REVERSE
             reverse_latch = _reverse_entry_latch(material, t0, stress0, xi0)
-        elif not heating and xi0 < 1.0 and t_star < k.m_start + stress0 / k.c_forward:
+        elif (
+            not heating
+            and xi0 < 1.0
+            and t_star < material.martensite_start
+            + stress0 / material.stress_influence_forward
+        ):
             branch = Branch.FORWARD
             forward_latch = _forward_entry_latch(material, t0, stress0, xi0)
-        elif state.branch is Branch.IDLE:
-            # Still idle: the fraction holds and no closure is needed.
+        else:
+            # Idle: the fraction holds and no closure is needed.
+            if state.branch is not Branch.IDLE:
+                # an arc was left, so the step is redone with the fraction held
+                t_star = _idle_temperature(k, t0, xi0, current, dt)
             delta_t = t_star - t0
+            # written so that a NaN step fails the guard too
             if not abs(delta_t) <= max_temperature_step:
                 raise StepTooLarge(delta_t, max_temperature_step)
             # the law's d_xi term stays: it keeps the sign of a zero force
@@ -594,46 +612,38 @@ def step_spring(
             force_new = max(elastic_force + transform * 0.0 + thermal * delta_t, 0.0)
             return SpringState(t_star, xi0, force_new, reverse_latch, forward_latch, branch)
         t_star = _temperature_on_branch(
-            k, branch, t0, stress0, reverse_latch, forward_latch, xi0, current, dt
+            k, branch, t0, stress0, reverse_latch, forward_latch, current, dt
         )
 
-    if branch is Branch.IDLE:
-        t_new = t_star
-        xi_new = xi0
-        d_xi = 0.0
+    # Joint per-step closure: the fraction change feeds back on the
+    # temperature (latent heat) and on the band edges (stress shift).
+    # Both couplings are affine in d_xi, so the residual below is strictly
+    # decreasing: its root in the bracket is unique, and zeroin finds it.
+    latent_gain, coil_diameter, pi_d3 = k.latent_gain, geometry.coil_diameter, k.pi_d3
+
+    def residual(d_xi: float) -> float:
+        t_cand = t_star + latent_gain * d_xi
+        force_cand = elastic_force + transform * d_xi + thermal * (t_cand - t0)
+        stress_cand = 8.0 * max(force_cand, 0.0) * coil_diameter / pi_d3
+        xi_cand = _fraction(k, branch, t_cand, stress_cand, reverse_latch, forward_latch)
+        return xi_cand - xi0 - d_xi
+
+    if branch is Branch.REVERSE:
+        lo, hi = -xi0, 0.0
     else:
-        # Joint per-step closure: the fraction change feeds back on the
-        # temperature (latent heat) and on the band edges (stress shift).
-        # Both couplings are affine in d_xi, so the residual below is strictly
-        # decreasing: its root in the bracket is unique, and zeroin finds it.
-        latent_gain, coil_diameter, pi_d3 = k.latent_gain, k.coil_diameter, k.pi_d3
-
-        def residual(d_xi: float) -> float:
-            t_cand = t_star + latent_gain * d_xi
-            force_cand = elastic_force + transform * d_xi + thermal * (t_cand - t0)
-            stress_cand = 8.0 * max(force_cand, 0.0) * coil_diameter / pi_d3
-            xi_cand = _fraction(
-                k, branch, t_cand, stress_cand, reverse_latch, forward_latch, xi0
-            )
-            return xi_cand - xi0 - d_xi
-
-        if branch is Branch.REVERSE:
-            lo, hi = -xi0, 0.0
-        else:
-            lo, hi = 0.0, 1.0 - xi0
-        r_lo = residual(lo)
-        r_hi = residual(hi)
-        if branch is Branch.REVERSE:
-            # residual(0) >= 0 means the band edge outran the temperature.
-            d_xi = 0.0 if r_hi >= 0.0 else _zeroin(residual, lo, hi, r_lo, r_hi)
-        else:
-            d_xi = 0.0 if r_lo <= 0.0 else _zeroin(residual, lo, hi, r_lo, r_hi)
-        t_new = t_star + latent_gain * d_xi
-        xi_new = min(max(xi0 + d_xi, 0.0), 1.0)
-        d_xi = xi_new - xi0
+        lo, hi = 0.0, 1.0 - xi0
+    r_lo = residual(lo)
+    r_hi = residual(hi)
+    if branch is Branch.REVERSE:
+        # residual(0) >= 0 means the band edge outran the temperature.
+        d_xi = 0.0 if r_hi >= 0.0 else _zeroin(residual, lo, hi, r_lo, r_hi)
+    else:
+        d_xi = 0.0 if r_lo <= 0.0 else _zeroin(residual, lo, hi, r_lo, r_hi)
+    t_new = t_star + latent_gain * d_xi
+    xi_new = min(max(xi0 + d_xi, 0.0), 1.0)
+    d_xi = xi_new - xi0
 
     delta_t = t_new - t0
-    # written so that a NaN step fails the guard too
     if not abs(delta_t) <= max_temperature_step:
         raise StepTooLarge(delta_t, max_temperature_step)
 

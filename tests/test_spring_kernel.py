@@ -367,11 +367,15 @@ def test_draws_reach_every_path():
         moved = new.martensite_fraction != state.martensite_fraction
         if new.branch is not Branch.IDLE and moved:
             seen.add(("moved", new.branch.name))
+        if state.branch is not Branch.IDLE and new.branch is Branch.IDLE and not moved:
+            # an arc left without a completion: the step is redone idle
+            seen.add(("left", state.branch.name))
     for path in [
         ("IDLE", "IDLE"), ("IDLE", "REVERSE"), ("IDLE", "FORWARD"),
         ("REVERSE", "REVERSE"), ("REVERSE", "IDLE"),
         ("FORWARD", "FORWARD"), ("FORWARD", "IDLE"),
         ("moved", "REVERSE"), ("moved", "FORWARD"), "floored",
+        ("left", "REVERSE"), ("left", "FORWARD"),
     ]:
         assert path in seen, path
 
