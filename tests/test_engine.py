@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from sma_neck import (
     ArcPose,
@@ -236,6 +236,32 @@ class TestSolvePose:
         delta = (polar.bending_plane_angle - cartesian.bending_plane_angle + math.pi) % (
             2 * math.pi
         ) - math.pi
+        assert abs(delta) < 1e-8
+
+    # the system fixture is frozen, so sharing it across examples is safe
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        forces=st.tuples(*[st.floats(0.0, 40.0)] * 3),
+        phi=st.floats(0.0, 2 * math.pi),
+    )
+    def test_straight_and_bent_warm_starts_reach_one_pose(self, system, forces, phi):
+        # unequal forces bend the backbone by at least ~3 degrees, so the
+        # plane angle is well defined at the solution
+        assume(max(forces) - min(forces) >= 5.0)
+        statics = _Statics(system)
+        cfg = quick_config()
+        straight = _solve_pose_statics(statics, forces, 0.0, 0.0, 0.0, cfg)
+        bent = _solve_pose_statics(statics, forces, 1.0, phi, 0.0, cfg)
+        assert straight[3] < cfg.solver_tolerance
+        assert bent[3] < cfg.solver_tolerance
+        assert bent[0] == pytest.approx(straight[0], abs=1e-8)
+        delta = (bent[1] - straight[1] + math.pi) % (2 * math.pi) - math.pi
         assert abs(delta) < 1e-8
 
     def test_rejects_negative_force(self, system, straight_pose):
