@@ -48,8 +48,8 @@ class ArcPose:
     """Arc configuration (curvature 1/m, bending-plane angle rad, twist rad).
 
     Negative curvature is normalized to positive curvature with the bending
-    plane rotated by pi, and the plane angle is wrapped to [0, 2*pi), so the
-    chart stays single-valued.
+    plane rotated by pi, and the plane angle is wrapped to [0, 2*pi), so a
+    bent pose has one representation.
     """
 
     curvature: float

@@ -7,9 +7,9 @@ backbone (muscle moments + gravity - elastic restoring moment = 0) for the
 arc pose by damped Newton iteration.  The Jacobian is exact: it is
 assembled from the closed-form derivatives of the constant-curvature arc
 (tip velocity, angular velocity of the head mount and elastic moment rate)
-and of each tendon's moment.  Near the straight configuration the solve runs
-in Cartesian curvature components to remove the bending-plane
-indeterminacy.
+and of each tendon's moment.  The solve runs in the Cartesian curvature
+components u = kappa (cos phi, sin phi), which have one value at every pose,
+the straight one included, where the bending-plane angle has none.
 
 Spring stretch rates are fed back from the pose change of the previous
 accepted step (one-step lag), which breaks the algebraic loop between the
@@ -48,9 +48,6 @@ from .sma import (
 GRAVITY = 9.80665  # m/s^2
 
 _TWO_PI = 2.0 * math.pi
-
-# warm-start bending angle below which the Cartesian curvature chart is used
-_CHART_SWITCH_ANGLE = 1e-2
 
 # most time steps one run may take (duration / dt); the bundled scenario
 # takes 6000
@@ -248,8 +245,9 @@ class _Statics:
     (``backbone._frame_t``, ``pennate._line_of_action_t``,
     ``pennate._tendon_moment_t`` and ``backbone._elastic_moment_t``), taking
     each angle's cosine and sine once.  ``jacobian`` reuses its levers and
-    pull directions; it takes its own angles from the raw chart variables,
-    whose rounding differs from the normalised pose the residual sees.
+    pull directions; it takes its own angles from the Cartesian curvature
+    components, whose rounding differs from the (kappa, phi) the residual
+    sees.
     Every floating-point operation keeps its order and operands, so both are
     bit-identical to the compositions they replace
     (``tests/test_pose_kernel.py``).
@@ -332,10 +330,9 @@ class _Statics:
         ex, ey, ez = ca * x1 - sa * local_y, sa * x1 + ca * local_y, cb * local_z
         return (mx - ex, my - ey, mz - ez), (tx, ty, tz), rows
 
-    def jacobian(self, x, chart: str, forces, tip, rows):
-        """Row-major 3x3 derivative of ``residual`` with respect to the chart
-        variables ``x``: (u_x, u_y, twist) in the Cartesian chart, (kappa,
-        phi, twist) in the polar one, with u = kappa (cos phi, sin phi).
+    def jacobian(self, x, forces, tip, rows):
+        """Row-major 3x3 derivative of ``residual`` with respect to
+        ``x`` = (u_x, u_y, twist), with u = kappa (cos phi, sin phi).
         ``tip`` and ``rows`` are what ``residual`` returned at ``x``.
 
         Per variable it takes the tip velocity t, the angular velocity w of
@@ -346,11 +343,7 @@ class _Statics:
         changes by -(t + da) and the pull direction by the part of that
         normal to itself, over the chord length.
         """
-        if chart == "polar":
-            cos_p, sin_p = math.cos(x[1]), math.sin(x[1])
-            ux, uy = x[0] * cos_p, x[0] * sin_p
-        else:
-            ux, uy = x[0], x[1]
+        ux, uy = x[0], x[1]
         length = self.length
         ll = length * length
         ka, kb, kc, kd, ke, cos_t = _arc_coefficients(length * math.hypot(ux, uy))
@@ -425,12 +418,6 @@ class _Statics:
             a1 += w * t0x
             b0 -= w * t1y
             b1 += w * t1x
-        if chart == "polar":
-            # d/dkappa = (cos phi, sin phi) . d/du, d/dphi = (-u_y, u_x) . d/du
-            a0, a1, a2, b0, b1, b2 = (
-                cos_p * a0 + sin_p * b0, cos_p * a1 + sin_p * b1, cos_p * a2 + sin_p * b2,
-                ux * b0 - uy * a0, ux * b1 - uy * a1, ux * b2 - uy * a2,
-            )
         return (a0, b0, c0), (a1, b1, c1), (a2, b2, c2)
 
 
@@ -496,37 +483,15 @@ def _solve3(j, r):
     return (b0 - a01 * x1 - a02 * x2) / a00, x1, x2
 
 
-def _pose_from_vars(x, chart: str):
-    """(kappa, phi in [0, 2 pi), twist) of the chart variables ``x``; the
-    Newton driver inlines the same conversion."""
-    if chart == "polar":
-        kappa, phi, eps = x
-        if kappa < 0.0:
-            kappa, phi = -kappa, phi + math.pi
-    else:
-        kx, ky, eps = x
-        kappa = math.hypot(kx, ky)
-        phi = math.atan2(ky, kx)
-    return kappa, phi % _TWO_PI, eps
-
-
 def _solve_pose_statics(
     statics: _Statics, forces, kappa: float, phi: float, eps: float, config: SimConfig
 ):
     """Equilibrium pose (kappa, phi in [0, 2 pi), twist), its residual norm
-    and the unit chord contractions at that pose, by damped Newton on the
-    three chart variables warm-started at (``kappa``, ``phi``, ``eps``)."""
+    and the unit chord contractions at that pose, by damped Newton on
+    (u_x, u_y, twist) warm-started at (``kappa``, ``phi``, ``eps``)."""
     length = statics.length
-    polar = kappa * length >= _CHART_SWITCH_ANGLE
-    if polar:
-        chart = "polar"
-        x0, x1 = kappa, phi
-    else:
-        chart = "cartesian"
-        x0, x1 = kappa * math.cos(phi), kappa * math.sin(phi)
-        kappa, phi = math.hypot(x0, x1), math.atan2(x1, x0)
-    x2 = eps
-    phi %= _TWO_PI
+    x0, x1, x2 = kappa * math.cos(phi), kappa * math.sin(phi), eps
+    kappa, phi = math.hypot(x0, x1), math.atan2(x1, x0) % _TWO_PI
 
     tol = config.solver_tolerance
     res, tip, rows = statics.residual(kappa, phi, eps, forces)
@@ -545,7 +510,7 @@ def _solve_pose_statics(
                 )
             contractions = (rows[0][6], rows[1][6], rows[2][6])
             return kappa, _wrap_angle(phi), eps, norm, contractions
-        step = _solve3(statics.jacobian((x0, x1, x2), chart, forces, tip, rows), res)
+        step = _solve3(statics.jacobian((x0, x1, x2), forces, tip, rows), res)
         if step is None:
             # singular Jacobian: nudge along the residual direction
             scale = max_move / max(norm, 1e-300)
@@ -561,11 +526,7 @@ def _solve_pose_statics(
         # spots
         for halving in range(10):
             c0, c1, eps = x0 + s0, x1 + s1, x2 + s2
-            if polar:
-                kappa, phi = (-c0, c1 + math.pi) if c0 < 0.0 else (c0, c1)
-            else:
-                kappa, phi = math.hypot(c0, c1), math.atan2(c1, c0)
-            phi %= _TWO_PI
+            kappa, phi = math.hypot(c0, c1), math.atan2(c1, c0) % _TWO_PI
             cand_res, cand_tip, cand_rows = statics.residual(kappa, phi, eps, forces)
             r0, r1, r2 = cand_res
             cand_norm = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
@@ -589,9 +550,8 @@ def solve_pose(
 ) -> ArcPose:
     """Equilibrium pose for fixed tendon force magnitudes.
 
-    Damped Newton iteration, warm-started from ``initial_guess``, in Cartesian
-    curvature components when the guess is near straight and in polar ones
-    otherwise.  Raises NoConvergence or PoseOutOfRange.
+    Damped Newton iteration in Cartesian curvature components, warm-started
+    from ``initial_guess``.  Raises NoConvergence or PoseOutOfRange.
     """
     forces = _tendon_forces(unit_forces)
     guess = initial_guess

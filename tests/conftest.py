@@ -102,6 +102,13 @@ def make_system(material, geometry, env, backbone, radius=0.035, pretension=2.0,
     )
 
 
+def pose_from_vars(x):
+    """(kappa, phi in [0, 2 pi), twist) of the pose solve's variables
+    ``x`` = (u_x, u_y, twist); the Newton driver inlines the same conversion."""
+    ux, uy, eps = x
+    return math.hypot(ux, uy), math.atan2(uy, ux) % (2.0 * math.pi), eps
+
+
 @pytest.fixture
 def system(material, geometry, env, backbone):
     return make_system(material, geometry, env, backbone)

@@ -22,9 +22,10 @@ from sma_neck.backbone import (
     _elastic_moment_t,
     _frame_t,
 )
-from sma_neck.engine import _Statics, _pose_from_vars, _solve3
+from sma_neck.engine import _Statics, _solve3
 from sma_neck.pennate import _line_of_action_t, _tendon_moment_t
 from sma_neck.scenario import load_default_scenario
+from conftest import pose_from_vars
 
 _ORACLE = settings(
     max_examples=200,
@@ -151,19 +152,15 @@ def _tendon_moment_rates(tip, lines, rest_chords, forces, tip_rates, spins):
     return out
 
 
-def _composed_jacobian(statics, x, chart, forces):
+def _composed_jacobian(statics, x, forces):
     """The Jacobian assembled from the per-variable rate builders."""
-    kappa, phi, eps = _pose_from_vars(x, chart)
+    kappa, phi, eps = pose_from_vars(x)
     tip, rot = _frame_t(kappa, phi, eps, statics.length)
     lines = [
         _line_of_action_t(head, base, rest, tip, rot)
         for head, base, rest in zip(statics.heads, statics.bases, statics.rest_chords)
     ]
-    if chart == "polar":
-        cos_p, sin_p = math.cos(x[1]), math.sin(x[1])
-        ux, uy = x[0] * cos_p, x[0] * sin_p
-    else:
-        ux, uy = x[0], x[1]
+    ux, uy = x[0], x[1]
     tip_rates, spins, elastic_rates = _arc_rates(
         ux, uy, x[2], statics.ei_y, statics.gj_over_l, statics.length
     )
@@ -179,40 +176,27 @@ def _composed_jacobian(statics, x, chart, forces):
         for col, (tx, ty, _) in zip((a, b), tip_rates):
             col[0] -= w * ty
             col[1] += w * tx
-    if chart == "polar":
-        a, b = (
-            [cos_p * a[0] + sin_p * b[0], cos_p * a[1] + sin_p * b[1],
-             cos_p * a[2] + sin_p * b[2]],
-            [ux * b[0] - uy * a[0], ux * b[1] - uy * a[1], ux * b[2] - uy * a[2]],
-        )
     return [[a[0], b[0], c[0]], [a[1], b[1], c[1]], [a[2], b[2], c[2]]]
 
 
 class TestJacobianOracle:
     @pytest.mark.parametrize("gravity", [False, True], ids=["no_gravity", "gravity"])
-    @pytest.mark.parametrize("chart", ["cartesian", "polar"])
     @_ORACLE
     @given(
         theta=st.just(0.0) | st.floats(-9.0, math.log10(3.0)).map(lambda e: 10.0**e),
         phi=st.floats(-20.0, 20.0),
         twist=st.floats(-0.5, 0.5),
-        flip=st.booleans(),
         forces=_FORCES,
     )
-    @example(theta=0.0, phi=0.0, twist=0.0, flip=False, forces=(2.0, 2.0, 2.0))
-    @example(theta=0.05, phi=1.0, twist=0.1, flip=True, forces=(9.0, 2.0, 0.0))
-    def test_equals_rate_builders(
-        self, base_system, chart, gravity, theta, phi, twist, flip, forces
-    ):
+    @example(theta=0.0, phi=0.0, twist=0.0, forces=(2.0, 2.0, 2.0))
+    @example(theta=0.05, phi=1.0, twist=0.1, forces=(9.0, 2.0, 0.0))
+    def test_equals_rate_builders(self, base_system, gravity, theta, phi, twist, forces):
         statics = _Statics(replace(base_system, gravity_enabled=gravity))
         kappa = theta / statics.length
-        if chart == "polar":
-            x = (-kappa, phi - math.pi, twist) if flip else (kappa, phi, twist)
-        else:
-            x = (kappa * math.cos(phi), kappa * math.sin(phi), twist)
-        _, tip, rows = statics.residual(*_pose_from_vars(x, chart), forces)
-        got = statics.jacobian(x, chart, forces, tip, rows)
-        want = _composed_jacobian(statics, x, chart, forces)
+        x = (kappa * math.cos(phi), kappa * math.sin(phi), twist)
+        _, tip, rows = statics.residual(*pose_from_vars(x), forces)
+        got = statics.jacobian(x, forces, tip, rows)
+        want = _composed_jacobian(statics, x, forces)
         assert _bits([v for row in got for v in row]) == _bits(
             [v for row in want for v in row]
         )
