@@ -20,6 +20,7 @@ from .scenario import (
     ParseError,
     Scenario,
     ValidationError,
+    _read_scenario,
     default_scenario_text,
     load_with_overrides,
 )
@@ -98,10 +99,7 @@ def _load(args) -> Scenario:
     if args.scenario is None:
         text = default_scenario_text()
     else:
-        try:
-            text = args.scenario.read_text()
-        except OSError as exc:
-            raise ParseError(f"cannot read scenario {args.scenario}: {exc}") from exc
+        text = _read_scenario(args.scenario)
     return load_with_overrides(text, args.overrides)
 
 

@@ -336,6 +336,12 @@ def _replaced(obj, attrs: list[str], value):
 _POSITIVE = (lambda v: v > 0.0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0.0, "must be non-negative")
 _UNIT_INDEX = (lambda v: 1 <= v <= 3, "must be 1, 2 or 3")
+# outputs are named <run_id>_trace.csv etc. inside the output directory
+_FILE_STEM = (
+    lambda v: v not in ("", ".", "..") and not any(c in v for c in "/\\\0"),
+    "must be a file-name stem without '/', '\\' or NUL and not '.' or '..', "
+    "got {!r}",
+)
 
 
 def _at_least(n: int):
@@ -512,7 +518,7 @@ FIELDS: tuple[Field, ...] = (
     Field("simulation.max_newton_iterations", "integer", 60, _at_least(1)),
     Field("simulation.max_temperature_step", "temperature_delta", 1.0, _POSITIVE),
     Field("profile", _PROFILE, ()),
-    Field("output.run_id", "string", "neck"),
+    Field("output.run_id", "string", "neck", _FILE_STEM),
     Field("calibration.free", Codec(_parse_free, list)),
     Field("calibration.bounds", Codec(_parse_bounds, _dump_bounds)),
     Field("calibration.targets", _TARGETS),
@@ -588,13 +594,28 @@ def load_scenario(text: str) -> Scenario:
     return load_with_overrides(text)
 
 
-def load_scenario_file(path) -> Scenario:
+def _read_scenario(path) -> str:
     try:
-        with open(path, "r") as handle:
-            text = handle.read()
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read scenario {path}: {exc}") from exc
-    return load_scenario(text)
+
+
+def load_scenario_file(path) -> Scenario:
+    return load_scenario(_read_scenario(path))
+
+
+def _safe_load(text: str, what: str):
+    """``yaml.safe_load`` with the errors PyYAML does not wrap in
+    ``yaml.YAMLError`` raised as ``ParseError``: nesting past the recursion
+    limit and integers past Python's digit limit for ``int(str)``."""
+    try:
+        return yaml.safe_load(text)
+    except RecursionError:
+        raise ParseError(f"{what}: nested too deeply") from None
+    except ValueError as exc:
+        raise ParseError(f"{what}: {exc}") from None
 
 
 def default_scenario_text() -> str:
@@ -689,7 +710,7 @@ def apply_override(doc: dict, assignment: str) -> None:
     if not keys or any(not k for k in keys):
         raise ValidationError(f"override {assignment!r}: empty key path")
     try:
-        value = yaml.safe_load(raw_value)
+        value = _safe_load(raw_value, f"override {dotted.strip()!r}")
     except yaml.YAMLError as exc:
         raise ValidationError(f"override {assignment!r}: bad value: {exc}") from exc
     node = doc
@@ -725,7 +746,7 @@ def apply_override(doc: dict, assignment: str) -> None:
 def load_with_overrides(text: str, overrides=()) -> Scenario:
     """Parse ``text``, apply dotted-key overrides, then validate."""
     try:
-        doc = yaml.safe_load(text)
+        doc = _safe_load(text, "malformed scenario document")
     except yaml.YAMLError as exc:
         raise ParseError(f"malformed scenario document: {exc}") from exc
     if not isinstance(doc, dict):

@@ -343,3 +343,63 @@ def test_cli_import_leaves_out_numpy_and_the_network_stack():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "run_id",
+    ["../x", "{tmp}/abs", "a/b", "a\\b", ".", "..", "''", '"a\\0b"'],
+)
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_run_id_outside_the_output_directory_fails_validation(
+    scenario_file, tmp_path, capsys, command, run_id
+):
+    # outputs are named <run_id>_trace.csv etc.; a run_id that names another
+    # directory once wrote there and exited 0
+    argv = ["--currents", "5", "--hold", "0.3"] if command == "sweep" else []
+    code = main([command, "--scenario", str(scenario_file),
+                 "--out", str(tmp_path / "a" / "out"), *argv, *FAST,
+                 "--set", f"output.run_id={run_id.format(tmp=tmp_path)}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        err.splitlines()[0]
+    ]
+    assert err.startswith("error: validation: output.run_id: ")
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_scenario_file_that_is_not_utf8_fails_to_parse(tmp_path, capsys):
+    path = tmp_path / "utf16.yaml"
+    path.write_bytes(b"\xff\xfe" + default_scenario_text().encode("utf-16-le"))
+    code = main(["validate-config", "--scenario", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse: cannot read scenario {path}: 'utf-8' codec")
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "source, detail",
+    [
+        # RecursionError inside PyYAML
+        ("file", "malformed scenario document: nested too deeply"),
+        ("material", "override 'material': nested too deeply"),
+        # ValueError from int() past its 4300-digit limit
+        ("pennate.springs_per_unit", "override 'pennate.springs_per_unit': Exceeds"),
+    ],
+)
+def test_oversized_yaml_fails_to_parse(tmp_path, capsys, source, detail):
+    if source == "file":
+        path = tmp_path / "deep.yaml"
+        path.write_text("[" * 20_000 + "]" * 20_000)
+        argv = ["--scenario", str(path)]
+    elif source == "material":
+        argv = ["--set", "material=" + "[" * 5_000 + "]" * 5_000]
+    else:
+        argv = ["--set", f"{source}=1" + "0" * 5_000]
+    code = main(["validate-config", *argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse: {detail}")
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+    assert "Traceback" not in err

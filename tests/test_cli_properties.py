@@ -169,3 +169,44 @@ def test_extreme_magnitude_simulates_or_fails_in_one_line(
     assert "Traceback" not in err
     if code:
         assert_one_error_line(err)
+
+
+_BUNDLED = default_scenario_text().encode()
+
+
+def _mutate(data: bytes, edit) -> bytes:
+    kind, at, size, byte = edit
+    at %= len(data) + 1
+    if kind == "delete":
+        return data[:at] + data[at + size:]
+    if kind == "insert":
+        return data[:at] + bytes([byte]) * size + data[at:]
+    if kind == "flip":
+        at = min(at, len(data) - 1)
+        return data[:at] + bytes([data[at] ^ byte]) + data[at + 1:]
+    # nest: wrap a slice in brackets, deeply enough to pass the recursion limit
+    depth = size * 400
+    return data[:at] + b"[" * depth + data[at:at + size] + b"]" * depth + data[at + size:]
+
+
+EDITS = st.tuples(
+    st.sampled_from(["delete", "insert", "flip", "nest"]),
+    st.integers(0, len(_BUNDLED)),
+    st.integers(1, 8),
+    st.integers(1, 255),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(EDITS, min_size=1, max_size=4))
+def test_any_mutated_scenario_file_validates_or_fails_in_one_line(tmp_path_factory, edits):
+    data = _BUNDLED
+    for edit in edits:
+        data = _mutate(data, edit)
+    path = tmp_path_factory.getbasetemp() / "mutated.yaml"
+    path.write_bytes(data)
+    code, err = run(["validate-config", "--quiet", "--scenario", str(path)])
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code:
+        assert_one_error_line(err)
