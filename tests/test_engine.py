@@ -278,6 +278,21 @@ class TestSolvePose:
         assert ArcPose(kappa, 2 * math.pi, eps).bending_plane_angle == phi
 
 
+def _count_residual_calls(monkeypatch, system, config):
+    """(``_Statics.residual`` calls, trace) of one ``simulate`` run."""
+    calls = 0
+    residual_fn = _Statics.residual
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return residual_fn(self, *args)
+
+    monkeypatch.setattr(_Statics, "residual", counted)
+    trace = simulate(system, config)
+    return calls, trace
+
+
 class TestSimulate:
     def test_zero_current_stays_straight(self, system):
         cfg = quick_config(duration=0.5)
@@ -341,16 +356,9 @@ class TestSimulate:
         # the exact Jacobian leaves one evaluation for the warm start and one
         # per Newton step; at most three per step on a 1 s bundled run
         scenario = load_default_scenario()
-        calls = 0
-        residual_fn = _Statics.residual
-
-        def counted(self, *args):
-            nonlocal calls
-            calls += 1
-            return residual_fn(self, *args)
-
-        monkeypatch.setattr(_Statics, "residual", counted)
-        trace = simulate(scenario.build_system(), scenario.build_config(duration=1.0))
+        calls, trace = _count_residual_calls(
+            monkeypatch, scenario.build_system(), scenario.build_config(duration=1.0)
+        )
         assert len(trace) == 1000
         assert calls <= 3 * len(trace)
 
@@ -370,16 +378,9 @@ class TestSimulate:
                 f"profile=[{profile}]",
             ],
         )
-        calls = 0
-        residual_fn = _Statics.residual
-
-        def counted(self, *args):
-            nonlocal calls
-            calls += 1
-            return residual_fn(self, *args)
-
-        monkeypatch.setattr(_Statics, "residual", counted)
-        trace = simulate(scenario.build_system(), scenario.build_config())
+        calls, trace = _count_residual_calls(
+            monkeypatch, scenario.build_system(), scenario.build_config()
+        )
         assert len(trace) == 1250
         assert calls / len(trace) <= 2.1
 
