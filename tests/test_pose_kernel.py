@@ -14,7 +14,7 @@ import struct
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from sma_neck.backbone import (
     STRAIGHT_THRESHOLD,
@@ -92,6 +92,36 @@ class TestResidualOracle:
         assert moment == want_moment
         assert tip == want_tip
         assert tuple(row[-1] for row in rows) == want_contractions
+
+
+_COORD = st.just(0.0) | st.floats(-0.1, 0.1)
+
+
+class TestRestPose:
+    """``simulate`` starts from zero chord contractions instead of reading
+    them from the residual at the straight pose: ``rest_chord_length``
+    measures that same pose, so each contraction there is exactly +0.0."""
+
+    @_ORACLE
+    @given(
+        bases=st.tuples(*[st.tuples(_COORD, _COORD, _COORD)] * 3),
+        heads=st.tuples(*[st.tuples(_COORD, _COORD, _COORD)] * 3),
+        length=st.floats(0.01, 0.5),
+    )
+    def test_straight_pose_contractions_are_positive_zero(
+        self, system, bases, heads, length
+    ):
+        backbone = replace(system.backbone, length=length)
+        units = tuple(
+            replace(unit, base_attachment=base, head_attachment_local=head)
+            for unit, base, head in zip(system.units, bases, heads)
+        )
+        for base, head in zip(bases, heads):
+            chord = math.dist(base, (head[0], head[1], head[2] + length))
+            assume(chord > 1e-6)
+        statics = _Statics(replace(system, backbone=backbone, units=units))
+        _, _, rows = statics.residual(0.0, 0.0, 0.0, (0.0, 0.0, 0.0))
+        assert _bits([row[6] for row in rows]) == _bits([0.0, 0.0, 0.0])
 
 
 def _arc_rates(ux, uy, twist, ei_y, gj_over_l, length):

@@ -330,6 +330,32 @@ def test_step_equals_composition(**draw):
     assert_same_step(*_step_case(**draw))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(other_latch=_UNIT, **STEP_INPUTS)
+def test_inactive_latch_is_never_read(other_latch, **draw):
+    """Only the latch of the branch a step runs on is read: replacing the
+    other one (both, on an idle state) changes no field but itself."""
+    material, geometry, env, state, *rest = _step_case(**draw)
+    twin = state
+    if state.branch is not Branch.REVERSE:
+        twin = replace(twin, fraction_at_reverse_start=other_latch)
+    if state.branch is not Branch.FORWARD:
+        twin = replace(twin, fraction_at_forward_start=other_latch)
+    got, got_exc = _outcome(step_spring, material, geometry, env, state, *rest)
+    alt, alt_exc = _outcome(step_spring, material, geometry, env, twin, *rest)
+    assert type(got_exc) is type(alt_exc) and str(got_exc) == str(alt_exc)
+    if got is None:
+        return
+    assert got.branch is alt.branch
+    compared = ["temperature", "martensite_fraction", "force"]
+    if got.branch is Branch.REVERSE:
+        compared.append("fraction_at_reverse_start")
+    elif got.branch is Branch.FORWARD:
+        compared.append("fraction_at_forward_start")
+    for name in compared:
+        assert _bits(getattr(got, name)) == _bits(getattr(alt, name)), name
+
+
 def test_draws_reach_every_path():
     """The same inputs, drawn by a seeded loop, reach every path of the step:
     idle, entries into both arcs, both arcs with a root, exits, completions
