@@ -126,14 +126,6 @@ class NeckSystem:
     def __post_init__(self):
         if len(self.units) != 3:
             raise ValueError("a neck system needs exactly 3 pennate units")
-        azimuths = sorted(u.azimuth % _TWO_PI for u in self.units)
-        gaps = [
-            (azimuths[1] - azimuths[0]),
-            (azimuths[2] - azimuths[1]),
-            _TWO_PI - (azimuths[2] - azimuths[0]),
-        ]
-        if any(abs(g - _TWO_PI / 3.0) > 1e-9 for g in gaps):
-            raise ValueError("unit azimuths must be mutually 120 degrees apart")
         if self.head_mass < 0.0:
             raise ValueError("head_mass must be non-negative")
         if self.force_combination not in ("additive", "max"):
@@ -606,9 +598,9 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
         )
 
     # resolve the initial equilibrium so pretension imbalances are not
-    # attributed to the first step
-    _, _, rest_rows = statics.residual(0.0, 0.0, 0.0, (0.0, 0.0, 0.0))
-    rest_forces = unit_forces([row[6] for row in rest_rows])
+    # attributed to the first step; the straight pose is where each rest
+    # chord was measured, so every chord contraction there is zero
+    rest_forces = unit_forces((0.0, 0.0, 0.0))
     try:
         kappa, phi, eps, _, dx_prev = _solve_pose_statics(
             statics, rest_forces, 0.0, 0.0, 0.0, config
@@ -687,22 +679,22 @@ def sweep(
     system: NeckSystem,
     currents,
     hold: float,
-    config: SimConfig | None = None,
+    config: SimConfig,
     unit_index: int = 1,
 ) -> list[SweepRow]:
     """Run one simulation per current (applied to ``unit_index`` for ``hold``
-    seconds each, from the same initial system) and report the peak bending
-    angle.  Failures are reported per row; the sweep continues."""
+    seconds each, from the same initial system, with ``config``'s other
+    settings) and report the peak bending angle.  Failures are reported per
+    row; the sweep continues."""
     currents = list(currents)
     if not currents:
         raise ValueError("currents must be non-empty")
     if hold <= 0.0:
         raise ValueError("hold must be positive")
-    base = config or SimConfig(dt=1e-3, duration=hold)
     rows: list[SweepRow] = []
     for amps in currents:
         run_cfg = replace(
-            base,
+            config,
             duration=hold,
             current_profile=CurrentProfile.constant(unit_index, float(amps), hold),
         )

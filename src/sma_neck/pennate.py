@@ -28,7 +28,6 @@ class PennateUnit:
     """
 
     index: int
-    azimuth: float
     base_attachment: _Vec3
     head_attachment_local: _Vec3
     pennation_angle: float

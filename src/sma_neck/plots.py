@@ -17,8 +17,6 @@ _WIDTH, _HEIGHT = 640, 400
 _ML, _MR, _MT, _MB = 64, 16, 32, 44
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
-PANELS = ("phi", "theta", "force", "temperature", "xi")
-
 
 def escape(text: str) -> str:
     """``text`` with ``&``, ``<`` and ``>`` as XML entities (``&`` first)."""
@@ -143,90 +141,65 @@ def _line_plot(
         raise OSError(f"writing plot to {path}: {exc}") from exc
 
 
+def _per_unit(rows, convert=lambda v: v):
+    return [(f"unit {k + 1}", [convert(row[k]) for row in rows]) for k in range(3)]
+
+
+# panel -> (title, y label, series of a trace as (label, values), whether the
+# band-edge lines and the crossing line are drawn); the x axis is time
+_PANEL_TABLE = {
+    "phi": (
+        "bending-plane angle", "phi [deg]",
+        lambda trace: [("phi", [math.degrees(v) for v in trace.phi])], False, False,
+    ),
+    "theta": (
+        "bending angle", "theta [deg]",
+        lambda trace: [("theta", [math.degrees(v) for v in trace.theta])], False, False,
+    ),
+    "force": (
+        "tendon forces", "force [N]",
+        lambda trace: _per_unit(trace.unit_forces), False, False,
+    ),
+    "temperature": (
+        "spring temperatures", "temperature [degC]",
+        lambda trace: _per_unit(trace.spring_temperatures, celsius_from_kelvin),
+        True, True,
+    ),
+    "xi": (
+        "martensite fractions", "fraction [1]",
+        lambda trace: _per_unit(trace.spring_fractions), False, True,
+    ),
+}
+PANELS = tuple(_PANEL_TABLE)
+
+
 def emit_plots(trace: SimTrace, out_dir, run_id: str = "neck") -> list[Path]:
     """Write the five trace panels as ``<run-id>_<panel>.svg``; returns paths."""
     if len(trace) == 0:
         raise ValueError("refusing to plot an empty trace")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    t = trace.t
+    markers = trace.markers
+    band_edges = [
+        (label, celsius_from_kelvin(markers[key]))
+        for key, label in (("as_prime_K", "A_s' [degC]"), ("af_prime_K", "A_f' [degC]"))
+        if key in markers
+    ]
+    crossing = (
+        [("crossing [s]", markers["crossing_t_s"])] if "crossing_t_s" in markers else []
+    )
     written: list[Path] = []
-
-    path = out / f"{run_id}_phi.svg"
-    _line_plot(
-        path,
-        "bending-plane angle",
-        "time [s]",
-        "phi [deg]",
-        [("phi", t, [math.degrees(v) for v in trace.phi])],
-    )
-    written.append(path)
-
-    path = out / f"{run_id}_theta.svg"
-    _line_plot(
-        path,
-        "bending angle",
-        "time [s]",
-        "theta [deg]",
-        [("theta", t, [math.degrees(v) for v in trace.theta])],
-    )
-    written.append(path)
-
-    path = out / f"{run_id}_force.svg"
-    _line_plot(
-        path,
-        "tendon forces",
-        "time [s]",
-        "force [N]",
-        [
-            (f"unit {k + 1}", t, [row[k] for row in trace.unit_forces])
-            for k in range(3)
-        ],
-    )
-    written.append(path)
-
-    h_lines = []
-    v_lines = []
-    if "as_prime_K" in trace.markers:
-        h_lines.append(
-            ("A_s' [degC]", celsius_from_kelvin(trace.markers["as_prime_K"]))
+    for panel in PANELS:
+        title, y_label, series, with_band_edges, with_crossing = _PANEL_TABLE[panel]
+        path = out / f"{run_id}_{panel}.svg"
+        _line_plot(
+            path,
+            title,
+            "time [s]",
+            y_label,
+            [(label, trace.t, values) for label, values in series(trace)],
+            h_lines=band_edges if with_band_edges else [],
+            v_lines=crossing if with_crossing else [],
         )
-    if "af_prime_K" in trace.markers:
-        h_lines.append(
-            ("A_f' [degC]", celsius_from_kelvin(trace.markers["af_prime_K"]))
-        )
-    if "crossing_t_s" in trace.markers:
-        v_lines.append(("crossing [s]", trace.markers["crossing_t_s"]))
-    path = out / f"{run_id}_temperature.svg"
-    _line_plot(
-        path,
-        "spring temperatures",
-        "time [s]",
-        "temperature [degC]",
-        [
-            (
-                f"unit {k + 1}",
-                t,
-                [celsius_from_kelvin(row[k]) for row in trace.spring_temperatures],
-            )
-            for k in range(3)
-        ],
-        h_lines=h_lines,
-        v_lines=v_lines,
-    )
-    written.append(path)
-
-    path = out / f"{run_id}_xi.svg"
-    _line_plot(
-        path,
-        "martensite fractions",
-        "time [s]",
-        "fraction [1]",
-        [
-            (f"unit {k + 1}", t, [row[k] for row in trace.spring_fractions])
-            for k in range(3)
-        ],
-        v_lines=v_lines,
-    )
-    written.append(path)
+        written.append(path)
     return written

@@ -106,12 +106,7 @@ class Scenario:
     tendon_stiffness: float
     springs_per_unit: int
     force_combination: str
-    dt: float
-    duration: float
-    solver_tolerance: float
-    max_newton_iterations: int
-    max_temperature_step: float
-    profile: tuple[Segment, ...]
+    simulation: SimConfig
     calibration: CalibrationSpec | None
     run_id: str
 
@@ -135,7 +130,6 @@ class Scenario:
             ca, sa = math.cos(azimuth), math.sin(azimuth)
             unit = PennateUnit(
                 index=k,
-                azimuth=azimuth,
                 base_attachment=(self.base_radius * ca, self.base_radius * sa, 0.0),
                 head_attachment_local=(
                     self.attachment_radius * ca,
@@ -197,23 +191,16 @@ class Scenario:
         )
 
     def build_config(self, **changes) -> SimConfig:
-        """The scenario's run settings as a SimConfig, with ``changes``
-        (SimConfig field values) replacing the scenario's."""
-        config = SimConfig(
-            dt=self.dt,
-            duration=self.duration,
-            current_profile=CurrentProfile(self.profile),
-            solver_tolerance=self.solver_tolerance,
-            max_newton_iterations=self.max_newton_iterations,
-            max_temperature_step=self.max_temperature_step,
-        )
-        return replace(config, **changes)
+        """The scenario's run settings, with ``changes`` (SimConfig field
+        values) replacing the scenario's."""
+        return replace(self.simulation, **changes)
 
     def calibration_config(self, spec: CalibrationSpec) -> SimConfig:
         """Run settings of one calibration sweep row: ``spec``'s step size
         (the scenario's when ``spec`` sets none) over its hold time."""
         return self.build_config(
-            dt=spec.dt if spec.dt is not None else self.dt, duration=spec.hold
+            dt=spec.dt if spec.dt is not None else self.simulation.dt,
+            duration=spec.hold,
         )
 
 
@@ -250,6 +237,7 @@ _GROUPS = {
     "spring": SpringGeometry,
     "environment": ThermalEnvironment,
     "backbone": BackboneGeometry,
+    "simulation": SimConfig,
     "calibration": CalibrationSpec,
 }
 _REQUIRED = object()
@@ -336,11 +324,28 @@ def _replaced(obj, attrs: list[str], value):
 _POSITIVE = (lambda v: v > 0.0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0.0, "must be non-negative")
 _UNIT_INDEX = (lambda v: 1 <= v <= 3, "must be 1, 2 or 3")
-# outputs are named <run_id>_trace.csv etc. inside the output directory
+# outputs are named <run_id>_trace.csv etc. inside the output directory; a
+# file name holds at most 255 bytes, and the longest suffix
+# (_calibration.csv) takes 16 of them
+_MAX_STEM_BYTES = 255 - len("_calibration.csv")
+
+
+def _is_file_stem(v: str) -> bool:
+    try:
+        size = len(v.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate names no file
+        return False
+    return (
+        size <= _MAX_STEM_BYTES
+        and v not in ("", ".", "..")
+        and not any(c in v for c in "/\\\0")
+    )
+
+
 _FILE_STEM = (
-    lambda v: v not in ("", ".", "..") and not any(c in v for c in "/\\\0"),
-    "must be a file-name stem without '/', '\\' or NUL and not '.' or '..', "
-    "got {!r}",
+    _is_file_stem,
+    f"must be a file-name stem of at most {_MAX_STEM_BYTES} UTF-8 bytes, without "
+    "'/', '\\' or NUL and not '.' or '..', got {!r}",
 )
 
 
@@ -395,9 +400,14 @@ def _segment(row: str, unit: int, start: float, end: float, current: float):
 def _parse_azimuths(raw, label):
     if not isinstance(raw, list) or len(raw) != 3:
         raise ValidationError(f"{label}: expected a list of 3 angles")
-    return tuple(
+    azimuths = tuple(
         parse_quantity(a, "angle", f"{label}[{i}]") for i, a in enumerate(raw)
     )
+    a, b, c = sorted(az % math.tau for az in azimuths)
+    gaps = (b - a, c - b, math.tau - (c - a))
+    if any(abs(gap - math.tau / 3.0) > 1e-9 for gap in gaps):
+        raise ValidationError(f"{label}: must be mutually 120 deg apart")
+    return azimuths
 
 
 def _parse_free(raw, label):
@@ -429,7 +439,7 @@ def _dump_bounds(bounds):
     }
 
 
-_PROFILE = _rows(
+_SEGMENTS = _rows(
     (
         Field("unit", "integer", check=_UNIT_INDEX),
         Field("start", "time", check=_NON_NEGATIVE),
@@ -439,6 +449,11 @@ _PROFILE = _rows(
     "segments",
     _segment,
     astuple,
+)
+_PROFILE = Codec(
+    lambda raw, label: CurrentProfile(_SEGMENTS.parse(raw, label)),
+    lambda profile: _SEGMENTS.dump(profile.segments),
+    _SEGMENTS.fields,
 )
 _TARGETS = _rows(
     (Field("current", "current"), Field("max_bending", "angle")),
@@ -474,7 +489,6 @@ FIELDS: tuple[Field, ...] = (
     Field("spring.active_coils", "count"),
     Field("spring.spring_mass", "mass"),
     Field("spring.surface_area", "area"),
-    Field("spring.rest_length", "length"),
     Field("spring.initial_force", "force", 0.0, _NON_NEGATIVE, "spring_initial_force"),
     Field(
         "spring.initial_martensite_fraction",
@@ -517,7 +531,10 @@ FIELDS: tuple[Field, ...] = (
     Field("simulation.solver_tolerance", "moment", 1e-9, _POSITIVE),
     Field("simulation.max_newton_iterations", "integer", 60, _at_least(1)),
     Field("simulation.max_temperature_step", "temperature_delta", 1.0, _POSITIVE),
-    Field("profile", _PROFILE, ()),
+    Field(
+        "profile", _PROFILE, CurrentProfile(),
+        target="simulation.current_profile",
+    ),
     Field("output.run_id", "string", "neck", _FILE_STEM),
     Field("calibration.free", Codec(_parse_free, list)),
     Field("calibration.bounds", Codec(_parse_bounds, _dump_bounds)),
@@ -652,15 +669,16 @@ def parse_document(doc: dict) -> Scenario:
         attributes[group] = _wrap_invariant(group, _GROUPS[group], **kwargs)
     scenario = Scenario(**attributes)
 
-    _wrap_invariant("simulation.dt/simulation.duration", scenario.build_config)
-    ordered = sorted(scenario.profile, key=lambda s: (s.unit, s.start))
+    ordered = sorted(
+        scenario.simulation.current_profile.segments, key=lambda s: (s.unit, s.start)
+    )
     for a, b in zip(ordered, ordered[1:]):
         if a.unit == b.unit and b.start < a.end:
             raise ValidationError(
                 f"profile: segments for unit {a.unit} overlap at {b.start:.6g} s"
             )
-    # building the system re-checks the cross-type invariants (azimuth
-    # spacing, degenerate attachments) before the scenario is handed out
+    # building the system checks the cross-type invariants (degenerate
+    # attachments, spring constants) before the scenario is handed out
     _wrap_invariant("scenario", scenario.build_system)
     cal = scenario.calibration
     if cal is not None:

@@ -112,7 +112,6 @@ class SpringGeometry:
     active_coils: float
     spring_mass: float
     surface_area: float
-    rest_length: float
 
     def __post_init__(self):
         if self.wire_diameter <= 0.0:
@@ -123,8 +122,6 @@ class SpringGeometry:
             raise ValueError("active_coils must be at least 1")
         if self.spring_mass <= 0.0 or self.surface_area <= 0.0:
             raise ValueError("spring_mass and surface_area must be positive")
-        if self.rest_length <= 0.0:
-            raise ValueError("rest_length must be positive")
 
 
 @dataclass(frozen=True)
@@ -145,26 +142,21 @@ class ThermalEnvironment:
 class SpringState:
     """Dynamic state of one spring.
 
-    ``fraction_at_reverse_start`` and ``fraction_at_forward_start`` are
-    latched when the state enters the heating or cooling transformation band
-    and anchor the cosine arcs.
+    ``fraction_at_branch_start`` is latched when the state enters the heating
+    or cooling transformation band and anchors the cosine arc of ``branch``.
+    An idle state carries it unread; the next branch entry overwrites it.
     """
 
     temperature: float
     martensite_fraction: float
     force: float
-    fraction_at_reverse_start: float = 1.0
-    fraction_at_forward_start: float = 0.0
+    fraction_at_branch_start: float = 1.0
     branch: Branch = Branch.IDLE
 
     def __post_init__(self):
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive (kelvin)")
-        for name in (
-            "martensite_fraction",
-            "fraction_at_reverse_start",
-            "fraction_at_forward_start",
-        ):
+        for name in ("martensite_fraction", "fraction_at_branch_start"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
@@ -426,40 +418,39 @@ def _fraction(
     branch: Branch,
     temperature: float,
     stress: float,
-    reverse_latch: float,
-    forward_latch: float,
+    latch: float,
 ) -> float:
     """``reverse_fraction`` or ``forward_fraction`` on the active ``branch``'s
-    arc, with the same checks and roundings."""
+    arc anchored at ``latch``, with the same checks and roundings."""
     m = k.material
     if branch is Branch.REVERSE:
-        if not 0.0 <= reverse_latch <= 1.0:
+        if not 0.0 <= latch <= 1.0:
             raise ValueError("fraction_at_start must lie in [0, 1]")
         if stress < 0.0:
             raise ValueError("stress must be non-negative")
         a_start = m.austenite_start
         shift = stress / m.stress_influence_reverse
         if temperature <= a_start + shift:
-            return reverse_latch
+            return latch
         if temperature >= m.austenite_finish + shift:
             return 0.0
         arg = k.reverse_slope * (temperature - a_start) - k.reverse_slope_c * stress
-        value = 0.5 * reverse_latch * (math.cos(arg) + 1.0)
-        return min(max(value, 0.0), reverse_latch)
+        value = 0.5 * latch * (math.cos(arg) + 1.0)
+        return min(max(value, 0.0), latch)
     # Branch.FORWARD
-    if not 0.0 <= forward_latch <= 1.0:
+    if not 0.0 <= latch <= 1.0:
         raise ValueError("fraction_at_start must lie in [0, 1]")
     if stress < 0.0:
         raise ValueError("stress must be non-negative")
     m_finish = m.martensite_finish
     shift = stress / m.stress_influence_forward
     if temperature >= m.martensite_start + shift:
-        return forward_latch
+        return latch
     if temperature <= m_finish + shift:
         return 1.0
     arg = k.forward_slope * (temperature - m_finish) - k.forward_slope_c * stress
-    value = 0.5 * (1.0 - forward_latch) * math.cos(arg) + 0.5 * (1.0 + forward_latch)
-    return min(max(value, forward_latch), 1.0)
+    value = 0.5 * (1.0 - latch) * math.cos(arg) + 0.5 * (1.0 + latch)
+    return min(max(value, latch), 1.0)
 
 
 def _idle_temperature(
@@ -485,8 +476,7 @@ def _temperature_on_branch(
     branch: Branch,
     temperature: float,
     stress: float,
-    reverse_latch: float,
-    forward_latch: float,
+    latch: float,
     current: float,
     dt: float,
 ) -> float:
@@ -500,7 +490,7 @@ def _temperature_on_branch(
     latent = k.zero_latent
 
     def rate(t: float) -> float:
-        xi = _fraction(k, branch, t, stress, reverse_latch, forward_latch)
+        xi = _fraction(k, branch, t, stress, latch)
         power = current * current * (r_m * xi + r_a * (1.0 - xi))
         return (power - g * (t - ambient) + latent) / capacity
 
@@ -556,16 +546,13 @@ def step_spring(
     if f0 < 0.0:
         raise ValueError("force must be non-negative")
     stress0 = 8.0 * f0 * geometry.coil_diameter / k.pi_d3
-    reverse_latch = state.fraction_at_reverse_start
-    forward_latch = state.fraction_at_forward_start
+    latch = state.fraction_at_branch_start
 
     branch = state.branch
     if branch is Branch.IDLE:
         t_star = _idle_temperature(k, t0, xi0, current, dt)
     else:
-        t_star = _temperature_on_branch(
-            k, branch, t0, stress0, reverse_latch, forward_latch, current, dt
-        )
+        t_star = _temperature_on_branch(k, branch, t0, stress0, latch, current, dt)
     heating = t_star > t0
 
     # Branch exits: direction reversed or the transformation has completed.
@@ -589,7 +576,7 @@ def step_spring(
             + stress0 / material.stress_influence_reverse
         ):
             branch = Branch.REVERSE
-            reverse_latch = _reverse_entry_latch(material, t0, stress0, xi0)
+            latch = _reverse_entry_latch(material, t0, stress0, xi0)
         elif (
             not heating
             and xi0 < 1.0
@@ -597,7 +584,7 @@ def step_spring(
             + stress0 / material.stress_influence_forward
         ):
             branch = Branch.FORWARD
-            forward_latch = _forward_entry_latch(material, t0, stress0, xi0)
+            latch = _forward_entry_latch(material, t0, stress0, xi0)
         else:
             # Idle: the fraction holds and no closure is needed.
             if state.branch is not Branch.IDLE:
@@ -610,10 +597,8 @@ def step_spring(
             # the law's d_xi term stays: it keeps the sign of a zero force
             # and the NaN of an infinite coefficient
             force_new = max(elastic_force + transform * 0.0 + thermal * delta_t, 0.0)
-            return SpringState(t_star, xi0, force_new, reverse_latch, forward_latch, branch)
-        t_star = _temperature_on_branch(
-            k, branch, t0, stress0, reverse_latch, forward_latch, current, dt
-        )
+            return SpringState(t_star, xi0, force_new, latch, branch)
+        t_star = _temperature_on_branch(k, branch, t0, stress0, latch, current, dt)
 
     # Joint per-step closure: the fraction change feeds back on the
     # temperature (latent heat) and on the band edges (stress shift).
@@ -625,7 +610,7 @@ def step_spring(
         t_cand = t_star + latent_gain * d_xi
         force_cand = elastic_force + transform * d_xi + thermal * (t_cand - t0)
         stress_cand = 8.0 * max(force_cand, 0.0) * coil_diameter / pi_d3
-        xi_cand = _fraction(k, branch, t_cand, stress_cand, reverse_latch, forward_latch)
+        xi_cand = _fraction(k, branch, t_cand, stress_cand, latch)
         return xi_cand - xi0 - d_xi
 
     if branch is Branch.REVERSE:
@@ -658,7 +643,7 @@ def step_spring(
         branch = Branch.IDLE
 
     # every field is new, so build the state directly (in field order)
-    return SpringState(t_new, xi_new, force_new, reverse_latch, forward_latch, branch)
+    return SpringState(t_new, xi_new, force_new, latch, branch)
 
 
 def _zeroin(fn, a: float, b: float, fa: float, fb: float) -> float:

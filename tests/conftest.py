@@ -43,7 +43,6 @@ def geometry():
         active_coils=20,
         spring_mass=2.5e-3,
         surface_area=15.7e-4,
-        rest_length=40e-3,
     )
 
 
@@ -74,7 +73,6 @@ def make_unit(index, azimuth, radius=0.035, base_radius=0.035, alpha=math.radian
     ca, sa = math.cos(azimuth), math.sin(azimuth)
     return PennateUnit(
         index=index,
-        azimuth=azimuth,
         base_attachment=(base_radius * ca, base_radius * sa, 0.0),
         head_attachment_local=(radius * ca, radius * sa, 0.0),
         pennation_angle=alpha,

@@ -300,7 +300,7 @@ def test_criterion_7_table_reproduction(scenario, calibration_result):
         failures.append(f"calibration took {calibration_elapsed:.0f} s (> 10 min)")
     fitted = apply_parameters(scenario, result.parameters)
     system = fitted.build_system()
-    config = SimConfig(dt=scenario.dt, duration=5.0)
+    config = SimConfig(dt=scenario.simulation.dt, duration=5.0)
     rows = sweep(system, TABLE_CURRENTS, 5.0, config)
     achieved = []
     for row, target_deg in zip(rows, TABLE_ANGLES_DEG):

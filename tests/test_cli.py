@@ -288,8 +288,8 @@ def test_degenerate_calibration_bound_names_the_bound(scenario_file, capsys):
     "override, field",
     [
         # 6e300, 1e12 and 5e11 steps: each once ran until it was killed
-        ("simulation.dt=1e-300 s", "simulation.dt/simulation.duration"),
-        ("simulation.duration=1e9 s", "simulation.dt/simulation.duration"),
+        ("simulation.dt=1e-300 s", "simulation"),
+        ("simulation.duration=1e9 s", "simulation"),
         ("calibration.hold=1e9 s", "calibration.hold"),
     ],
 )
@@ -366,6 +366,58 @@ def test_run_id_outside_the_output_directory_fails_validation(
     ]
     assert err.startswith("error: validation: output.run_id: ")
     assert list(tmp_path.rglob("*")) == []
+
+
+@pytest.mark.parametrize(
+    "run_id",
+    ["a" * 240, "\u00e9" * 120, "a" * 100 + "\u20ac" * 47, '"a\\ud800b"'],
+    ids=["240 ascii", "240 bytes of 2", "241 bytes of 3", "lone surrogate"],
+)
+def test_run_id_too_long_for_a_file_name_fails_validation(
+    scenario_file, tmp_path, capsys, run_id
+):
+    # a file name holds 255 bytes and the longest output suffix takes 16; a
+    # longer run_id once ran the whole simulation, then failed to write
+    out = tmp_path / "out"
+    code = main(["simulate", "--scenario", str(scenario_file), "--out", str(out),
+                 *FAST, "--set", f"output.run_id={run_id}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: output.run_id: ")
+    assert "at most 239 UTF-8 bytes" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run_id", ["a" * 239, "a" + "\u00e9" * 119])
+def test_run_id_of_239_bytes_names_every_output(scenario_file, tmp_path, run_id):
+    code = main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path),
+                 "--plots", "--quiet", *FAST, "--set", f"output.run_id={run_id}"])
+    assert code == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        f"{run_id}_{name}" for name in
+        ["trace.csv", "phi.svg", "theta.svg", "force.svg", "temperature.svg", "xi.svg"]
+    )
+
+
+def test_azimuths_not_120_deg_apart_fail_validation(scenario_file, capsys):
+    code = main(["validate-config", "--scenario", str(scenario_file),
+                 "--set", "pennate.azimuths=[60 deg, 150 deg, 300 deg]"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == (
+        "error: validation: pennate.azimuths: must be mutually 120 deg apart"
+    )
+
+
+def test_max_force_combination_solves_every_step(scenario_file, tmp_path):
+    code = main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path),
+                 "--quiet", "--set", "pennate.force_combination=max",
+                 "--set", "simulation.duration=1 s", "--set", "simulation.dt=2 ms",
+                 "--set", "profile=[{unit: 1, start: 0 s, end: 1 s, current: 8 A}]"])
+    assert code == 0
+    residuals = read_trace(tmp_path / "neck_trace.csv")["residual_Nm"]
+    assert len(residuals) == 500
+    assert all(r < 1e-9 for r in residuals)
 
 
 def test_scenario_file_that_is_not_utf8_fails_to_parse(tmp_path, capsys):

@@ -14,14 +14,16 @@ from sma_neck import (
     Segment,
     SimConfig,
     elastic_moment,
+    pennate_force,
     residual,
     simulate,
     solve_pose,
     sweep,
+    tendon_force_from_stretch,
     unit_line_of_action,
     unit_moment,
 )
-from sma_neck import sma
+from sma_neck import engine, sma
 from sma_neck.engine import MAX_STEPS, _solve_pose_statics, _Statics
 from sma_neck.scenario import (
     default_scenario_text,
@@ -444,6 +446,58 @@ class TestSimulate:
         assert trace.phi_defined[-1]
 
 
+class TestForceCombination:
+    @pytest.mark.parametrize(
+        "combination, combine", [("additive", lambda a, b: a + b), ("max", max)]
+    )
+    def test_tendon_force_combines_active_and_passive(
+        self, monkeypatch, combination, combine
+    ):
+        # each step's tendon force combines the pennate force of the stepped
+        # spring with the stiffness force of the contraction the previous
+        # solve returned (the rest solve, before the first step)
+        scenario = load_with_overrides(
+            default_scenario_text(),
+            [
+                f"pennate.force_combination={combination}",
+                "pennate.tendon_stiffness=6000 N/m",
+                "simulation.dt=2 ms",
+                "simulation.duration=1 s",
+                "profile=[{unit: 1, start: 0 s, end: 1 s, current: 8 A}]",
+            ],
+        )
+        system = scenario.build_system()
+        spring_forces, contractions = [], []
+        step_fn, solve_fn = engine.step_spring, engine._solve_pose_statics
+
+        def recorded_step(*args):
+            state = step_fn(*args)
+            spring_forces.append(state.force)
+            return state
+
+        def recorded_solve(*args):
+            result = solve_fn(*args)
+            contractions.append(result[4])
+            return result
+
+        monkeypatch.setattr(engine, "step_spring", recorded_step)
+        monkeypatch.setattr(engine, "_solve_pose_statics", recorded_solve)
+        trace = simulate(system, scenario.build_config())
+        assert len(spring_forces) == 3 * len(trace)
+        assert len(contractions) == len(trace) + 1
+        passive_wins = active_wins = 0
+        for i, forces in enumerate(trace.unit_forces):
+            for k, unit in enumerate(system.units):
+                active = pennate_force(unit, spring_forces[3 * i + k])
+                passive = tendon_force_from_stretch(unit, contractions[i][k])
+                assert forces[k] == combine(active, passive)
+                passive_wins += passive > active
+                active_wins += active > passive
+        # the tendon is stiff enough that the heated unit's stretch force
+        # outgrows its spring pull, so each operand of "max" wins somewhere
+        assert passive_wins and active_wins
+
+
 class TestSimConfig:
     def test_step_cap(self):
         SimConfig(dt=1.0, duration=float(MAX_STEPS))
@@ -491,15 +545,6 @@ class TestSweep:
 
 
 class TestSystemValidation:
-    def test_azimuth_spacing_enforced(self, material, geometry, env, backbone, system):
-        bad_units = (
-            system.units[0],
-            replace(system.units[1], azimuth=math.radians(150.0)),
-            system.units[2],
-        )
-        with pytest.raises(ValueError):
-            replace(system, units=bad_units)
-
     def test_head_mass_non_negative(self, system):
         with pytest.raises(ValueError):
             replace(system, head_mass=-0.1)

@@ -102,7 +102,7 @@ def test_override_equivalence(default_text):
 
 def test_override_list_item(default_text):
     scenario = load_with_overrides(default_text, ["profile.0.current=7 A"])
-    assert scenario.profile[0].current == pytest.approx(7.0)
+    assert scenario.simulation.current_profile.segments[0].current == pytest.approx(7.0)
 
 
 def test_override_unknown_path(default_text):

@@ -356,7 +356,7 @@ class TestStepSpring:
         for _ in range(5000):
             state = step_spring(material, geometry, env, state, 6.0, 0.0, 1e-3)
         assert state.branch is Branch.REVERSE
-        assert state.fraction_at_reverse_start == 1.0
+        assert state.fraction_at_branch_start == 1.0
 
 
 def _bisection_root(fn, lo, hi, f_lo, f_hi):
@@ -403,14 +403,14 @@ def test_phase_root_matches_bisection_oracle(
         start, finish = sma._reverse_band(material, stress)
         temperature = start + band_position * (finish - start)
         fraction = reverse_fraction(material, temperature, stress, latch)
-        latches = dict(fraction_at_reverse_start=latch)
+        latches = dict(fraction_at_branch_start=latch)
         current = 6.0 + 6.0 * drive
     else:
         latch = 1.0 - latch
         start, finish = sma._forward_band(material, stress)
         temperature = finish + band_position * (start - finish)
         fraction = forward_fraction(material, temperature, stress, latch)
-        latches = dict(fraction_at_forward_start=latch)
+        latches = dict(fraction_at_branch_start=latch)
         current = drive
     state = SpringState(
         temperature=temperature,
