@@ -446,6 +446,87 @@ class TestSimulate:
         assert trace.phi_defined[-1]
 
 
+def _drawn_run(segments, dt_ms, duration, gravity, combination):
+    profile = ", ".join(
+        f"{{unit: {unit}, start: {start:g} s, end: {end:g} s, current: {amps:g} A}}"
+        for unit, start, end, amps in segments
+    )
+    return load_with_overrides(
+        default_scenario_text(),
+        [
+            f"simulation.dt={dt_ms} ms",
+            f"simulation.duration={duration:g} s",
+            f"profile=[{profile}]",
+            f"head.gravity={'true' if gravity else 'false'}",
+            f"pennate.force_combination={combination}",
+        ],
+    )
+
+
+@st.composite
+def _segments(draw):
+    """One to three current segments, each on its own unit, of 4-8 A within
+    the first 0.8 s of a run."""
+    units = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=3, unique=True))
+    segments = []
+    for unit in units:
+        start = draw(st.integers(0, 40)) / 100.0
+        end = start + draw(st.integers(5, 40)) / 100.0
+        segments.append((unit, start, end, draw(st.integers(40, 80)) / 10.0))
+    return segments
+
+
+class TestContinuation:
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        segments=_segments(),
+        dt_ms=st.sampled_from((1, 2)),
+        duration=st.integers(3, 10).map(lambda d: d / 10.0),
+        gravity=st.booleans(),
+        combination=st.sampled_from(("additive", "max")),
+    )
+    def test_every_row_is_the_warm_started_solution(
+        self, segments, dt_ms, duration, gravity, combination
+    ):
+        """Each accepted pose is the equilibrium ``solve_pose`` finds for the
+        row's forces from the previous row's pose, whatever point the step's
+        own solve starts from.
+
+        Both poses leave a net moment below the tolerance, so their residuals
+        differ by at most 2 tol.  The backbone resists a change of curvature
+        u with EI and a change of twist with GJ / L, so the poses differ by
+        about 2 tol / EI in u and 2 tol L / GJ in twist; the factor 10 leaves
+        room for the tendon moments' share of the Jacobian:
+        |du| <= 10 * 2 tol / EI and |dtwist| <= 10 * 2 tol L / GJ.
+        """
+        scenario = _drawn_run(segments, dt_ms, duration, gravity, combination)
+        system, config = scenario.build_system(), scenario.build_config()
+        poses = []
+        solve_fn = engine._solve_pose_statics
+
+        def recorded_solve(*args):
+            result = solve_fn(*args)
+            poses.append(result[:3])
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_solve_pose_statics", recorded_solve)
+            trace = simulate(system, config)
+        assert len(poses) == len(trace) + 1
+
+        tol = config.solver_tolerance
+        bb = system.backbone
+        du_bound = 10.0 * 2.0 * tol / bb.bending_stiffness_y
+        dtwist_bound = 10.0 * 2.0 * tol * bb.length / bb.torsional_stiffness
+        assert all(r < tol for r in trace.residual_norm)
+        for previous, (kappa, phi, eps), forces in zip(poses, poses[1:], trace.unit_forces):
+            want = solve_pose(system, forces, ArcPose(*previous), config)
+            dux = kappa * math.cos(phi) - want.curvature * math.cos(want.bending_plane_angle)
+            duy = kappa * math.sin(phi) - want.curvature * math.sin(want.bending_plane_angle)
+            assert math.hypot(dux, duy) <= du_bound
+            assert abs(eps - want.twist) <= dtwist_bound
+
+
 class TestForceCombination:
     @pytest.mark.parametrize(
         "combination, combine", [("additive", lambda a, b: a + b), ("max", max)]
