@@ -476,14 +476,13 @@ def _solve3(j, r):
 
 
 def _solve_pose_statics(
-    statics: _Statics, forces, kappa: float, phi: float, eps: float, config: SimConfig
+    statics: _Statics, forces, x0: float, x1: float, x2: float, config: SimConfig
 ):
     """Equilibrium pose (kappa, phi in [0, 2 pi), twist), its residual norm
     and the unit chord contractions at that pose, by damped Newton on
-    (u_x, u_y, twist) warm-started at (``kappa``, ``phi``, ``eps``)."""
+    (u_x, u_y, twist) started at (``x0``, ``x1``, ``x2``)."""
     length = statics.length
-    x0, x1, x2 = kappa * math.cos(phi), kappa * math.sin(phi), eps
-    kappa, phi = math.hypot(x0, x1), math.atan2(x1, x0) % _TWO_PI
+    kappa, phi, eps = math.hypot(x0, x1), math.atan2(x1, x0) % _TWO_PI, x2
 
     tol = config.solver_tolerance
     res, tip, rows = statics.residual(kappa, phi, eps, forces)
@@ -546,10 +545,10 @@ def solve_pose(
     from ``initial_guess``.  Raises NoConvergence or PoseOutOfRange.
     """
     forces = _tendon_forces(unit_forces)
-    guess = initial_guess
+    kappa, phi = initial_guess.curvature, initial_guess.bending_plane_angle
     kappa, phi, eps, _, _ = _solve_pose_statics(
-        _Statics(system), forces, guess.curvature, guess.bending_plane_angle,
-        guess.twist, config,
+        _Statics(system), forces, kappa * math.cos(phi), kappa * math.sin(phi),
+        initial_guess.twist, config,
     )
     return ArcPose(kappa, phi, eps)
 
@@ -609,6 +608,10 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
         _annotate_failure(exc, 0, 0.0)
         raise
     dx_prev2 = dx_prev
+    # the last three accepted poses a, b, c as (u_x, u_y, twist); each solve
+    # starts from their quadratic extrapolation along the solution path
+    # (predictor-corrector continuation), or from c while fewer exist
+    a = b = c = (kappa * math.cos(phi), kappa * math.sin(phi), eps)
 
     trace = SimTrace()
     last_phi = phi
@@ -633,14 +636,23 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
                     config.max_temperature_step,
                 )
             forces = unit_forces(dx_prev)
+            if step_index < 2:
+                start = c
+            else:
+                start = (
+                    3.0 * (c[0] - b[0]) + a[0],
+                    3.0 * (c[1] - b[1]) + a[1],
+                    3.0 * (c[2] - b[2]) + a[2],
+                )
             kappa, phi, eps, res_norm, dx = _solve_pose_statics(
-                statics, forces, kappa, phi, eps, config
+                statics, forces, *start, config
             )
         except SOLVER_FAILURES as exc:
             _annotate_failure(exc, step_index + 1, t)
             raise
 
         dx_prev2, dx_prev = dx_prev, dx
+        a, b, c = b, c, (kappa * math.cos(phi), kappa * math.sin(phi), eps)
 
         theta = kappa * statics.length
         if theta >= STRAIGHT_THRESHOLD:

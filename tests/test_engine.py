@@ -242,7 +242,7 @@ class TestSolvePose:
         statics = _Statics(system)
         cfg = quick_config()
         straight = _solve_pose_statics(statics, forces, 0.0, 0.0, 0.0, cfg)
-        bent = _solve_pose_statics(statics, forces, 1.0, phi, 0.0, cfg)
+        bent = _solve_pose_statics(statics, forces, math.cos(phi), math.sin(phi), 0.0, cfg)
         assert straight[3] < cfg.solver_tolerance
         assert bent[3] < cfg.solver_tolerance
         assert bent[0] == pytest.approx(straight[0], abs=1e-8)
@@ -266,13 +266,13 @@ class TestSolvePose:
             solve_pose(system, (5000.0, 0.0, 0.0), straight_pose, quick_config())
 
     def test_plane_angle_rounding_up_to_two_pi_is_handed_on_as_zero(self, system):
-        # the Cartesian warm start re-derives phi = atan2(-1e-32, 1e-12) =
-        # -1e-20, whose % 2 pi rounds up to exactly 2 pi; the residual is
+        # the Cartesian start (1e-12, -1e-32) has phi = atan2(-1e-32, 1e-12)
+        # = -1e-20, whose % 2 pi rounds up to exactly 2 pi; the residual is
         # already below tolerance, so that angle is the solution.  The pose
         # handed to the next step must be the one ArcPose would hold.
         cfg = quick_config()
         kappa, phi, eps, norm, _ = _solve_pose_statics(
-            _Statics(system), (0.0, 0.0, 0.0), 1e-12, -1e-20, 0.0, cfg
+            _Statics(system), (0.0, 0.0, 0.0), 1e-12, -1e-32, 0.0, cfg
         )
         assert norm < cfg.solver_tolerance
         assert -1e-20 % (2 * math.pi) == 2 * math.pi
@@ -355,14 +355,16 @@ class TestSimulate:
         assert trace.spring_temperatures[-1][0] > temp_before
 
     def test_residual_evaluations_per_step(self, monkeypatch):
-        # the exact Jacobian leaves one evaluation for the warm start and one
-        # per Newton step; at most three per step on a 1 s bundled run
+        # the exact Jacobian leaves one evaluation for the start and one per
+        # Newton step; started from the last pose, every step took two, and
+        # the start extrapolated from the last three poses often meets the
+        # tolerance on its own
         scenario = load_default_scenario()
         calls, trace = _count_residual_calls(
             monkeypatch, scenario.build_system(), scenario.build_config(duration=1.0)
         )
         assert len(trace) == 1000
-        assert calls <= 3 * len(trace)
+        assert calls / len(trace) < 2.0
 
     def test_residual_evaluations_per_step_as_the_plane_swings(self, monkeypatch):
         # heating each unit in turn swings the bending plane by 120 degrees
