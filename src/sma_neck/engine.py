@@ -9,7 +9,8 @@ assembled from the closed-form derivatives of the constant-curvature arc
 (tip velocity, angular velocity of the head mount and elastic moment rate)
 and of each tendon's moment.  The solve runs in the Cartesian curvature
 components u = kappa (cos phi, sin phi), which have one value at every pose,
-the straight one included, where the bending-plane angle has none.
+the straight one included, where the bending-plane angle has none.  Each
+step's solve starts from the quadratic extrapolation of the last three poses.
 
 Spring stretch rates are fed back from the pose change of the previous
 accepted step (one-step lag), which breaks the algebraic loop between the

@@ -448,23 +448,6 @@ class TestSimulate:
         assert trace.phi_defined[-1]
 
 
-def _drawn_run(segments, dt_ms, duration, gravity, combination):
-    profile = ", ".join(
-        f"{{unit: {unit}, start: {start:g} s, end: {end:g} s, current: {amps:g} A}}"
-        for unit, start, end, amps in segments
-    )
-    return load_with_overrides(
-        default_scenario_text(),
-        [
-            f"simulation.dt={dt_ms} ms",
-            f"simulation.duration={duration:g} s",
-            f"profile=[{profile}]",
-            f"head.gravity={'true' if gravity else 'false'}",
-            f"pennate.force_combination={combination}",
-        ],
-    )
-
-
 @st.composite
 def _segments(draw):
     """One to three current segments, each on its own unit, of 4-8 A within
@@ -501,7 +484,20 @@ class TestContinuation:
         room for the tendon moments' share of the Jacobian:
         |du| <= 10 * 2 tol / EI and |dtwist| <= 10 * 2 tol L / GJ.
         """
-        scenario = _drawn_run(segments, dt_ms, duration, gravity, combination)
+        profile = ", ".join(
+            f"{{unit: {unit}, start: {start:g} s, end: {end:g} s, current: {amps:g} A}}"
+            for unit, start, end, amps in segments
+        )
+        scenario = load_with_overrides(
+            default_scenario_text(),
+            [
+                f"simulation.dt={dt_ms} ms",
+                f"simulation.duration={duration:g} s",
+                f"profile=[{profile}]",
+                f"head.gravity={'true' if gravity else 'false'}",
+                f"pennate.force_combination={combination}",
+            ],
+        )
         system, config = scenario.build_system(), scenario.build_config()
         poses = []
         solve_fn = engine._solve_pose_statics
