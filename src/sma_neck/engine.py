@@ -30,12 +30,7 @@ from .backbone import (
     _Vec3,
     _wrap_angle,
 )
-from .pennate import (
-    PennateUnit,
-    pennate_force,
-    rest_chord_length,
-    tendon_force_from_stretch,
-)
+from .pennate import PennateUnit, rest_chord_length
 from .sma import (
     SmaMaterial,
     SpringGeometry,
@@ -418,6 +413,8 @@ def _tendon_forces(unit_forces) -> tuple[float, float, float]:
     forces = tuple(float(f) for f in unit_forces)
     if len(forces) != 3:
         raise ValueError("unit_forces must have exactly 3 entries")
+    if not all(map(math.isfinite, forces)):
+        raise ValueError(f"unit forces must be finite, got {forces}")
     if any(f < 0.0 for f in forces):
         raise ValueError("unit forces must be non-negative")
     return forces
@@ -554,16 +551,6 @@ def solve_pose(
     return ArcPose(kappa, phi, eps)
 
 
-def _combined_force(
-    system: NeckSystem, unit: PennateUnit, spring_force: float, contraction: float
-) -> float:
-    active = pennate_force(unit, spring_force)
-    passive = tendon_force_from_stretch(unit, contraction)
-    if system.force_combination == "max":
-        return max(active, passive)
-    return active + passive
-
-
 def _annotate_failure(exc: Exception, step: int, t: float) -> None:
     """Prefix a solver failure's message with the step (0 is the rest solve)
     and time it happened at; a stalled solve also names its best pose."""
@@ -588,22 +575,35 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
     profile = config.current_profile
     dt = config.dt
     n_steps = int(round(config.duration / dt))
+    material, geometry, env = system.material, system.spring_geometry, system.env
+    bound = config.max_temperature_step
+    take_max = system.force_combination == "max"
 
-    units = system.units
-    states = [u.spring for u in units]
-
-    def unit_forces(dx):
-        return tuple(
-            _combined_force(system, u, s.force, x) for u, s, x in zip(units, states, dx)
+    states = [u.spring for u in system.units]
+    # per unit, taken once per run: its profile index, cos(pennation) and its
+    # negative, its spring count and its tendon stiffness
+    constants = [
+        (
+            u.index,
+            math.cos(u.pennation_angle),
+            -math.cos(u.pennation_angle),
+            u.fibers,
+            u.tendon_stiffness,
         )
+        for u in system.units
+    ]
 
     # resolve the initial equilibrium so pretension imbalances are not
     # attributed to the first step; the straight pose is where each rest
-    # chord was measured, so every chord contraction there is zero
-    rest_forces = unit_forces((0.0, 0.0, 0.0))
+    # chord was measured, so every chord contraction there is zero and so is
+    # each tendon's stiffness force (see the step below)
+    rest_forces = []
+    for (_, cos_p, _, fibers, _), state in zip(constants, states):
+        active = fibers * state.force * cos_p
+        rest_forces.append(max(active, 0.0) if take_max else active + 0.0)
     try:
         kappa, phi, eps, _, dx_prev = _solve_pose_statics(
-            statics, rest_forces, 0.0, 0.0, 0.0, config
+            statics, tuple(rest_forces), 0.0, 0.0, 0.0, config
         )
     except SOLVER_FAILURES as exc:
         _annotate_failure(exc, 0, 0.0)
@@ -622,21 +622,26 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
         t_prev = step_index * dt
         t = t_prev + dt
         try:
-            for k, unit in enumerate(units):
-                amps = profile.current(unit.index, t_prev)
-                rate = (dx_prev[k] - dx_prev2[k]) / dt
-                stretch_rate = -math.cos(unit.pennation_angle) * rate
-                states[k] = step_spring(
-                    system.material,
-                    system.spring_geometry,
-                    system.env,
+            forces = []
+            for k, (index, cos_p, neg_cos_p, fibers, stiffness) in enumerate(constants):
+                contraction = dx_prev[k]
+                state = states[k] = step_spring(
+                    material,
+                    geometry,
+                    env,
                     states[k],
-                    amps,
-                    stretch_rate,
+                    profile.current(index, t_prev),
+                    neg_cos_p * ((contraction - dx_prev2[k]) / dt),
                     dt,
-                    config.max_temperature_step,
+                    bound,
                 )
-            forces = unit_forces(dx_prev)
+                # the tendon force: the springs' pull along the tendon
+                # (pennate_force) with the stiffness force of the last chord
+                # contraction (tendon_force_from_stretch), combined
+                active = fibers * state.force * cos_p
+                passive = 0.0 if contraction <= 0.0 else stiffness * contraction
+                forces.append(max(active, passive) if take_max else active + passive)
+            forces = tuple(forces)
             if step_index < 2:
                 start = c
             else:
@@ -662,12 +667,13 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
         else:
             phi_defined = False
 
+        s0, s1, s2 = states
         if not crossing_recorded:
             for s in states:
                 if s.martensite_fraction < 1.0:
                     crossing_recorded = True
-                    sigma = shear_stress(system.spring_geometry, s.force)
-                    as_prime, af_prime = _reverse_band(system.material, sigma)
+                    sigma = shear_stress(geometry, s.force)
+                    as_prime, af_prime = _reverse_band(material, sigma)
                     trace.markers["crossing_t_s"] = t
                     trace.markers["as_prime_K"] = as_prime
                     trace.markers["af_prime_K"] = af_prime
@@ -678,8 +684,8 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
             kappa,
             last_phi,
             theta,
-            tuple(s.temperature for s in states),
-            tuple(s.martensite_fraction for s in states),
+            (s0.temperature, s1.temperature, s2.temperature),
+            (s0.martensite_fraction, s1.martensite_fraction, s2.martensite_fraction),
             forces,
             res_norm,
             phi_defined,

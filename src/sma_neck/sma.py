@@ -164,6 +164,39 @@ class SpringState:
             raise ValueError("force must be non-negative (tendon cannot push)")
 
 
+_new_object = object.__new__
+
+
+def _state(
+    temperature: float,
+    fraction: float,
+    force: float,
+    latch: float,
+    branch: Branch,
+) -> SpringState:
+    """The ``SpringState`` that ``step_spring`` returns, built without
+    ``__init__`` and ``__post_init__``: equal to, and hashing like, the one
+    the checked constructor builds from the same fields.
+
+    Only the temperature is checked, with the constructor's message.  The
+    other invariants hold by construction on both return paths of the step:
+    the fraction is clamped to [0, 1] or carried from the input state, the
+    latch comes from an entry-latch helper or is carried, and the force is
+    ``max(..., 0.0)``.  A NaN fraction change makes the temperature change
+    NaN, so ``StepTooLarge`` is raised before a NaN fraction could get here.
+    """
+    if temperature <= 0.0:
+        raise ValueError("temperature must be positive (kelvin)")
+    state = _new_object(SpringState)
+    fields = state.__dict__
+    fields["temperature"] = temperature
+    fields["martensite_fraction"] = fraction
+    fields["force"] = force
+    fields["fraction_at_branch_start"] = latch
+    fields["branch"] = branch
+    return state
+
+
 def effective_modulus(material: SmaMaterial, fraction: float) -> tuple[float, float]:
     """Phase-mixture Young's and shear moduli at martensite fraction ``fraction``."""
     if not 0.0 <= fraction <= 1.0:
@@ -597,7 +630,7 @@ def step_spring(
             # the law's d_xi term stays: it keeps the sign of a zero force
             # and the NaN of an infinite coefficient
             force_new = max(elastic_force + transform * 0.0 + thermal * delta_t, 0.0)
-            return SpringState(t_star, xi0, force_new, latch, branch)
+            return _state(t_star, xi0, force_new, latch, branch)
         t_star = _temperature_on_branch(k, branch, t0, stress0, latch, current, dt)
 
     # Joint per-step closure: the fraction change feeds back on the
@@ -642,8 +675,7 @@ def step_spring(
         xi_new = 1.0
         branch = Branch.IDLE
 
-    # every field is new, so build the state directly (in field order)
-    return SpringState(t_new, xi_new, force_new, latch, branch)
+    return _state(t_new, xi_new, force_new, latch, branch)
 
 
 def _zeroin(fn, a: float, b: float, fa: float, fb: float) -> float:

@@ -96,6 +96,14 @@ class TestResidual:
         with pytest.raises(ValueError):
             residual(system, straight_pose, (-1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 2])
+    def test_rejects_non_finite_force(self, system, straight_pose, bad, slot):
+        forces = [1.0, 0.0, 0.0]
+        forces[slot] = bad
+        with pytest.raises(ValueError, match="unit forces must be finite"):
+            residual(system, straight_pose, forces)
+
     def test_gravity_moment_when_enabled(self, system):
         heavy = replace(system, gravity_enabled=True)
         pose = ArcPose(2.0, 0.0, 0.0)
@@ -253,6 +261,12 @@ class TestSolvePose:
         # the same force check as the residual
         with pytest.raises(ValueError):
             solve_pose(system, (-3.0, 0.0, 0.0), straight_pose, quick_config())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_force(self, system, straight_pose, bad):
+        # rejected before the Newton loop, not reported as a stalled solve
+        with pytest.raises(ValueError, match="unit forces must be finite"):
+            solve_pose(system, (1.0, bad, 0.0), straight_pose, quick_config())
 
     def test_no_convergence_reports_best(self, system, straight_pose):
         cfg = quick_config(solver_tolerance=1e-30, max_newton_iterations=2)

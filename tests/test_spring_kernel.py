@@ -10,9 +10,10 @@ byte-identical.
 """
 
 import math
+import pickle
 import random
 import struct
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from typing import NamedTuple
 
 import pytest
@@ -303,7 +304,28 @@ def assert_same_step(material, geometry, env, state, current, stretch_rate, dt, 
         assert a == b or (a != a and b != b), (name, a, b)
         if isinstance(a, float):
             assert _bits(a) == _bits(b), (name, a, b)  # sign of zero too
+    assert_checked_state(got)
     return got
+
+
+def assert_checked_state(state):
+    """``step_spring`` builds its result without running the dataclass
+    constructor; it must be the state the checked constructor builds from the
+    same fields, and behave like one."""
+    values = {name: getattr(state, name) for name in _FIELDS}
+    checked = SpringState(**values)
+    assert type(state) is SpringState
+    assert state == checked
+    assert hash(state) == hash(checked)
+    assert repr(state) == repr(checked)
+    assert list(vars(state)) == list(vars(checked))
+    with pytest.raises(FrozenInstanceError):
+        state.temperature = 1.0
+    with pytest.raises(FrozenInstanceError):
+        del state.force
+    assert replace(state) == checked
+    assert replace(state, branch=Branch.IDLE) == replace(checked, branch=Branch.IDLE)
+    assert pickle.loads(pickle.dumps(state)) == checked
 
 
 _ANCHORS = ("as", "af", "ms", "mf", "mid_reverse", "mid_forward", "free")
@@ -465,6 +487,32 @@ def test_same_exceptions(triple, current, dt, bound, raises):
             step_spring, material, geometry, env, state, current, 0.0, dt, bound
         )
         assert type(exc) is (raises or type(None))
+
+
+@pytest.mark.parametrize(
+    "fraction, transforms",
+    [
+        (1.0, False),  # the idle return: no arc can be entered
+        (0.0, True),  # the closure's return: the forward arc runs to its end
+    ],
+)
+def test_step_to_a_non_positive_temperature_raises(fraction, transforms):
+    """RK4 overshoots a stiff heat balance: from 1 K under a 298 K ambient,
+    a 30 s step lands below zero kelvin.  With the temperature bound lifted,
+    both return paths reject the state as the checked constructor did."""
+    material, geometry, env = TRIPLES[0]
+    state = SpringState(1.0, fraction, 2.0)
+    args = (material, geometry, env, state, 0.0, 0.0, 30.0, 1e9)
+    assert assert_same_step(*args) is None
+    with pytest.raises(ValueError, match=r"^temperature must be positive \(kelvin\)$"):
+        step_spring(*args)
+    # the composition, which builds no SpringState, shows the path taken
+    landed = _composed_two_latch_step(
+        material, geometry, env, _TwoLatchState(1.0, fraction, 2.0, 1.0, 1.0, Branch.IDLE),
+        0.0, 0.0, 30.0, 1e9,
+    )
+    assert landed.temperature <= 0.0
+    assert (landed.martensite_fraction != fraction) is transforms
 
 
 def test_overflow_is_reported_as_overflow():
