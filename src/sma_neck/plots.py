@@ -44,10 +44,13 @@ def _line_plot(
     ys_all += [y for _, y in h_lines]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
-    if math.isclose(y_lo, y_hi, abs_tol=1e-12):
+    pad = 0.05 * (y_hi - y_lo)
+    # a range too narrow for its tick labels to tell apart (solver noise on
+    # a held value) is drawn as flat, not stretched over the panel
+    labels = {f"{tick:.4g}" for tick in _ticks(y_lo - pad, y_hi + pad)}
+    if math.isclose(y_lo, y_hi, abs_tol=1e-12) or len(labels) < 5:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     else:
-        pad = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
     if math.isclose(x_lo, x_hi):
         x_hi = x_lo + 1.0

@@ -1,10 +1,11 @@
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from sma_neck import CurrentProfile, SimConfig, emit_plots, simulate
 from sma_neck.engine import SimTrace
-from sma_neck.plots import PANELS
+from sma_neck.plots import _ML, PANELS
 
 
 def run_trace(system, amps, steps=300):
@@ -64,3 +65,33 @@ def test_flat_zero_trace_plots_fine(system, tmp_path):
 def test_empty_trace_refused(tmp_path):
     with pytest.raises(ValueError):
         emit_plots(SimTrace(), tmp_path)
+
+
+def _y_tick_labels(svg):
+    """The y axis tick labels of one panel, bottom to top: the text elements
+    right-aligned just left of the plot frame."""
+    root = ET.fromstring(svg)
+    return [
+        el.text for el in root.iter()
+        if el.tag.endswith("text") and el.get("text-anchor") == "end"
+        and el.get("x") == str(_ML - 8)
+    ]
+
+
+@pytest.mark.parametrize("noise", [0.0, 5e-6])
+def test_near_constant_panel_gets_distinct_tick_labels(tmp_path, noise):
+    """A bending-plane angle held at 60 deg to within solver noise is drawn
+    flat: its five y tick labels all differ, as they do for an exact 60."""
+    trace = SimTrace()
+    for i in range(50):
+        wobble = noise * (1 if i % 3 == 0 else -1 if i % 3 == 1 else 0)
+        phi = math.radians(60.0 + wobble)
+        trace.append(
+            (i + 1) * 1e-3, 1.0, phi, 0.1, (300.0,) * 3, (1.0,) * 3, (1.0,) * 3,
+            0.0, True,
+        )
+    emit_plots(trace, tmp_path, run_id="held")
+    labels = _y_tick_labels((tmp_path / "held_phi.svg").read_text())
+    assert len(labels) == 5
+    assert len(set(labels)) == 5, labels
+    assert "60" in labels
