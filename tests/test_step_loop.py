@@ -12,7 +12,7 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from sma_neck import engine
 from sma_neck.backbone import STRAIGHT_THRESHOLD
@@ -197,7 +197,7 @@ def assert_same_run(system, config):
 
 
 def _scenario(segments, dt_ms, duration, gravity, combination, springs,
-              tendon_stiffness=1000.0, extra=()):
+              tendon_stiffness):
     profile = ", ".join(
         f"{{unit: {unit}, start: {start:g} s, end: {end:g} s, current: {amps:g} A}}"
         for unit, start, end, amps in segments
@@ -212,7 +212,6 @@ def _scenario(segments, dt_ms, duration, gravity, combination, springs,
             f"pennate.force_combination={combination}",
             f"pennate.springs_per_unit={springs}",
             f"pennate.tendon_stiffness={tendon_stiffness:g} N/m",
-            *extra,
         ],
     )
 
@@ -231,7 +230,12 @@ def _segments(draw):
     return segments
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+# a failing draw is reported as drawn, without shrinking: each example runs
+# two simulations of up to 1.2 s of model time, so shrinking takes minutes
+@settings(
+    max_examples=25, deadline=None, derandomize=True, database=None,
+    phases=(Phase.explicit, Phase.generate),
+)
 @given(
     segments=_segments(),
     dt_ms=st.sampled_from((1, 2)),
@@ -252,8 +256,8 @@ def test_loop_equals_reference(
 
 @pytest.mark.parametrize("combination", ["additive", "max"])
 def test_bundled_run_equals_reference(combination):
-    """The bundled scenario, whole: heating, the crossing markers, and six
-    seconds of cooling after the switch-off."""
+    """The bundled scenario, whole: five seconds of heating through the
+    crossing markers, then a second of cooling after the switch-off."""
     scenario = load_with_overrides(
         default_scenario_text(), [f"pennate.force_combination={combination}"]
     )
