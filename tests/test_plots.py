@@ -84,8 +84,7 @@ def test_near_constant_panel_gets_distinct_tick_labels(tmp_path, noise):
     flat: its five y tick labels all differ, as they do for an exact 60."""
     trace = SimTrace()
     for i in range(50):
-        wobble = noise * (1 if i % 3 == 0 else -1 if i % 3 == 1 else 0)
-        phi = math.radians(60.0 + wobble)
+        phi = math.radians(60.0 + (i % 3 - 1) * noise)
         trace.append(
             (i + 1) * 1e-3, 1.0, phi, 0.1, (300.0,) * 3, (1.0,) * 3, (1.0,) * 3,
             0.0, True,

@@ -324,7 +324,6 @@ def assert_checked_state(state):
     with pytest.raises(FrozenInstanceError):
         del state.force
     assert replace(state) == checked
-    assert replace(state, branch=Branch.IDLE) == replace(checked, branch=Branch.IDLE)
     assert pickle.loads(pickle.dumps(state)) == checked
 
 
