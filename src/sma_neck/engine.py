@@ -10,7 +10,11 @@ assembled from the closed-form derivatives of the constant-curvature arc
 and of each tendon's moment.  The solve runs in the Cartesian curvature
 components u = kappa (cos phi, sin phi), which have one value at every pose,
 the straight one included, where the bending-plane angle has none.  Each
-step's solve starts from the quadratic extrapolation of the last three poses.
+step's solve starts from the quadratic extrapolation of the last three poses
+and first takes chord (simplified-Newton) steps with the Jacobian the run's
+previous solve ended with; it forms a fresh Jacobian only when those do not
+meet the tolerance.  ``simulate`` hands that Jacobian from solve to solve
+within one run, so no run sees another's.
 
 Spring stretch rates are fed back from the pose change of the previous
 accepted step (one-step lag), which breaks the algebraic loop between the
@@ -136,7 +140,7 @@ class SimConfig:
     duration: float
     current_profile: CurrentProfile = field(default_factory=CurrentProfile)
     solver_tolerance: float = 1e-9  # N m
-    max_newton_iterations: int = 60
+    max_newton_iterations: int = 60  # chord and Newton steps per pose solve
     max_temperature_step: float = 1.0  # K
 
     def __post_init__(self):
@@ -473,43 +477,102 @@ def _solve3(j, r):
     return (b0 - a01 * x1 - a02 * x2) / a00, x1, x2
 
 
+def _accepted(kappa: float, phi: float, eps: float, norm: float, rows, jacobian,
+              length: float):
+    """The result of a pose solve that met the tolerance, once its bending
+    angle is checked against the workspace bound [0, pi]."""
+    theta = kappa * length
+    if theta > math.pi:
+        raise PoseOutOfRange(
+            f"bending angle {math.degrees(theta):.1f} deg exceeds 180 deg"
+        )
+    contractions = (rows[0][6], rows[1][6], rows[2][6])
+    return kappa, _wrap_angle(phi), eps, norm, contractions, jacobian
+
+
+def _capped(s0: float, s1: float, s2: float, max_move: float):
+    """The step scaled down so that no component moves more than
+    ``max_move``."""
+    move = max(abs(s0), abs(s1), abs(s2))
+    if move > max_move:
+        shrink = max_move / move
+        return s0 * shrink, s1 * shrink, s2 * shrink
+    return s0, s1, s2
+
+
+# most chord steps a solve takes with a kept Jacobian before it forms its own
+_CHORD_STEPS = 2
+
+
 def _solve_pose_statics(
-    statics: _Statics, forces, x0: float, x1: float, x2: float, config: SimConfig
+    statics: _Statics,
+    forces,
+    x0: float,
+    x1: float,
+    x2: float,
+    config: SimConfig,
+    jacobian=None,
 ):
-    """Equilibrium pose (kappa, phi in [0, 2 pi), twist), its residual norm
-    and the unit chord contractions at that pose, by damped Newton on
-    (u_x, u_y, twist) started at (``x0``, ``x1``, ``x2``)."""
+    """Equilibrium pose (kappa, phi in [0, 2 pi), twist), its residual norm,
+    the unit chord contractions at that pose and the last Jacobian used, by
+    damped Newton on (u_x, u_y, twist) started at (``x0``, ``x1``, ``x2``).
+
+    ``jacobian`` is one kept from an earlier solve (what this function
+    returned last), or None.  With one, the solve first takes up to two chord
+    (simplified-Newton) steps with it, each capped like a Newton step and
+    kept only while the residual falls; it returns as soon as the residual
+    meets the tolerance, handing the same Jacobian back.  Otherwise, and
+    always without one, it runs damped Newton with a fresh exact Jacobian
+    per step and returns the last of them.  Chord and Newton steps together
+    number at most ``config.max_newton_iterations``.  Every pose returned
+    has passed the range check; a solve that stalls raises NoConvergence.
+    """
     length = statics.length
     kappa, phi, eps = math.hypot(x0, x1), math.atan2(x1, x0) % _TWO_PI, x2
 
     tol = config.solver_tolerance
     res, tip, rows = statics.residual(kappa, phi, eps, forces)
     norm = math.sqrt(res[0] * res[0] + res[1] * res[1] + res[2] * res[2])
-    best = (kappa, phi, eps, rows)
-    best_norm = norm
     # cap on per-iteration curvature-variable moves (keeps theta steps <= ~29 deg)
     max_move = 0.5 / length
+    iterations = config.max_newton_iterations
 
-    for _ in range(config.max_newton_iterations):
+    if jacobian is not None and not norm < tol:
+        # chord steps: a step that does not lower the residual is dropped,
+        # and a second one from the same point would repeat it
+        for _ in range(min(_CHORD_STEPS, iterations)):
+            step = _solve3(jacobian, res)
+            if step is None:
+                break
+            iterations -= 1
+            s0, s1, s2 = _capped(*step, max_move)
+            c0, c1, c2 = x0 + s0, x1 + s1, x2 + s2
+            c_kappa, c_phi = math.hypot(c0, c1), math.atan2(c1, c0) % _TWO_PI
+            cand_res, cand_tip, cand_rows = statics.residual(c_kappa, c_phi, c2, forces)
+            r0, r1, r2 = cand_res
+            cand_norm = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
+            if not cand_norm < norm:
+                break
+            x0, x1, x2, kappa, phi, eps = c0, c1, c2, c_kappa, c_phi, c2
+            res, tip, rows, norm = cand_res, cand_tip, cand_rows, cand_norm
+            if norm < tol:
+                break
+
+    best = (kappa, phi, eps, rows)
+    best_norm = norm
+
+    for _ in range(iterations):
         if norm < tol:
-            theta = kappa * length
-            if theta > math.pi:
-                raise PoseOutOfRange(
-                    f"bending angle {math.degrees(theta):.1f} deg exceeds 180 deg"
-                )
-            contractions = (rows[0][6], rows[1][6], rows[2][6])
-            return kappa, _wrap_angle(phi), eps, norm, contractions
-        step = _solve3(statics.jacobian((x0, x1, x2), forces, tip, rows), res)
+            return _accepted(kappa, phi, eps, norm, rows, jacobian, length)
+        jacobian = statics.jacobian((x0, x1, x2), forces, tip, rows)
+        step = _solve3(jacobian, res)
         if step is None:
             # singular Jacobian: nudge along the residual direction
             scale = max_move / max(norm, 1e-300)
             s0, s1, s2 = -res[0] * scale, -res[1] * scale, -res[2] * scale
         else:
             s0, s1, s2 = step
-        move = max(abs(s0), abs(s1), abs(s2))
-        if move > max_move:
-            shrink = max_move / move
-            s0, s1, s2 = s0 * shrink, s1 * shrink, s2 * shrink
+        s0, s1, s2 = _capped(s0, s1, s2, max_move)
         # damped update: halve the step until the residual falls; after nine
         # tries the tenth, smallest candidate is taken anyway to escape flat
         # spots
@@ -529,8 +592,7 @@ def _solve_pose_statics(
 
     kappa, phi, eps, rows = best
     if best_norm < tol:
-        contractions = (rows[0][6], rows[1][6], rows[2][6])
-        return kappa, _wrap_angle(phi), eps, best_norm, contractions
+        return _accepted(kappa, phi, eps, best_norm, rows, jacobian, length)
     raise NoConvergence(ArcPose(kappa, phi, eps), best_norm, tol)
 
 
@@ -544,7 +606,7 @@ def solve_pose(
     """
     forces = _tendon_forces(unit_forces)
     kappa, phi = initial_guess.curvature, initial_guess.bending_plane_angle
-    kappa, phi, eps, _, _ = _solve_pose_statics(
+    kappa, phi, eps, _, _, _ = _solve_pose_statics(
         _Statics(system), forces, kappa * math.cos(phi), kappa * math.sin(phi),
         initial_guess.twist, config,
     )
@@ -602,7 +664,7 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
         active = fibers * state.force * cos_p
         rest_forces.append(max(active, 0.0) if take_max else active + 0.0)
     try:
-        kappa, phi, eps, _, dx_prev = _solve_pose_statics(
+        kappa, phi, eps, _, dx_prev, jacobian = _solve_pose_statics(
             statics, tuple(rest_forces), 0.0, 0.0, 0.0, config
         )
     except SOLVER_FAILURES as exc:
@@ -650,8 +712,8 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
                     3.0 * (c[1] - b[1]) + a[1],
                     3.0 * (c[2] - b[2]) + a[2],
                 )
-            kappa, phi, eps, res_norm, dx = _solve_pose_statics(
-                statics, forces, *start, config
+            kappa, phi, eps, res_norm, dx, jacobian = _solve_pose_statics(
+                statics, forces, *start, config, jacobian
             )
         except SOLVER_FAILURES as exc:
             _annotate_failure(exc, step_index + 1, t)

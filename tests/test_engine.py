@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -279,13 +280,49 @@ class TestSolvePose:
         with pytest.raises(PoseOutOfRange):
             solve_pose(system, (5000.0, 0.0, 0.0), straight_pose, quick_config())
 
+    def test_pose_out_of_range_on_the_last_allowed_iteration(self, straight_pose):
+        # 1000 N on unit 1 of the bundled system first meets the tolerance
+        # on the 16th Newton step, at 223.6 degrees; 15 steps stall
+        system = load_default_scenario().build_system()
+        cfg = SimConfig(dt=1e-3, duration=1e-3, max_newton_iterations=15)
+        with pytest.raises(NoConvergence):
+            solve_pose(system, (1000.0, 0.0, 0.0), straight_pose, cfg)
+        cfg = replace(cfg, max_newton_iterations=16)
+        with pytest.raises(PoseOutOfRange, match="223.6 deg exceeds 180 deg"):
+            solve_pose(system, (1000.0, 0.0, 0.0), straight_pose, cfg)
+
+    def test_pose_out_of_range_after_chord_steps(self, monkeypatch):
+        # started at the best pose of the stalled 15-step solve above with
+        # the Jacobian there, chord steps alone reach the tolerance
+        system = load_default_scenario().build_system()
+        statics, forces = _Statics(system), (1000.0, 0.0, 0.0)
+        cfg = SimConfig(dt=1e-3, duration=1e-3, max_newton_iterations=15)
+        with pytest.raises(NoConvergence) as err:
+            _solve_pose_statics(statics, forces, 0.0, 0.0, 0.0, cfg)
+        best = err.value.best_pose
+        kappa, phi, eps = best.curvature, best.bending_plane_angle, best.twist
+        x = (kappa * math.cos(phi), kappa * math.sin(phi), eps)
+        _, tip, rows = statics.residual(kappa, phi, eps, forces)
+        kept = statics.jacobian(x, forces, tip, rows)
+        jacobians, jacobian_fn = 0, _Statics.jacobian
+
+        def counted(self, *args):
+            nonlocal jacobians
+            jacobians += 1
+            return jacobian_fn(self, *args)
+
+        monkeypatch.setattr(_Statics, "jacobian", counted)
+        with pytest.raises(PoseOutOfRange, match="223.6 deg exceeds 180 deg"):
+            _solve_pose_statics(statics, forces, *x, cfg, kept)
+        assert jacobians == 0
+
     def test_plane_angle_rounding_up_to_two_pi_is_handed_on_as_zero(self, system):
         # the Cartesian start (1e-12, -1e-32) has phi = atan2(-1e-32, 1e-12)
         # = -1e-20, whose % 2 pi rounds up to exactly 2 pi; the residual is
         # already below tolerance, so that angle is the solution.  The pose
         # handed to the next step must be the one ArcPose would hold.
         cfg = quick_config()
-        kappa, phi, eps, norm, _ = _solve_pose_statics(
+        kappa, phi, eps, norm, _, _ = _solve_pose_statics(
             _Statics(system), (0.0, 0.0, 0.0), 1e-12, -1e-32, 0.0, cfg
         )
         assert norm < cfg.solver_tolerance
@@ -294,19 +331,41 @@ class TestSolvePose:
         assert ArcPose(kappa, 2 * math.pi, eps).bending_plane_angle == phi
 
 
-def _count_residual_calls(monkeypatch, system, config):
-    """(``_Statics.residual`` calls, trace) of one ``simulate`` run."""
-    calls = 0
-    residual_fn = _Statics.residual
+def _count_solver_calls(monkeypatch, system, config):
+    """(``_Statics.residual`` calls, ``_Statics.jacobian`` calls, trace) of
+    one ``simulate`` run."""
+    calls = {"residual": 0, "jacobian": 0}
 
-    def counted(self, *args):
-        nonlocal calls
-        calls += 1
-        return residual_fn(self, *args)
+    def counted(name):
+        method = getattr(_Statics, name)
 
-    monkeypatch.setattr(_Statics, "residual", counted)
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(_Statics, name, wrapper)
+
+    counted("residual")
+    counted("jacobian")
     trace = simulate(system, config)
-    return calls, trace
+    return calls["residual"], calls["jacobian"], trace
+
+
+def _plane_swing_scenario():
+    """Each unit heated at 8 A in turn for 0.5 s, at dt 2 ms: the bending
+    plane swings by 120 degrees at a time."""
+    profile = ", ".join(
+        f"{{unit: {unit}, start: {start:g} s, end: {start + 0.5:g} s, current: 8 A}}"
+        for unit, start in ((1, 0.0), (2, 0.5), (3, 1.0))
+    )
+    return load_with_overrides(
+        default_scenario_text(),
+        [
+            "simulation.dt=2 ms",
+            "simulation.duration=2.5 s",
+            f"profile=[{profile}]",
+        ],
+    )
 
 
 class TestSimulate:
@@ -369,38 +428,49 @@ class TestSimulate:
         assert trace.spring_temperatures[-1][0] > temp_before
 
     def test_residual_evaluations_per_step(self, monkeypatch):
-        # the exact Jacobian leaves one evaluation for the start and one per
-        # Newton step; started from the last pose, every step took two, and
-        # the start extrapolated from the last three poses often meets the
-        # tolerance on its own
+        # one evaluation for the start and one per chord or Newton step; the
+        # start extrapolated from the last three poses often meets the
+        # tolerance on its own, and most other steps need one chord step
+        # with the Jacobian kept from an earlier solve (1.62 a step here)
         scenario = load_default_scenario()
-        calls, trace = _count_residual_calls(
+        calls, _, trace = _count_solver_calls(
             monkeypatch, scenario.build_system(), scenario.build_config(duration=1.0)
         )
         assert len(trace) == 1000
         assert calls / len(trace) < 2.0
 
     def test_residual_evaluations_per_step_as_the_plane_swings(self, monkeypatch):
-        # heating each unit in turn swings the bending plane by 120 degrees
-        # at a time; in Cartesian curvature components that swing costs the
-        # Newton driver about one step per time step
-        profile = ", ".join(
-            f"{{unit: {unit}, start: {start:g} s, end: {start + 0.5:g} s, current: 8 A}}"
-            for unit, start in ((1, 0.0), (2, 0.5), (3, 1.0))
-        )
-        scenario = load_with_overrides(
-            default_scenario_text(),
-            [
-                "simulation.dt=2 ms",
-                "simulation.duration=2.5 s",
-                f"profile=[{profile}]",
-            ],
-        )
-        calls, trace = _count_residual_calls(
+        # in Cartesian curvature components a bending plane that swings by
+        # 120 degrees at a time costs about as much as a fixed one (1.63 a
+        # step here)
+        scenario = _plane_swing_scenario()
+        calls, _, trace = _count_solver_calls(
             monkeypatch, scenario.build_system(), scenario.build_config()
         )
         assert len(trace) == 1250
         assert calls / len(trace) <= 2.1
+
+    def test_jacobians_per_step(self, monkeypatch):
+        # the Jacobian of an earlier solve serves the chord steps of the
+        # next ones, so a run forms one only where chord steps stop lowering
+        # the residual (1 in this run's 1000 steps; a fresh Jacobian for
+        # every Newton step formed 0.515 a step)
+        scenario = load_default_scenario()
+        _, calls, trace = _count_solver_calls(
+            monkeypatch, scenario.build_system(), scenario.build_config(duration=1.0)
+        )
+        assert len(trace) == 1000
+        assert calls / len(trace) <= 0.01
+
+    def test_jacobians_per_step_as_the_plane_swings(self, monkeypatch):
+        # 6 in 1250 steps, where a fresh Jacobian per Newton step formed
+        # 0.586 a step
+        scenario = _plane_swing_scenario()
+        _, calls, trace = _count_solver_calls(
+            monkeypatch, scenario.build_system(), scenario.build_config()
+        )
+        assert len(trace) == 1250
+        assert calls / len(trace) <= 0.05
 
     def test_closure_evaluations_per_phase_solve(self, monkeypatch):
         # zeroin needs about five closure evaluations per active spring step
@@ -475,44 +545,71 @@ def _segments(draw):
     return segments
 
 
-class TestContinuation:
-    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-    @given(
-        segments=_segments(),
-        dt_ms=st.sampled_from((1, 2)),
-        duration=st.integers(3, 10).map(lambda d: d / 10.0),
-        gravity=st.booleans(),
-        combination=st.sampled_from(("additive", "max")),
+def _continuation_run(segments, dt_ms, duration, gravity, combination):
+    """The system and run settings of one ``TestContinuation`` draw."""
+    profile = ", ".join(
+        f"{{unit: {unit}, start: {start:g} s, end: {end:g} s, current: {amps:g} A}}"
+        for unit, start, end, amps in segments
     )
+    scenario = load_with_overrides(
+        default_scenario_text(),
+        [
+            f"simulation.dt={dt_ms} ms",
+            f"simulation.duration={duration:g} s",
+            f"profile=[{profile}]",
+            f"head.gravity={'true' if gravity else 'false'}",
+            f"pennate.force_combination={combination}",
+        ],
+    )
+    return scenario.build_system(), scenario.build_config()
+
+
+def _stiffness_bounds(system, config):
+    """How far apart two poses that both meet the tolerance may lie, in
+    curvature components and in twist (see ``TestContinuation``)."""
+    tol = config.solver_tolerance
+    bb = system.backbone
+    du_bound = 10.0 * 2.0 * tol / bb.bending_stiffness_y
+    dtwist_bound = 10.0 * 2.0 * tol * bb.length / bb.torsional_stiffness
+    return du_bound, dtwist_bound
+
+
+def _pose_gap(a, b):
+    """|du| and |dtwist| between two (kappa, phi, twist) poses."""
+    dux = a[0] * math.cos(a[1]) - b[0] * math.cos(b[1])
+    duy = a[0] * math.sin(a[1]) - b[0] * math.sin(b[1])
+    return math.hypot(dux, duy), abs(a[2] - b[2])
+
+
+_continuation_draws = given(
+    segments=_segments(),
+    dt_ms=st.sampled_from((1, 2)),
+    duration=st.integers(3, 10).map(lambda d: d / 10.0),
+    gravity=st.booleans(),
+    combination=st.sampled_from(("additive", "max")),
+)
+
+
+class TestContinuation:
+    """Both properties compare two poses that each leave a net moment below
+    the tolerance, so their residuals differ by at most 2 tol.  The backbone
+    resists a change of curvature u with EI and a change of twist with
+    GJ / L, so the poses differ by about 2 tol / EI in u and 2 tol L / GJ in
+    twist; the factor 10 leaves room for the tendon moments' share of the
+    Jacobian: |du| <= 10 * 2 tol / EI and |dtwist| <= 10 * 2 tol L / GJ.
+    """
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @_continuation_draws
     def test_every_row_is_the_warm_started_solution(
         self, segments, dt_ms, duration, gravity, combination
     ):
         """Each accepted pose is the equilibrium ``solve_pose`` finds for the
         row's forces from the previous row's pose, whatever point the step's
-        own solve starts from.
-
-        Both poses leave a net moment below the tolerance, so their residuals
-        differ by at most 2 tol.  The backbone resists a change of curvature
-        u with EI and a change of twist with GJ / L, so the poses differ by
-        about 2 tol / EI in u and 2 tol L / GJ in twist; the factor 10 leaves
-        room for the tendon moments' share of the Jacobian:
-        |du| <= 10 * 2 tol / EI and |dtwist| <= 10 * 2 tol L / GJ.
-        """
-        profile = ", ".join(
-            f"{{unit: {unit}, start: {start:g} s, end: {end:g} s, current: {amps:g} A}}"
-            for unit, start, end, amps in segments
+        own solve starts from."""
+        system, config = _continuation_run(
+            segments, dt_ms, duration, gravity, combination
         )
-        scenario = load_with_overrides(
-            default_scenario_text(),
-            [
-                f"simulation.dt={dt_ms} ms",
-                f"simulation.duration={duration:g} s",
-                f"profile=[{profile}]",
-                f"head.gravity={'true' if gravity else 'false'}",
-                f"pennate.force_combination={combination}",
-            ],
-        )
-        system, config = scenario.build_system(), scenario.build_config()
         poses = []
         solve_fn = engine._solve_pose_statics
 
@@ -526,17 +623,47 @@ class TestContinuation:
             trace = simulate(system, config)
         assert len(poses) == len(trace) + 1
 
-        tol = config.solver_tolerance
-        bb = system.backbone
-        du_bound = 10.0 * 2.0 * tol / bb.bending_stiffness_y
-        dtwist_bound = 10.0 * 2.0 * tol * bb.length / bb.torsional_stiffness
-        assert all(r < tol for r in trace.residual_norm)
-        for previous, (kappa, phi, eps), forces in zip(poses, poses[1:], trace.unit_forces):
+        du_bound, dtwist_bound = _stiffness_bounds(system, config)
+        assert all(r < config.solver_tolerance for r in trace.residual_norm)
+        for previous, pose, forces in zip(poses, poses[1:], trace.unit_forces):
             want = solve_pose(system, forces, ArcPose(*previous), config)
-            dux = kappa * math.cos(phi) - want.curvature * math.cos(want.bending_plane_angle)
-            duy = kappa * math.sin(phi) - want.curvature * math.sin(want.bending_plane_angle)
-            assert math.hypot(dux, duy) <= du_bound
-            assert abs(eps - want.twist) <= dtwist_bound
+            du, dtwist = _pose_gap(
+                pose, (want.curvature, want.bending_plane_angle, want.twist)
+            )
+            assert du <= du_bound
+            assert dtwist <= dtwist_bound
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @_continuation_draws
+    def test_kept_jacobian_lands_where_full_newton_does(
+        self, segments, dt_ms, duration, gravity, combination
+    ):
+        """From the start each step's solve was given, the solve that got the
+        Jacobian kept from the nearby previous pose and a full Newton solve
+        from the same start land within the stiffness bounds of each other."""
+        system, config = _continuation_run(
+            segments, dt_ms, duration, gravity, combination
+        )
+        solves = []
+        solve_fn = engine._solve_pose_statics
+
+        def recorded_solve(*args):
+            result = solve_fn(*args)
+            solves.append((args, result))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_solve_pose_statics", recorded_solve)
+            simulate(system, config)
+
+        du_bound, dtwist_bound = _stiffness_bounds(system, config)
+        for args, result in solves:
+            if len(args) < 7 or args[6] is None:
+                continue
+            full = solve_fn(*args[:6])
+            du, dtwist = _pose_gap(result[:3], full[:3])
+            assert du <= du_bound
+            assert dtwist <= dtwist_bound
 
 
 class TestForceCombination:
@@ -635,6 +762,17 @@ class TestSweep:
     def test_rejects_empty_currents(self, system):
         with pytest.raises(ValueError):
             sweep(system, [], 1.0, quick_config())
+
+    def test_rows_keep_their_own_jacobian(self):
+        # each run hands its pose solves' Jacobian on within the run only,
+        # so a row's peak does not depend on the rows before it
+        scenario = load_default_scenario()
+        system, cfg = scenario.build_system(), scenario.build_config(dt=2e-3)
+        both = sweep(system, [8.0, 4.0], 1.0, cfg)
+        alone = sweep(system, [4.0], 1.0, cfg) + sweep(system, [8.0], 1.0, cfg)
+        got = [row.max_bending_angle for row in both]
+        want = [alone[1].max_bending_angle, alone[0].max_bending_angle]
+        assert [struct.pack("<d", a) for a in got] == [struct.pack("<d", a) for a in want]
 
 
 class TestSystemValidation:

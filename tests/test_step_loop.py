@@ -5,7 +5,9 @@ constants were hoisted out of it, kept verbatim: each step calls
 ``pennate_force`` and ``tendon_force_from_stretch`` through
 ``_combined_force`` for every unit and takes ``cos(pennation)`` anew.
 ``simulate`` must return the same trace to the bit, markers included, and
-fail with the same exception and message.
+fail with the same exception and message.  The one thing threaded through it
+since is the Jacobian each pose solve hands to the next, passed as
+``simulate`` passes it.
 """
 
 import math
@@ -64,7 +66,7 @@ def reference_simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
     # chord was measured, so every chord contraction there is zero
     rest_forces = unit_forces((0.0, 0.0, 0.0))
     try:
-        kappa, phi, eps, _, dx_prev = _solve_pose_statics(
+        kappa, phi, eps, _, dx_prev, jacobian = _solve_pose_statics(
             statics, rest_forces, 0.0, 0.0, 0.0, config
         )
     except SOLVER_FAILURES as exc:
@@ -107,8 +109,8 @@ def reference_simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
                     3.0 * (c[1] - b[1]) + a[1],
                     3.0 * (c[2] - b[2]) + a[2],
                 )
-            kappa, phi, eps, res_norm, dx = _solve_pose_statics(
-                statics, forces, *start, config
+            kappa, phi, eps, res_norm, dx, jacobian = _solve_pose_statics(
+                statics, forces, *start, config, jacobian
             )
         except SOLVER_FAILURES as exc:
             _annotate_failure(exc, step_index + 1, t)
@@ -268,10 +270,14 @@ def test_bundled_run_equals_reference(combination):
 @pytest.mark.parametrize(
     "overrides, raises",
     [
-        # a stretch-force runaway: the pose solve stalls as the neck folds
-        (["pennate.tendon_stiffness=10000 N/m"], engine.NoConvergence),
+        # a tolerance at the residual's rounding floor: a solve of the heated
+        # run stalls
+        (["simulation.solver_tolerance=1e-17 N m"], engine.NoConvergence),
         # the temperature bound fails on the first heated step
         (["simulation.max_temperature_step=0.01 K"], engine.StepTooLarge),
+        # a stretch-force runaway: as the neck folds, the predicted start
+        # passes 180 degrees and the solve lands on a pose beyond it
+        (["pennate.tendon_stiffness=10000 N/m"], engine.PoseOutOfRange),
     ],
 )
 def test_failures_equal_reference(overrides, raises):
