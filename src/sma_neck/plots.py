@@ -3,6 +3,10 @@
 Pure text output, no renderer dependency: one file per panel (bending-plane
 angle, bending angle, tendon forces, spring temperatures with the
 stress-shifted band-edge markers, martensite fractions).
+
+Every panel plots against time, so ``emit_plots`` works out the time range
+and each point's pixel x text once for all five panels; a series then formats
+only its y values, about one number format per point.
 """
 
 from __future__ import annotations
@@ -35,15 +39,18 @@ def _line_plot(
     title: str,
     x_label: str,
     y_label: str,
-    series: list[tuple[str, list[float], list[float]]],
+    x_range: tuple[float, float],
+    x_texts: list[str],
+    series: list[tuple[str, list[float]]],
     h_lines: list[tuple[str, float]] = (),
     v_lines: list[tuple[str, float]] = (),
 ) -> None:
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    ys_all += [y for _, y in h_lines]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    """Write one panel.  Every series is drawn against the same x values:
+    ``x_range`` is their drawn range and ``x_texts`` each one's pixel x as
+    ``%.2f`` text (see ``emit_plots``)."""
+    x_lo, x_hi = x_range
+    y_lo = min([min(ys) for _, ys in series] + [y for _, y in h_lines])
+    y_hi = max([max(ys) for _, ys in series] + [y for _, y in h_lines])
     pad = 0.05 * (y_hi - y_lo)
     # a range too narrow for its tick labels to tell apart (solver noise on
     # a held value) is drawn as flat, not stretched over the panel
@@ -52,8 +59,6 @@ def _line_plot(
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     else:
         y_lo, y_hi = y_lo - pad, y_hi + pad
-    if math.isclose(x_lo, x_hi):
-        x_hi = x_lo + 1.0
 
     plot_w = _WIDTH - _ML - _MR
     plot_h = _HEIGHT - _MT - _MB
@@ -125,9 +130,13 @@ def _line_plot(
             f'<text x="{px + 4:.1f}" y="{_MT + 12}" font-family="sans-serif" '
             f'font-size="10" fill="#555555">{escape(label)}</text>'
         )
-    for idx, (label, xs, ys) in enumerate(series):
+    for idx, (label, ys) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
-        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        # sy inline: one format per point, the same arithmetic in the same order
+        points = " ".join([
+            f"{x_text},{_MT + (y_hi - y) / (y_hi - y_lo) * plot_h:.2f}"
+            for x_text, y in zip(x_texts, ys)
+        ])
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>'
@@ -144,8 +153,11 @@ def _line_plot(
         raise OSError(f"writing plot to {path}: {exc}") from exc
 
 
-def _per_unit(rows, convert=lambda v: v):
-    return [(f"unit {k + 1}", [convert(row[k]) for row in rows]) for k in range(3)]
+def _per_unit(rows, convert=None):
+    columns = [[row[k] for row in rows] for k in range(3)]
+    if convert is not None:
+        columns = [list(map(convert, column)) for column in columns]
+    return [(f"unit {k + 1}", column) for k, column in enumerate(columns)]
 
 
 # panel -> (title, y label, series of a trace as (label, values), whether the
@@ -191,6 +203,13 @@ def emit_plots(trace: SimTrace, out_dir, run_id: str = "neck") -> list[Path]:
     crossing = (
         [("crossing [s]", markers["crossing_t_s"])] if "crossing_t_s" in markers else []
     )
+    # every panel plots against time: its range and each point's pixel x
+    # are worked out once for all five
+    x_lo, x_hi = min(trace.t), max(trace.t)
+    if math.isclose(x_lo, x_hi):
+        x_hi = x_lo + 1.0
+    plot_w = _WIDTH - _ML - _MR
+    x_texts = [f"{_ML + (x - x_lo) / (x_hi - x_lo) * plot_w:.2f}" for x in trace.t]
     written: list[Path] = []
     for panel in PANELS:
         title, y_label, series, with_band_edges, with_crossing = _PANEL_TABLE[panel]
@@ -200,7 +219,9 @@ def emit_plots(trace: SimTrace, out_dir, run_id: str = "neck") -> list[Path]:
             title,
             "time [s]",
             y_label,
-            [(label, trace.t, values) for label, values in series(trace)],
+            (x_lo, x_hi),
+            x_texts,
+            series(trace),
             h_lines=band_edges if with_band_edges else [],
             v_lines=crossing if with_crossing else [],
         )

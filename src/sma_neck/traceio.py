@@ -5,11 +5,17 @@ row per accepted step, numbers with 9 significant digits, byte-deterministic
 output for a given trace.  The contract has two temperature and two fraction
 columns per unit whatever the unit's spring count: unit k's spring state
 fills ``T{2k-1}_K``/``T{2k}_K`` and ``xi{2k-1}``/``xi{2k}``.
+
+``write_trace`` formats each row with one ``%`` operation and streams the rows
+to the open file in chunks, so the memory a write takes does not grow with
+the run length.  A trace whose columns differ in length is refused before
+the file is opened.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from pathlib import Path
 
 from .engine import SimTrace
@@ -26,32 +32,42 @@ HEADER = (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
+# one CSV row: every field at 9 significant digits, unit k's temperature
+# and fraction each filling their two spring columns
+_ROW = ",".join(["%.9g"] * len(HEADER)) + "\n"
+_CHUNK_ROWS = 1024
+# the trace's columns in CSV order; each must hold one entry per time
+_COLUMNS = (
+    "t", "kappa", "phi", "theta", "spring_temperatures", "spring_fractions",
+    "unit_forces", "residual_norm",
+)
 
 
 def write_trace(trace: SimTrace, destination) -> Path:
     """Write the trace as CSV to ``destination`` (path-like); returns the path."""
     if len(trace) == 0:
         raise ValueError("refusing to write an empty trace")
+    for name in _COLUMNS:
+        length = len(getattr(trace, name))
+        if length != len(trace):
+            raise ValueError(
+                f"trace column {name!r} has {length} rows, 't' has {len(trace)}"
+            )
     path = Path(destination)
-    lines = [",".join(HEADER)]
-    for i in range(len(trace)):
-        row = [
-            _fmt(trace.t[i]),
-            _fmt(trace.kappa[i]),
-            _fmt(trace.phi[i]),
-            _fmt(math.degrees(trace.theta[i])),
-        ]
-        for per_unit in (trace.spring_temperatures[i], trace.spring_fractions[i]):
-            for v in per_unit:
-                text = _fmt(v)
-                row.extend((text, text))
-        row.extend(_fmt(v) for v in trace.unit_forces[i])
-        row.append(_fmt(trace.residual_norm[i]))
-        lines.append(",".join(row))
+    rows = zip(
+        trace.t, trace.kappa, trace.phi, map(math.degrees, trace.theta),
+        trace.spring_temperatures, trace.spring_fractions, trace.unit_forces,
+        trace.residual_norm,
+    )
     try:
-        path.write_text("\n".join(lines) + "\n", newline="\n")
+        with open(path, "w", newline="\n") as out:
+            out.write(",".join(HEADER) + "\n")
+            while chunk := [
+                _ROW % (t, k, p, th, a, a, b, b, c, c, x, x, y, y, z, z, f1, f2, f3, r)
+                for t, k, p, th, (a, b, c), (x, y, z), (f1, f2, f3), r
+                in islice(rows, _CHUNK_ROWS)
+            ]:
+                out.write("".join(chunk))
     except OSError as exc:
         raise OSError(f"writing trace to {path}: {exc}") from exc
     return path

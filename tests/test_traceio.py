@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -81,3 +82,41 @@ def test_io_error_carries_path(system, tmp_path):
     bad = tmp_path / "missing_dir" / "t.csv"
     with pytest.raises(OSError, match="missing_dir"):
         write_trace(trace, bad)
+
+
+def _synthetic_trace(rows):
+    trace = SimTrace()
+    for i in range(rows):
+        x = math.pi + i / 7  # nine significant digits in every field
+        trace.append(
+            (i + 1) * 1e-3, x, -x, x / 3, (300.0 + x, 301.0 + x, 302.0 + x),
+            (1 / x, 2 / x, 3 / x), (2.0 * x, 3.0 * x, 5.0 * x), 1e-11 * x, True,
+        )
+    return trace
+
+
+def test_write_memory_does_not_grow_with_the_run(tmp_path):
+    """The rows go to the file in chunks: writing 20,000 rows (a ~4.5 MB file)
+    allocates well under the file's size."""
+    trace = _synthetic_trace(20_000)
+    tracemalloc.start()
+    try:
+        path = write_trace(trace, tmp_path / "t.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 4_000_000
+    assert peak < 2 * 2**20, peak
+
+
+@pytest.mark.parametrize("rows", [4, 6])
+@pytest.mark.parametrize("column", ["kappa", "theta", "unit_forces", "residual_norm"])
+def test_ragged_trace_refused_naming_the_column(tmp_path, column, rows):
+    """A column shorter or longer than ``t`` is refused before the file is
+    opened, instead of an IndexError or a silently cut CSV."""
+    trace = _synthetic_trace(5)
+    values = getattr(trace, column)
+    setattr(trace, column, (values * 2)[:rows])
+    with pytest.raises(ValueError, match=f"'{column}' has {rows} rows, 't' has 5"):
+        write_trace(trace, tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
