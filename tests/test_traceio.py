@@ -96,7 +96,7 @@ def _synthetic_trace(rows):
 
 
 def test_write_memory_does_not_grow_with_the_run(tmp_path):
-    """The rows go to the file in chunks: writing 20,000 rows (a ~4.5 MB file)
+    """The rows go to the file in chunks: writing 20,000 rows (a ~4.8 MB file)
     allocates well under the file's size."""
     trace = _synthetic_trace(20_000)
     tracemalloc.start()
