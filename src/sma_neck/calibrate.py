@@ -43,9 +43,14 @@ class CalibrationResult:
 
 
 def evaluate_targets(
-    scenario: Scenario, spec: CalibrationSpec, parameters: dict[str, float]
+    scenario: Scenario,
+    spec: CalibrationSpec,
+    parameters: dict[str, float],
+    *,
+    prefixes: dict | None = None,
 ) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """(loss, achieved table) of one parameter candidate."""
+    """(loss, achieved table) of one parameter candidate; ``prefixes`` goes
+    to ``sweep``."""
     candidate = apply_parameters(scenario, parameters)
     rows = sweep(
         candidate.build_system(),
@@ -53,6 +58,7 @@ def evaluate_targets(
         spec.hold,
         candidate.calibration_config(spec),
         unit_index=spec.unit_index,
+        prefixes=prefixes,
     )
     loss = 0.0
     achieved = []
@@ -76,12 +82,15 @@ def calibrate(scenario: Scenario, spec: CalibrationSpec) -> CalibrationResult:
     NonImprovement when a non-trivial starting loss could not be reduced.
     """
     cache: dict[tuple[float, ...], tuple[float, tuple[tuple[float, float], ...]]] = {}
+    # candidates that differ only in the size of phase_transform_tensor
+    # share each target row's idle prefix (see engine.simulate)
+    prefixes: dict = {}
     names = list(spec.free)
 
     def loss_of(params: dict[str, float]) -> float:
         key = tuple(params[n] for n in names)
         if key not in cache:
-            cache[key] = evaluate_targets(scenario, spec, params)
+            cache[key] = evaluate_targets(scenario, spec, params, prefixes=prefixes)
         return cache[key][0]
 
     best = current_parameters(scenario, names)

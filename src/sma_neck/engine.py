@@ -36,11 +36,14 @@ from .backbone import (
 )
 from .pennate import PennateUnit, rest_chord_length
 from .sma import (
+    Branch,
     SmaMaterial,
     SpringGeometry,
+    SpringState,
     StepTooLarge,
     ThermalEnvironment,
     _reverse_band,
+    force_coefficients,
     shear_stress,
     step_spring,
 )
@@ -166,8 +169,14 @@ class SimTrace:
     Columns are plain float lists; the spring temperature and martensite
     fraction rows hold one value per unit.  ``phi_defined`` flags rows where
     the backbone was effectively straight and the reported bending-plane angle
-    is carried over from the last bent row.
+    is carried over from the last bent row.  ``COLUMNS`` names every column;
+    each holds one entry per row.
     """
+
+    COLUMNS = (
+        "t", "kappa", "phi", "theta", "spring_temperatures", "spring_fractions",
+        "unit_forces", "residual_norm", "phi_defined",
+    )
 
     def __init__(self):
         self.t: list[float] = []
@@ -207,6 +216,25 @@ class SimTrace:
 
     def __len__(self) -> int:
         return len(self.t)
+
+    def check_columns(self) -> None:
+        """Raise ValueError naming the first column whose length is not
+        ``len(t)``; the writers call it before they write anything."""
+        for name in self.COLUMNS:
+            length = len(getattr(self, name))
+            if length != len(self.t):
+                raise ValueError(
+                    f"trace column {name!r} has {length} rows, 't' has {len(self.t)}"
+                )
+
+    def _copy(self) -> "SimTrace":
+        """A trace with its own column lists and markers (rows are
+        immutable, so they are shared)."""
+        trace = SimTrace()
+        for name in self.COLUMNS:
+            setattr(trace, name, list(getattr(self, name)))
+        trace.markers = dict(self.markers)
+        return trace
 
     def max_bending_angle(self) -> float:
         """Largest bending angle over the run (rad)."""
@@ -626,12 +654,60 @@ def _annotate_failure(exc: Exception, step: int, t: float) -> None:
     exc.args = (message,)
 
 
-def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
+def _prefix_key(system: NeckSystem) -> NeckSystem:
+    """``system`` as far as the idle prefix of a run can tell it apart:
+    ``phase_transform_tensor`` is replaced by its sign.
+
+    Until a spring leaves the idle path, ``step_spring`` reads the
+    transformation coefficient only as ``transform * 0.0`` in its idle force
+    update, which is a zero with the coefficient's sign, and the rest solve
+    does not read it at all.  So the loop state after the prefix is the same
+    for every tensor of one sign.  A coefficient that overflowed makes that
+    product NaN, so such a tensor is kept as it is.  Keys compare with
+    ``==``, which does not tell 0.0 from -0.0; of the other calibratable
+    fields only a zero pennation angle can be either, and the engine reads
+    it only through its cosine.
+    """
+    material = system.material
+    tensor = material.phase_transform_tensor
+    _, transform, _ = force_coefficients(material, system.spring_geometry, 1.0)
+    if math.isfinite(transform):
+        tensor = math.copysign(1.0, tensor)
+    return replace(system, material=replace(material, phase_transform_tensor=tensor))
+
+
+@dataclass(frozen=True)
+class _IdlePrefix:
+    """The loop state of a run at the top of the first step in which a
+    spring leaves the idle path, or at the end of a run that never does."""
+
+    key: NeckSystem  # _prefix_key of the run's system
+    step: int
+    states: tuple[SpringState, SpringState, SpringState]
+    dx_prev: tuple[float, float, float]
+    dx_prev2: tuple[float, float, float]
+    poses: tuple  # the last three accepted poses a, b, c
+    jacobian: tuple
+    last_phi: float
+    crossing_recorded: bool
+    trace: SimTrace  # a copy, never handed out
+
+
+def simulate(
+    system: NeckSystem, config: SimConfig, *, prefixes: dict | None = None
+) -> SimTrace:
     """Run the coupled spring/pose dynamics and return the full trace.
 
     Deterministic: identical inputs produce identical traces.  Solver
     failures are re-raised with the failing step and time attached, plus the
     best pose when the pose solve stalled.
+
+    ``prefixes`` is a dict the caller owns (calibration passes one per
+    search).  A run given one continues from the idle prefix stored under
+    ``config`` when that prefix came from the same system up to the sign of
+    ``phase_transform_tensor`` (see ``_prefix_key``); otherwise it stores its
+    own, replacing the entry.  A run that fails inside its prefix stores
+    nothing.  The trace is the same, bit for bit, either way.
     """
     statics = _Statics(system)
     profile = config.current_profile
@@ -641,7 +717,6 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
     bound = config.max_temperature_step
     take_max = system.force_combination == "max"
 
-    states = [u.spring for u in system.units]
     # per unit, taken once per run: its profile index, cos(pennation) and its
     # negative, its spring count and its tendon stiffness
     constants = [
@@ -655,34 +730,54 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
         for u in system.units
     ]
 
-    # resolve the initial equilibrium so pretension imbalances are not
-    # attributed to the first step; the straight pose is where each rest
-    # chord was measured, so every chord contraction there is zero and so is
-    # each tendon's stiffness force (see the step below)
-    rest_forces = []
-    for (_, cos_p, _, fibers, _), state in zip(constants, states):
-        active = fibers * state.force * cos_p
-        rest_forces.append(max(active, 0.0) if take_max else active + 0.0)
-    try:
-        kappa, phi, eps, _, dx_prev, jacobian = _solve_pose_statics(
-            statics, tuple(rest_forces), 0.0, 0.0, 0.0, config
-        )
-    except SOLVER_FAILURES as exc:
-        _annotate_failure(exc, 0, 0.0)
-        raise
-    dx_prev2 = dx_prev
-    # the last three accepted poses a, b, c as (u_x, u_y, twist); each solve
-    # starts from their quadratic extrapolation along the solution path
-    # (predictor-corrector continuation), or from c while fewer exist
-    a = b = c = (kappa * math.cos(phi), kappa * math.sin(phi), eps)
+    prefix = key = None
+    if prefixes is not None:
+        key = _prefix_key(system)
+        prefix = prefixes.get(config)
+        if prefix is not None and prefix.key != key:
+            prefix = None
+    if prefix is not None:
+        first = prefix.step
+        states = list(prefix.states)
+        dx_prev, dx_prev2, jacobian = prefix.dx_prev, prefix.dx_prev2, prefix.jacobian
+        a, b, c = prefix.poses
+        last_phi, crossing_recorded = prefix.last_phi, prefix.crossing_recorded
+        trace = prefix.trace._copy()
+    else:
+        first = 0
+        states = [u.spring for u in system.units]
+        # resolve the initial equilibrium so pretension imbalances are not
+        # attributed to the first step; the straight pose is where each rest
+        # chord was measured, so every chord contraction there is zero and so
+        # is each tendon's stiffness force (see the step below)
+        rest_forces = []
+        for (_, cos_p, _, fibers, _), state in zip(constants, states):
+            active = fibers * state.force * cos_p
+            rest_forces.append(max(active, 0.0) if take_max else active + 0.0)
+        try:
+            kappa, phi, eps, _, dx_prev, jacobian = _solve_pose_statics(
+                statics, tuple(rest_forces), 0.0, 0.0, 0.0, config
+            )
+        except SOLVER_FAILURES as exc:
+            _annotate_failure(exc, 0, 0.0)
+            raise
+        dx_prev2 = dx_prev
+        # the last three accepted poses a, b, c as (u_x, u_y, twist); each
+        # solve starts from their quadratic extrapolation along the solution
+        # path (predictor-corrector continuation), or from c while fewer exist
+        a = b = c = (kappa * math.cos(phi), kappa * math.sin(phi), eps)
+        trace = SimTrace()
+        last_phi = phi
+        crossing_recorded = False
+    # a run that starts afresh with a dict stores its idle prefix: the state
+    # at the top of the first step in which a spring leaves the idle path
+    recording = key is not None and prefix is None
 
-    trace = SimTrace()
-    last_phi = phi
-    crossing_recorded = False
-
-    for step_index in range(n_steps):
+    for step_index in range(first, n_steps):
         t_prev = step_index * dt
         t = t_prev + dt
+        if recording:
+            top = tuple(states)
         try:
             forces = []
             for k, (index, cos_p, neg_cos_p, fibers, stiffness) in enumerate(constants):
@@ -703,6 +798,18 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
                 active = fibers * state.force * cos_p
                 passive = 0.0 if contraction <= 0.0 else stiffness * contraction
                 forces.append(max(active, passive) if take_max else active + passive)
+            if recording and any(
+                new.branch is not Branch.IDLE
+                or new.martensite_fraction != old.martensite_fraction
+                for old, new in zip(top, states)
+            ):
+                # an arc entered and completed within the step returns IDLE
+                # with a moved fraction, hence the second test
+                prefixes[config] = _IdlePrefix(
+                    key, step_index, top, dx_prev, dx_prev2, (a, b, c), jacobian,
+                    last_phi, crossing_recorded, trace._copy(),
+                )
+                recording = False
             forces = tuple(forces)
             if step_index < 2:
                 start = c
@@ -753,6 +860,12 @@ def simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
             phi_defined,
         )
 
+    if recording:
+        # idle to the end: the whole run is the prefix
+        prefixes[config] = _IdlePrefix(
+            key, n_steps, tuple(states), dx_prev, dx_prev2, (a, b, c), jacobian,
+            last_phi, crossing_recorded, trace._copy(),
+        )
     return trace
 
 
@@ -762,11 +875,14 @@ def sweep(
     hold: float,
     config: SimConfig,
     unit_index: int = 1,
+    *,
+    prefixes: dict | None = None,
 ) -> list[SweepRow]:
     """Run one simulation per current (applied to ``unit_index`` for ``hold``
     seconds each, from the same initial system, with ``config``'s other
     settings) and report the peak bending angle.  Failures are reported per
-    row; the sweep continues."""
+    row; the sweep continues.  ``prefixes`` goes to every row's ``simulate``
+    (each row has its own config, so its own entry)."""
     currents = list(currents)
     if not currents:
         raise ValueError("currents must be non-empty")
@@ -780,7 +896,7 @@ def sweep(
             current_profile=CurrentProfile.constant(unit_index, float(amps), hold),
         )
         try:
-            trace = simulate(system, run_cfg)
+            trace = simulate(system, run_cfg, prefixes=prefixes)
             rows.append(SweepRow(float(amps), trace.max_bending_angle()))
         except SOLVER_FAILURES as exc:
             rows.append(SweepRow(float(amps), None, str(exc)))

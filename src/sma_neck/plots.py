@@ -12,6 +12,7 @@ only its y values, about one number format per point.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 from .engine import SimTrace
@@ -25,6 +26,13 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 def escape(text: str) -> str:
     """``text`` with ``&``, ``<`` and ``>`` as XML entities (``&`` first)."""
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _widened(value: float) -> tuple[float, float]:
+    """The drawn range of a flat series at ``value`` where adding 1 does not
+    move it (beyond 2**53): 1/1024 of its magnitude each way, kept finite."""
+    step = abs(value) / 1024.0
+    return max(value - step, -sys.float_info.max), min(value + step, sys.float_info.max)
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -57,6 +65,8 @@ def _line_plot(
     labels = {f"{tick:.4g}" for tick in _ticks(y_lo - pad, y_hi + pad)}
     if math.isclose(y_lo, y_hi, abs_tol=1e-12) or len(labels) < 5:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+        if y_hi - y_lo == 0.0:
+            y_lo, y_hi = _widened(y_lo)
     else:
         y_lo, y_hi = y_lo - pad, y_hi + pad
 
@@ -192,6 +202,7 @@ def emit_plots(trace: SimTrace, out_dir, run_id: str = "neck") -> list[Path]:
     """Write the five trace panels as ``<run-id>_<panel>.svg``; returns paths."""
     if len(trace) == 0:
         raise ValueError("refusing to plot an empty trace")
+    trace.check_columns()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     markers = trace.markers
@@ -208,6 +219,8 @@ def emit_plots(trace: SimTrace, out_dir, run_id: str = "neck") -> list[Path]:
     x_lo, x_hi = min(trace.t), max(trace.t)
     if math.isclose(x_lo, x_hi):
         x_hi = x_lo + 1.0
+        if x_hi - x_lo == 0.0:
+            x_lo, x_hi = _widened(x_lo)
     plot_w = _WIDTH - _ML - _MR
     x_texts = [f"{_ML + (x - x_lo) / (x_hi - x_lo) * plot_w:.2f}" for x in trace.t]
     written: list[Path] = []

@@ -36,23 +36,13 @@ HEADER = (
 # and fraction each filling their two spring columns
 _ROW = ",".join(["%.9g"] * len(HEADER)) + "\n"
 _CHUNK_ROWS = 1024
-# the trace's columns in CSV order; each must hold one entry per time
-_COLUMNS = (
-    "t", "kappa", "phi", "theta", "spring_temperatures", "spring_fractions",
-    "unit_forces", "residual_norm",
-)
 
 
 def write_trace(trace: SimTrace, destination) -> Path:
     """Write the trace as CSV to ``destination`` (path-like); returns the path."""
     if len(trace) == 0:
         raise ValueError("refusing to write an empty trace")
-    for name in _COLUMNS:
-        length = len(getattr(trace, name))
-        if length != len(trace):
-            raise ValueError(
-                f"trace column {name!r} has {length} rows, 't' has {len(trace)}"
-            )
+    trace.check_columns()
     path = Path(destination)
     rows = zip(
         trace.t, trace.kappa, trace.phi, map(math.degrees, trace.theta),

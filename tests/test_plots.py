@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from sma_neck import CurrentProfile, SimConfig, emit_plots, simulate
+from sma_neck import CurrentProfile, SimConfig, emit_plots, simulate, write_trace
 from sma_neck.engine import SimTrace
 from sma_neck.plots import _ML, PANELS
 
@@ -94,3 +94,21 @@ def test_near_constant_panel_gets_distinct_tick_labels(tmp_path, noise):
     assert len(labels) == 5
     assert len(set(labels)) == 5, labels
     assert "60" in labels
+
+
+def test_ragged_trace_refused_like_the_csv(tmp_path):
+    """A column cut short is refused with the CSV writer's error, before any
+    panel is drawn, instead of polylines silently cut to the short column."""
+    trace = SimTrace()
+    for i in range(5):
+        trace.append(
+            (i + 1) * 1e-3, 1.0, 0.5, 0.1, (300.0,) * 3, (1.0,) * 3, (1.0,) * 3,
+            0.0, True,
+        )
+    trace.unit_forces = trace.unit_forces[:3]
+    message = "trace column 'unit_forces' has 3 rows, 't' has 5"
+    with pytest.raises(ValueError, match=message):
+        write_trace(trace, tmp_path / "t.csv")
+    with pytest.raises(ValueError, match=message):
+        emit_plots(trace, tmp_path / "plots")
+    assert not (tmp_path / "plots").exists()
