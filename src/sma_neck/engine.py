@@ -24,6 +24,7 @@ force law and the pose solve.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 
 from .backbone import (
@@ -166,28 +167,32 @@ class SimConfig:
 class SimTrace:
     """Time-indexed record of every observable quantity of a run.
 
-    Columns are plain float lists; the spring temperature and martensite
-    fraction rows hold one value per unit.  ``phi_defined`` flags rows where
-    the backbone was effectively straight and the reported bending-plane angle
-    is carried over from the last bent row.  ``COLUMNS`` names every column;
-    each holds one entry per row.
+    Columns are stdlib arrays, one entry per row: ``t``, ``kappa``, ``phi``,
+    ``theta`` and ``residual_norm`` are ``array('d')`` and ``phi_defined`` is
+    ``array('b')`` (1 where the backbone was bent, 0 where it was effectively
+    straight and the reported bending-plane angle is carried over from the
+    last bent row).  ``spring_temperatures``, ``spring_fractions`` and
+    ``unit_forces`` (the ``PER_UNIT`` columns) are each a tuple of three
+    ``array('d')``, one per unit, indexed ``[unit][row]``.  A row thus takes
+    14 doubles and 1 byte.  ``COLUMNS`` names every column.
     """
 
     COLUMNS = (
         "t", "kappa", "phi", "theta", "spring_temperatures", "spring_fractions",
         "unit_forces", "residual_norm", "phi_defined",
     )
+    PER_UNIT = ("spring_temperatures", "spring_fractions", "unit_forces")
 
     def __init__(self):
-        self.t: list[float] = []
-        self.kappa: list[float] = []
-        self.phi: list[float] = []
-        self.theta: list[float] = []
-        self.spring_temperatures: list[tuple[float, float, float]] = []
-        self.spring_fractions: list[tuple[float, float, float]] = []
-        self.unit_forces: list[tuple[float, float, float]] = []
-        self.residual_norm: list[float] = []
-        self.phi_defined: list[bool] = []
+        self.t = array("d")
+        self.kappa = array("d")
+        self.phi = array("d")
+        self.theta = array("d")
+        self.spring_temperatures = (array("d"), array("d"), array("d"))
+        self.spring_fractions = (array("d"), array("d"), array("d"))
+        self.unit_forces = (array("d"), array("d"), array("d"))
+        self.residual_norm = array("d")
+        self.phi_defined = array("b")
         self.markers: dict[str, float] = {}
 
     def append(
@@ -208,31 +213,61 @@ class SimTrace:
         self.kappa.append(kappa)
         self.phi.append(phi)
         self.theta.append(theta)
-        self.spring_temperatures.append(temperatures)
-        self.spring_fractions.append(fractions)
-        self.unit_forces.append(forces)
+        a, b, c = self.spring_temperatures
+        a.append(temperatures[0])
+        b.append(temperatures[1])
+        c.append(temperatures[2])
+        a, b, c = self.spring_fractions
+        a.append(fractions[0])
+        b.append(fractions[1])
+        c.append(fractions[2])
+        a, b, c = self.unit_forces
+        a.append(forces[0])
+        b.append(forces[1])
+        c.append(forces[2])
         self.residual_norm.append(residual_norm)
         self.phi_defined.append(phi_defined)
 
     def __len__(self) -> int:
         return len(self.t)
 
-    def check_columns(self) -> None:
-        """Raise ValueError naming the first column whose length is not
-        ``len(t)``; the writers call it before they write anything."""
+    def _arrays(self):
+        """(column name, array) for each of the 15 column arrays, a per-unit
+        column unit by unit."""
         for name in self.COLUMNS:
-            length = len(getattr(self, name))
-            if length != len(self.t):
+            column = getattr(self, name)
+            if name in self.PER_UNIT:
+                for unit in column:
+                    yield name, unit
+            else:
+                yield name, column
+
+    def check_columns(self) -> None:
+        """Raise ValueError naming the first per-unit column that does not
+        hold three units, or else the first column array whose length is not
+        ``len(t)``; the writers call it before they write anything."""
+        for name in self.PER_UNIT:
+            units = len(getattr(self, name))
+            if units != 3:
+                raise ValueError(f"trace column {name!r} has {units} units, not 3")
+        rows = len(self.t)
+        for name, column in self._arrays():
+            if len(column) != rows:
                 raise ValueError(
-                    f"trace column {name!r} has {length} rows, 't' has {len(self.t)}"
+                    f"trace column {name!r} has {len(column)} rows, 't' has {rows}"
                 )
 
     def _copy(self) -> "SimTrace":
-        """A trace with its own column lists and markers (rows are
-        immutable, so they are shared)."""
+        """A trace with its own copy of every column array and of the
+        markers."""
         trace = SimTrace()
         for name in self.COLUMNS:
-            setattr(trace, name, list(getattr(self, name)))
+            column = getattr(self, name)
+            if name in self.PER_UNIT:
+                column = tuple(unit[:] for unit in column)
+            else:
+                column = column[:]
+            setattr(trace, name, column)
         trace.markers = dict(self.markers)
         return trace
 

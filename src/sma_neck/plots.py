@@ -163,8 +163,7 @@ def _line_plot(
         raise OSError(f"writing plot to {path}: {exc}") from exc
 
 
-def _per_unit(rows, convert=None):
-    columns = [[row[k] for row in rows] for k in range(3)]
+def _per_unit(columns, convert=None):
     if convert is not None:
         columns = [list(map(convert, column)) for column in columns]
     return [(f"unit {k + 1}", column) for k, column in enumerate(columns)]

@@ -46,7 +46,7 @@ def write_trace(trace: SimTrace, destination) -> Path:
     path = Path(destination)
     rows = zip(
         trace.t, trace.kappa, trace.phi, map(math.degrees, trace.theta),
-        trace.spring_temperatures, trace.spring_fractions, trace.unit_forces,
+        *trace.spring_temperatures, *trace.spring_fractions, *trace.unit_forces,
         trace.residual_norm,
     )
     try:
@@ -54,7 +54,7 @@ def write_trace(trace: SimTrace, destination) -> Path:
             out.write(",".join(HEADER) + "\n")
             while chunk := [
                 _ROW % (t, k, p, th, a, a, b, b, c, c, x, x, y, y, z, z, f1, f2, f3, r)
-                for t, k, p, th, (a, b, c), (x, y, z), (f1, f2, f3), r
+                for t, k, p, th, a, b, c, x, y, z, f1, f2, f3, r
                 in islice(rows, _CHUNK_ROWS)
             ]:
                 out.write("".join(chunk))

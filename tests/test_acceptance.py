@@ -253,8 +253,8 @@ def test_criterion_6_transient_shape(scenario, system):
     started = time.perf_counter()
     failures = []
     trace = simulate(system, hold_profile(1, 5.0))
-    fractions = [row[0] for row in trace.spring_fractions]
-    temperatures = [row[0] for row in trace.spring_temperatures]
+    fractions = list(trace.spring_fractions[0])
+    temperatures = list(trace.spring_temperatures[0])
 
     if "crossing_t_s" not in trace.markers:
         failures.append("band edge never crossed at 5 A")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -422,9 +423,9 @@ class TestSimulate:
         cfg = quick_config(duration=0.3, current_profile=profile)
         trace = simulate(system, cfg)
         i_before = int(0.15 / cfg.dt)
-        temp_before = trace.spring_temperatures[i_before][0]
+        temp_before = trace.spring_temperatures[0][i_before]
         assert temp_before == pytest.approx(system.env.ambient_temperature, abs=1e-6)
-        assert trace.spring_temperatures[-1][0] > temp_before
+        assert trace.spring_temperatures[0][-1] > temp_before
 
     def test_residual_evaluations_per_step(self, monkeypatch):
         # one evaluation for the start and one per chord or Newton step; the
@@ -530,6 +531,25 @@ class TestSimulate:
         assert not any(trace.phi_defined[: i_on - 1])
         assert trace.phi_defined[-1]
 
+    def test_trace_memory_per_step(self):
+        """A 20,000-step run of the bundled system holds at most 150 B of
+        trace a step: 14 doubles and one byte a row in growable arrays (rows
+        of float objects in lists and tuples held 546 B).  A row takes the
+        same memory at any current; at zero current the run takes about 8 s
+        under tracemalloc, against about 24 s with the bundled profile."""
+        scenario = load_default_scenario()
+        system = scenario.build_system()
+        config = scenario.build_config(duration=20.0, current_profile=CurrentProfile())
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            trace = simulate(system, config)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 20_000
+        assert held / len(trace) <= 150.0, held / len(trace)
+
 
 @st.composite
 def _segments(draw):
@@ -624,7 +644,8 @@ class TestContinuation:
 
         du_bound, dtwist_bound = _stiffness_bounds(system, config)
         assert all(r < config.solver_tolerance for r in trace.residual_norm)
-        for previous, pose, forces in zip(poses, poses[1:], trace.unit_forces):
+        rows = zip(poses, poses[1:], zip(*trace.unit_forces))
+        for previous, pose, forces in rows:
             want = solve_pose(system, forces, ArcPose(*previous), config)
             du, dtwist = _pose_gap(
                 pose, (want.curvature, want.bending_plane_angle, want.twist)
@@ -705,7 +726,7 @@ class TestForceCombination:
         assert len(spring_forces) == 3 * len(trace)
         assert len(contractions) == len(trace) + 1
         passive_wins = active_wins = 0
-        for i, forces in enumerate(trace.unit_forces):
+        for i, forces in enumerate(zip(*trace.unit_forces)):
             for k, unit in enumerate(system.units):
                 active = pennate_force(unit, spring_forces[3 * i + k])
                 passive = tendon_force_from_stretch(unit, contractions[i][k])

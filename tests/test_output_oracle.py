@@ -1,8 +1,9 @@
 """The trace CSV and the SVG panels against a frozen copy of the output layer.
 
 The functions below are the straightforward output layer, kept verbatim as an
-oracle: one ``_fmt`` call per CSV field with the whole file joined in memory,
-and per-series pixel arithmetic for every panel.  The package's writers must
+oracle but for reading the per-unit columns as ``[unit][row]``: one ``_fmt``
+call per CSV field with the whole file joined in memory, and per-series pixel
+arithmetic for every panel.  The package's writers must
 produce the same bytes, on the bundled run and on traces drawn to hit the
 formatting edges: signed zeros, subnormals, magnitudes near 1e+-300, points on
 a ``%.2f`` rounding tie, constant columns (the flat-panel branch), and markers
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 import tempfile
+from array import array
 from pathlib import Path
 
 import pytest
@@ -49,11 +51,11 @@ def write_trace(trace: SimTrace, destination) -> Path:
             _fmt(trace.phi[i]),
             _fmt(math.degrees(trace.theta[i])),
         ]
-        for per_unit in (trace.spring_temperatures[i], trace.spring_fractions[i]):
-            for v in per_unit:
-                text = _fmt(v)
+        for per_unit in (trace.spring_temperatures, trace.spring_fractions):
+            for column in per_unit:
+                text = _fmt(column[i])
                 row.extend((text, text))
-        row.extend(_fmt(v) for v in trace.unit_forces[i])
+        row.extend(_fmt(column[i]) for column in trace.unit_forces)
         row.append(_fmt(trace.residual_norm[i]))
         lines.append(",".join(row))
     try:
@@ -196,8 +198,8 @@ def _line_plot(
         raise OSError(f"writing plot to {path}: {exc}") from exc
 
 
-def _per_unit(rows, convert=lambda v: v):
-    return [(f"unit {k + 1}", [convert(row[k]) for row in rows]) for k in range(3)]
+def _per_unit(columns, convert=lambda v: v):
+    return [(f"unit {k + 1}", [convert(v) for v in columns[k]]) for k in range(3)]
 
 
 # panel -> (title, y label, series of a trace as (label, values), whether the
@@ -315,12 +317,12 @@ _ROWS = ("spring_temperatures", "spring_fractions", "unit_forces")
 
 def _trace(t, columns, rows, markers) -> SimTrace:
     trace = SimTrace()
-    trace.t = list(t)
+    trace.t = array("d", t)
     for name, values in columns.items():
-        setattr(trace, name, list(values))
+        setattr(trace, name, array("d", values))
     for name, values in rows.items():
-        setattr(trace, name, [tuple(row) for row in values])
-    trace.phi_defined = [True] * len(t)
+        setattr(trace, name, tuple(array("d", unit) for unit in zip(*values)))
+    trace.phi_defined = array("b", [1] * len(t))
     trace.markers = dict(markers)
     return trace
 

@@ -49,7 +49,7 @@ def test_crossing_markers_in_temperature_panel(system, tmp_path):
     assert "crossing" in temp_panel
     # marker sits where the fraction first drops
     first_drop = next(
-        t for t, row in zip(trace.t, trace.spring_fractions) if row[0] < 1.0
+        t for t, xi in zip(trace.t, trace.spring_fractions[0]) if xi < 1.0
     )
     assert trace.markers["crossing_t_s"] == pytest.approx(first_drop)
 
@@ -105,7 +105,7 @@ def test_ragged_trace_refused_like_the_csv(tmp_path):
             (i + 1) * 1e-3, 1.0, 0.5, 0.1, (300.0,) * 3, (1.0,) * 3, (1.0,) * 3,
             0.0, True,
         )
-    trace.unit_forces = trace.unit_forces[:3]
+    del trace.unit_forces[1][3:]
     message = "trace column 'unit_forces' has 3 rows, 't' has 5"
     with pytest.raises(ValueError, match=message):
         write_trace(trace, tmp_path / "t.csv")

@@ -38,20 +38,14 @@ def test_round_trip_within_serialization_precision(system, tmp_path):
     trace = make_trace(system, steps=120)
     path = write_trace(trace, tmp_path / "t.csv")
     columns = read_trace(path)
-    assert columns["t_s"] == pytest.approx(trace.t, rel=1e-8)
-    assert columns["kappa_per_m"] == pytest.approx(trace.kappa, rel=1e-8, abs=1e-12)
+    assert columns["t_s"] == pytest.approx(list(trace.t), rel=1e-8)
+    assert columns["kappa_per_m"] == pytest.approx(list(trace.kappa), rel=1e-8, abs=1e-12)
     assert columns["theta_deg"] == pytest.approx(
         [math.degrees(v) for v in trace.theta], rel=1e-8, abs=1e-12
     )
-    assert columns["T3_K"] == pytest.approx(
-        [row[1] for row in trace.spring_temperatures], rel=1e-8
-    )
-    assert columns["xi6"] == pytest.approx(
-        [row[2] for row in trace.spring_fractions], rel=1e-8
-    )
-    assert columns["Fk1_N"] == pytest.approx(
-        [row[0] for row in trace.unit_forces], rel=1e-8
-    )
+    assert columns["T3_K"] == pytest.approx(list(trace.spring_temperatures[1]), rel=1e-8)
+    assert columns["xi6"] == pytest.approx(list(trace.spring_fractions[2]), rel=1e-8)
+    assert columns["Fk1_N"] == pytest.approx(list(trace.unit_forces[0]), rel=1e-8)
 
 
 def test_empty_trace_refused(tmp_path):
@@ -113,10 +107,22 @@ def test_write_memory_does_not_grow_with_the_run(tmp_path):
 @pytest.mark.parametrize("column", ["kappa", "theta", "unit_forces", "residual_norm"])
 def test_ragged_trace_refused_naming_the_column(tmp_path, column, rows):
     """A column shorter or longer than ``t`` is refused before the file is
-    opened, instead of an IndexError or a silently cut CSV."""
+    opened, instead of an IndexError or a silently cut CSV.  Of a per-unit
+    column, one unit's array is changed."""
     trace = _synthetic_trace(5)
     values = getattr(trace, column)
-    setattr(trace, column, (values * 2)[:rows])
+    if column in SimTrace.PER_UNIT:
+        values = values[1]
+    values[:] = (values * 2)[:rows]
     with pytest.raises(ValueError, match=f"'{column}' has {rows} rows, 't' has 5"):
+        write_trace(trace, tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("units", [2, 4])
+def test_per_unit_column_without_three_units_refused(tmp_path, units):
+    trace = _synthetic_trace(5)
+    trace.spring_fractions = (trace.spring_fractions * 2)[:units]
+    with pytest.raises(ValueError, match=f"'spring_fractions' has {units} units, not 3"):
         write_trace(trace, tmp_path / "t.csv")
     assert not (tmp_path / "t.csv").exists()
