@@ -3,11 +3,11 @@
 The functions below are the straightforward output layer, kept verbatim as an
 oracle but for reading the per-unit columns as ``[unit][row]``: one ``_fmt``
 call per CSV field with the whole file joined in memory, and per-series pixel
-arithmetic for every panel.  The package's writers must
-produce the same bytes, on the bundled run and on traces drawn to hit the
-formatting edges: signed zeros, subnormals, magnitudes near 1e+-300, points on
-a ``%.2f`` rounding tie, constant columns (the flat-panel branch), and markers
-absent, present or outside the time range.  Where a flat range sits at a
+arithmetic for every panel.  The package's writers must produce the same
+bytes, on the bundled run and on traces drawn to hit the formatting edges:
+signed zeros, subnormals, magnitudes near 1e+-300, points on a ``%.2f``
+rounding tie, constant columns (the flat-panel branch), and markers absent,
+present or outside the time range.  Where a flat range sits at a
 magnitude that the oracle's ``+ 1.0`` does not move, the oracle divides by
 zero; there the package must write every file, the CSV with the oracle's
 bytes.
