@@ -23,6 +23,7 @@ force law and the pose solve.
 
 from __future__ import annotations
 
+import copy
 import math
 from array import array
 from dataclasses import dataclass, field, replace
@@ -260,16 +261,7 @@ class SimTrace:
     def _copy(self) -> "SimTrace":
         """A trace with its own copy of every column array and of the
         markers."""
-        trace = SimTrace()
-        for name in self.COLUMNS:
-            column = getattr(self, name)
-            if name in self.PER_UNIT:
-                column = tuple(unit[:] for unit in column)
-            else:
-                column = column[:]
-            setattr(trace, name, column)
-        trace.markers = dict(self.markers)
-        return trace
+        return copy.deepcopy(self)
 
     def max_bending_angle(self) -> float:
         """Largest bending angle over the run (rad)."""

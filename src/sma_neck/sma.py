@@ -516,14 +516,7 @@ def _temperature_on_branch(
     """Classic RK4 on the heat balance with the phase fraction (and hence the
     resistance) evaluated on the active ``branch``'s arc at every stage.
     Latent heat is not in the stage function; it is applied by the coupled
-    correction afterwards.
-
-    At zero current the Joule power is 0.0 for every finite fraction, so the
-    arc is read once (for its checks, and for the NaN of a NaN stress) and the
-    idle RK4 gives the same bits."""
-    if current == 0.0:
-        fraction = _fraction(k, branch, temperature, stress, latch)
-        return _idle_temperature(k, temperature, fraction, current, dt)
+    correction afterwards."""
     m = k.material
     r_m, r_a = m.resistance_martensite, m.resistance_austenite
     g, ambient, capacity = k.conductance, k.env.ambient_temperature, k.heat_capacity

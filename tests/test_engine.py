@@ -532,14 +532,15 @@ class TestSimulate:
         assert trace.phi_defined[-1]
 
     def test_trace_memory_per_step(self):
-        """A 20,000-step run of the bundled system holds at most 150 B of
+        """A 2,000-step run of the bundled system holds at most 150 B of
         trace a step: 14 doubles and one byte a row in growable arrays (rows
-        of float objects in lists and tuples held 546 B).  A row takes the
-        same memory at any current; at zero current the run takes about 8 s
-        under tracemalloc, against about 24 s with the bundled profile."""
+        of float objects in lists and tuples held over 500 B).  A row takes
+        the same memory at any current, and the fixed part (15 array headers,
+        the markers) is under 1 kB, so 2,000 steps at zero current give the
+        per-step figure of a long run."""
         scenario = load_default_scenario()
         system = scenario.build_system()
-        config = scenario.build_config(duration=20.0, current_profile=CurrentProfile())
+        config = scenario.build_config(duration=2.0, current_profile=CurrentProfile())
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
@@ -547,7 +548,7 @@ class TestSimulate:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(trace) == 20_000
+        assert len(trace) == 2_000
         assert held / len(trace) <= 150.0, held / len(trace)
 
 

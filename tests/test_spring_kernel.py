@@ -392,13 +392,6 @@ def _step_case(triple, branch, force, anchor, offset, free_t, reverse_latch,
 @example(triple=6, branch=Branch.FORWARD, force=1e-4, anchor="mid_forward",
          offset=0.0, free_t=300.0, reverse_latch=1.0, forward_latch=0.0,
          on_arc=True, fraction=0.0, current=0.0, stretch_rate=-2e-3, dt=5e-3)
-# zero current on each arc: the branch RK4 takes the idle path's shortcut
-@example(triple=0, branch=Branch.REVERSE, force=2.0, anchor="mid_reverse",
-         offset=0.0, free_t=300.0, reverse_latch=1.0, forward_latch=0.0,
-         on_arc=True, fraction=0.0, current=0.0, stretch_rate=2e-3, dt=5e-3)
-@example(triple=0, branch=Branch.FORWARD, force=2.0, anchor="mid_forward",
-         offset=0.0, free_t=300.0, reverse_latch=1.0, forward_latch=0.3,
-         on_arc=True, fraction=0.0, current=0.0, stretch_rate=2e-3, dt=5e-3)
 def test_step_equals_composition(**draw):
     assert_same_step(*_step_case(**draw))
 
