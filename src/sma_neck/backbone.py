@@ -19,9 +19,6 @@ from dataclasses import dataclass
 # kappa * s below this switches the arc formulas to their series limit
 STRAIGHT_THRESHOLD = 1e-7
 
-# bending angle below which the Jacobian's arc coefficients use their series
-_SERIES_ANGLE = 0.05
-
 _TWO_PI = 2.0 * math.pi
 
 _Vec3 = tuple[float, float, float]
@@ -134,25 +131,6 @@ def _elastic_moment_t(
     x1, y1, z1 = sb * local_z, local_y, cb * local_z
     ca, sa = math.cos(phi), math.sin(phi)
     return ca * x1 - sa * y1, sa * x1 + ca * y1, z1
-
-
-def _arc_coefficients(theta: float):
-    """sin(t)/t, (1-cos t)/t^2, (1-A)/t^2, (cos t-A)/t^2, (A-2B)/t^2 and cos t
-    at t = ``theta``; series below ``_SERIES_ANGLE``, where the closed forms
-    cancel."""
-    t2 = theta * theta
-    if theta < _SERIES_ANGLE:
-        a = 1.0 - t2 * (1.0 / 6.0 - t2 * (1.0 / 120.0 - t2 / 5040.0))
-        b = 0.5 - t2 * (1.0 / 24.0 - t2 * (1.0 / 720.0 - t2 / 40320.0))
-        c = 1.0 / 6.0 - t2 * (1.0 / 120.0 - t2 * (1.0 / 5040.0 - t2 / 362880.0))
-        d = -1.0 / 3.0 + t2 * (1.0 / 30.0 - t2 * (1.0 / 840.0 - t2 / 45360.0))
-        e = -1.0 / 12.0 + t2 * (1.0 / 180.0 - t2 * (1.0 / 6720.0 - t2 / 453600.0))
-        return a, b, c, d, e, math.cos(theta)
-    cos_t = math.cos(theta)
-    half = math.sin(0.5 * theta)
-    a = math.sin(theta) / theta
-    b = 2.0 * half * half / t2
-    return a, b, (1.0 - a) / t2, (cos_t - a) / t2, (a - 2.0 * b) / t2, cos_t
 
 
 def _check_arc_coordinate(s: float, length: float) -> None:

@@ -59,7 +59,14 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="dotted-key override applied before validation (repeatable)",
         )
-        p.add_argument("--quiet", action="store_true", help="suppress summary output")
+        p.add_argument(
+            "--quiet",
+            action="store_true",
+            help=(
+                "drop simulate's summary, validate-config's ok line and every "
+                "'wrote <path>' line; sweep and calibrate still print their tables"
+            ),
+        )
 
     p_sim = sub.add_parser("simulate", help="run the scenario and write the trace")
     common(p_sim)

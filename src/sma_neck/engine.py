@@ -4,14 +4,13 @@ Each time step advances the three units' spring states through their
 electro-thermal dynamics (the springs of one unit share a state), aggregates
 the three tendon forces, and solves the quasi-static moment balance on the
 backbone (muscle moments + gravity - elastic restoring moment = 0) for the
-arc pose by damped Newton iteration.  The Jacobian is exact: it is
-assembled from the closed-form derivatives of the constant-curvature arc
-(tip velocity, angular velocity of the head mount and elastic moment rate)
-and of each tendon's moment.  The solve runs in the Cartesian curvature
+arc pose by damped Newton iteration.  The Jacobian is taken by central
+differences of the residual.  The solve runs in the Cartesian curvature
 components u = kappa (cos phi, sin phi), which have one value at every pose,
 the straight one included, where the bending-plane angle has none.  Each
-step's solve starts from the quadratic extrapolation of the last three poses
-and first takes chord (simplified-Newton) steps with the Jacobian the run's
+step's solve starts from the quadratic extrapolation of the last three poses,
+or from the last pose where that extrapolation is bent past 180 degrees, and
+first takes chord (simplified-Newton) steps with the Jacobian the run's
 previous solve ended with; it forms a fresh Jacobian only when those do not
 meet the tolerance.  ``simulate`` hands that Jacobian from solve to solve
 within one run, so no run sees another's.
@@ -25,17 +24,11 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field, replace
 
-from .backbone import (
-    STRAIGHT_THRESHOLD,
-    ArcPose,
-    BackboneGeometry,
-    _arc_coefficients,
-    _Vec3,
-    _wrap_angle,
-)
+from .backbone import STRAIGHT_THRESHOLD, ArcPose, BackboneGeometry, _Vec3, _wrap_angle
 from .pennate import PennateUnit, rest_chord_length
 from .sma import (
     Branch,
@@ -53,6 +46,10 @@ from .sma import (
 GRAVITY = 9.80665  # m/s^2
 
 _TWO_PI = 2.0 * math.pi
+
+# relative step of the Jacobian's central differences: eps^(1/3) balances
+# their O(h^2) truncation against rounding of O(eps / h)
+_DIFFERENCE_STEP = sys.float_info.epsilon ** (1.0 / 3.0)
 
 # most time steps one run may take (duration / dt); the bundled scenario
 # takes 6000
@@ -291,13 +288,9 @@ class _Statics:
     ``residual`` writes out in one pass what the public helpers compose
     (``backbone._frame_t``, ``pennate._line_of_action_t``,
     ``pennate._tendon_moment_t`` and ``backbone._elastic_moment_t``), taking
-    each angle's cosine and sine once.  ``jacobian`` reuses its levers and
-    pull directions; it takes its own angles from the Cartesian curvature
-    components, whose rounding differs from the (kappa, phi) the residual
-    sees.
-    Every floating-point operation keeps its order and operands, so both are
-    bit-identical to the compositions they replace
-    (``tests/test_pose_kernel.py``).
+    each angle's cosine and sine once.  Every floating-point operation keeps
+    its order and operands, so it is bit-identical to the composition it
+    replaces (``tests/test_pose_kernel.py``).  ``jacobian`` differences it.
     """
 
     __slots__ = (
@@ -323,9 +316,7 @@ class _Statics:
         self.gravity_on = system.gravity_enabled and system.head_mass > 0.0
 
     def residual(self, kappa: float, phi: float, eps: float, forces):
-        """Net moment at the pose, the tip position and one frame row per
-        unit: (lever from the tip to the attachment, unit pull direction,
-        chord contraction), which ``jacobian`` reuses."""
+        """Net moment at the pose and the three unit chord contractions."""
         length = self.length
         theta = kappa * length
         ca, sa = math.cos(phi), math.sin(phi)
@@ -347,7 +338,7 @@ class _Statics:
         q20, q21 = -sb * cc, sb * sc
 
         mx = my = mz = 0.0
-        rows = []
+        contractions = []
         for (hx, hy, hz, bx, by, bz, rest), force in zip(self.attachments, forces):
             px = tx + (q00 * hx + q01 * hy + q02 * hz)
             py = ty + (q10 * hx + q11 * hy + q12 * hz)
@@ -365,7 +356,7 @@ class _Statics:
             mx += ly * fz - lz * fy
             my += lz * fx - lx * fz
             mz += lx * fy - ly * fx
-            rows.append((lx, ly, lz, dx, dy, dz, rest - chord))
+            contractions.append(rest - chord)
         if self.gravity_on:
             # head weight acting at the tip: tip x (0, 0, -w)
             mx += -self.head_weight * ty
@@ -375,96 +366,28 @@ class _Statics:
         local_z = self.gj_over_l * eps
         x1 = sb * local_z
         ex, ey, ez = ca * x1 - sa * local_y, sa * x1 + ca * local_y, cb * local_z
-        return (mx - ex, my - ey, mz - ez), (tx, ty, tz), rows
+        return (mx - ex, my - ey, mz - ez), tuple(contractions)
 
-    def jacobian(self, x, forces, tip, rows):
+    def jacobian(self, x, forces):
         """Row-major 3x3 derivative of ``residual`` with respect to
-        ``x`` = (u_x, u_y, twist), with u = kappa (cos phi, sin phi).
-        ``tip`` and ``rows`` are what ``residual`` returned at ``x``.
-
-        Per variable it takes the tip velocity t, the angular velocity w of
-        the head mount and the rate of the elastic moment.  The rotation is
-        exp([v]x) . Rz(twist) with v = length (-u_y, u_x, 0) (Webster & Jones
-        2010, constant curvature), so w is the left Jacobian of SO(3) applied
-        to dv.  Each lever a turns with the mount (da = w x a); its chord
-        changes by -(t + da) and the pull direction by the part of that
-        normal to itself, over the chord length.
-        """
-        ux, uy = x[0], x[1]
-        length = self.length
-        ll = length * length
-        ka, kb, kc, kd, ke, cos_t = _arc_coefficients(length * math.hypot(ux, uy))
-        vx, vy = -length * uy, length * ux
-        gx, gy = ll * ux, ll * uy
-        # tip = (L^2 B u_x, L^2 B u_y, L A); t2 = 0
-        exy = ll * ll * ke * ux * uy
-        d3 = ll * length * kd
-        t0x, t0y, t0z = ll * (kb + ke * gx * ux), exy, d3 * ux
-        t1x, t1y, t1z = exy, ll * (kb + ke * gy * uy), d3 * uy
-        la = length * ka
-        w0x, w0y, w0z = kc * vx * gx, la + kc * vy * gx, -kb * gy
-        w1x, w1y, w1z = -la + kc * vx * gy, kc * vy * gy, kb * gx
-        w2x, w2y, w2z = la * ux, la * uy, cos_t
-
-        # summed tendon moment rate m_i = sum F (da x d + a x dd)
-        m0x = m0y = m0z = m1x = m1y = m1z = m2x = m2y = m2z = 0.0
-        for (ax, ay, az, dx, dy, dz, contraction), rest, force in zip(
-            rows, self.rest_chords, forces
-        ):
-            inv = 1.0 / (rest - contraction)
-            px, py, pz = w0y * az - w0z * ay, w0z * ax - w0x * az, w0x * ay - w0y * ax
-            cx, cy, cz = -t0x - px, -t0y - py, -t0z - pz
-            along = dx * cx + dy * cy + dz * cz
-            ex = (cx - dx * along) * inv
-            ey = (cy - dy * along) * inv
-            ez = (cz - dz * along) * inv
-            m0x += force * (py * dz - pz * dy + ay * ez - az * ey)
-            m0y += force * (pz * dx - px * dz + az * ex - ax * ez)
-            m0z += force * (px * dy - py * dx + ax * ey - ay * ex)
-
-            px, py, pz = w1y * az - w1z * ay, w1z * ax - w1x * az, w1x * ay - w1y * ax
-            cx, cy, cz = -t1x - px, -t1y - py, -t1z - pz
-            along = dx * cx + dy * cy + dz * cz
-            ex = (cx - dx * along) * inv
-            ey = (cy - dy * along) * inv
-            ez = (cz - dz * along) * inv
-            m1x += force * (py * dz - pz * dy + ay * ez - az * ey)
-            m1y += force * (pz * dx - px * dz + az * ex - ax * ez)
-            m1z += force * (px * dy - py * dx + ax * ey - ay * ex)
-
-            # twist: the tip does not move
-            px, py, pz = w2y * az - w2z * ay, w2z * ax - w2x * az, w2x * ay - w2y * ax
-            cx, cy, cz = -px, -py, -pz
-            along = dx * cx + dy * cy + dz * cz
-            ex = (cx - dx * along) * inv
-            ey = (cy - dy * along) * inv
-            ez = (cz - dz * along) * inv
-            m2x += force * (py * dz - pz * dy + ay * ez - az * ey)
-            m2y += force * (pz * dx - px * dz + az * ex - ax * ez)
-            m2z += force * (px * dy - py * dx + ax * ey - ay * ex)
-
-        # minus the elastic moment rate; elastic =
-        # (L A u_x g_z - EI u_y, L A u_y g_z + EI u_x, cos(theta) g_z)
-        ei_y, gj_over_l = self.ei_y, self.gj_over_l
-        g_z = gj_over_l * x[2]
-        lgz = length * g_z
-        dxy = lgz * kd * gx * uy
-        a0 = m0x - lgz * (ka + kd * gx * ux)
-        a1 = m0y - (dxy + ei_y)
-        a2 = m0z + ll * ka * ux * g_z
-        b0 = m1x - (dxy - ei_y)
-        b1 = m1y - lgz * (ka + kd * gy * uy)
-        b2 = m1z + ll * ka * uy * g_z
-        c0 = m2x - la * ux * gj_over_l
-        c1 = m2y - la * uy * gj_over_l
-        c2 = m2z - cos_t * gj_over_l
-        if self.gravity_on:
-            # head weight at the tip: tip x (0, 0, -w)
-            w = self.head_weight
-            a0 -= w * t0y
-            a1 += w * t0x
-            b0 -= w * t1y
-            b1 += w * t1x
+        ``x`` = (u_x, u_y, twist), with u = kappa (cos phi, sin phi), by
+        central differences: 6 residual evaluations (Dennis & Schnabel 1983,
+        sec. 5.6).  Variable i steps by eps^(1/3) max(|x_i|, typical), where
+        the typical size is 1 / length for u and 1 rad for the twist."""
+        columns = []
+        for i, typical in enumerate((1.0 / self.length, 1.0 / self.length, 1.0)):
+            h = _DIFFERENCE_STEP * max(abs(x[i]), typical)
+            plus, minus = list(x), list(x)
+            plus[i] += h
+            minus[i] -= h
+            (p0, p1, p2), _ = self.residual(*_polar(plus[0], plus[1]), plus[2], forces)
+            (m0, m1, m2), _ = self.residual(
+                *_polar(minus[0], minus[1]), minus[2], forces
+            )
+            # the step as represented, not as asked for
+            inv = 1.0 / (plus[i] - minus[i])
+            columns.append(((p0 - m0) * inv, (p1 - m1) * inv, (p2 - m2) * inv))
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = columns
         return (a0, b0, c0), (a1, b1, c1), (a2, b2, c2)
 
 
@@ -483,7 +406,7 @@ def residual(system: NeckSystem, pose: ArcPose, unit_forces) -> _Vec3:
     """Net moment (N m) on the head mount: muscle moments plus gravity minus
     the backbone's elastic restoring moment.  Zero at equilibrium."""
     forces = _tendon_forces(unit_forces)
-    moment, _, _ = _Statics(system).residual(
+    moment, _ = _Statics(system).residual(
         pose.curvature, pose.bending_plane_angle, pose.twist, forces
     )
     return moment
@@ -532,8 +455,14 @@ def _solve3(j, r):
     return (b0 - a01 * x1 - a02 * x2) / a00, x1, x2
 
 
-def _accepted(kappa: float, phi: float, eps: float, norm: float, rows, jacobian,
-              length: float):
+def _polar(u_x: float, u_y: float) -> tuple[float, float]:
+    """Curvature and bending-plane angle in [0, 2 pi] of the Cartesian
+    curvature components (u_x, u_y)."""
+    return math.hypot(u_x, u_y), math.atan2(u_y, u_x) % _TWO_PI
+
+
+def _accepted(kappa: float, phi: float, eps: float, norm: float, contractions,
+              jacobian, length: float):
     """The result of a pose solve that met the tolerance, once its bending
     angle is checked against the workspace bound [0, pi]."""
     theta = kappa * length
@@ -541,7 +470,6 @@ def _accepted(kappa: float, phi: float, eps: float, norm: float, rows, jacobian,
         raise PoseOutOfRange(
             f"bending angle {math.degrees(theta):.1f} deg exceeds 180 deg"
         )
-    contractions = (rows[0][6], rows[1][6], rows[2][6])
     return kappa, _wrap_angle(phi), eps, norm, contractions, jacobian
 
 
@@ -577,16 +505,16 @@ def _solve_pose_statics(
     (simplified-Newton) steps with it, each capped like a Newton step and
     kept only while the residual falls; it returns as soon as the residual
     meets the tolerance, handing the same Jacobian back.  Otherwise, and
-    always without one, it runs damped Newton with a fresh exact Jacobian
-    per step and returns the last of them.  Chord and Newton steps together
-    number at most ``config.max_newton_iterations``.  Every pose returned
+    always without one, it runs damped Newton with a fresh Jacobian per step
+    and returns the last of them.  Chord and Newton steps together number at
+    most ``config.max_newton_iterations``.  Every pose returned
     has passed the range check; a solve that stalls raises NoConvergence.
     """
     length = statics.length
-    kappa, phi, eps = math.hypot(x0, x1), math.atan2(x1, x0) % _TWO_PI, x2
+    (kappa, phi), eps = _polar(x0, x1), x2
 
     tol = config.solver_tolerance
-    res, tip, rows = statics.residual(kappa, phi, eps, forces)
+    res, contractions = statics.residual(kappa, phi, eps, forces)
     norm = math.sqrt(res[0] * res[0] + res[1] * res[1] + res[2] * res[2])
     # cap on per-iteration curvature-variable moves (keeps theta steps <= ~29 deg)
     max_move = 0.5 / length
@@ -602,24 +530,24 @@ def _solve_pose_statics(
             iterations -= 1
             s0, s1, s2 = _capped(*step, max_move)
             c0, c1, c2 = x0 + s0, x1 + s1, x2 + s2
-            c_kappa, c_phi = math.hypot(c0, c1), math.atan2(c1, c0) % _TWO_PI
-            cand_res, cand_tip, cand_rows = statics.residual(c_kappa, c_phi, c2, forces)
+            c_kappa, c_phi = _polar(c0, c1)
+            cand_res, cand_contractions = statics.residual(c_kappa, c_phi, c2, forces)
             r0, r1, r2 = cand_res
             cand_norm = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
             if not cand_norm < norm:
                 break
             x0, x1, x2, kappa, phi, eps = c0, c1, c2, c_kappa, c_phi, c2
-            res, tip, rows, norm = cand_res, cand_tip, cand_rows, cand_norm
+            res, contractions, norm = cand_res, cand_contractions, cand_norm
             if norm < tol:
                 break
 
-    best = (kappa, phi, eps, rows)
+    best = (kappa, phi, eps, contractions)
     best_norm = norm
 
     for _ in range(iterations):
         if norm < tol:
-            return _accepted(kappa, phi, eps, norm, rows, jacobian, length)
-        jacobian = statics.jacobian((x0, x1, x2), forces, tip, rows)
+            return _accepted(kappa, phi, eps, norm, contractions, jacobian, length)
+        jacobian = statics.jacobian((x0, x1, x2), forces)
         step = _solve3(jacobian, res)
         if step is None:
             # singular Jacobian: nudge along the residual direction
@@ -633,21 +561,21 @@ def _solve_pose_statics(
         # spots
         for halving in range(10):
             c0, c1, eps = x0 + s0, x1 + s1, x2 + s2
-            kappa, phi = math.hypot(c0, c1), math.atan2(c1, c0) % _TWO_PI
-            cand_res, cand_tip, cand_rows = statics.residual(kappa, phi, eps, forces)
+            kappa, phi = _polar(c0, c1)
+            cand_res, cand_contractions = statics.residual(kappa, phi, eps, forces)
             r0, r1, r2 = cand_res
             cand_norm = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
             if cand_norm < norm or cand_norm == 0.0 or halving == 9:
                 break
             s0, s1, s2 = 0.5 * s0, 0.5 * s1, 0.5 * s2
         x0, x1, x2 = c0, c1, eps
-        res, tip, rows, norm = cand_res, cand_tip, cand_rows, cand_norm
+        res, contractions, norm = cand_res, cand_contractions, cand_norm
         if norm < best_norm:
-            best, best_norm = (kappa, phi, eps, rows), norm
+            best, best_norm = (kappa, phi, eps, contractions), norm
 
-    kappa, phi, eps, rows = best
+    kappa, phi, eps, contractions = best
     if best_norm < tol:
-        return _accepted(kappa, phi, eps, best_norm, rows, jacobian, length)
+        return _accepted(kappa, phi, eps, best_norm, contractions, jacobian, length)
     raise NoConvergence(ArcPose(kappa, phi, eps), best_norm, tol)
 
 
@@ -838,14 +766,17 @@ def simulate(
                 )
                 recording = False
             forces = tuple(forces)
-            if step_index < 2:
-                start = c
-            else:
-                start = (
+            start = c
+            if step_index >= 2:
+                predicted = (
                     3.0 * (c[0] - b[0]) + a[0],
                     3.0 * (c[1] - b[1]) + a[1],
                     3.0 * (c[2] - b[2]) + a[2],
                 )
+                # a start bent past 180 deg can lead the solve to a root
+                # beyond it although one inside the workspace balances
+                if math.hypot(predicted[0], predicted[1]) * statics.length <= math.pi:
+                    start = predicted
             kappa, phi, eps, res_norm, dx, jacobian = _solve_pose_statics(
                 statics, forces, *start, config, jacobian
             )

@@ -154,13 +154,13 @@ class SpringState:
     branch: Branch = Branch.IDLE
 
     def __post_init__(self):
-        if self.temperature <= 0.0:
+        if not self.temperature > 0.0:
             raise ValueError("temperature must be positive (kelvin)")
         for name in ("martensite_fraction", "fraction_at_branch_start"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.force < 0.0:
+        if not self.force >= 0.0:
             raise ValueError("force must be non-negative (tendon cannot push)")
 
 
@@ -456,11 +456,11 @@ def _fraction(
     """``reverse_fraction`` or ``forward_fraction`` on the active ``branch``'s
     arc anchored at ``latch``, with the same checks and roundings."""
     m = k.material
+    if not 0.0 <= latch <= 1.0:
+        raise ValueError("fraction_at_start must lie in [0, 1]")
+    if stress < 0.0:
+        raise ValueError("stress must be non-negative")
     if branch is Branch.REVERSE:
-        if not 0.0 <= latch <= 1.0:
-            raise ValueError("fraction_at_start must lie in [0, 1]")
-        if stress < 0.0:
-            raise ValueError("stress must be non-negative")
         a_start = m.austenite_start
         shift = stress / m.stress_influence_reverse
         if temperature <= a_start + shift:
@@ -471,10 +471,6 @@ def _fraction(
         value = 0.5 * latch * (math.cos(arg) + 1.0)
         return min(max(value, 0.0), latch)
     # Branch.FORWARD
-    if not 0.0 <= latch <= 1.0:
-        raise ValueError("fraction_at_start must lie in [0, 1]")
-    if stress < 0.0:
-        raise ValueError("stress must be non-negative")
     m_finish = m.martensite_finish
     shift = stress / m.stress_influence_forward
     if temperature >= m.martensite_start + shift:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sma_neck import ArcPose, BackboneGeometry, arc_frame, arc_position, elastic_moment
-from sma_neck.backbone import _SERIES_ANGLE, STRAIGHT_THRESHOLD, _arc_coefficients
+from sma_neck.backbone import STRAIGHT_THRESHOLD
 
 
 class TestArcPose:
@@ -184,11 +184,3 @@ class TestElasticMoment:
         with pytest.raises(ValueError):
             BackboneGeometry(0.1, -1.0, 1.0)
 
-
-class TestArcCoefficients:
-    def test_series_meets_closed_forms(self):
-        # the Jacobian's coefficients switch from their series to the closed
-        # forms at _SERIES_ANGLE; both sides must agree there
-        series = _arc_coefficients(math.nextafter(_SERIES_ANGLE, 0.0))
-        closed = _arc_coefficients(_SERIES_ANGLE)
-        assert series == pytest.approx(closed, rel=1e-10)

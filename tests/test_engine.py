@@ -81,7 +81,7 @@ class TestResidual:
         backbone = system.backbone
         pose = ArcPose(theta / backbone.length, phi, twist)
         unloaded = np.array(residual(system, pose, (0.0, 0.0, 0.0)))
-        _, _, rows = _Statics(system).residual(
+        _, contractions = _Statics(system).residual(
             pose.curvature, pose.bending_plane_angle, pose.twist, (0.0, 0.0, 0.0)
         )
         for k, unit in enumerate(system.units):
@@ -91,7 +91,7 @@ class TestResidual:
             m = unit_moment(unit, pose, backbone, force)
             scale = np.linalg.norm(m) + np.linalg.norm(unloaded)
             assert np.linalg.norm(share - m) <= 1e-9 * scale
-            assert rows[k][6] == unit_line_of_action(unit, pose, backbone)[2]
+            assert contractions[k] == unit_line_of_action(unit, pose, backbone)[2]
 
     def test_rejects_negative_force(self, system, straight_pose):
         with pytest.raises(ValueError):
@@ -159,8 +159,7 @@ class TestJacobian:
         statics = _Statics(replace(system, gravity_enabled=gravity))
         kappa = theta / statics.length
         x = [kappa * math.cos(phi), kappa * math.sin(phi), twist]
-        _, tip, rows = statics.residual(*pose_from_vars(x), forces)
-        jac = np.array(statics.jacobian(x, forces, tip, rows))
+        jac = np.array(statics.jacobian(x, forces))
         fd = _central_jacobian(statics, x, forces)
         # below 1e-2 rad the differences carry the rounding of (1 - cos ks) / k
         tol = 1e-8 if theta >= 1e-2 else 1e-6
@@ -302,8 +301,7 @@ class TestSolvePose:
         best = err.value.best_pose
         kappa, phi, eps = best.curvature, best.bending_plane_angle, best.twist
         x = (kappa * math.cos(phi), kappa * math.sin(phi), eps)
-        _, tip, rows = statics.residual(kappa, phi, eps, forces)
-        kept = statics.jacobian(x, forces, tip, rows)
+        kept = statics.jacobian(x, forces)
         jacobians, jacobian_fn = 0, _Statics.jacobian
 
         def counted(self, *args):
@@ -521,6 +519,42 @@ class TestSimulate:
         assert f"best pose kappa={best.curvature:.6g} 1/m" in message
         assert f"phi={best.bending_plane_angle:.6g} rad" in message
         assert f"twist={best.twist:.6g} rad" in message
+
+    def test_predicted_start_past_180_deg_falls_back_to_the_last_pose(self):
+        # with a stiff tendon the neck folds so fast that a step's quadratic
+        # prediction lies past 180 degrees; a solve started there landed at
+        # 270.3 degrees and ended the run, although a pose near 145 degrees
+        # balances the moments
+        scenario = load_with_overrides(
+            default_scenario_text(),
+            [
+                "pennate.tendon_stiffness=9200 N/m",
+                "simulation.dt=2 ms",
+                "simulation.duration=0.1 s",
+                "profile=[{unit: 1, start: 0 s, end: 0.1 s, current: 8 A}]",
+            ],
+        )
+        system = scenario.build_system()
+        poses = []
+        solve_fn = engine._solve_pose_statics
+
+        def recorded_solve(*args):
+            result = solve_fn(*args)
+            kappa, phi = result[0], result[1]
+            poses.append((kappa * math.cos(phi), kappa * math.sin(phi)))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_solve_pose_statics", recorded_solve)
+            trace = simulate(system, scenario.build_config())
+        length = system.backbone.length
+        predicted = [
+            length * math.hypot(3.0 * (c[0] - b[0]) + a[0], 3.0 * (c[1] - b[1]) + a[1])
+            for a, b, c in zip(poses, poses[1:], poses[2:])
+        ]
+        assert max(predicted) > math.pi
+        assert len(trace) == 50
+        assert math.degrees(max(trace.theta)) == pytest.approx(145.4, abs=0.05)
 
     def test_phi_defined_flags(self, system):
         # straight rows carry the last well-defined plane angle and a flag

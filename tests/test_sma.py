@@ -455,3 +455,11 @@ class TestInvariantValidation:
             SpringState(temperature=300.0, martensite_fraction=0.5, force=-1.0)
         with pytest.raises(ValueError):
             SpringState(temperature=-5.0, martensite_fraction=0.5, force=0.0)
+
+    def test_spring_state_rejects_nan(self):
+        # a NaN compares false both ways, so the checks are written to fail
+        # on it: such a state would step with a NaN shear stress
+        with pytest.raises(ValueError, match="force must be non-negative"):
+            SpringState(300.0, 1.0, math.nan)
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            SpringState(math.nan, 1.0, 0.0)

@@ -5,9 +5,10 @@ constants were hoisted out of it, kept verbatim: each step calls
 ``pennate_force`` and ``tendon_force_from_stretch`` through
 ``_combined_force`` for every unit and takes ``cos(pennation)`` anew.
 ``simulate`` must return the same trace to the bit, markers included, and
-fail with the same exception and message.  The one thing threaded through it
-since is the Jacobian each pose solve hands to the next, passed as
-``simulate`` passes it.
+fail with the same exception and message.  Two things are threaded through
+it since, as ``simulate`` has them: the Jacobian each pose solve hands to the
+next, and the last pose as the start where the predicted one is bent past
+180 degrees.
 """
 
 import math
@@ -101,14 +102,15 @@ def reference_simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
                     config.max_temperature_step,
                 )
             forces = unit_forces(dx_prev)
-            if step_index < 2:
-                start = c
-            else:
-                start = (
+            start = c
+            if step_index >= 2:
+                predicted = (
                     3.0 * (c[0] - b[0]) + a[0],
                     3.0 * (c[1] - b[1]) + a[1],
                     3.0 * (c[2] - b[2]) + a[2],
                 )
+                if math.hypot(predicted[0], predicted[1]) * statics.length <= math.pi:
+                    start = predicted
             kappa, phi, eps, res_norm, dx, jacobian = _solve_pose_statics(
                 statics, forces, *start, config, jacobian
             )
@@ -269,9 +271,9 @@ def test_bundled_run_equals_reference(combination):
         (["simulation.solver_tolerance=1e-17 N m"], engine.NoConvergence),
         # the temperature bound fails on the first heated step
         (["simulation.max_temperature_step=0.01 K"], engine.StepTooLarge),
-        # a stretch-force runaway: as the neck folds, the predicted start
-        # passes 180 degrees and the solve lands on a pose beyond it
-        (["pennate.tendon_stiffness=10000 N/m"], engine.PoseOutOfRange),
+        # a stretch-force runaway: at step 7 unit 1 pulls 1375 N, which no
+        # pose inside 180 degrees balances, and the solve lands beyond it
+        (["pennate.tendon_stiffness=20000 N/m"], engine.PoseOutOfRange),
     ],
 )
 def test_failures_equal_reference(overrides, raises):
