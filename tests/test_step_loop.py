@@ -271,8 +271,8 @@ def test_bundled_run_equals_reference(combination):
         (["simulation.solver_tolerance=1e-17 N m"], engine.NoConvergence),
         # the temperature bound fails on the first heated step
         (["simulation.max_temperature_step=0.01 K"], engine.StepTooLarge),
-        # a stretch-force runaway: at step 7 unit 1 pulls 1375 N, which no
-        # pose inside 180 degrees balances, and the solve lands beyond it
+        # a stretch-force runaway: at step 7 unit 1 pulls 1375 N and the
+        # solve lands on a pose beyond 180 degrees
         (["pennate.tendon_stiffness=20000 N/m"], engine.PoseOutOfRange),
     ],
 )
