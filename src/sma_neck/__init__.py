@@ -5,13 +5,7 @@ a quasi-static constant-curvature pose solve, plus scenario IO, plotting and
 calibration.
 """
 
-from .backbone import (
-    ArcPose,
-    BackboneGeometry,
-    arc_frame,
-    arc_position,
-    elastic_moment,
-)
+from .backbone import ArcPose, BackboneGeometry, arc_frame, arc_position
 from .calibrate import CalibrationResult, NonImprovement, calibrate
 from .engine import (
     CurrentProfile,
@@ -27,13 +21,7 @@ from .engine import (
     solve_pose,
     sweep,
 )
-from .pennate import (
-    PennateUnit,
-    pennate_force,
-    tendon_force_from_stretch,
-    unit_line_of_action,
-    unit_moment,
-)
+from .pennate import PennateUnit
 from .plots import emit_plots
 from .scenario import (
     CalibrationSpec,
@@ -43,7 +31,6 @@ from .scenario import (
     dump_scenario,
     load_default_scenario,
     load_scenario,
-    load_scenario_file,
     load_with_overrides,
 )
 from .sma import (
@@ -55,7 +42,6 @@ from .sma import (
     ThermalEnvironment,
     effective_modulus,
     forward_fraction,
-    heating_rate,
     reverse_fraction,
     shear_stress,
     step_spring,
@@ -95,15 +81,11 @@ __all__ = [
     "calibrate",
     "dump_scenario",
     "effective_modulus",
-    "elastic_moment",
     "emit_plots",
     "forward_fraction",
-    "heating_rate",
     "load_default_scenario",
     "load_scenario",
-    "load_scenario_file",
     "load_with_overrides",
-    "pennate_force",
     "read_trace",
     "residual",
     "reverse_fraction",
@@ -112,8 +94,5 @@ __all__ = [
     "solve_pose",
     "step_spring",
     "sweep",
-    "tendon_force_from_stretch",
-    "unit_line_of_action",
-    "unit_moment",
     "write_trace",
 ]

@@ -2,13 +2,14 @@
 
 The backbone is a circular arc parameterized by curvature, bending-plane
 angle and twist; the bending angle is curvature times length.  Positions and
-frames follow the usual arc geometry; the elastic restoring moment is the
-Euler-Bernoulli bending/torsion law rotated into the base frame.
+frames follow the usual arc geometry.
 
 Scalar helpers (suffix ``_t``) operate on plain floats/tuples; the public
 functions check their arguments and return tuples.  The engine's pose kernel
 (``engine._Statics``) writes the same formulas out in one pass, bit-identical
-to these scalar forms.
+to these scalar forms, together with the elastic restoring moment (the
+Euler-Bernoulli bending/torsion law rotated into the base frame), whose
+one-formula-at-a-time reference is ``tests/reference_model.py``.
 """
 
 from __future__ import annotations
@@ -109,30 +110,6 @@ def _frame_t(kappa: float, phi: float, twist: float, s: float):
     return _position_t(kappa, phi, s), _rotation_t(phi, kappa * s, twist)
 
 
-def _rotate_t(rot, v):
-    x, y, z = v
-    return (
-        rot[0] * x + rot[1] * y + rot[2] * z,
-        rot[3] * x + rot[4] * y + rot[5] * z,
-        rot[6] * x + rot[7] * y + rot[8] * z,
-    )
-
-
-def _elastic_moment_t(
-    kappa: float, phi: float, twist: float, ei_y: float, gj_over_l: float, length: float
-) -> tuple[float, float, float]:
-    # diag(EIxx, EIyy, GJ/l) . [0, kappa, twist] has no x component, so the
-    # EIxx entry never contributes under the constant-curvature assumption.
-    local_y = ei_y * kappa
-    local_z = gj_over_l * twist
-    theta = kappa * length
-    cb, sb = math.cos(theta), math.sin(theta)
-    # Rz(phi) . Ry(theta) . (0, local_y, local_z)
-    x1, y1, z1 = sb * local_z, local_y, cb * local_z
-    ca, sa = math.cos(phi), math.sin(phi)
-    return ca * x1 - sa * y1, sa * x1 + ca * y1, z1
-
-
 def _check_arc_coordinate(s: float, length: float) -> None:
     if not 0.0 <= s <= length * (1.0 + 1e-12):
         raise ValueError(f"arc coordinate {s} outside [0, {length}]")
@@ -154,16 +131,4 @@ def arc_frame(pose: ArcPose, geometry: BackboneGeometry, s: float):
         (rot[3], rot[4], rot[5], py),
         (rot[6], rot[7], rot[8], pz),
         (0.0, 0.0, 0.0, 1.0),
-    )
-
-
-def elastic_moment(pose: ArcPose, geometry: BackboneGeometry) -> _Vec3:
-    """Restoring moment (N m, base frame) stored in the bent, twisted backbone."""
-    return _elastic_moment_t(
-        pose.curvature,
-        pose.bending_plane_angle,
-        pose.twist,
-        geometry.bending_stiffness_y,
-        geometry.torsional_stiffness / geometry.length,
-        geometry.length,
     )

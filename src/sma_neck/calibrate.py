@@ -11,6 +11,7 @@ deterministic for a given scenario and spec.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 from .engine import sweep
@@ -73,6 +74,43 @@ def evaluate_targets(
     return loss, tuple(achieved)
 
 
+def _golden(loss, lo: float, hi: float, iterations: int):
+    """The two interior candidates ``((x1, f1), (x2, f2))`` after
+    ``iterations`` golden-section steps on [lo, hi].
+
+    Once the bracket stops shrinking in floating point, the state
+    ``(a, b, x1, x2)`` repeats, mostly as a two-state cycle.  The loop then
+    ends and returns the state the remaining steps would end in, which the
+    loop has already visited, so ``loss`` sees no candidate the full loop
+    would not.
+    """
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1 = loss(x1)
+    f2 = loss(x2)
+    seen: dict[bytes, int] = {}
+    visited = []
+    for step in range(iterations):
+        # the bits, so that -0.0 and 0.0 are different states
+        state = struct.pack("4d", a, b, x1, x2)
+        if state in seen:
+            first = seen[state]
+            x1, f1, x2, f2 = visited[first + (iterations - first) % (step - first)]
+            break
+        seen[state] = step
+        visited.append((x1, f1, x2, f2))
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = loss(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = loss(x2)
+    return (x1, f1), (x2, f2)
+
+
 def calibrate(scenario: Scenario, spec: CalibrationSpec) -> CalibrationResult:
     """Fit the free parameters to the target table.
 
@@ -101,6 +139,7 @@ def calibrate(scenario: Scenario, spec: CalibrationSpec) -> CalibrationResult:
     best_loss = start_loss
 
     for pass_index in range(spec.passes):
+        points = True
         for name in names:
             lo_full, hi_full = spec.bounds[name]
             if pass_index == 0:
@@ -110,27 +149,21 @@ def calibrate(scenario: Scenario, spec: CalibrationSpec) -> CalibrationResult:
                 width = (hi_full - lo_full) * 0.3 ** pass_index
                 lo = max(lo_full, best[name] - 0.5 * width)
                 hi = min(hi_full, best[name] + 0.5 * width)
-            a, b = lo, hi
-            x1 = b - _GOLDEN * (b - a)
-            x2 = a + _GOLDEN * (b - a)
-            f1 = loss_of({**best, name: x1})
-            f2 = loss_of({**best, name: x2})
-            for _ in range(spec.golden_iterations):
-                if f1 <= f2:
-                    b, x2, f2 = x2, x1, f1
-                    x1 = b - _GOLDEN * (b - a)
-                    f1 = loss_of({**best, name: x1})
-                else:
-                    a, x1, f1 = x1, x2, f2
-                    x2 = a + _GOLDEN * (b - a)
-                    f2 = loss_of({**best, name: x2})
-            for candidate_value, candidate_loss in (
-                (x1, f1),
-                (x2, f2),
+            points = points and lo == hi
+
+            def line_loss(value: float) -> float:
+                return loss_of({**best, name: value})
+
+            for candidate_value, candidate_loss in _golden(
+                line_loss, lo, hi, spec.golden_iterations
             ):
                 if candidate_loss < best_loss:
                     best_loss = candidate_loss
                     best = {**best, name: candidate_value}
+        if points:
+            # lo == hi == best[name] for every name, so every later pass
+            # only re-reads the cache and changes nothing
+            break
 
     trivial = start_loss <= 1e-9
     if best_loss >= start_loss and not trivial:

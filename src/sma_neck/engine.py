@@ -285,12 +285,12 @@ class SweepRow:
 class _Statics:
     """Precomputed constants and the fused kernels of the pose solve.
 
-    ``residual`` writes out in one pass what the public helpers compose
-    (``backbone._frame_t``, ``pennate._line_of_action_t``,
-    ``pennate._tendon_moment_t`` and ``backbone._elastic_moment_t``), taking
+    ``residual`` writes out in one pass what ``backbone._frame_t`` and the
+    reference laws ``_line_of_action_t``, ``_tendon_moment_t`` and
+    ``_elastic_moment_t`` of ``tests/reference_model.py`` compose to, taking
     each angle's cosine and sine once.  Every floating-point operation keeps
-    its order and operands, so it is bit-identical to the composition it
-    replaces (``tests/test_pose_kernel.py``).  ``jacobian`` differences it.
+    its order and operands, so it is bit-identical to that composition
+    (``tests/test_pose_kernel.py``).  ``jacobian`` differences it.
     """
 
     __slots__ = (
@@ -749,7 +749,8 @@ def simulate(
                 )
                 # the tendon force: the springs' pull along the tendon
                 # (pennate_force) with the stiffness force of the last chord
-                # contraction (tendon_force_from_stretch), combined
+                # contraction (tendon_force_from_stretch), combined; both
+                # laws' references are in tests/reference_model.py
                 active = fibers * state.force * cos_p
                 passive = 0.0 if contraction <= 0.0 else stiffness * contraction
                 forces.append(max(active, passive) if take_max else active + passive)

@@ -619,10 +619,6 @@ def _read_scenario(path) -> str:
         raise ParseError(f"cannot read scenario {path}: {exc}") from exc
 
 
-def load_scenario_file(path) -> Scenario:
-    return load_scenario(_read_scenario(path))
-
-
 def _safe_load(text: str, what: str):
     """``yaml.safe_load`` with the errors PyYAML does not wrap in
     ``yaml.YAMLError`` raised as ``ParseError``: nesting past the recursion

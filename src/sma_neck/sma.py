@@ -288,28 +288,6 @@ def phase_resistance(material: SmaMaterial, fraction: float) -> float:
     )
 
 
-def heating_rate(
-    material: SmaMaterial,
-    geometry: SpringGeometry,
-    env: ThermalEnvironment,
-    temperature: float,
-    fraction: float,
-    current: float,
-    fraction_rate: float = 0.0,
-) -> float:
-    """Temperature rate (K/s) from the energy balance: Joule input, convective
-    loss and latent heat of the active transformation (zero when idle)."""
-    if current < 0.0:
-        raise ValueError("current must be non-negative")
-    resistance = phase_resistance(material, fraction)
-    power = current * current * resistance
-    loss = geometry.surface_area * env.convection_coefficient * (
-        temperature - env.ambient_temperature
-    )
-    latent = geometry.spring_mass * material.latent_heat * fraction_rate
-    return (power - loss + latent) / (geometry.spring_mass * material.specific_heat)
-
-
 def force_coefficients(
     material: SmaMaterial, geometry: SpringGeometry, fraction: float
 ) -> tuple[float, float, float]:
@@ -376,7 +354,9 @@ class _SpringConstants:
     """The products ``step_spring`` derives from one (material, geometry, env)
     triple, computed once.  Each entry uses the operands and the left-to-right
     order of the law it comes from, so that every product rounds as it does
-    there.  Raw fields are read from the three objects themselves.
+    there; the heat balance is ``heating_rate`` in ``tests/reference_model.py``,
+    the others are in this module.  Raw fields are read from the three objects
+    themselves.
     """
 
     __slots__ = (
@@ -391,7 +371,8 @@ class _SpringConstants:
         self, material: SmaMaterial, geometry: SpringGeometry, env: ThermalEnvironment
     ):
         self.material, self.geometry, self.env = material, geometry, env
-        # heating_rate; the latent term is (m L) * 0.0, NaN if m L overflows
+        # heating_rate (tests/reference_model.py); the latent term is
+        # (m L) * 0.0, NaN if m L overflows
         self.conductance = geometry.surface_area * env.convection_coefficient
         self.heat_capacity = geometry.spring_mass * material.specific_heat
         self.zero_latent = geometry.spring_mass * material.latent_heat * 0.0
@@ -555,10 +536,11 @@ def step_spring(
     This is a fused kernel: the products derived from the (material,
     geometry, env) triple are computed once and kept for the next call with
     the same three objects, and an idle spring's RK4 takes the Joule power
-    once per step.  It computes exactly what ``heating_rate``,
-    ``reverse_fraction``, ``forward_fraction``, ``force_coefficients`` and
-    ``shear_stress`` compose to; ``tests/test_spring_kernel.py`` pins every
-    bit of the result and every exception to that composition.
+    once per step.  It computes exactly what ``heating_rate`` (kept in
+    ``tests/reference_model.py``), ``reverse_fraction``, ``forward_fraction``,
+    ``force_coefficients`` and ``shear_stress`` compose to;
+    ``tests/test_spring_kernel.py`` pins every bit of the result and every
+    exception to that composition.
 
     Raises StepTooLarge when the temperature moves more than
     ``max_temperature_step`` in a single step.

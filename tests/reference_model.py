@@ -1,0 +1,172 @@
+"""The paper's laws written one formula at a time: the oracles the fused
+kernels in ``sma_neck`` are pinned to.
+
+``sma.step_spring``, ``engine._Statics.residual`` and the tendon forces in
+``engine.simulate`` each compute several of these laws in one pass.  The
+oracle tests compose the functions below and compare the kernels' results
+with theirs bit for bit, so each law has one implementation in the package
+and one plain reference here.  No run path calls this module.
+"""
+
+from __future__ import annotations
+
+import math
+
+from sma_neck.backbone import ArcPose, BackboneGeometry, _frame_t, _Vec3
+from sma_neck.pennate import PennateUnit, rest_chord_length
+from sma_neck.sma import (
+    SmaMaterial,
+    SpringGeometry,
+    ThermalEnvironment,
+    phase_resistance,
+)
+
+
+# --- spring heat balance (sma) ---------------------------------------------
+
+
+def heating_rate(
+    material: SmaMaterial,
+    geometry: SpringGeometry,
+    env: ThermalEnvironment,
+    temperature: float,
+    fraction: float,
+    current: float,
+    fraction_rate: float = 0.0,
+) -> float:
+    """Temperature rate (K/s) from the energy balance: Joule input, convective
+    loss and latent heat of the active transformation (zero when idle)."""
+    if current < 0.0:
+        raise ValueError("current must be non-negative")
+    resistance = phase_resistance(material, fraction)
+    power = current * current * resistance
+    loss = geometry.surface_area * env.convection_coefficient * (
+        temperature - env.ambient_temperature
+    )
+    latent = geometry.spring_mass * material.latent_heat * fraction_rate
+    return (power - loss + latent) / (geometry.spring_mass * material.specific_heat)
+
+
+# --- backbone restoring moment (backbone) ----------------------------------
+
+
+def _rotate_t(rot, v):
+    x, y, z = v
+    return (
+        rot[0] * x + rot[1] * y + rot[2] * z,
+        rot[3] * x + rot[4] * y + rot[5] * z,
+        rot[6] * x + rot[7] * y + rot[8] * z,
+    )
+
+
+def _elastic_moment_t(
+    kappa: float, phi: float, twist: float, ei_y: float, gj_over_l: float, length: float
+) -> tuple[float, float, float]:
+    # diag(EIxx, EIyy, GJ/l) . [0, kappa, twist] has no x component, so the
+    # EIxx entry never contributes under the constant-curvature assumption.
+    local_y = ei_y * kappa
+    local_z = gj_over_l * twist
+    theta = kappa * length
+    cb, sb = math.cos(theta), math.sin(theta)
+    # Rz(phi) . Ry(theta) . (0, local_y, local_z)
+    x1, y1, z1 = sb * local_z, local_y, cb * local_z
+    ca, sa = math.cos(phi), math.sin(phi)
+    return ca * x1 - sa * y1, sa * x1 + ca * y1, z1
+
+
+def elastic_moment(pose: ArcPose, geometry: BackboneGeometry) -> _Vec3:
+    """Restoring moment (N m, base frame) stored in the bent, twisted backbone."""
+    return _elastic_moment_t(
+        pose.curvature,
+        pose.bending_plane_angle,
+        pose.twist,
+        geometry.bending_stiffness_y,
+        geometry.torsional_stiffness / geometry.length,
+        geometry.length,
+    )
+
+
+# --- pennate force transfer and tendon moments (pennate) -------------------
+
+
+def pennate_force(unit: PennateUnit, spring_force: float) -> float:
+    """Tendon force (N) produced by the unit's springs each pulling
+    ``spring_force`` at the pennation angle."""
+    if spring_force < 0.0:
+        raise ValueError("spring_force must be non-negative")
+    return unit.fibers * spring_force * math.cos(unit.pennation_angle)
+
+
+def tendon_force_from_stretch(unit: PennateUnit, contraction: float) -> float:
+    """Stiffness-model tendon force (N) for a unit contracted by
+    ``contraction`` metres; zero when slack (contraction <= 0)."""
+    if contraction <= 0.0:
+        return 0.0
+    return unit.tendon_stiffness * contraction
+
+
+def _line_of_action_t(
+    head_local: _Vec3,
+    base: _Vec3,
+    rest_chord: float,
+    tip: _Vec3,
+    rot,
+) -> tuple[_Vec3, _Vec3, float]:
+    """(attachment point, unit pull direction, chord contraction) for a pose
+    given the tip position and rotation of the head mount."""
+    ax, ay, az = _rotate_t(rot, head_local)
+    px, py, pz = tip[0] + ax, tip[1] + ay, tip[2] + az
+    cx, cy, cz = base[0] - px, base[1] - py, base[2] - pz
+    chord = math.sqrt(cx * cx + cy * cy + cz * cz)
+    if chord < 1e-12:
+        raise ValueError("degenerate muscle geometry: attachment reached the anchor")
+    inv = 1.0 / chord
+    return (px, py, pz), (cx * inv, cy * inv, cz * inv), rest_chord - chord
+
+
+def _tendon_moment_t(tip: _Vec3, lines, forces) -> _Vec3:
+    """Summed moment about the tip of tendons pulling ``forces`` along
+    ``lines`` (as from ``_line_of_action_t``): each lever from the tip
+    crossed with its force vector."""
+    mx = my = mz = 0.0
+    for (point, direction, _), force in zip(lines, forces):
+        lx, ly, lz = point[0] - tip[0], point[1] - tip[1], point[2] - tip[2]
+        fx, fy, fz = force * direction[0], force * direction[1], force * direction[2]
+        mx += ly * fz - lz * fy
+        my += lz * fx - lx * fz
+        mz += lx * fy - ly * fx
+    return mx, my, mz
+
+
+def _unit_line(unit: PennateUnit, pose: ArcPose, geometry: BackboneGeometry):
+    """Tip position and the unit's line of action at ``pose``."""
+    tip, rot = _frame_t(
+        pose.curvature, pose.bending_plane_angle, pose.twist, geometry.length
+    )
+    line = _line_of_action_t(
+        unit.head_attachment_local,
+        unit.base_attachment,
+        rest_chord_length(unit, geometry),
+        tip,
+        rot,
+    )
+    return tip, line
+
+
+def unit_line_of_action(
+    unit: PennateUnit, pose: ArcPose, geometry: BackboneGeometry
+) -> tuple[_Vec3, _Vec3, float]:
+    """Attachment point (m), unit direction of pull (toward the base anchor)
+    and chord contraction relative to rest (m, positive = shortened)."""
+    return _unit_line(unit, pose, geometry)[1]
+
+
+def unit_moment(
+    unit: PennateUnit, pose: ArcPose, geometry: BackboneGeometry, tendon_force: float
+) -> _Vec3:
+    """Moment (N m, base frame) the unit applies about the backbone tip when
+    pulling with ``tendon_force`` along its chord."""
+    if tendon_force < 0.0:
+        raise ValueError("tendon_force must be non-negative")
+    tip, line = _unit_line(unit, pose, geometry)
+    return _tendon_moment_t(tip, (line,), (tendon_force,))

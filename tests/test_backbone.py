@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from sma_neck import ArcPose, BackboneGeometry, arc_frame, arc_position, elastic_moment
+from sma_neck import ArcPose, BackboneGeometry, arc_frame, arc_position
 from sma_neck.backbone import STRAIGHT_THRESHOLD
+from reference_model import elastic_moment
 
 
 class TestArcPose:

@@ -1,9 +1,17 @@
 import math
+import struct
+from dataclasses import replace
 
 import pytest
 
 from sma_neck import NonImprovement, calibrate
-from sma_neck.calibrate import apply_parameters, current_parameters, evaluate_targets
+from sma_neck.calibrate import (
+    _GOLDEN,
+    _golden,
+    apply_parameters,
+    current_parameters,
+    evaluate_targets,
+)
 from sma_neck.scenario import CalibrationSpec, load_default_scenario
 
 
@@ -118,3 +126,82 @@ def test_spec_validation():
             bounds={"convection_coefficient": (98.0, 85.0)},
             targets=((4.0, 4.73),),
         )
+
+
+def _full_golden(loss, lo, hi, iterations):
+    """The golden-section loop as ``calibrate`` ran it before it could end
+    early: every one of ``iterations`` steps."""
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1 = loss(x1)
+    f2 = loss(x2)
+    for _ in range(iterations):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = loss(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = loss(x2)
+    return (x1, f1), (x2, f2)
+
+
+def _cached(fn):
+    cache = {}
+
+    def loss(x):
+        if x not in cache:
+            cache[x] = fn(x)
+        return cache[x]
+
+    return loss, cache
+
+
+@pytest.mark.parametrize(
+    "fn, lo, hi",
+    [
+        # the bracket shrinks through subnormals for 1,550 iterations
+        (lambda x: x * x, 0.0, 1.0),
+        (lambda x: -x, -1.0, 0.0),
+        (lambda x: x, 0.0, 1e-300),
+        # minimum at the upper bound, at the lower bound, inside; flat
+        (lambda x: (x - 98.0) ** 2, 85.0, 98.0),
+        (lambda x: (x - 85.0) ** 2, 85.0, 98.0),
+        (lambda x: abs(x - 91.3), 85.0, 98.0),
+        (lambda x: 1.0, 85.0, 98.0),
+        (lambda x: -x, -3e9, -0.55e9),
+        (lambda x: (x + 0.75e9) ** 2, -1.5e9, -0.3e9),
+    ],
+)
+@pytest.mark.parametrize("iterations", [0, 3, 72, 73, 79, 80, 200, 201, 1550, 1551, 3000, 3001])
+def test_golden_returns_what_the_full_loop_returns(fn, lo, hi, iterations):
+    loss, cache = _cached(fn)
+    full_loss, full_cache = _cached(fn)
+    got = _golden(loss, lo, hi, iterations)
+    want = _full_golden(full_loss, lo, hi, iterations)
+    assert struct.pack("4d", *got[0], *got[1]) == struct.pack("4d", *want[0], *want[1])
+    # the same candidates, so calibrate's evaluation count is the same
+    assert cache.keys() == full_cache.keys()
+
+
+def test_golden_ends_on_a_repeated_state():
+    loss, cache = _cached(lambda x: x * x)
+    assert _golden(loss, 0.0, 1.0, 10**12) == _golden(loss, 0.0, 1.0, 1552)
+    assert len(cache) < 1600
+
+
+def test_huge_pass_count_returns_the_result_of_40_passes(base_scenario):
+    # every interval is a single point well before pass 40
+    spec = quick_spec([(8.0, 4.0)], hold=0.5, passes=40, golden_iterations=8)
+    modest = calibrate(base_scenario, spec)
+    huge = calibrate(base_scenario, replace(spec, passes=10**12))
+    assert huge == modest
+
+
+def test_huge_golden_iteration_count_returns_the_result_of_200(base_scenario):
+    spec = quick_spec([(8.0, 4.0)], hold=0.5, passes=2, golden_iterations=200)
+    modest = calibrate(base_scenario, spec)
+    huge = calibrate(base_scenario, replace(spec, golden_iterations=10**12))
+    assert huge == modest

@@ -14,15 +14,10 @@ from sma_neck import (
     PoseOutOfRange,
     Segment,
     SimConfig,
-    elastic_moment,
-    pennate_force,
     residual,
     simulate,
     solve_pose,
     sweep,
-    tendon_force_from_stretch,
-    unit_line_of_action,
-    unit_moment,
 )
 from sma_neck import engine, sma
 from sma_neck.engine import MAX_STEPS, _solve_pose_statics, _Statics
@@ -32,6 +27,13 @@ from sma_neck.scenario import (
     load_with_overrides,
 )
 from conftest import make_system, pose_from_vars
+from reference_model import (
+    elastic_moment,
+    pennate_force,
+    tendon_force_from_stretch,
+    unit_line_of_action,
+    unit_moment,
+)
 
 
 def quick_config(**kw):

@@ -4,15 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from sma_neck import (
-    ArcPose,
-    arc_frame,
+from sma_neck import ArcPose, arc_frame
+from conftest import make_unit
+from reference_model import (
     pennate_force,
     tendon_force_from_stretch,
     unit_line_of_action,
     unit_moment,
 )
-from conftest import make_unit
 
 
 class TestPennateForce:

@@ -2,9 +2,9 @@
 
 The engine evaluates the moment balance and the 3x3 Newton step with
 hand-fused code.  These tests pin that code bit for bit to the plain
-compositions it replaces: the residual to the public helpers' scalar
-building blocks, and the elimination to the generic partial-pivot loop kept
-below.  Equal bits here keep the trace CSV byte-identical.
+compositions it replaces: the residual to the scalar laws of
+``tests/reference_model.py`` and ``backbone._frame_t``, and the elimination
+to the generic partial-pivot loop kept below.  Equal bits here keep the trace CSV byte-identical.
 """
 
 import math
@@ -15,10 +15,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from sma_neck.backbone import STRAIGHT_THRESHOLD, _elastic_moment_t, _frame_t
+from sma_neck.backbone import STRAIGHT_THRESHOLD, _frame_t
 from sma_neck.engine import _Statics, _solve3
-from sma_neck.pennate import _line_of_action_t, _tendon_moment_t
 from sma_neck.scenario import load_default_scenario
+from reference_model import _elastic_moment_t, _line_of_action_t, _tendon_moment_t
 
 _ORACLE = settings(
     max_examples=200,

@@ -10,7 +10,6 @@ from sma_neck import (
     StepTooLarge,
     effective_modulus,
     forward_fraction,
-    heating_rate,
     reverse_fraction,
     shear_stress,
     step_spring,
@@ -19,6 +18,7 @@ from sma_neck import sma
 from sma_neck.sma import SmaMaterial, force_coefficients, phase_resistance
 
 from conftest import make_spring
+from reference_model import heating_rate
 
 
 class TestEffectiveModulus:

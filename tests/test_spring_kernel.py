@@ -34,11 +34,11 @@ from sma_neck.sma import (
     _zeroin,
     force_coefficients,
     forward_fraction,
-    heating_rate,
     reverse_fraction,
     shear_stress,
     step_spring,
 )
+from reference_model import heating_rate
 
 
 # --- the composed step, verbatim --------------------------------------------

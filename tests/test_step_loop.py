@@ -30,9 +30,9 @@ from sma_neck.engine import (
     _Statics,
     simulate,
 )
-from sma_neck.pennate import pennate_force, tendon_force_from_stretch
 from sma_neck.scenario import default_scenario_text, load_with_overrides
 from sma_neck.sma import _reverse_band, shear_stress, step_spring
+from reference_model import pennate_force, tendon_force_from_stretch
 
 
 # --- the loop, verbatim --------------------------------------------------------
