@@ -9,11 +9,12 @@ differences of the residual.  The solve runs in the Cartesian curvature
 components u = kappa (cos phi, sin phi), which have one value at every pose,
 the straight one included, where the bending-plane angle has none.  Each
 step's solve starts from the quadratic extrapolation of the last three poses,
-or from the last pose where that extrapolation is bent past 180 degrees, and
-first takes chord (simplified-Newton) steps with the Jacobian the run's
-previous solve ended with; it forms a fresh Jacobian only when those do not
-meet the tolerance.  ``simulate`` hands that Jacobian from solve to solve
-within one run, so no run sees another's.
+each corrected by one chord step at no extra residual evaluation, or from the
+last pose where that extrapolation is bent past 180 degrees, and first takes
+chord (simplified-Newton) steps with the Jacobian the run's previous solve
+ended with; it forms a fresh Jacobian only when those do not meet the
+tolerance.  ``simulate`` hands that Jacobian from solve to solve within one
+run, so no run sees another's.
 
 Spring stretch rates are fed back from the pose change of the previous
 accepted step (one-step lag), which breaks the algebraic loop between the
@@ -461,16 +462,25 @@ def _polar(u_x: float, u_y: float) -> tuple[float, float]:
     return math.hypot(u_x, u_y), math.atan2(u_y, u_x) % _TWO_PI
 
 
-def _accepted(kappa: float, phi: float, eps: float, norm: float, contractions,
-              jacobian, length: float):
-    """The result of a pose solve that met the tolerance, once its bending
-    angle is checked against the workspace bound [0, pi]."""
+def _accepted(x0: float, x1: float, x2: float, kappa: float, phi: float, res,
+              norm: float, contractions, jacobian, max_move: float, length: float):
+    """The result of a pose solve that met the tolerance at (``x0``, ``x1``,
+    ``x2``) with residual ``res``, once its bending angle is checked against
+    the workspace bound [0, pi].  Its last entry is that pose corrected by
+    one more chord step with ``jacobian``, capped like the others, or the
+    pose itself without a Jacobian or with a singular one."""
     theta = kappa * length
     if theta > math.pi:
         raise PoseOutOfRange(
             f"bending angle {math.degrees(theta):.1f} deg exceeds 180 deg"
         )
-    return kappa, _wrap_angle(phi), eps, norm, contractions, jacobian
+    corrected = (x0, x1, x2)
+    if jacobian is not None:
+        step = _solve3(jacobian, res)
+        if step is not None:
+            s0, s1, s2 = _capped(*step, max_move)
+            corrected = (x0 + s0, x1 + s1, x2 + s2)
+    return kappa, _wrap_angle(phi), x2, norm, contractions, jacobian, corrected
 
 
 def _capped(s0: float, s1: float, s2: float, max_move: float):
@@ -497,8 +507,15 @@ def _solve_pose_statics(
     jacobian=None,
 ):
     """Equilibrium pose (kappa, phi in [0, 2 pi), twist), its residual norm,
-    the unit chord contractions at that pose and the last Jacobian used, by
-    damped Newton on (u_x, u_y, twist) started at (``x0``, ``x1``, ``x2``).
+    the unit chord contractions at that pose, the last Jacobian used and the
+    corrected pose, by damped Newton on (u_x, u_y, twist) started at
+    (``x0``, ``x1``, ``x2``).
+
+    The corrected pose is the accepted one in (u_x, u_y, twist) plus the
+    chord step its residual and the returned Jacobian give (see
+    ``_accepted``).  It costs no residual evaluation, and it lies closer to
+    the exact root than the accepted pose, whose error is anywhere below the
+    tolerance; ``simulate`` extrapolates the next start from these.
 
     ``jacobian`` is one kept from an earlier solve (what this function
     returned last), or None.  With one, the solve first takes up to two chord
@@ -541,12 +558,15 @@ def _solve_pose_statics(
             if norm < tol:
                 break
 
-    best = (kappa, phi, eps, contractions)
+    best = (kappa, phi, eps)
     best_norm = norm
 
     for _ in range(iterations):
         if norm < tol:
-            return _accepted(kappa, phi, eps, norm, contractions, jacobian, length)
+            return _accepted(
+                x0, x1, x2, kappa, phi, res, norm, contractions, jacobian,
+                max_move, length,
+            )
         jacobian = statics.jacobian((x0, x1, x2), forces)
         step = _solve3(jacobian, res)
         if step is None:
@@ -571,12 +591,16 @@ def _solve_pose_statics(
         x0, x1, x2 = c0, c1, eps
         res, contractions, norm = cand_res, cand_contractions, cand_norm
         if norm < best_norm:
-            best, best_norm = (kappa, phi, eps, contractions), norm
+            best, best_norm = (kappa, phi, eps), norm
 
-    kappa, phi, eps, contractions = best
-    if best_norm < tol:
-        return _accepted(kappa, phi, eps, best_norm, contractions, jacobian, length)
-    raise NoConvergence(ArcPose(kappa, phi, eps), best_norm, tol)
+    if norm < tol:
+        # the best pose is the last one: had an earlier one met the
+        # tolerance, the loop would have returned it
+        return _accepted(
+            x0, x1, x2, kappa, phi, res, norm, contractions, jacobian, max_move,
+            length,
+        )
+    raise NoConvergence(ArcPose(*best), best_norm, tol)
 
 
 def solve_pose(
@@ -589,7 +613,7 @@ def solve_pose(
     """
     forces = _tendon_forces(unit_forces)
     kappa, phi = initial_guess.curvature, initial_guess.bending_plane_angle
-    kappa, phi, eps, _, _, _ = _solve_pose_statics(
+    kappa, phi, eps, _, _, _, _ = _solve_pose_statics(
         _Statics(system), forces, kappa * math.cos(phi), kappa * math.sin(phi),
         initial_guess.twist, config,
     )
@@ -641,7 +665,7 @@ class _IdlePrefix:
     states: tuple[SpringState, SpringState, SpringState]
     dx_prev: tuple[float, float, float]
     dx_prev2: tuple[float, float, float]
-    poses: tuple  # the last three accepted poses a, b, c
+    poses: tuple  # the last three corrected poses a, b, c
     jacobian: tuple
     last_phi: float
     crossing_recorded: bool
@@ -710,17 +734,19 @@ def simulate(
             active = fibers * state.force * cos_p
             rest_forces.append(max(active, 0.0) if take_max else active + 0.0)
         try:
-            kappa, phi, eps, _, dx_prev, jacobian = _solve_pose_statics(
+            _, phi, _, _, dx_prev, jacobian, c = _solve_pose_statics(
                 statics, tuple(rest_forces), 0.0, 0.0, 0.0, config
             )
         except SOLVER_FAILURES as exc:
             _annotate_failure(exc, 0, 0.0)
             raise
         dx_prev2 = dx_prev
-        # the last three accepted poses a, b, c as (u_x, u_y, twist); each
+        # the last three corrected poses a, b, c as (u_x, u_y, twist); each
         # solve starts from their quadratic extrapolation along the solution
-        # path (predictor-corrector continuation), or from c while fewer exist
-        a = b = c = (kappa * math.cos(phi), kappa * math.sin(phi), eps)
+        # path (predictor-corrector continuation), or from c while fewer
+        # exist.  Extrapolated, the accepted poses' tolerance-level errors
+        # would grow by sqrt(19) in root mean square.
+        a = b = c
         trace = SimTrace()
         last_phi = phi
         crossing_recorded = False
@@ -778,7 +804,7 @@ def simulate(
                 # beyond it although one inside the workspace balances
                 if math.hypot(predicted[0], predicted[1]) * statics.length <= math.pi:
                     start = predicted
-            kappa, phi, eps, res_norm, dx, jacobian = _solve_pose_statics(
+            kappa, phi, _, res_norm, dx, jacobian, corrected = _solve_pose_statics(
                 statics, forces, *start, config, jacobian
             )
         except SOLVER_FAILURES as exc:
@@ -786,7 +812,7 @@ def simulate(
             raise
 
         dx_prev2, dx_prev = dx_prev, dx
-        a, b, c = b, c, (kappa * math.cos(phi), kappa * math.sin(phi), eps)
+        a, b, c = b, c, corrected
 
         theta = kappa * statics.length
         if theta >= STRAIGHT_THRESHOLD:

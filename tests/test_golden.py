@@ -14,21 +14,21 @@ from sma_neck.scenario import load_default_scenario
 from sma_neck.traceio import HEADER, read_trace
 
 GOLDEN_ROWS = (
-    "1,0.309436335,1.04719755,1.59564564,311.373705,311.373705,298.15,298.15,"
-    "298.15,298.15,1,1,1,1,1,1,6.52116974,3.86860114,3.86860114,4.18588255e-11",
-    "2,0.578808003,1.04719755,2.98469301,322.858655,322.858655,298.15,298.15,"
-    "298.15,298.15,1,1,1,1,1,1,8.92611772,3.96322291,3.96322291,1.36643302e-10",
+    "1,0.309436338,1.04719755,1.59564566,311.373705,311.373705,298.15,298.15,"
+    "298.15,298.15,1,1,1,1,1,1,6.52116974,3.86860114,3.86860114,8.55899005e-10",
+    "2,0.578808005,1.04719755,2.98469302,322.858655,322.858655,298.15,298.15,"
+    "298.15,298.15,1,1,1,1,1,1,8.92611771,3.96322291,3.96322291,7.94465897e-10",
     "3,0.813023187,1.04719755,4.19245175,332.833475,332.833475,298.15,298.15,"
-    "298.15,298.15,1,1,1,1,1,1,11.0180949,4.04465812,4.04465812,5.41043643e-10",
-    "4,1.03532724,1.04719755,5.33878933,341.065461,341.065461,298.15,298.15,"
+    "298.15,298.15,1,1,1,1,1,1,11.0180949,4.04465812,4.04465812,2.29526578e-10",
+    "4,1.03532724,1.04719755,5.33878932,341.065461,341.065461,298.15,298.15,"
     "298.15,298.15,0.99360813,0.99360813,1,1,1,1,13.0050626,4.12118912,"
-    "4.12118912,3.20368832e-10",
-    "5,1.34512324,1.04719755,6.93628959,346.070487,346.070487,298.15,298.15,"
-    "298.15,298.15,0.950859675,0.950859675,1,1,1,1,15.7774436,4.22666164,"
-    "4.22666164,1.50305603e-10",
-    "6,1.19862442,1.04719755,6.18085084,339.769532,339.769532,298.15,298.15,"
+    "4.12118912,2.56973378e-12",
+    "5,1.34512324,1.04719755,6.9362896,346.070487,346.070487,298.15,298.15,"
+    "298.15,298.15,0.950859675,0.950859675,1,1,1,1,15.7774437,4.22666164,"
+    "4.22666164,4.22706566e-12",
+    "6,1.19862442,1.04719755,6.18085085,339.769532,339.769532,298.15,298.15,"
     "298.15,298.15,0.950859675,0.950859675,1,1,1,1,14.4659967,4.17710989,"
-    "4.17710989,5.4532631e-11",
+    "4.17710989,8.91637527e-10",
 )
 
 

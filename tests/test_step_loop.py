@@ -5,10 +5,13 @@ constants were hoisted out of it, kept verbatim: each step calls
 ``pennate_force`` and ``tendon_force_from_stretch`` through
 ``_combined_force`` for every unit and takes ``cos(pennation)`` anew.
 ``simulate`` must return the same trace to the bit, markers included, and
-fail with the same exception and message.  Two things are threaded through
-it since, as ``simulate`` has them: the Jacobian each pose solve hands to the
-next, and the last pose as the start where the predicted one is bent past
-180 degrees.
+fail with the same exception and message.  Three things are threaded
+through it since, as ``simulate`` has them: the Jacobian each pose solve hands
+to the next, the last pose as the start where the predicted one is bent past
+180 degrees, and the chord-corrected poses the solves return as the history
+the start is predicted from.  ``denoised=False`` predicts from the accepted
+poses instead, as the loop did before; ``tests/test_engine.py`` compares
+``simulate`` with that variant.
 """
 
 import math
@@ -48,7 +51,9 @@ def _combined_force(
     return active + passive
 
 
-def reference_simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
+def reference_simulate(
+    system: NeckSystem, config: SimConfig, *, denoised: bool = True
+) -> SimTrace:
     statics = _Statics(system)
     profile = config.current_profile
     dt = config.dt
@@ -67,17 +72,20 @@ def reference_simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
     # chord was measured, so every chord contraction there is zero
     rest_forces = unit_forces((0.0, 0.0, 0.0))
     try:
-        kappa, phi, eps, _, dx_prev, jacobian = _solve_pose_statics(
+        kappa, phi, eps, _, dx_prev, jacobian, corrected = _solve_pose_statics(
             statics, rest_forces, 0.0, 0.0, 0.0, config
         )
     except SOLVER_FAILURES as exc:
         _annotate_failure(exc, 0, 0.0)
         raise
     dx_prev2 = dx_prev
-    # the last three accepted poses a, b, c as (u_x, u_y, twist); each solve
-    # starts from their quadratic extrapolation along the solution path
-    # (predictor-corrector continuation), or from c while fewer exist
-    a = b = c = (kappa * math.cos(phi), kappa * math.sin(phi), eps)
+    # the last three corrected (or accepted) poses a, b, c as (u_x, u_y,
+    # twist); each solve starts from their quadratic extrapolation along the
+    # solution path (predictor-corrector continuation), or from c while fewer
+    # exist
+    if not denoised:
+        corrected = (kappa * math.cos(phi), kappa * math.sin(phi), eps)
+    a = b = c = corrected
 
     trace = SimTrace()
     last_phi = phi
@@ -111,7 +119,7 @@ def reference_simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
                 )
                 if math.hypot(predicted[0], predicted[1]) * statics.length <= math.pi:
                     start = predicted
-            kappa, phi, eps, res_norm, dx, jacobian = _solve_pose_statics(
+            kappa, phi, eps, res_norm, dx, jacobian, corrected = _solve_pose_statics(
                 statics, forces, *start, config, jacobian
             )
         except SOLVER_FAILURES as exc:
@@ -119,7 +127,9 @@ def reference_simulate(system: NeckSystem, config: SimConfig) -> SimTrace:
             raise
 
         dx_prev2, dx_prev = dx_prev, dx
-        a, b, c = b, c, (kappa * math.cos(phi), kappa * math.sin(phi), eps)
+        if not denoised:
+            corrected = (kappa * math.cos(phi), kappa * math.sin(phi), eps)
+        a, b, c = b, c, corrected
 
         theta = kappa * statics.length
         if theta >= STRAIGHT_THRESHOLD:
