@@ -462,27 +462,6 @@ def _polar(u_x: float, u_y: float) -> tuple[float, float]:
     return math.hypot(u_x, u_y), math.atan2(u_y, u_x) % _TWO_PI
 
 
-def _accepted(x0: float, x1: float, x2: float, kappa: float, phi: float, res,
-              norm: float, contractions, jacobian, max_move: float, length: float):
-    """The result of a pose solve that met the tolerance at (``x0``, ``x1``,
-    ``x2``) with residual ``res``, once its bending angle is checked against
-    the workspace bound [0, pi].  Its last entry is that pose corrected by
-    one more chord step with ``jacobian``, capped like the others, or the
-    pose itself without a Jacobian or with a singular one."""
-    theta = kappa * length
-    if theta > math.pi:
-        raise PoseOutOfRange(
-            f"bending angle {math.degrees(theta):.1f} deg exceeds 180 deg"
-        )
-    corrected = (x0, x1, x2)
-    if jacobian is not None:
-        step = _solve3(jacobian, res)
-        if step is not None:
-            s0, s1, s2 = _capped(*step, max_move)
-            corrected = (x0 + s0, x1 + s1, x2 + s2)
-    return kappa, _wrap_angle(phi), x2, norm, contractions, jacobian, corrected
-
-
 def _capped(s0: float, s1: float, s2: float, max_move: float):
     """The step scaled down so that no component moves more than
     ``max_move``."""
@@ -512,8 +491,9 @@ def _solve_pose_statics(
     (``x0``, ``x1``, ``x2``).
 
     The corrected pose is the accepted one in (u_x, u_y, twist) plus the
-    chord step its residual and the returned Jacobian give (see
-    ``_accepted``).  It costs no residual evaluation, and it lies closer to
+    chord step its residual and the returned Jacobian give, capped like the
+    others; it is the accepted pose itself without a Jacobian or with a
+    singular one.  It costs no residual evaluation, and it lies closer to
     the exact root than the accepted pose, whose error is anywhere below the
     tolerance; ``simulate`` extrapolates the next start from these.
 
@@ -563,10 +543,7 @@ def _solve_pose_statics(
 
     for _ in range(iterations):
         if norm < tol:
-            return _accepted(
-                x0, x1, x2, kappa, phi, res, norm, contractions, jacobian,
-                max_move, length,
-            )
+            break
         jacobian = statics.jacobian((x0, x1, x2), forces)
         step = _solve3(jacobian, res)
         if step is None:
@@ -593,14 +570,22 @@ def _solve_pose_statics(
         if norm < best_norm:
             best, best_norm = (kappa, phi, eps), norm
 
-    if norm < tol:
-        # the best pose is the last one: had an earlier one met the
-        # tolerance, the loop would have returned it
-        return _accepted(
-            x0, x1, x2, kappa, phi, res, norm, contractions, jacobian, max_move,
-            length,
+    if not norm < tol:
+        raise NoConvergence(ArcPose(*best), best_norm, tol)
+    # the last pose is the best: had an earlier one met the tolerance, the
+    # loop would have stopped there
+    theta = kappa * length
+    if theta > math.pi:
+        raise PoseOutOfRange(
+            f"bending angle {math.degrees(theta):.1f} deg exceeds 180 deg"
         )
-    raise NoConvergence(ArcPose(*best), best_norm, tol)
+    corrected = (x0, x1, x2)
+    if jacobian is not None:
+        step = _solve3(jacobian, res)
+        if step is not None:
+            s0, s1, s2 = _capped(*step, max_move)
+            corrected = (x0 + s0, x1 + s1, x2 + s2)
+    return kappa, _wrap_angle(phi), x2, norm, contractions, jacobian, corrected
 
 
 def solve_pose(

@@ -456,7 +456,7 @@ class TestSimulate:
         # start extrapolated from the last three chord-corrected poses mostly
         # meets the tolerance on its own, and most other steps need one chord
         # step with the Jacobian kept from an earlier solve (1.249 a step
-        # here; 1.626 when the accepted poses were extrapolated)
+        # here)
         scenario = load_default_scenario()
         calls, _, trace = _count_solver_calls(
             monkeypatch, scenario.build_system(), scenario.build_config(duration=1.0)
@@ -467,7 +467,7 @@ class TestSimulate:
     def test_residual_evaluations_per_step_as_the_plane_swings(self, monkeypatch):
         # in Cartesian curvature components a bending plane that swings by
         # 120 degrees at a time costs about as much as a fixed one (1.378 a
-        # step here; 1.662 when the accepted poses were extrapolated)
+        # step here)
         scenario = _plane_swing_scenario()
         calls, _, trace = _count_solver_calls(
             monkeypatch, scenario.build_system(), scenario.build_config()
