@@ -747,7 +747,6 @@ class TestContinuation:
             assert du <= du_bound
             assert dtwist <= dtwist_bound
 
-
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @_continuation_draws
     def test_denoised_history_lands_where_the_plain_predictor_does(
@@ -760,18 +759,13 @@ class TestContinuation:
         system, config = _continuation_run(
             segments, dt_ms, duration, gravity, combination
         )
-        runs = {}
-        for module, run in (
-            (engine, simulate),
-            (
-                test_step_loop,
-                lambda s, c: test_step_loop.reference_simulate(s, c, denoised=False),
-            ),
-        ):
-            poses = runs[module] = []
+
+        def solved_poses(module, run):
+            """The pose of every solve ``run`` makes through ``module``."""
+            poses = []
             solve_fn = module._solve_pose_statics
 
-            def recorded_solve(*args, solve_fn=solve_fn, poses=poses):
+            def recorded_solve(*args):
                 result = solve_fn(*args)
                 poses.append(result[:3])
                 return result
@@ -780,9 +774,14 @@ class TestContinuation:
                 patch.setattr(module, "_solve_pose_statics", recorded_solve)
                 trace = run(system, config)
             assert len(poses) == len(trace) + 1
+            return poses
 
+        denoised = solved_poses(engine, simulate)
+        plain = solved_poses(
+            test_step_loop,
+            lambda s, c: test_step_loop.reference_simulate(s, c, denoised=False),
+        )
         du_bound, dtwist_bound = _stiffness_bounds(system, config)
-        denoised, plain = runs[engine], runs[test_step_loop]
         assert len(denoised) == len(plain)
         for got, want in zip(denoised, plain):
             du, dtwist = _pose_gap(got, want)
