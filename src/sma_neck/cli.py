@@ -192,17 +192,14 @@ def _cmd_calibrate(args) -> int:
     print(f"loss: {result.loss:.6g} (started at {result.start_loss:.6g}, "
           f"{result.evaluations} sweep evaluations)")
     print("I_A    target_deg achieved_deg")
-    for (amps, achieved_deg), (_, target_deg) in zip(
-        result.achieved, scenario.calibration.targets
-    ):
-        print(f"{amps:<6.4g} {target_deg:<10.4f} {achieved_deg:.4f}")
-    args.out.mkdir(parents=True, exist_ok=True)
-    report = args.out / f"{scenario.run_id}_calibration.csv"
     lines = ["I_A,target_theta_deg,achieved_theta_deg"]
     for (amps, achieved_deg), (_, target_deg) in zip(
         result.achieved, scenario.calibration.targets
     ):
+        print(f"{amps:<6.4g} {target_deg:<10.4f} {achieved_deg:.4f}")
         lines.append(f"{amps:.9g},{target_deg:.9g},{achieved_deg:.9g}")
+    args.out.mkdir(parents=True, exist_ok=True)
+    report = args.out / f"{scenario.run_id}_calibration.csv"
     report.write_text("\n".join(lines) + "\n", newline="\n")
     if not args.quiet:
         print(f"wrote {report}")

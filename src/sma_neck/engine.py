@@ -88,10 +88,10 @@ class Segment:
     current: float
 
     def __post_init__(self):
-        if self.start < 0.0 or self.end <= self.start:
-            raise ValueError("segment times must satisfy 0 <= start < end")
-        if self.current < 0.0:
-            raise ValueError("segment current must be non-negative")
+        if not 0.0 <= self.start < self.end < math.inf:
+            raise ValueError("segment times must be finite and satisfy 0 <= start < end")
+        if not 0.0 <= self.current < math.inf:
+            raise ValueError("segment current must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,10 @@ class SimConfig:
     max_temperature_step: float = 1.0  # K
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        # written so that NaN fails each check; with dt finite, an infinite
+        # duration fails the step cap
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if not self.duration >= self.dt:
             raise ValueError("duration must cover at least one step")
         steps = self.duration / self.dt
@@ -157,10 +159,12 @@ class SimConfig:
                 f"duration {self.duration:g} s at dt {self.dt:g} s is {steps:.3g} "
                 f"steps; at most {MAX_STEPS} are allowed"
             )
-        if self.solver_tolerance <= 0.0:
-            raise ValueError("solver_tolerance must be positive")
-        if self.max_newton_iterations < 1:
-            raise ValueError("max_newton_iterations must be at least 1")
+        if not 0.0 < self.solver_tolerance < math.inf:
+            raise ValueError("solver_tolerance must be positive and finite")
+        if not 1 <= self.max_newton_iterations < math.inf:
+            raise ValueError("max_newton_iterations must be finite and at least 1")
+        if not 0.0 < self.max_temperature_step < math.inf:
+            raise ValueError("max_temperature_step must be positive and finite")
 
 
 class SimTrace:
@@ -498,14 +502,16 @@ def _solve_pose_statics(
     tolerance; ``simulate`` extrapolates the next start from these.
 
     ``jacobian`` is one kept from an earlier solve (what this function
-    returned last), or None.  With one, the solve first takes up to two chord
-    (simplified-Newton) steps with it, each capped like a Newton step and
-    kept only while the residual falls; it returns as soon as the residual
-    meets the tolerance, handing the same Jacobian back.  Otherwise, and
-    always without one, it runs damped Newton with a fresh Jacobian per step
-    and returns the last of them.  Chord and Newton steps together number at
-    most ``config.max_newton_iterations``.  Every pose returned
-    has passed the range check; a solve that stalls raises NoConvergence.
+    returned last), or None.  Each of at most ``config.max_newton_iterations``
+    iterations takes one step, capped so that no variable moves more than
+    0.5 / length.  The first (at most ``_CHORD_STEPS``) are chord
+    (simplified-Newton) steps with the kept Jacobian, each tried once and
+    kept only if the residual falls; a dropped one ends them, and a singular
+    Jacobian ends them at no cost.  Every later step is a Newton step with a
+    fresh Jacobian, halved until the residual falls.  The solve returns as
+    soon as the residual meets the tolerance, with the last Jacobian used.
+    Every pose returned has passed the range check; a solve that stalls
+    raises NoConvergence with the best pose it met.
     """
     length = statics.length
     (kappa, phi), eps = _polar(x0, x1), x2
@@ -515,63 +521,51 @@ def _solve_pose_statics(
     norm = math.sqrt(res[0] * res[0] + res[1] * res[1] + res[2] * res[2])
     # cap on per-iteration curvature-variable moves (keeps theta steps <= ~29 deg)
     max_move = 0.5 / length
-    iterations = config.max_newton_iterations
+    chords = 0 if jacobian is None else _CHORD_STEPS
+    best_kappa, best_phi, best_eps = kappa, phi, eps
+    best_norm = norm
 
-    if jacobian is not None and not norm < tol:
-        # chord steps: a step that does not lower the residual is dropped,
-        # and a second one from the same point would repeat it
-        for _ in range(min(_CHORD_STEPS, iterations)):
+    for _ in range(config.max_newton_iterations):
+        if norm < tol:
+            break
+        step = _solve3(jacobian, res) if chords else None
+        halvings = 0
+        if step is None:
+            chords = 0
+            jacobian = statics.jacobian((x0, x1, x2), forces)
             step = _solve3(jacobian, res)
             if step is None:
-                break
-            iterations -= 1
-            s0, s1, s2 = _capped(*step, max_move)
+                # singular Jacobian: nudge along the residual direction
+                scale = max_move / max(norm, 1e-300)
+                step = -res[0] * scale, -res[1] * scale, -res[2] * scale
+            # damped update: after nine halvings the tenth, smallest
+            # candidate is taken anyway to escape flat spots
+            halvings = 9
+        s0, s1, s2 = _capped(*step, max_move)
+        while True:
             c0, c1, c2 = x0 + s0, x1 + s1, x2 + s2
             c_kappa, c_phi = _polar(c0, c1)
             cand_res, cand_contractions = statics.residual(c_kappa, c_phi, c2, forces)
             r0, r1, r2 = cand_res
             cand_norm = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
-            if not cand_norm < norm:
+            if cand_norm < norm or cand_norm == 0.0 or not halvings:
                 break
-            x0, x1, x2, kappa, phi, eps = c0, c1, c2, c_kappa, c_phi, c2
-            res, contractions, norm = cand_res, cand_contractions, cand_norm
-            if norm < tol:
-                break
-
-    best = (kappa, phi, eps)
-    best_norm = norm
-
-    for _ in range(iterations):
-        if norm < tol:
-            break
-        jacobian = statics.jacobian((x0, x1, x2), forces)
-        step = _solve3(jacobian, res)
-        if step is None:
-            # singular Jacobian: nudge along the residual direction
-            scale = max_move / max(norm, 1e-300)
-            s0, s1, s2 = -res[0] * scale, -res[1] * scale, -res[2] * scale
-        else:
-            s0, s1, s2 = step
-        s0, s1, s2 = _capped(s0, s1, s2, max_move)
-        # damped update: halve the step until the residual falls; after nine
-        # tries the tenth, smallest candidate is taken anyway to escape flat
-        # spots
-        for halving in range(10):
-            c0, c1, eps = x0 + s0, x1 + s1, x2 + s2
-            kappa, phi = _polar(c0, c1)
-            cand_res, cand_contractions = statics.residual(kappa, phi, eps, forces)
-            r0, r1, r2 = cand_res
-            cand_norm = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
-            if cand_norm < norm or cand_norm == 0.0 or halving == 9:
-                break
+            halvings -= 1
             s0, s1, s2 = 0.5 * s0, 0.5 * s1, 0.5 * s2
-        x0, x1, x2 = c0, c1, eps
+        if chords:
+            if not cand_norm < norm:
+                # dropped; a second chord step from here would repeat it
+                chords = 0
+                continue
+            chords -= 1
+        x0, x1, x2, kappa, phi, eps = c0, c1, c2, c_kappa, c_phi, c2
         res, contractions, norm = cand_res, cand_contractions, cand_norm
         if norm < best_norm:
-            best, best_norm = (kappa, phi, eps), norm
+            best_kappa, best_phi, best_eps = kappa, phi, eps
+            best_norm = norm
 
     if not norm < tol:
-        raise NoConvergence(ArcPose(*best), best_norm, tol)
+        raise NoConvergence(ArcPose(best_kappa, best_phi, best_eps), best_norm, tol)
     # the last pose is the best: had an earlier one met the tolerance, the
     # loop would have stopped there
     theta = kappa * length

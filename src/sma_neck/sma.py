@@ -237,21 +237,9 @@ def reverse_fraction(
     above it the spring is fully austenite.  Continuous at both edges and
     non-increasing in temperature.
     """
-    if not 0.0 <= fraction_at_start <= 1.0:
-        raise ValueError("fraction_at_start must lie in [0, 1]")
-    if stress < 0.0:
-        raise ValueError("stress must be non-negative")
-    start, finish = _reverse_band(material, stress)
-    if temperature <= start:
-        return fraction_at_start
-    if temperature >= finish:
-        return 0.0
-    slope = math.pi / (material.austenite_finish - material.austenite_start)
-    arg = slope * (temperature - material.austenite_start) - (
-        slope / material.stress_influence_reverse
-    ) * stress
-    value = 0.5 * fraction_at_start * (math.cos(arg) + 1.0)
-    return min(max(value, 0.0), fraction_at_start)
+    return _fraction(
+        _Kinetics(material), Branch.REVERSE, temperature, stress, fraction_at_start
+    )
 
 
 def forward_fraction(
@@ -262,29 +250,8 @@ def forward_fraction(
     Above the stress-shifted band the latched starting fraction is returned,
     below it the spring is fully martensite.
     """
-    if not 0.0 <= fraction_at_start <= 1.0:
-        raise ValueError("fraction_at_start must lie in [0, 1]")
-    if stress < 0.0:
-        raise ValueError("stress must be non-negative")
-    start, finish = _forward_band(material, stress)
-    if temperature >= start:
-        return fraction_at_start
-    if temperature <= finish:
-        return 1.0
-    slope = math.pi / (material.martensite_start - material.martensite_finish)
-    arg = slope * (temperature - material.martensite_finish) - (
-        slope / material.stress_influence_forward
-    ) * stress
-    value = 0.5 * (1.0 - fraction_at_start) * math.cos(arg) + 0.5 * (
-        1.0 + fraction_at_start
-    )
-    return min(max(value, fraction_at_start), 1.0)
-
-
-def phase_resistance(material: SmaMaterial, fraction: float) -> float:
-    """Electrical resistance of the spring at the given phase mix (ohm)."""
-    return material.resistance_martensite * fraction + material.resistance_austenite * (
-        1.0 - fraction
+    return _fraction(
+        _Kinetics(material), Branch.FORWARD, temperature, stress, fraction_at_start
     )
 
 
@@ -308,7 +275,7 @@ def force_coefficients(
 
 
 def _reverse_entry_latch(
-    material: SmaMaterial, temperature: float, stress: float, fraction: float
+    k: _Kinetics, temperature: float, stress: float, fraction: float
 ) -> float:
     """Anchor fraction for a reverse arc entered at the given state.
 
@@ -318,59 +285,80 @@ def _reverse_entry_latch(
     the fraction continuous.  The arc is linear in its anchor, so the anchor
     is the fraction over the arc anchored at 1.
     """
-    start, finish = _reverse_band(material, stress)
+    start, finish = _reverse_band(k.material, stress)
     if temperature <= start or fraction <= 0.0 or temperature >= finish:
         return fraction
-    full_arc = reverse_fraction(material, temperature, stress, 1.0)
+    full_arc = _fraction(k, Branch.REVERSE, temperature, stress, 1.0)
     if full_arc < 0.5e-12:
         return 1.0
     return min(max(fraction / full_arc, fraction), 1.0)
 
 
 def _forward_entry_latch(
-    material: SmaMaterial, temperature: float, stress: float, fraction: float
+    k: _Kinetics, temperature: float, stress: float, fraction: float
 ) -> float:
     """Anchor fraction for a forward arc entered at the given state; the
     mid-band form keeps the fraction continuous on re-entry.
 
-    The cosine is taken directly rather than read back from forward_fraction,
+    The cosine is taken directly rather than read back from ``_fraction``,
     whose affine form rounds it away when the anchor is solved for.
     """
-    start, finish = _forward_band(material, stress)
+    m = k.material
+    start, finish = _forward_band(m, stress)
     if temperature >= start or fraction >= 1.0 or temperature <= finish:
         return fraction
-    slope = math.pi / (material.martensite_start - material.martensite_finish)
-    arg = slope * (temperature - material.martensite_finish) - (
-        slope / material.stress_influence_forward
-    ) * stress
-    c = math.cos(arg)
+    c = math.cos(
+        k.forward_slope * (temperature - m.martensite_finish)
+        - k.forward_slope_c * stress
+    )
     if 1.0 - c < 1e-12:
         return min(fraction, 1.0)
     value = (2.0 * fraction - c - 1.0) / (1.0 - c)
     return min(max(value, 0.0), fraction)
 
 
-class _SpringConstants:
+class _Kinetics:
+    """The slopes of one material's cosine band kinetics: pi over the band
+    width, and that over the stress influence, for each band."""
+
+    __slots__ = (
+        "material", "reverse_slope", "reverse_slope_c", "forward_slope",
+        "forward_slope_c",
+    )
+
+    def __init__(self, material: SmaMaterial):
+        self.material = material
+        self.reverse_slope = math.pi / (
+            material.austenite_finish - material.austenite_start
+        )
+        self.reverse_slope_c = self.reverse_slope / material.stress_influence_reverse
+        self.forward_slope = math.pi / (
+            material.martensite_start - material.martensite_finish
+        )
+        self.forward_slope_c = self.forward_slope / material.stress_influence_forward
+
+
+class _SpringConstants(_Kinetics):
     """The products ``step_spring`` derives from one (material, geometry, env)
-    triple, computed once.  Each entry uses the operands and the left-to-right
-    order of the law it comes from, so that every product rounds as it does
-    there; the heat balance is ``heating_rate`` in ``tests/reference_model.py``,
-    the others are in this module.  Raw fields are read from the three objects
-    themselves.
+    triple, computed once, with the slopes of ``_Kinetics``.  Each entry uses
+    the operands and the left-to-right order of the law it comes from, so that
+    every product rounds as it does there; the heat balance is ``heating_rate``
+    in ``tests/reference_model.py``, the others are in this module.  Raw fields
+    are read from the three objects themselves.
     """
 
     __slots__ = (
-        "material", "geometry", "env",
+        "geometry", "env",
         "conductance", "heat_capacity", "zero_latent",
         "shear_divisor", "d4", "stiffness_divisor", "transform", "thermal",
         "latent_gain", "pi_d3",
-        "reverse_slope", "reverse_slope_c", "forward_slope", "forward_slope_c",
     )
 
     def __init__(
         self, material: SmaMaterial, geometry: SpringGeometry, env: ThermalEnvironment
     ):
-        self.material, self.geometry, self.env = material, geometry, env
+        super().__init__(material)
+        self.geometry, self.env = geometry, env
         # heating_rate (tests/reference_model.py); the latent term is
         # (m L) * 0.0, NaN if m L overflows
         self.conductance = geometry.surface_area * env.convection_coefficient
@@ -393,15 +381,6 @@ class _SpringConstants:
         self.latent_gain = material.latent_heat / material.specific_heat
         # shear_stress
         self.pi_d3 = math.pi * d * d * d
-        # the band kinetics
-        self.reverse_slope = math.pi / (
-            material.austenite_finish - material.austenite_start
-        )
-        self.reverse_slope_c = self.reverse_slope / material.stress_influence_reverse
-        self.forward_slope = math.pi / (
-            material.martensite_start - material.martensite_finish
-        )
-        self.forward_slope_c = self.forward_slope / material.stress_influence_forward
 
 
 # One entry: the engine passes the same three objects on every step, a
@@ -428,14 +407,14 @@ def _spring_constants(
 
 
 def _fraction(
-    k: _SpringConstants,
+    k: _Kinetics,
     branch: Branch,
     temperature: float,
     stress: float,
     latch: float,
 ) -> float:
-    """``reverse_fraction`` or ``forward_fraction`` on the active ``branch``'s
-    arc anchored at ``latch``, with the same checks and roundings."""
+    """The martensite fraction on the active ``branch``'s cosine arc anchored
+    at ``latch``: the band kinetics of ``step_spring`` and the public laws."""
     m = k.material
     if not 0.0 <= latch <= 1.0:
         raise ValueError("fraction_at_start must lie in [0, 1]")
@@ -587,7 +566,7 @@ def step_spring(
             + stress0 / material.stress_influence_reverse
         ):
             branch = Branch.REVERSE
-            latch = _reverse_entry_latch(material, t0, stress0, xi0)
+            latch = _reverse_entry_latch(k, t0, stress0, xi0)
         elif (
             not heating
             and xi0 < 1.0
@@ -595,7 +574,7 @@ def step_spring(
             + stress0 / material.stress_influence_forward
         ):
             branch = Branch.FORWARD
-            latch = _forward_entry_latch(material, t0, stress0, xi0)
+            latch = _forward_entry_latch(k, t0, stress0, xi0)
         else:
             # Idle: the fraction holds and no closure is needed.
             if state.branch is not Branch.IDLE:

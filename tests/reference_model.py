@@ -5,7 +5,10 @@ kernels in ``sma_neck`` are pinned to.
 ``engine.simulate`` each compute several of these laws in one pass.  The
 oracle tests compose the functions below and compare the kernels' results
 with theirs bit for bit, so each law has one implementation in the package
-and one plain reference here.  No run path calls this module.
+and one plain reference here.  The band kinetics are also public
+(``sma.reverse_fraction`` and ``sma.forward_fraction`` call the kernel's
+``sma._fraction``); the plain copies below are what the spring oracle
+composes.  No run path calls this module.
 """
 
 from __future__ import annotations
@@ -18,11 +21,19 @@ from sma_neck.sma import (
     SmaMaterial,
     SpringGeometry,
     ThermalEnvironment,
-    phase_resistance,
+    _forward_band,
+    _reverse_band,
 )
 
 
 # --- spring heat balance (sma) ---------------------------------------------
+
+
+def phase_resistance(material: SmaMaterial, fraction: float) -> float:
+    """Electrical resistance of the spring at the given phase mix (ohm)."""
+    return material.resistance_martensite * fraction + material.resistance_austenite * (
+        1.0 - fraction
+    )
 
 
 def heating_rate(
@@ -45,6 +56,105 @@ def heating_rate(
     )
     latent = geometry.spring_mass * material.latent_heat * fraction_rate
     return (power - loss + latent) / (geometry.spring_mass * material.specific_heat)
+
+
+# --- band kinetics and the arc anchors (sma) -------------------------------
+
+
+def reverse_fraction(
+    material: SmaMaterial, temperature: float, stress: float, fraction_at_start: float
+) -> float:
+    """Martensite fraction while heating through the austenite band.
+
+    Below the stress-shifted band the latched starting fraction is returned,
+    above it the spring is fully austenite.  Continuous at both edges and
+    non-increasing in temperature.
+    """
+    if not 0.0 <= fraction_at_start <= 1.0:
+        raise ValueError("fraction_at_start must lie in [0, 1]")
+    if stress < 0.0:
+        raise ValueError("stress must be non-negative")
+    start, finish = _reverse_band(material, stress)
+    if temperature <= start:
+        return fraction_at_start
+    if temperature >= finish:
+        return 0.0
+    slope = math.pi / (material.austenite_finish - material.austenite_start)
+    arg = slope * (temperature - material.austenite_start) - (
+        slope / material.stress_influence_reverse
+    ) * stress
+    value = 0.5 * fraction_at_start * (math.cos(arg) + 1.0)
+    return min(max(value, 0.0), fraction_at_start)
+
+
+def forward_fraction(
+    material: SmaMaterial, temperature: float, stress: float, fraction_at_start: float
+) -> float:
+    """Martensite fraction while cooling through the martensite band.
+
+    Above the stress-shifted band the latched starting fraction is returned,
+    below it the spring is fully martensite.
+    """
+    if not 0.0 <= fraction_at_start <= 1.0:
+        raise ValueError("fraction_at_start must lie in [0, 1]")
+    if stress < 0.0:
+        raise ValueError("stress must be non-negative")
+    start, finish = _forward_band(material, stress)
+    if temperature >= start:
+        return fraction_at_start
+    if temperature <= finish:
+        return 1.0
+    slope = math.pi / (material.martensite_start - material.martensite_finish)
+    arg = slope * (temperature - material.martensite_finish) - (
+        slope / material.stress_influence_forward
+    ) * stress
+    value = 0.5 * (1.0 - fraction_at_start) * math.cos(arg) + 0.5 * (
+        1.0 + fraction_at_start
+    )
+    return min(max(value, fraction_at_start), 1.0)
+
+
+def _reverse_entry_latch(
+    material: SmaMaterial, temperature: float, stress: float, fraction: float
+) -> float:
+    """Anchor fraction for a reverse arc entered at the given state.
+
+    Entering at the band edge this is just the current fraction; re-entering
+    mid-band (heating resumed after an interruption) the anchor is chosen so
+    the cosine arc passes through the current (T, fraction) point, keeping
+    the fraction continuous.  The arc is linear in its anchor, so the anchor
+    is the fraction over the arc anchored at 1.
+    """
+    start, finish = _reverse_band(material, stress)
+    if temperature <= start or fraction <= 0.0 or temperature >= finish:
+        return fraction
+    full_arc = reverse_fraction(material, temperature, stress, 1.0)
+    if full_arc < 0.5e-12:
+        return 1.0
+    return min(max(fraction / full_arc, fraction), 1.0)
+
+
+def _forward_entry_latch(
+    material: SmaMaterial, temperature: float, stress: float, fraction: float
+) -> float:
+    """Anchor fraction for a forward arc entered at the given state; the
+    mid-band form keeps the fraction continuous on re-entry.
+
+    The cosine is taken directly rather than read back from forward_fraction,
+    whose affine form rounds it away when the anchor is solved for.
+    """
+    start, finish = _forward_band(material, stress)
+    if temperature >= start or fraction >= 1.0 or temperature <= finish:
+        return fraction
+    slope = math.pi / (material.martensite_start - material.martensite_finish)
+    arg = slope * (temperature - material.martensite_finish) - (
+        slope / material.stress_influence_forward
+    ) * stress
+    c = math.cos(arg)
+    if 1.0 - c < 1e-12:
+        return min(fraction, 1.0)
+    value = (2.0 * fraction - c - 1.0) / (1.0 - c)
+    return min(max(value, 0.0), fraction)
 
 
 # --- backbone restoring moment (backbone) ----------------------------------

@@ -29,7 +29,8 @@ from sma_neck import (
 )
 from sma_neck.calibrate import apply_parameters
 from sma_neck.scenario import load_default_scenario
-from sma_neck.sma import SpringState, phase_resistance, step_spring
+from sma_neck.sma import SpringState, step_spring
+from reference_model import phase_resistance
 
 TABLE_CURRENTS = (4.0, 5.0, 6.0, 7.0, 8.0)
 TABLE_ANGLES_DEG = (4.73, 5.89, 11.34, 24.92, 32.41)

@@ -854,6 +854,56 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(dt=dt, duration=duration)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            # an infinite tolerance accepts every predicted start
+            {"solver_tolerance": math.inf},
+            {"solver_tolerance": math.nan},
+            {"solver_tolerance": 0.0},
+            # a bound no step meets, whatever dt
+            {"max_temperature_step": 0.0},
+            {"max_temperature_step": math.nan},
+            {"max_temperature_step": math.inf},
+            # inf / inf steps is NaN, which passed the step cap
+            {"dt": math.inf, "duration": math.inf},
+            {"dt": math.inf},
+            {"dt": math.nan},
+            {"duration": math.nan},
+            {"max_newton_iterations": math.nan},
+            {"max_newton_iterations": math.inf},
+            {"max_newton_iterations": 0},
+        ],
+        ids=repr,
+    )
+    def test_rejects_zero_nan_and_infinite_settings(self, changes):
+        name = next(iter(changes))
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            SimConfig(**{"dt": 1e-3, "duration": 1.0, **changes})
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            load_default_scenario().build_config(**changes)
+
+
+@pytest.mark.parametrize(
+    "start, end, current",
+    [
+        # a NaN time fails every comparison, so the segment never applied
+        (math.nan, 1.0, 5.0),
+        (0.0, math.nan, 5.0),
+        (0.0, math.inf, 5.0),
+        (math.inf, math.inf, 5.0),
+        (-1.0, 1.0, 5.0),
+        (1.0, 1.0, 5.0),
+        # a NaN or infinite current overflowed the heat balance
+        (0.0, 1.0, math.nan),
+        (0.0, 1.0, math.inf),
+        (0.0, 1.0, -1.0),
+    ],
+)
+def test_segment_rejects_non_finite_and_out_of_order_values(start, end, current):
+    with pytest.raises(ValueError, match="^segment "):
+        Segment(1, start, end, current)
+
 
 class TestSweep:
     def test_single_current_matches_simulate(self, system):

@@ -4,7 +4,9 @@ The engine evaluates the moment balance and the 3x3 Newton step with
 hand-fused code.  These tests pin that code bit for bit to the plain
 compositions it replaces: the residual to the scalar laws of
 ``tests/reference_model.py`` and ``backbone._frame_t``, and the elimination
-to the generic partial-pivot loop kept below.  Equal bits here keep the trace CSV byte-identical.
+to the generic partial-pivot loop kept below.  The solve's one loop of chord
+and Newton steps is pinned to the two-loop solve it replaced, also kept
+below.  Equal bits here keep the trace CSV byte-identical.
 """
 
 import math
@@ -15,8 +17,18 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from sma_neck.backbone import STRAIGHT_THRESHOLD, _frame_t
-from sma_neck.engine import _Statics, _solve3
+from sma_neck.backbone import STRAIGHT_THRESHOLD, ArcPose, _frame_t, _wrap_angle
+from sma_neck.engine import (
+    _CHORD_STEPS,
+    NoConvergence,
+    PoseOutOfRange,
+    SimConfig,
+    _capped,
+    _polar,
+    _solve3,
+    _solve_pose_statics,
+    _Statics,
+)
 from sma_neck.scenario import load_default_scenario
 from reference_model import _elastic_moment_t, _line_of_action_t, _tendon_moment_t
 
@@ -204,3 +216,302 @@ class TestSolve3Oracle:
     def test_singular_returns_none(self, j):
         assert _generic_solve3(j, (1.0, 2.0, 3.0)) is None
         assert _solve3(j, (1.0, 2.0, 3.0)) is None
+
+
+# --- the pose solve's step loop -------------------------------------------
+
+
+def _two_loop_solve_pose_statics(
+    statics: _Statics,
+    forces,
+    x0: float,
+    x1: float,
+    x2: float,
+    config: SimConfig,
+    jacobian=None,
+):
+    """Equilibrium pose (kappa, phi in [0, 2 pi), twist), its residual norm,
+    the unit chord contractions at that pose, the last Jacobian used and the
+    corrected pose, by damped Newton on (u_x, u_y, twist) started at
+    (``x0``, ``x1``, ``x2``).
+
+    The corrected pose is the accepted one in (u_x, u_y, twist) plus the
+    chord step its residual and the returned Jacobian give, capped like the
+    others; it is the accepted pose itself without a Jacobian or with a
+    singular one.  It costs no residual evaluation, and it lies closer to
+    the exact root than the accepted pose, whose error is anywhere below the
+    tolerance; ``simulate`` extrapolates the next start from these.
+
+    ``jacobian`` is one kept from an earlier solve (what this function
+    returned last), or None.  With one, the solve first takes up to two chord
+    (simplified-Newton) steps with it, each capped like a Newton step and
+    kept only while the residual falls; it returns as soon as the residual
+    meets the tolerance, handing the same Jacobian back.  Otherwise, and
+    always without one, it runs damped Newton with a fresh Jacobian per step
+    and returns the last of them.  Chord and Newton steps together number at
+    most ``config.max_newton_iterations``.  Every pose returned
+    has passed the range check; a solve that stalls raises NoConvergence.
+    """
+    length = statics.length
+    (kappa, phi), eps = _polar(x0, x1), x2
+
+    tol = config.solver_tolerance
+    res, contractions = statics.residual(kappa, phi, eps, forces)
+    norm = math.sqrt(res[0] * res[0] + res[1] * res[1] + res[2] * res[2])
+    # cap on per-iteration curvature-variable moves (keeps theta steps <= ~29 deg)
+    max_move = 0.5 / length
+    iterations = config.max_newton_iterations
+
+    if jacobian is not None and not norm < tol:
+        # chord steps: a step that does not lower the residual is dropped,
+        # and a second one from the same point would repeat it
+        for _ in range(min(_CHORD_STEPS, iterations)):
+            step = _solve3(jacobian, res)
+            if step is None:
+                break
+            iterations -= 1
+            s0, s1, s2 = _capped(*step, max_move)
+            c0, c1, c2 = x0 + s0, x1 + s1, x2 + s2
+            c_kappa, c_phi = _polar(c0, c1)
+            cand_res, cand_contractions = statics.residual(c_kappa, c_phi, c2, forces)
+            r0, r1, r2 = cand_res
+            cand_norm = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
+            if not cand_norm < norm:
+                break
+            x0, x1, x2, kappa, phi, eps = c0, c1, c2, c_kappa, c_phi, c2
+            res, contractions, norm = cand_res, cand_contractions, cand_norm
+            if norm < tol:
+                break
+
+    best = (kappa, phi, eps)
+    best_norm = norm
+
+    for _ in range(iterations):
+        if norm < tol:
+            break
+        jacobian = statics.jacobian((x0, x1, x2), forces)
+        step = _solve3(jacobian, res)
+        if step is None:
+            # singular Jacobian: nudge along the residual direction
+            scale = max_move / max(norm, 1e-300)
+            s0, s1, s2 = -res[0] * scale, -res[1] * scale, -res[2] * scale
+        else:
+            s0, s1, s2 = step
+        s0, s1, s2 = _capped(s0, s1, s2, max_move)
+        # damped update: halve the step until the residual falls; after nine
+        # tries the tenth, smallest candidate is taken anyway to escape flat
+        # spots
+        for halving in range(10):
+            c0, c1, eps = x0 + s0, x1 + s1, x2 + s2
+            kappa, phi = _polar(c0, c1)
+            cand_res, cand_contractions = statics.residual(kappa, phi, eps, forces)
+            r0, r1, r2 = cand_res
+            cand_norm = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
+            if cand_norm < norm or cand_norm == 0.0 or halving == 9:
+                break
+            s0, s1, s2 = 0.5 * s0, 0.5 * s1, 0.5 * s2
+        x0, x1, x2 = c0, c1, eps
+        res, contractions, norm = cand_res, cand_contractions, cand_norm
+        if norm < best_norm:
+            best, best_norm = (kappa, phi, eps), norm
+
+    if not norm < tol:
+        raise NoConvergence(ArcPose(*best), best_norm, tol)
+    # the last pose is the best: had an earlier one met the tolerance, the
+    # loop would have stopped there
+    theta = kappa * length
+    if theta > math.pi:
+        raise PoseOutOfRange(
+            f"bending angle {math.degrees(theta):.1f} deg exceeds 180 deg"
+        )
+    corrected = (x0, x1, x2)
+    if jacobian is not None:
+        step = _solve3(jacobian, res)
+        if step is not None:
+            s0, s1, s2 = _capped(*step, max_move)
+            corrected = (x0 + s0, x1 + s1, x2 + s2)
+    return kappa, _wrap_angle(phi), x2, norm, contractions, jacobian, corrected
+
+
+_BUNDLED_STATICS = _Statics(load_default_scenario().build_system())
+# rank 2: the third row is the sum of the first two
+_SINGULAR = ((1.0, 2.0, 3.0), (0.5, -1.0, 2.0), (1.5, 1.0, 5.0))
+_KEPT = ("none", "converged", "scaled_column", "singular")
+
+
+def _kept_jacobian(kind, jacobian_forces, column, scale):
+    """The Jacobian a solve starts with, and the pose it was formed near:
+    none (and the straight pose), the one a converged solve from a bent pose
+    returned with the corrected pose it returned, that Jacobian with
+    ``column`` scaled by ``scale`` (so that chord steps overshoot and get
+    dropped), or a singular one (and the straight pose)."""
+    if kind == "none":
+        return None, (0.0, 0.0, 0.0)
+    if kind == "singular":
+        return _SINGULAR, (0.0, 0.0, 0.0)
+    *_, jacobian, corrected = _solve_pose_statics(
+        _BUNDLED_STATICS, jacobian_forces, 2.0, -1.0, 0.05,
+        SimConfig(dt=1e-3, duration=1e-3),
+    )
+    if kind == "scaled_column":
+        jacobian = tuple(
+            tuple(v * scale if i == column else v for i, v in enumerate(row))
+            for row in jacobian
+        )
+    return jacobian, corrected
+
+
+def _start(near, forces, jacobian_forces, x, pose, offset):
+    """The forces and start of one solve: as drawn, or, like a step of
+    ``simulate``, near the forces and the pose the kept Jacobian came from."""
+    if not near:
+        return forces, x
+    return (
+        tuple(f * (1.0 + offset) for f in jacobian_forces),
+        tuple(p + offset * v for p, v in zip(pose, (1.0, -1.0, 0.01))),
+    )
+
+
+def _first_chord_dropped(statics, forces, x, config, jacobian):
+    """Whether the solve's first chord step, if it takes one, is dropped."""
+    res, _ = statics.residual(*_polar(x[0], x[1]), x[2], forces)
+    norm = math.sqrt(res[0] * res[0] + res[1] * res[1] + res[2] * res[2])
+    step = None if jacobian is None else _solve3(jacobian, res)
+    if step is None or norm < config.solver_tolerance:
+        return False
+    s0, s1, s2 = _capped(*step, 0.5 / statics.length)
+    (r0, r1, r2), _ = statics.residual(
+        *_polar(x[0] + s0, x[1] + s1), x[2] + s2, forces
+    )
+    return not math.sqrt(r0 * r0 + r1 * r1 + r2 * r2) < norm
+
+
+def _flat_bits(value):
+    """The bits of a float or of a (nested) tuple of floats; None as is."""
+    if value is None:
+        return None
+    if isinstance(value, float):
+        return _bits((value,))
+    return tuple(_flat_bits(v) for v in value)
+
+
+def _assert_same_solve(forces, x, budget, tolerance, jacobian):
+    """Run both solves on one input; require the same seven results to the
+    bit, or the same exception with the same best pose.  Returns the
+    exception type, or the returned Jacobian."""
+    config = SimConfig(
+        dt=1e-3, duration=1e-3, solver_tolerance=tolerance,
+        max_newton_iterations=budget,
+    )
+    outcomes = []
+    for solve in (_two_loop_solve_pose_statics, _solve_pose_statics):
+        try:
+            outcomes.append(solve(_BUNDLED_STATICS, forces, *x, config, jacobian))
+        except (NoConvergence, PoseOutOfRange, ValueError) as exc:
+            outcomes.append(exc)
+    want, got = outcomes
+    if isinstance(want, Exception):
+        assert type(got) is type(want), (got, want)
+        assert str(got) == str(want)
+        if isinstance(want, NoConvergence):
+            w, g = want.best_pose, got.best_pose
+            assert _flat_bits((g.curvature, g.bending_plane_angle, g.twist)) == (
+                _flat_bits((w.curvature, w.bending_plane_angle, w.twist))
+            )
+            assert _flat_bits(got.best_residual) == _flat_bits(want.best_residual)
+        return type(want)
+    assert not isinstance(got, Exception), got
+    assert len(got) == len(want) == 7
+    for a, b in zip(got, want):
+        assert _flat_bits(a) == _flat_bits(b), (a, b)
+    return got[5]
+
+
+_START = st.just(0.0) | st.floats(-1.0, 1.0) | st.floats(-30.0, 30.0)
+
+
+class TestOneStepLoop:
+    """``_solve_pose_statics`` takes its chord and Newton steps in one loop;
+    it must do exactly what the two-loop solve above did, at small budgets
+    too, where a kept Jacobian's chord steps use up the budget."""
+
+    @_ORACLE
+    @given(
+        forces=st.tuples(*[st.just(0.0) | st.floats(0.0, 65.0)] * 3),
+        x=st.tuples(_START, _START, st.just(0.0) | st.floats(-0.5, 0.5)),
+        budget=st.sampled_from([1, 2, 3, 60]),
+        tolerance=st.sampled_from([1e-9, 1e-6]),
+        kind=st.sampled_from(_KEPT),
+        jacobian_forces=st.tuples(*[st.floats(0.5, 65.0)] * 3),
+        column=st.integers(0, 2),
+        scale=st.sampled_from([1e-3, 0.05, 20.0]),
+        near=st.booleans(),
+        offset=st.just(0.0) | st.floats(-0.05, 0.05),
+    )
+    @example(forces=(60.0, 5.7, 5.7), x=(0.0, 0.0, 0.0), budget=1, tolerance=1e-9,
+             kind="converged", jacobian_forces=(60.0, 5.7, 5.7), column=0, scale=1.0,
+             near=True, offset=1e-4)
+    @example(forces=(30.0, 4.0, 4.0), x=(1.0, 1.0, 0.0), budget=2, tolerance=1e-9,
+             kind="scaled_column", jacobian_forces=(30.0, 4.0, 4.0), column=1,
+             scale=1e-3, near=True, offset=0.0)
+    @example(forces=(8.0, 8.0, 1.0), x=(0.0, 0.0, 0.0), budget=3, tolerance=1e-9,
+             kind="singular", jacobian_forces=(1.0, 1.0, 1.0), column=0, scale=1.0,
+             near=False, offset=0.0)
+    def test_equals_the_two_loop_solve(
+        self, forces, x, budget, tolerance, kind, jacobian_forces, column, scale,
+        near, offset,
+    ):
+        jacobian, pose = _kept_jacobian(kind, jacobian_forces, column, scale)
+        forces, x = _start(near, forces, jacobian_forces, x, pose, offset)
+        _assert_same_solve(forces, x, budget, tolerance, jacobian)
+
+    def test_draws_reach_every_path(self):
+        """The same inputs, drawn by a seeded loop, reach every path: a solve
+        that ends on chord steps alone, a dropped chord step, a singular kept
+        Jacobian, a fresh Newton solve and a stalled one.  No draw in the 8 A
+        force range balances past 180 degrees, so ``PoseOutOfRange`` is left to
+        the solve tests in ``tests/test_engine.py``."""
+        rng = random.Random(20231020)
+        seen = set()
+
+        def start():
+            return rng.choice([0.0, rng.uniform(-1.0, 1.0), rng.uniform(-30.0, 30.0)])
+
+        def force():
+            return rng.choice([0.0, rng.uniform(0.0, 65.0)])
+
+        for _ in range(600):
+            budget = rng.choice([1, 2, 3, 60])
+            tolerance = rng.choice([1e-9, 1e-6])
+            kind = rng.choice(_KEPT)
+            jacobian_forces = tuple(rng.uniform(0.5, 65.0) for _ in range(3))
+            jacobian, pose = _kept_jacobian(
+                kind, jacobian_forces, rng.randrange(3), rng.choice([1e-3, 0.05, 20.0])
+            )
+            forces, x = _start(
+                rng.random() < 0.5,
+                (force(), force(), force()),
+                jacobian_forces,
+                (start(), start(), rng.choice([0.0, rng.uniform(-0.5, 0.5)])),
+                pose,
+                rng.choice([0.0, rng.uniform(-0.05, 0.05)]),
+            )
+            config = SimConfig(dt=1e-3, duration=1e-3, solver_tolerance=tolerance)
+            if _first_chord_dropped(_BUNDLED_STATICS, forces, x, config, jacobian):
+                seen.add(("dropped", budget))
+            outcome = _assert_same_solve(forces, x, budget, tolerance, jacobian)
+            if isinstance(outcome, type):
+                seen.add((outcome.__name__, kind))
+            elif jacobian is not None and outcome is jacobian:
+                seen.add(("kept", kind, budget))
+            else:
+                seen.add(("fresh", kind))
+        for path in [
+            ("kept", "converged", 1), ("kept", "converged", 60),
+            ("dropped", 1), ("dropped", 2), ("dropped", 3), ("dropped", 60),
+            ("fresh", "none"), ("fresh", "converged"), ("fresh", "scaled_column"),
+            ("fresh", "singular"),
+            ("NoConvergence", "converged"), ("NoConvergence", "scaled_column"),
+            ("NoConvergence", "singular"), ("NoConvergence", "none"),
+        ]:
+            assert path in seen, (path, sorted(seen, key=str))

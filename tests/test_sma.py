@@ -15,10 +15,10 @@ from sma_neck import (
     step_spring,
 )
 from sma_neck import sma
-from sma_neck.sma import SmaMaterial, force_coefficients, phase_resistance
+from sma_neck.sma import SmaMaterial, force_coefficients
 
 from conftest import make_spring
-from reference_model import heating_rate
+from reference_model import heating_rate, phase_resistance
 
 
 class TestEffectiveModulus:

@@ -19,6 +19,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sma_neck import sma
 from sma_neck.scenario import load_default_scenario
 from sma_neck.sma import (
     Branch,
@@ -28,17 +29,19 @@ from sma_neck.sma import (
     StepTooLarge,
     ThermalEnvironment,
     _forward_band,
-    _forward_entry_latch,
     _reverse_band,
-    _reverse_entry_latch,
     _zeroin,
     force_coefficients,
-    forward_fraction,
-    reverse_fraction,
     shear_stress,
     step_spring,
 )
-from reference_model import heating_rate
+from reference_model import (
+    _forward_entry_latch,
+    _reverse_entry_latch,
+    forward_fraction,
+    heating_rate,
+    reverse_fraction,
+)
 
 
 # --- the composed step, verbatim --------------------------------------------
@@ -444,6 +447,52 @@ def test_draws_reach_every_path():
         ("left", "REVERSE"), ("left", "FORWARD"),
     ]:
         assert path in seen, path
+
+
+# --- the band kinetics -------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    triple=st.integers(0, len(TRIPLES) - 1),
+    anchor=st.sampled_from(_ANCHORS),
+    offset=st.just(0.0) | st.floats(-1e-9, 1e-9) | st.floats(-3.0, 3.0),
+    free_t=st.floats(285.0, 380.0),
+    stress=st.just(0.0) | st.floats(-1.0, 5e7),
+    latch=_UNIT | st.sampled_from([-0.5, 1.5]),
+    fraction=_UNIT,
+)
+def test_kinetics_equal_the_plain_laws(triple, anchor, offset, free_t, stress, latch,
+                                       fraction):
+    """``reverse_fraction``, ``forward_fraction`` and the kernel's entry
+    latches are ``sma._fraction`` and its slopes; each must return the bits,
+    or raise the exception, of the plain law in ``tests/reference_model.py``."""
+    material = TRIPLES[triple][0]
+    a_start, a_finish = _reverse_band(material, max(stress, 0.0))
+    m_start, m_finish = _forward_band(material, max(stress, 0.0))
+    temperature = {
+        "as": a_start,
+        "af": a_finish,
+        "ms": m_start,
+        "mf": m_finish,
+        "mid_reverse": 0.5 * (a_start + a_finish),
+        "mid_forward": 0.5 * (m_start + m_finish),
+        "free": free_t,
+    }[anchor] + offset
+    kinetics = sma._Kinetics(material)
+    pairs = [
+        (sma.reverse_fraction, reverse_fraction, material, latch),
+        (sma.forward_fraction, forward_fraction, material, latch),
+        (sma._reverse_entry_latch, _reverse_entry_latch, kinetics, fraction),
+        (sma._forward_entry_latch, _forward_entry_latch, kinetics, fraction),
+    ]
+    for fused, plain, first, last in pairs:
+        got, got_exc = _outcome(fused, first, temperature, stress, last)
+        want, want_exc = _outcome(plain, material, temperature, stress, last)
+        assert type(got_exc) is type(want_exc), (fused, got_exc, want_exc)
+        assert str(got_exc) == str(want_exc)
+        if want_exc is None:
+            assert _bits(got) == _bits(want), (fused, got, want)
 
 
 # --- exceptions ---------------------------------------------------------------
