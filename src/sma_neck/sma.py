@@ -515,8 +515,8 @@ def step_spring(
     This is a fused kernel: the products derived from the (material,
     geometry, env) triple are computed once and kept for the next call with
     the same three objects, and an idle spring's RK4 takes the Joule power
-    once per step.  It computes exactly what ``heating_rate`` (kept in
-    ``tests/reference_model.py``), ``reverse_fraction``, ``forward_fraction``,
+    once per step.  It computes exactly what the plain ``heating_rate``, band
+    kinetics and entry latches of ``tests/reference_model.py``,
     ``force_coefficients`` and ``shear_stress`` compose to;
     ``tests/test_spring_kernel.py`` pins every bit of the result and every
     exception to that composition.
