@@ -334,8 +334,9 @@ def _two_loop_solve_pose_statics(
 
 
 _BUNDLED_STATICS = _Statics(load_default_scenario().build_system())
-# rank 2: the third row is the sum of the first two
-_SINGULAR = ((1.0, 2.0, 3.0), (0.5, -1.0, 2.0), (1.5, 1.0, 5.0))
+# the second row is twice the first, so the elimination meets an exact zero
+# pivot and _solve3 returns None whatever the residual
+_SINGULAR = ((1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (1.0, 1.0, 1.0))
 _KEPT = ("none", "converged", "scaled_column", "singular")
 
 
@@ -471,6 +472,7 @@ class TestOneStepLoop:
         Jacobian, a fresh Newton solve and a stalled one.  No draw in the 8 A
         force range balances past 180 degrees, so ``PoseOutOfRange`` is left to
         the solve tests in ``tests/test_engine.py``."""
+        assert _solve3(_SINGULAR, (1.0, -2.0, 3.0)) is None
         rng = random.Random(20231020)
         seen = set()
 
