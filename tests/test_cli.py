@@ -234,14 +234,25 @@ def test_invalid_number_is_one_error_line(scenario_file, tmp_path, capsys, argv)
         ("spring.spring_mass=1e-320 kg", "heat capacity"),
         # 2 (1 + poisson) = 0: a ZeroDivisionError in effective_modulus before
         ("material.poisson=-1", "force-law stiffness"),
+        # normal at fraction 0, 4.59e-309 N/m at fraction 1
+        ("material.young_martensite=1e-300 Pa",
+         "force-law stiffness at martensite fraction 1"),
+        # both degenerate: the shear stress is checked first
+        pytest.param(
+            ("spring.wire_diameter=1e-200 m", "spring.coil_diameter=1e200 m"),
+            "shear stress per newton",
+            id="spring.wire_diameter=1e-200 m, spring.coil_diameter=1e200 m",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["validate-config", "simulate"])
 def test_degenerate_spring_constant_fails_validation(
     scenario_file, tmp_path, capsys, command, override, field
 ):
+    overrides = (override,) if isinstance(override, str) else override
+    sets = [arg for assignment in overrides for arg in ("--set", assignment)]
     code = main([command, "--scenario", str(scenario_file), "--out", str(tmp_path),
-                 "--set", override, *FAST])
+                 *sets, *FAST])
     assert code == 1
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("error: ")] == [
@@ -249,6 +260,20 @@ def test_degenerate_spring_constant_fails_validation(
     ]
     assert err.startswith(f"error: validation: spring: {field}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "override",
+    ["material.phase_transform_tensor=0 Pa", "material.thermal_expansion_factor=0 Pa/K"],
+)
+def test_zero_force_law_coefficient_is_allowed(scenario_file, capsys, override):
+    # a zero transformation or thermal coefficient scales a zero material
+    # constant; only the stiffness must stay away from zero
+    code = main(["validate-config", "--scenario", str(scenario_file), "--set", override])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "ok" in captured.out
+    assert captured.err == ""
 
 
 def test_overflowing_heat_balance_is_not_blamed_on_dt(scenario_file, tmp_path, capsys):
