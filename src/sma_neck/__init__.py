@@ -40,7 +40,6 @@ from .sma import (
     SpringState,
     StepTooLarge,
     ThermalEnvironment,
-    effective_modulus,
     forward_fraction,
     reverse_fraction,
     shear_stress,
@@ -80,7 +79,6 @@ __all__ = [
     "arc_position",
     "calibrate",
     "dump_scenario",
-    "effective_modulus",
     "emit_plots",
     "forward_fraction",
     "load_default_scenario",

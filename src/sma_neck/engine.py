@@ -39,7 +39,7 @@ from .sma import (
     StepTooLarge,
     ThermalEnvironment,
     _reverse_band,
-    force_coefficients,
+    _spring_constants,
     shear_stress,
     step_spring,
 )
@@ -161,8 +161,11 @@ class SimConfig:
             )
         if not 0.0 < self.solver_tolerance < math.inf:
             raise ValueError("solver_tolerance must be positive and finite")
-        if not 1 <= self.max_newton_iterations < math.inf:
-            raise ValueError("max_newton_iterations must be finite and at least 1")
+        if not (
+            isinstance(self.max_newton_iterations, int)
+            and self.max_newton_iterations >= 1
+        ):
+            raise ValueError("max_newton_iterations must be an integer of at least 1")
         if not 0.0 < self.max_temperature_step < math.inf:
             raise ValueError("max_temperature_step must be positive and finite")
 
@@ -621,15 +624,16 @@ def _prefix_key(system: NeckSystem) -> NeckSystem:
     update, which is a zero with the coefficient's sign, and the rest solve
     does not read it at all.  So the loop state after the prefix is the same
     for every tensor of one sign.  A coefficient that overflowed makes that
-    product NaN, so such a tensor is kept as it is.  Keys compare with
-    ``==``, which does not tell 0.0 from -0.0; of the other calibratable
-    fields only a zero pennation angle can be either, and the engine reads
-    it only through its cosine.
+    product NaN, so such a tensor is kept as it is.  The coefficient is read
+    from the kernel's cached constants, which the run's first step reuses.
+    Keys compare with ``==``, which does not tell 0.0 from -0.0; of the other
+    calibratable fields only a zero pennation angle can be either, and the
+    engine reads it only through its cosine.
     """
     material = system.material
     tensor = material.phase_transform_tensor
-    _, transform, _ = force_coefficients(material, system.spring_geometry, 1.0)
-    if math.isfinite(transform):
+    k = _spring_constants(material, system.spring_geometry, system.env)
+    if math.isfinite(k.transform):
         tensor = math.copysign(1.0, tensor)
     return replace(system, material=replace(material, phase_transform_tensor=tensor))
 
@@ -687,6 +691,14 @@ def simulate(
         )
         for u in system.units
     ]
+
+    indices = [u.index for u in system.units]
+    for seg in profile.segments:
+        if seg.unit not in indices:
+            raise ValueError(
+                f"current profile drives unit {seg.unit}, which the system does "
+                f"not have (its units are {', '.join(map(str, indices))})"
+            )
 
     prefix = key = None
     if prefixes is not None:

@@ -26,7 +26,7 @@ from .sma import (
     SpringGeometry,
     SpringState,
     ThermalEnvironment,
-    force_coefficients,
+    _SpringConstants,
     shear_stress,
 )
 from .units import UnitsError, format_quantity, parse_quantity
@@ -83,6 +83,12 @@ class CalibrationSpec:
                 )
         if self.hold <= 0.0:
             raise ValidationError("calibration.hold: must be positive")
+        for name, least in (("passes", 1), ("golden_iterations", 3)):
+            count = getattr(self, name)
+            if not isinstance(count, int):
+                raise ValidationError(f"calibration.{name}: expected an integer")
+            if count < least:
+                raise ValidationError(f"calibration.{name}: must be at least {least}")
 
 
 @dataclass(frozen=True)
@@ -156,38 +162,42 @@ class Scenario:
 
     def _check_spring_constants(self) -> None:
         """Reject fields whose derived per-spring constants leave the float
-        range.  Each field passes its own check, yet a 1e-200 m wire cubed
-        is 0 and a 1e200 m coil cubed overflows; a run would then end in a
-        traceback or a NaN step."""
+        range: the shear stress per newton, and the products of the kernel's
+        ``_SpringConstants`` that ``step_spring`` uses.  Each field passes its
+        own check, yet a 1e-200 m wire cubed is 0 and a 1e200 m coil cubed
+        overflows; a run would then end in a traceback or a NaN step."""
         material, spring, env = self.material, self.spring, self.environment
         _require_normal(
             "shear stress per newton (wire_diameter, coil_diameter)", "Pa",
             lambda: shear_stress(spring, 1.0),
         )
         force_law = (
-            ("stiffness", "N/m", "active_coils, material moduli", 1.0),
+            ("stiffness", "N/m", "active_coils, material moduli", 1.0,
+             lambda k, xi: k.stiffness(xi)),
             ("transformation coefficient", "N", "material.phase_transform_tensor",
-             material.phase_transform_tensor),
+             material.phase_transform_tensor, lambda k, xi: k.transform),
             ("thermal coefficient", "N/K", "material.thermal_expansion_factor",
-             material.thermal_expansion_factor),
+             material.thermal_expansion_factor, lambda k, xi: k.thermal),
         )
+        # the constants are built inside each check, so that a coil whose
+        # cube overflows reads as an infinite constant
         for xi in (0.0, 1.0):
-            for i, (name, unit, fields, factor) in enumerate(force_law):
+            for name, unit, fields, factor, product in force_law:
                 # zero only where the material constant it scales is zero
                 _require_normal(
                     f"force-law {name} at martensite fraction {xi:g} "
                     f"(wire_diameter, coil_diameter, {fields})", unit,
-                    lambda: force_coefficients(material, spring, xi)[i],
+                    lambda: product(_SpringConstants(material, spring, env), xi),
                     factor == 0.0,
                 )
         _require_normal(
             "heat capacity (spring_mass, material.specific_heat)", "J/K",
-            lambda: spring.spring_mass * material.specific_heat,
+            lambda: _SpringConstants(material, spring, env).heat_capacity,
         )
         _require_normal(
             "convective conductance (surface_area, "
             "environment.convection_coefficient)", "W/K",
-            lambda: spring.surface_area * env.convection_coefficient,
+            lambda: _SpringConstants(material, spring, env).conductance,
         )
 
     def build_config(self, **changes) -> SimConfig:

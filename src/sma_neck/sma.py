@@ -197,17 +197,6 @@ def _state(
     return state
 
 
-def effective_modulus(material: SmaMaterial, fraction: float) -> tuple[float, float]:
-    """Phase-mixture Young's and shear moduli at martensite fraction ``fraction``."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"martensite fraction must lie in [0, 1], got {fraction}")
-    young = material.young_martensite * fraction + material.young_austenite * (
-        1.0 - fraction
-    )
-    shear = young / (2.0 * (1.0 + material.poisson))
-    return young, shear
-
-
 def shear_stress(geometry: SpringGeometry, force: float) -> float:
     """Nominal shear stress in the wire for a coil carrying ``force`` (N)."""
     if force < 0.0:
@@ -253,25 +242,6 @@ def forward_fraction(
     return _fraction(
         _Kinetics(material), Branch.FORWARD, temperature, stress, fraction_at_start
     )
-
-
-def force_coefficients(
-    material: SmaMaterial, geometry: SpringGeometry, fraction: float
-) -> tuple[float, float, float]:
-    """Coefficients of the rate-form force law.
-
-    Returns (stiffness N/m, transformation coefficient N, thermal coefficient
-    N/K): force rate = stiffness * stretch rate + transformation * fraction
-    rate + thermal * temperature rate.
-    """
-    d = geometry.wire_diameter
-    big_d = geometry.coil_diameter
-    _, shear = effective_modulus(material, fraction)
-    d3 = d * d * d
-    stiffness = d3 * d * shear / (8.0 * geometry.active_coils * big_d**3)
-    transform = math.pi * d3 * material.phase_transform_tensor / (8.0 * _SQRT3 * big_d)
-    thermal = math.pi * d3 * material.thermal_expansion_factor / (8.0 * _SQRT3 * big_d)
-    return stiffness, transform, thermal
 
 
 def _reverse_entry_latch(
@@ -340,11 +310,12 @@ class _Kinetics:
 
 class _SpringConstants(_Kinetics):
     """The products ``step_spring`` derives from one (material, geometry, env)
-    triple, computed once, with the slopes of ``_Kinetics``.  Each entry uses
-    the operands and the left-to-right order of the law it comes from, so that
-    every product rounds as it does there; the heat balance is ``heating_rate``
-    in ``tests/reference_model.py``, the others are in this module.  Raw fields
-    are read from the three objects themselves.
+    triple, computed once, with the slopes of ``_Kinetics``; scenario
+    validation checks these same products.  Each entry uses the operands and
+    the left-to-right order of its law in ``tests/reference_model.py`` or of
+    ``shear_stress``, so that every product rounds as it does there.  Raw
+    fields are read from the three objects themselves.  A coil diameter whose
+    cube overflows raises ``OverflowError``.
     """
 
     __slots__ = (
@@ -359,14 +330,13 @@ class _SpringConstants(_Kinetics):
     ):
         super().__init__(material)
         self.geometry, self.env = geometry, env
-        # heating_rate (tests/reference_model.py); the latent term is
-        # (m L) * 0.0, NaN if m L overflows
+        # heating_rate; the latent term is (m L) * 0.0, NaN if m L overflows
         self.conductance = geometry.surface_area * env.convection_coefficient
         self.heat_capacity = geometry.spring_mass * material.specific_heat
         self.zero_latent = geometry.spring_mass * material.latent_heat * 0.0
-        # effective_modulus
+        # the phase-mixture shear modulus's divisor, as in effective_modulus
         self.shear_divisor = 2.0 * (1.0 + material.poisson)
-        # force_coefficients
+        # the force law's coefficients, as in force_coefficients
         d = geometry.wire_diameter
         big_d = geometry.coil_diameter
         d3 = d * d * d
@@ -379,8 +349,14 @@ class _SpringConstants(_Kinetics):
             math.pi * d3 * material.thermal_expansion_factor / (8.0 * _SQRT3 * big_d)
         )
         self.latent_gain = material.latent_heat / material.specific_heat
-        # shear_stress
+        # as in shear_stress
         self.pi_d3 = math.pi * d * d * d
+
+    def stiffness(self, fraction: float) -> float:
+        """The force law's stiffness (N/m) at martensite fraction ``fraction``."""
+        m = self.material
+        young = m.young_martensite * fraction + m.young_austenite * (1.0 - fraction)
+        return self.d4 * (young / self.shear_divisor) / self.stiffness_divisor
 
 
 # One entry: the engine passes the same three objects on every step, a
@@ -516,8 +492,8 @@ def step_spring(
     geometry, env) triple are computed once and kept for the next call with
     the same three objects, and an idle spring's RK4 takes the Joule power
     once per step.  It computes exactly what the plain ``heating_rate``, band
-    kinetics and entry latches of ``tests/reference_model.py``,
-    ``force_coefficients`` and ``shear_stress`` compose to;
+    kinetics, entry latches and ``force_coefficients`` of
+    ``tests/reference_model.py`` and ``shear_stress`` compose to;
     ``tests/test_spring_kernel.py`` pins every bit of the result and every
     exception to that composition.
 
@@ -551,10 +527,7 @@ def step_spring(
     elif branch is Branch.FORWARD and (heating or xi0 >= 1.0):
         branch = Branch.IDLE
 
-    shear = (
-        material.young_martensite * xi0 + material.young_austenite * (1.0 - xi0)
-    ) / k.shear_divisor
-    elastic_force = f0 + k.d4 * shear / k.stiffness_divisor * stretch_rate * dt
+    elastic_force = f0 + k.stiffness(xi0) * stretch_rate * dt
     transform, thermal = k.transform, k.thermal
 
     # Branch entries latch the current fraction as the cosine-arc anchor.

@@ -8,7 +8,9 @@ with theirs bit for bit, so each law has one implementation in the package
 and one plain reference here.  The band kinetics are also public
 (``sma.reverse_fraction`` and ``sma.forward_fraction`` call the kernel's
 ``sma._fraction``); the plain copies below are what the spring oracle
-composes.  No run path calls this module.
+composes.  ``effective_modulus`` and ``force_coefficients`` are the force
+law's coefficients that the package derives only in ``sma._SpringConstants``,
+whose products validation checks.  No run path calls this module.
 """
 
 from __future__ import annotations
@@ -56,6 +58,41 @@ def heating_rate(
     )
     latent = geometry.spring_mass * material.latent_heat * fraction_rate
     return (power - loss + latent) / (geometry.spring_mass * material.specific_heat)
+
+
+# --- spring force law (sma) ------------------------------------------------
+
+_SQRT3 = math.sqrt(3.0)
+
+
+def effective_modulus(material: SmaMaterial, fraction: float) -> tuple[float, float]:
+    """Phase-mixture Young's and shear moduli at martensite fraction ``fraction``."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"martensite fraction must lie in [0, 1], got {fraction}")
+    young = material.young_martensite * fraction + material.young_austenite * (
+        1.0 - fraction
+    )
+    shear = young / (2.0 * (1.0 + material.poisson))
+    return young, shear
+
+
+def force_coefficients(
+    material: SmaMaterial, geometry: SpringGeometry, fraction: float
+) -> tuple[float, float, float]:
+    """Coefficients of the rate-form force law.
+
+    Returns (stiffness N/m, transformation coefficient N, thermal coefficient
+    N/K): force rate = stiffness * stretch rate + transformation * fraction
+    rate + thermal * temperature rate.
+    """
+    d = geometry.wire_diameter
+    big_d = geometry.coil_diameter
+    _, shear = effective_modulus(material, fraction)
+    d3 = d * d * d
+    stiffness = d3 * d * shear / (8.0 * geometry.active_coils * big_d**3)
+    transform = math.pi * d3 * material.phase_transform_tensor / (8.0 * _SQRT3 * big_d)
+    thermal = math.pi * d3 * material.thermal_expansion_factor / (8.0 * _SQRT3 * big_d)
+    return stiffness, transform, thermal
 
 
 # --- band kinetics and the arc anchors (sma) -------------------------------

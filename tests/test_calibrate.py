@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from sma_neck.calibrate import (
     current_parameters,
     evaluate_targets,
 )
-from sma_neck.scenario import CalibrationSpec, load_default_scenario
+from sma_neck.scenario import CalibrationSpec, ValidationError, load_default_scenario
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,29 @@ def test_spec_validation():
             bounds={"convection_coefficient": (98.0, 85.0)},
             targets=((4.0, 4.73),),
         )
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # a fractional count ended the search in a TypeError
+        ({"passes": 1.5}, "calibration.passes: expected an integer"),
+        ({"golden_iterations": 2.5}, "calibration.golden_iterations: expected an integer"),
+        # no pass ended in a NonImprovement after the start evaluation
+        ({"passes": 0}, "calibration.passes: must be at least 1"),
+        ({"golden_iterations": 2}, "calibration.golden_iterations: must be at least 3"),
+    ],
+)
+def test_spec_rejects_counts_the_schema_rejects(changes, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        quick_spec([(8.0, 30.0)], **changes)
+
+
+def test_unit_the_system_lacks_is_rejected(base_scenario):
+    # fitting rows that had no current would report a converged fit
+    spec = quick_spec([(8.0, 30.0)], unit_index=4, passes=1, golden_iterations=3)
+    with pytest.raises(ValueError, match="unit 4, which the system does not have"):
+        calibrate(base_scenario, spec)
 
 
 def _full_golden(loss, lo, hi, iterations):

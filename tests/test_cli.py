@@ -228,11 +228,11 @@ def test_invalid_number_is_one_error_line(scenario_file, tmp_path, capsys, argv)
     [
         # d**3 underflows to 0: a ZeroDivisionError in shear_stress before
         ("spring.wire_diameter=1e-200 m", "shear stress per newton"),
-        # D**3 overflows: an OverflowError in force_coefficients before
+        # D**3 overflows: an OverflowError in the force-law coefficients before
         ("spring.coil_diameter=1e200 m", "force-law stiffness"),
         # a subnormal heat capacity: the first step moved the temperature NaN K
         ("spring.spring_mass=1e-320 kg", "heat capacity"),
-        # 2 (1 + poisson) = 0: a ZeroDivisionError in effective_modulus before
+        # 2 (1 + poisson) = 0: a ZeroDivisionError in the modulus mix before
         ("material.poisson=-1", "force-law stiffness"),
         # normal at fraction 0, 4.59e-309 N/m at fraction 1
         ("material.young_martensite=1e-300 Pa",

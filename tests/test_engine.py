@@ -451,6 +451,23 @@ class TestSimulate:
         assert temp_before == pytest.approx(system.env.ambient_temperature, abs=1e-6)
         assert trace.spring_temperatures[0][-1] > temp_before
 
+    @pytest.mark.parametrize("unit", [0, 4, 7])
+    def test_profile_unit_the_system_lacks_is_rejected(self, system, monkeypatch, unit):
+        # rejected before the rest solve and before the idle prefixes are read
+        def fail(*args):
+            raise AssertionError("the run went past the profile check")
+
+        class Unread(dict):
+            get = fail
+
+        monkeypatch.setattr(engine, "_solve_pose_statics", fail)
+        profile = CurrentProfile((Segment(2, 0.0, 1.0, 5.0), Segment(unit, 0.0, 1.0, 5.0)))
+        cfg = quick_config(current_profile=profile)
+        message = rf"unit {unit}, which the system does not have \(its units are 1, 2, 3\)"
+        for prefixes in (None, Unread()):
+            with pytest.raises(ValueError, match=message):
+                simulate(system, cfg, prefixes=prefixes)
+
     def test_residual_evaluations_per_step(self, monkeypatch):
         # one evaluation for the start and one per chord or Newton step; the
         # start extrapolated from the last three chord-corrected poses mostly
@@ -873,6 +890,9 @@ class TestSimConfig:
             {"max_newton_iterations": math.nan},
             {"max_newton_iterations": math.inf},
             {"max_newton_iterations": 0},
+            # a fractional count ended the first solve in a TypeError
+            {"max_newton_iterations": 2.5},
+            {"max_newton_iterations": 60.0},
         ],
         ids=repr,
     )
@@ -935,6 +955,12 @@ class TestSweep:
     def test_rejects_empty_currents(self, system):
         with pytest.raises(ValueError):
             sweep(system, [], 1.0, quick_config())
+
+    @pytest.mark.parametrize("unit_index", [0, 4])
+    def test_unit_the_system_lacks_is_rejected(self, system, unit_index):
+        # a row on a missing unit would run with no current at all
+        with pytest.raises(ValueError, match=f"unit {unit_index}, which the system"):
+            sweep(system, [8.0], 1.0, quick_config(dt=2e-3), unit_index=unit_index)
 
     def test_rows_keep_their_own_jacobian(self):
         # each run hands its pose solves' Jacobian on within the run only,

@@ -8,17 +8,21 @@ from sma_neck import (
     Branch,
     SpringState,
     StepTooLarge,
-    effective_modulus,
     forward_fraction,
     reverse_fraction,
     shear_stress,
     step_spring,
 )
 from sma_neck import sma
-from sma_neck.sma import SmaMaterial, force_coefficients
+from sma_neck.sma import SmaMaterial
 
 from conftest import make_spring
-from reference_model import heating_rate, phase_resistance
+from reference_model import (
+    effective_modulus,
+    force_coefficients,
+    heating_rate,
+    phase_resistance,
+)
 
 
 class TestEffectiveModulus:
