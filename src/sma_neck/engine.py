@@ -13,8 +13,10 @@ each corrected by one chord step at no extra residual evaluation, or from the
 last pose where that extrapolation is bent past 180 degrees, and first takes
 chord (simplified-Newton) steps with the Jacobian the run's previous solve
 ended with; it forms a fresh Jacobian only when those do not meet the
-tolerance.  ``simulate`` hands that Jacobian from solve to solve within one
-run, so no run sees another's.
+tolerance.  Each Jacobian is factored once, so each chord step and each
+correction is one substitution (the chord method keeps its factorisation,
+Kelley 1995, ch. 5).  ``simulate`` hands that factorisation from solve to
+solve within one run, so no run sees another's.
 
 Spring stretch rates are fed back from the pose change of the previous
 accepted step (one-step lag), which breaks the algebraic loop between the
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from .backbone import STRAIGHT_THRESHOLD, ArcPose, BackboneGeometry, _Vec3, _wrap_angle
 from .pennate import PennateUnit, rest_chord_length
 from .sma import (
-    Branch,
+    _IDLE,
     SmaMaterial,
     SpringGeometry,
     SpringState,
@@ -40,6 +42,7 @@ from .sma import (
     ThermalEnvironment,
     _reverse_band,
     _spring_constants,
+    _SpringConstants,
     shear_stress,
     step_spring,
 )
@@ -55,6 +58,10 @@ _DIFFERENCE_STEP = sys.float_info.epsilon ** (1.0 / 3.0)
 # most time steps one run may take (duration / dt); the bundled scenario
 # takes 6000
 MAX_STEPS = 1_000_000
+
+
+class ValidationError(ValueError):
+    """A field violates an invariant; the message names the field path."""
 
 
 class NoConvergence(RuntimeError):
@@ -133,6 +140,66 @@ class NeckSystem:
             raise ValueError("head_mass must be non-negative")
         if self.force_combination not in ("additive", "max"):
             raise ValueError("force_combination must be 'additive' or 'max'")
+        _check_spring_constants(self.material, self.spring_geometry, self.env)
+
+
+def _check_spring_constants(
+    material: SmaMaterial, spring: SpringGeometry, env: ThermalEnvironment
+) -> None:
+    """Reject fields whose derived per-spring constants leave the float
+    range: the shear stress per newton, and the products of the kernel's
+    ``_SpringConstants`` that ``step_spring`` uses.  Each field passes its
+    own check, yet a 1e-200 m wire cubed is 0 and a 1e200 m coil cubed
+    overflows; a run would then end in a traceback or a NaN step."""
+    _require_normal(
+        "shear stress per newton (wire_diameter, coil_diameter)", "Pa",
+        lambda: shear_stress(spring, 1.0),
+    )
+    force_law = (
+        ("stiffness", "N/m", "active_coils, material moduli", 1.0,
+         lambda k, xi: k.stiffness(xi)),
+        ("transformation coefficient", "N", "material.phase_transform_tensor",
+         material.phase_transform_tensor, lambda k, xi: k.transform),
+        ("thermal coefficient", "N/K", "material.thermal_expansion_factor",
+         material.thermal_expansion_factor, lambda k, xi: k.thermal),
+    )
+    # the constants are built inside each check, so that a coil whose cube
+    # overflows reads as an infinite constant
+    for xi in (0.0, 1.0):
+        for name, unit, fields, factor, product in force_law:
+            # zero only where the material constant it scales is zero
+            _require_normal(
+                f"force-law {name} at martensite fraction {xi:g} "
+                f"(wire_diameter, coil_diameter, {fields})", unit,
+                lambda: product(_SpringConstants(material, spring, env), xi),
+                factor == 0.0,
+            )
+    _require_normal(
+        "heat capacity (spring_mass, material.specific_heat)", "J/K",
+        lambda: _SpringConstants(material, spring, env).heat_capacity,
+    )
+    _require_normal(
+        "convective conductance (surface_area, "
+        "environment.convection_coefficient)", "W/K",
+        lambda: _SpringConstants(material, spring, env).conductance,
+    )
+
+
+def _require_normal(what: str, unit: str, compute, may_be_zero: bool = False):
+    """A derived spring constant must be a finite, normal float: a zero or
+    subnormal one has underflowed, and dividing by it overflows."""
+    try:
+        value = compute()
+    except (ZeroDivisionError, OverflowError):  # an intermediate left the range
+        value = math.inf
+    if math.isfinite(value) and (
+        abs(value) >= sys.float_info.min or (may_be_zero and value == 0.0)
+    ):
+        return
+    raise ValidationError(
+        f"spring: {what} is {value:.3g} {unit}; it must be finite and at least "
+        f"{sys.float_info.min:.3g} in magnitude"
+    )
 
 
 @dataclass(frozen=True)
@@ -420,44 +487,56 @@ def residual(system: NeckSystem, pose: ArcPose, unit_forces) -> _Vec3:
     return moment
 
 
-def _solve3(j, r):
-    """Solve the 3x3 system j . x = -r by Gaussian elimination with partial
-    pivoting; returns None when singular.
+def _factor3(j):
+    """Gaussian elimination with partial pivoting of the row-major 3x3
+    matrix ``j``: the pivot row order, the three elimination factors and the
+    reduced rows, which ``_substitute3`` solves with; None when singular.
 
     Unrolled on scalars.  The first of equal pivot magnitudes wins and a row
     whose elimination factor is zero is left as it is."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = j
-    b0, b1, b2 = -r[0], -r[1], -r[2]
+    i0, i1, i2 = 0, 1, 2
     if abs(a10) > abs(a00):
         if abs(a20) > abs(a10):
-            a00, a01, a02, b0, a20, a21, a22, b2 = a20, a21, a22, b2, a00, a01, a02, b0
+            a00, a01, a02, a20, a21, a22, i0, i2 = a20, a21, a22, a00, a01, a02, 2, 0
         else:
-            a00, a01, a02, b0, a10, a11, a12, b1 = a10, a11, a12, b1, a00, a01, a02, b0
+            a00, a01, a02, a10, a11, a12, i0, i1 = a10, a11, a12, a00, a01, a02, 1, 0
     elif abs(a20) > abs(a00):
-        a00, a01, a02, b0, a20, a21, a22, b2 = a20, a21, a22, b2, a00, a01, a02, b0
+        a00, a01, a02, a20, a21, a22, i0, i2 = a20, a21, a22, a00, a01, a02, 2, 0
     if abs(a00) < 1e-300:
         return None
     inv = 1.0 / a00
-    factor = a10 * inv
-    if factor != 0.0:
-        a11 -= factor * a01
-        a12 -= factor * a02
-        b1 -= factor * b0
-    factor = a20 * inv
-    if factor != 0.0:
-        a21 -= factor * a01
-        a22 -= factor * a02
-        b2 -= factor * b0
+    f1 = a10 * inv
+    if f1 != 0.0:
+        a11 -= f1 * a01
+        a12 -= f1 * a02
+    f2 = a20 * inv
+    if f2 != 0.0:
+        a21 -= f2 * a01
+        a22 -= f2 * a02
     if abs(a21) > abs(a11):
-        a11, a12, b1, a21, a22, b2 = a21, a22, b2, a11, a12, b1
+        a11, a12, a21, a22, i1, i2, f1, f2 = a21, a22, a11, a12, i2, i1, f2, f1
     if abs(a11) < 1e-300:
         return None
-    factor = a21 * (1.0 / a11)
-    if factor != 0.0:
-        a22 -= factor * a12
-        b2 -= factor * b1
+    f3 = a21 * (1.0 / a11)
+    if f3 != 0.0:
+        a22 -= f3 * a12
     if abs(a22) < 1e-300:
         return None
+    return i0, i1, i2, f1, f2, f3, a00, a01, a02, a11, a12, a22
+
+
+def _substitute3(lu, r):
+    """The solution x of j . x = -r, given ``lu = _factor3(j)``: the
+    elimination's operations on -r, then back substitution."""
+    i0, i1, i2, f1, f2, f3, a00, a01, a02, a11, a12, a22 = lu
+    b0, b1, b2 = -r[i0], -r[i1], -r[i2]
+    if f1 != 0.0:
+        b1 -= f1 * b0
+    if f2 != 0.0:
+        b2 -= f2 * b0
+    if f3 != 0.0:
+        b2 -= f3 * b1
     x2 = b2 / a22
     x1 = (b1 - a12 * x2) / a11
     return (b0 - a01 * x1 - a02 * x2) / a00, x1, x2
@@ -490,29 +569,32 @@ def _solve_pose_statics(
     x1: float,
     x2: float,
     config: SimConfig,
-    jacobian=None,
+    factors=None,
 ):
     """Equilibrium pose (kappa, phi in [0, 2 pi), twist), its residual norm,
-    the unit chord contractions at that pose, the last Jacobian used and the
-    corrected pose, by damped Newton on (u_x, u_y, twist) started at
-    (``x0``, ``x1``, ``x2``).
+    the unit chord contractions at that pose, the ``_factor3`` factorisation
+    of the last Jacobian used (None if that was singular) and the corrected
+    pose, by damped Newton on (u_x, u_y, twist) started at (``x0``, ``x1``,
+    ``x2``).
 
     The corrected pose is the accepted one in (u_x, u_y, twist) plus the
-    chord step its residual and the returned Jacobian give, capped like the
-    others; it is the accepted pose itself without a Jacobian or with a
-    singular one.  It costs no residual evaluation, and it lies closer to
-    the exact root than the accepted pose, whose error is anywhere below the
-    tolerance; ``simulate`` extrapolates the next start from these.
+    chord step its residual and the returned factorisation give, capped like
+    the others; it is the accepted pose itself without a factorisation.  It
+    costs no residual evaluation, and it lies closer to the exact root than
+    the accepted pose, whose error is anywhere below the tolerance;
+    ``simulate`` extrapolates the next start from these.
 
-    ``jacobian`` is one kept from an earlier solve (what this function
-    returned last), or None.  Each of at most ``config.max_newton_iterations``
-    iterations takes one step, capped so that no variable moves more than
-    0.5 / length.  The first (at most ``_CHORD_STEPS``) are chord
-    (simplified-Newton) steps with the kept Jacobian, each tried once and
-    kept only if the residual falls; a dropped one ends them, and a singular
-    Jacobian ends them at no cost.  Every later step is a Newton step with a
-    fresh Jacobian, halved until the residual falls.  The solve returns as
-    soon as the residual meets the tolerance, with the last Jacobian used.
+    ``factors`` is the factorisation of a Jacobian kept from an earlier
+    solve (what this function returned last), or None.  Each of at most
+    ``config.max_newton_iterations`` iterations takes one step, capped so
+    that no variable moves more than 0.5 / length.  The first (at most
+    ``_CHORD_STEPS``) are chord (simplified-Newton) steps with the kept
+    Jacobian, one substitution each, each tried once and kept only if the
+    residual falls; a dropped one ends them, and without ``factors`` there
+    are none.  Every later step is a Newton step with a fresh Jacobian,
+    factored once and halved until the residual falls.  The solve returns
+    as soon as the residual meets the tolerance, with the last
+    factorisation.
     Every pose returned has passed the range check; a solve that stalls
     raises NoConvergence with the best pose it met.
     """
@@ -524,23 +606,24 @@ def _solve_pose_statics(
     norm = math.sqrt(res[0] * res[0] + res[1] * res[1] + res[2] * res[2])
     # cap on per-iteration curvature-variable moves (keeps theta steps <= ~29 deg)
     max_move = 0.5 / length
-    chords = 0 if jacobian is None else _CHORD_STEPS
+    chords = 0 if factors is None else _CHORD_STEPS
     best_kappa, best_phi, best_eps = kappa, phi, eps
     best_norm = norm
 
     for _ in range(config.max_newton_iterations):
         if norm < tol:
             break
-        step = _solve3(jacobian, res) if chords else None
         halvings = 0
-        if step is None:
-            chords = 0
-            jacobian = statics.jacobian((x0, x1, x2), forces)
-            step = _solve3(jacobian, res)
-            if step is None:
+        if chords:
+            step = _substitute3(factors, res)
+        else:
+            factors = _factor3(statics.jacobian((x0, x1, x2), forces))
+            if factors is None:
                 # singular Jacobian: nudge along the residual direction
                 scale = max_move / max(norm, 1e-300)
                 step = -res[0] * scale, -res[1] * scale, -res[2] * scale
+            else:
+                step = _substitute3(factors, res)
             # damped update: after nine halvings the tenth, smallest
             # candidate is taken anyway to escape flat spots
             halvings = 9
@@ -577,12 +660,10 @@ def _solve_pose_statics(
             f"bending angle {math.degrees(theta):.1f} deg exceeds 180 deg"
         )
     corrected = (x0, x1, x2)
-    if jacobian is not None:
-        step = _solve3(jacobian, res)
-        if step is not None:
-            s0, s1, s2 = _capped(*step, max_move)
-            corrected = (x0 + s0, x1 + s1, x2 + s2)
-    return kappa, _wrap_angle(phi), x2, norm, contractions, jacobian, corrected
+    if factors is not None:
+        s0, s1, s2 = _capped(*_substitute3(factors, res), max_move)
+        corrected = (x0 + s0, x1 + s1, x2 + s2)
+    return kappa, _wrap_angle(phi), x2, norm, contractions, factors, corrected
 
 
 def solve_pose(
@@ -635,7 +716,13 @@ def _prefix_key(system: NeckSystem) -> NeckSystem:
     k = _spring_constants(material, system.spring_geometry, system.env)
     if math.isfinite(k.transform):
         tensor = math.copysign(1.0, tensor)
-    return replace(system, material=replace(material, phase_transform_tensor=tensor))
+    # set on a copy rather than by replace, which would run the
+    # spring-constant checks on a tensor of magnitude 1
+    key = copy.copy(system)
+    object.__setattr__(
+        key, "material", replace(material, phase_transform_tensor=tensor)
+    )
+    return key
 
 
 @dataclass(frozen=True)
@@ -649,7 +736,7 @@ class _IdlePrefix:
     dx_prev: tuple[float, float, float]
     dx_prev2: tuple[float, float, float]
     poses: tuple  # the last three corrected poses a, b, c
-    jacobian: tuple
+    factors: tuple | None  # of the kept Jacobian, from _factor3
     last_phi: float
     crossing_recorded: bool
     trace: SimTrace  # a copy, never handed out
@@ -709,7 +796,7 @@ def simulate(
     if prefix is not None:
         first = prefix.step
         states = list(prefix.states)
-        dx_prev, dx_prev2, jacobian = prefix.dx_prev, prefix.dx_prev2, prefix.jacobian
+        dx_prev, dx_prev2, factors = prefix.dx_prev, prefix.dx_prev2, prefix.factors
         a, b, c = prefix.poses
         last_phi, crossing_recorded = prefix.last_phi, prefix.crossing_recorded
         trace = prefix.trace._copy()
@@ -725,7 +812,7 @@ def simulate(
             active = fibers * state.force * cos_p
             rest_forces.append(max(active, 0.0) if take_max else active + 0.0)
         try:
-            _, phi, _, _, dx_prev, jacobian, c = _solve_pose_statics(
+            _, phi, _, _, dx_prev, factors, c = _solve_pose_statics(
                 statics, tuple(rest_forces), 0.0, 0.0, 0.0, config
             )
         except SOLVER_FAILURES as exc:
@@ -772,14 +859,14 @@ def simulate(
                 passive = 0.0 if contraction <= 0.0 else stiffness * contraction
                 forces.append(max(active, passive) if take_max else active + passive)
             if recording and any(
-                new.branch is not Branch.IDLE
+                new.branch is not _IDLE
                 or new.martensite_fraction != old.martensite_fraction
                 for old, new in zip(top, states)
             ):
                 # an arc entered and completed within the step returns IDLE
                 # with a moved fraction, hence the second test
                 prefixes[config] = _IdlePrefix(
-                    key, step_index, top, dx_prev, dx_prev2, (a, b, c), jacobian,
+                    key, step_index, top, dx_prev, dx_prev2, (a, b, c), factors,
                     last_phi, crossing_recorded, trace._copy(),
                 )
                 recording = False
@@ -795,8 +882,8 @@ def simulate(
                 # beyond it although one inside the workspace balances
                 if math.hypot(predicted[0], predicted[1]) * statics.length <= math.pi:
                     start = predicted
-            kappa, phi, _, res_norm, dx, jacobian, corrected = _solve_pose_statics(
-                statics, forces, *start, config, jacobian
+            kappa, phi, _, res_norm, dx, factors, corrected = _solve_pose_statics(
+                statics, forces, *start, config, factors
             )
         except SOLVER_FAILURES as exc:
             _annotate_failure(exc, step_index + 1, t)
@@ -839,7 +926,7 @@ def simulate(
     if recording:
         # idle to the end: the whole run is the prefix
         prefixes[config] = _IdlePrefix(
-            key, n_steps, tuple(states), dx_prev, dx_prev2, (a, b, c), jacobian,
+            key, n_steps, tuple(states), dx_prev, dx_prev2, (a, b, c), factors,
             last_phi, crossing_recorded, trace._copy(),
         )
     return trace

@@ -11,7 +11,6 @@ field path.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import astuple, dataclass, replace
 from importlib import resources
 from typing import Callable, NamedTuple
@@ -19,15 +18,13 @@ from typing import Callable, NamedTuple
 import yaml
 
 from .backbone import BackboneGeometry
-from .engine import CurrentProfile, NeckSystem, Segment, SimConfig
+from .engine import CurrentProfile, NeckSystem, Segment, SimConfig, ValidationError
 from .pennate import PennateUnit, rest_chord_length
 from .sma import (
     SmaMaterial,
     SpringGeometry,
     SpringState,
     ThermalEnvironment,
-    _SpringConstants,
-    shear_stress,
 )
 from .units import UnitsError, format_quantity, parse_quantity
 
@@ -36,10 +33,6 @@ SCHEMA_VERSION = 1
 
 class ParseError(ValueError):
     """The document is not well-formed YAML or not a mapping."""
-
-
-class ValidationError(ValueError):
-    """A field violates an invariant; the message names the field path."""
 
 
 @dataclass(frozen=True)
@@ -75,13 +68,14 @@ class CalibrationSpec:
                 )
         if not self.targets:
             raise ValidationError("calibration.targets: need at least one row")
+        # written so that NaN fails each check
         for amps, angle in self.targets:
-            if amps < 0.0 or angle <= 0.0:
+            if not (0.0 <= amps < math.inf and 0.0 < angle < math.inf):
                 raise ValidationError(
                     "calibration.targets: currents must be non-negative and "
                     "target angles strictly positive"
                 )
-        if self.hold <= 0.0:
+        if not 0.0 < self.hold < math.inf:
             raise ValidationError("calibration.hold: must be positive")
         for name, least in (("passes", 1), ("golden_iterations", 3)):
             count = getattr(self, name)
@@ -129,7 +123,6 @@ class Scenario:
         )
 
     def build_system(self) -> NeckSystem:
-        self._check_spring_constants()
         spring = self.initial_spring_state()
         units = []
         for k, azimuth in enumerate(self.azimuths, start=1):
@@ -147,9 +140,9 @@ class Scenario:
                 spring=spring,
                 fibers=self.springs_per_unit,
             )
-            rest_chord_length(unit, self.backbone)  # rejects degenerate geometry
             units.append(unit)
-        return NeckSystem(
+        # NeckSystem checks the spring constants, before the geometry
+        system = NeckSystem(
             material=self.material,
             spring_geometry=self.spring,
             env=self.environment,
@@ -159,46 +152,9 @@ class Scenario:
             gravity_enabled=self.gravity_enabled,
             force_combination=self.force_combination,
         )
-
-    def _check_spring_constants(self) -> None:
-        """Reject fields whose derived per-spring constants leave the float
-        range: the shear stress per newton, and the products of the kernel's
-        ``_SpringConstants`` that ``step_spring`` uses.  Each field passes its
-        own check, yet a 1e-200 m wire cubed is 0 and a 1e200 m coil cubed
-        overflows; a run would then end in a traceback or a NaN step."""
-        material, spring, env = self.material, self.spring, self.environment
-        _require_normal(
-            "shear stress per newton (wire_diameter, coil_diameter)", "Pa",
-            lambda: shear_stress(spring, 1.0),
-        )
-        force_law = (
-            ("stiffness", "N/m", "active_coils, material moduli", 1.0,
-             lambda k, xi: k.stiffness(xi)),
-            ("transformation coefficient", "N", "material.phase_transform_tensor",
-             material.phase_transform_tensor, lambda k, xi: k.transform),
-            ("thermal coefficient", "N/K", "material.thermal_expansion_factor",
-             material.thermal_expansion_factor, lambda k, xi: k.thermal),
-        )
-        # the constants are built inside each check, so that a coil whose
-        # cube overflows reads as an infinite constant
-        for xi in (0.0, 1.0):
-            for name, unit, fields, factor, product in force_law:
-                # zero only where the material constant it scales is zero
-                _require_normal(
-                    f"force-law {name} at martensite fraction {xi:g} "
-                    f"(wire_diameter, coil_diameter, {fields})", unit,
-                    lambda: product(_SpringConstants(material, spring, env), xi),
-                    factor == 0.0,
-                )
-        _require_normal(
-            "heat capacity (spring_mass, material.specific_heat)", "J/K",
-            lambda: _SpringConstants(material, spring, env).heat_capacity,
-        )
-        _require_normal(
-            "convective conductance (surface_area, "
-            "environment.convection_coefficient)", "W/K",
-            lambda: _SpringConstants(material, spring, env).conductance,
-        )
+        for unit in units:
+            rest_chord_length(unit, self.backbone)  # rejects degenerate geometry
+        return system
 
     def build_config(self, **changes) -> SimConfig:
         """The scenario's run settings, with ``changes`` (SimConfig field
@@ -212,23 +168,6 @@ class Scenario:
             dt=spec.dt if spec.dt is not None else self.simulation.dt,
             duration=spec.hold,
         )
-
-
-def _require_normal(what: str, unit: str, compute, may_be_zero: bool = False):
-    """A derived spring constant must be a finite, normal float: a zero or
-    subnormal one has underflowed, and dividing by it overflows."""
-    try:
-        value = compute()
-    except (ZeroDivisionError, OverflowError):  # an intermediate left the range
-        value = math.inf
-    if math.isfinite(value) and (
-        abs(value) >= sys.float_info.min or (may_be_zero and value == 0.0)
-    ):
-        return
-    raise ValidationError(
-        f"spring: {what} is {value:.3g} {unit}; it must be finite and at least "
-        f"{sys.float_info.min:.3g} in magnitude"
-    )
 
 
 class Codec(NamedTuple):

@@ -29,6 +29,11 @@ class Branch(Enum):
     FORWARD = "forward"  # austenite -> martensite while cooling
 
 
+# the members as module globals: the step loop tests and sets the branch many
+# times a step, and a global read costs a fraction of an enum attribute read
+_IDLE, _REVERSE, _FORWARD = Branch.IDLE, Branch.REVERSE, Branch.FORWARD
+
+
 class StepTooLarge(RuntimeError):
     """Per-step temperature change exceeded the stability bound (reduce dt),
     or the heat balance overflowed, which no dt cures."""
@@ -227,7 +232,7 @@ def reverse_fraction(
     non-increasing in temperature.
     """
     return _fraction(
-        _Kinetics(material), Branch.REVERSE, temperature, stress, fraction_at_start
+        _Kinetics(material), _REVERSE, temperature, stress, fraction_at_start
     )
 
 
@@ -240,7 +245,7 @@ def forward_fraction(
     below it the spring is fully martensite.
     """
     return _fraction(
-        _Kinetics(material), Branch.FORWARD, temperature, stress, fraction_at_start
+        _Kinetics(material), _FORWARD, temperature, stress, fraction_at_start
     )
 
 
@@ -258,7 +263,7 @@ def _reverse_entry_latch(
     start, finish = _reverse_band(k.material, stress)
     if temperature <= start or fraction <= 0.0 or temperature >= finish:
         return fraction
-    full_arc = _fraction(k, Branch.REVERSE, temperature, stress, 1.0)
+    full_arc = _fraction(k, _REVERSE, temperature, stress, 1.0)
     if full_arc < 0.5e-12:
         return 1.0
     return min(max(fraction / full_arc, fraction), 1.0)
@@ -396,7 +401,7 @@ def _fraction(
         raise ValueError("fraction_at_start must lie in [0, 1]")
     if stress < 0.0:
         raise ValueError("stress must be non-negative")
-    if branch is Branch.REVERSE:
+    if branch is _REVERSE:
         a_start = m.austenite_start
         shift = stress / m.stress_influence_reverse
         if temperature <= a_start + shift:
@@ -515,30 +520,30 @@ def step_spring(
     latch = state.fraction_at_branch_start
 
     branch = state.branch
-    if branch is Branch.IDLE:
+    if branch is _IDLE:
         t_star = _idle_temperature(k, t0, xi0, current, dt)
     else:
         t_star = _temperature_on_branch(k, branch, t0, stress0, latch, current, dt)
     heating = t_star > t0
 
     # Branch exits: direction reversed or the transformation has completed.
-    if branch is Branch.REVERSE and (not heating or xi0 <= 0.0):
-        branch = Branch.IDLE
-    elif branch is Branch.FORWARD and (heating or xi0 >= 1.0):
-        branch = Branch.IDLE
+    if branch is _REVERSE and (not heating or xi0 <= 0.0):
+        branch = _IDLE
+    elif branch is _FORWARD and (heating or xi0 >= 1.0):
+        branch = _IDLE
 
     elastic_force = f0 + k.stiffness(xi0) * stretch_rate * dt
     transform, thermal = k.transform, k.thermal
 
     # Branch entries latch the current fraction as the cosine-arc anchor.
-    if branch is Branch.IDLE:
+    if branch is _IDLE:
         if (
             heating
             and xi0 > 0.0
             and t_star > material.austenite_start
             + stress0 / material.stress_influence_reverse
         ):
-            branch = Branch.REVERSE
+            branch = _REVERSE
             latch = _reverse_entry_latch(k, t0, stress0, xi0)
         elif (
             not heating
@@ -546,11 +551,11 @@ def step_spring(
             and t_star < material.martensite_start
             + stress0 / material.stress_influence_forward
         ):
-            branch = Branch.FORWARD
+            branch = _FORWARD
             latch = _forward_entry_latch(k, t0, stress0, xi0)
         else:
             # Idle: the fraction holds and no closure is needed.
-            if state.branch is not Branch.IDLE:
+            if state.branch is not _IDLE:
                 # an arc was left, so the step is redone with the fraction held
                 t_star = _idle_temperature(k, t0, xi0, current, dt)
             delta_t = t_star - t0
@@ -576,13 +581,13 @@ def step_spring(
         xi_cand = _fraction(k, branch, t_cand, stress_cand, latch)
         return xi_cand - xi0 - d_xi
 
-    if branch is Branch.REVERSE:
+    if branch is _REVERSE:
         lo, hi = -xi0, 0.0
     else:
         lo, hi = 0.0, 1.0 - xi0
     r_lo = residual(lo)
     r_hi = residual(hi)
-    if branch is Branch.REVERSE:
+    if branch is _REVERSE:
         # residual(0) >= 0 means the band edge outran the temperature.
         d_xi = 0.0 if r_hi >= 0.0 else _zeroin(residual, lo, hi, r_lo, r_hi)
     else:
@@ -598,12 +603,12 @@ def step_spring(
     force_new = max(elastic_force + transform * d_xi + thermal * delta_t, 0.0)
 
     # Transformation completed: park the branch until conditions re-enter it.
-    if branch is Branch.REVERSE and xi_new <= 0.0:
+    if branch is _REVERSE and xi_new <= 0.0:
         xi_new = 0.0
-        branch = Branch.IDLE
-    elif branch is Branch.FORWARD and xi_new >= 1.0:
+        branch = _IDLE
+    elif branch is _FORWARD and xi_new >= 1.0:
         xi_new = 1.0
-        branch = Branch.IDLE
+        branch = _IDLE
 
     return _state(t_new, xi_new, force_new, latch, branch)
 

@@ -145,6 +145,32 @@ def test_spec_rejects_counts_the_schema_rejects(changes, message):
         quick_spec([(8.0, 30.0)], **changes)
 
 
+_TARGETS_MESSAGE = (
+    "calibration.targets: currents must be non-negative and target angles "
+    "strictly positive"
+)
+
+
+@pytest.mark.parametrize(
+    "targets, changes, message",
+    [
+        # calibrate returned loss NaN with the starting parameters
+        ([(5.0, math.nan)], {}, _TARGETS_MESSAGE),
+        ([(5.0, math.inf)], {}, _TARGETS_MESSAGE),
+        # ended in a bare "segment current ..." error
+        ([(math.nan, 5.0)], {}, _TARGETS_MESSAGE),
+        ([(math.inf, 5.0)], {}, _TARGETS_MESSAGE),
+        # ended in a bare "duration must cover at least one step"
+        ([(8.0, 30.0)], {"hold": math.nan}, "calibration.hold: must be positive"),
+        ([(8.0, 30.0)], {"hold": math.inf}, "calibration.hold: must be positive"),
+    ],
+    ids=["nan_angle", "inf_angle", "nan_current", "inf_current", "nan_hold", "inf_hold"],
+)
+def test_spec_rejects_nan_and_infinite_values(targets, changes, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        quick_spec(targets, **changes)
+
+
 def test_unit_the_system_lacks_is_rejected(base_scenario):
     # fitting rows that had no current would report a converged fit
     spec = quick_spec([(8.0, 30.0)], unit_index=4, passes=1, golden_iterations=3)

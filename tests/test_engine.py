@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -20,8 +21,9 @@ from sma_neck import (
     sweep,
 )
 from sma_neck import engine, sma
-from sma_neck.engine import MAX_STEPS, _solve_pose_statics, _Statics
+from sma_neck.engine import MAX_STEPS, _factor3, _solve_pose_statics, _Statics
 from sma_neck.scenario import (
+    ValidationError,
     default_scenario_text,
     load_default_scenario,
     load_with_overrides,
@@ -304,7 +306,7 @@ class TestSolvePose:
         best = err.value.best_pose
         kappa, phi, eps = best.curvature, best.bending_plane_angle, best.twist
         x = (kappa * math.cos(phi), kappa * math.sin(phi), eps)
-        kept = statics.jacobian(x, forces)
+        kept = _factor3(statics.jacobian(x, forces))
         jacobians, jacobian_fn = 0, _Statics.jacobian
 
         def counted(self, *args):
@@ -978,3 +980,22 @@ class TestSystemValidation:
     def test_head_mass_non_negative(self, system):
         with pytest.raises(ValueError):
             replace(system, head_mass=-0.1)
+
+    @pytest.mark.parametrize(
+        "part, change",
+        [
+            # simulate ended in a bare ZeroDivisionError at the first step
+            ("material", {"poisson": -1.0}),
+            # and here in a bare OverflowError: the coil's cube overflows
+            ("spring_geometry", {"coil_diameter": 1e200}),
+        ],
+        ids=["poisson_minus_one", "huge_coil"],
+    )
+    def test_library_built_system_meets_the_spring_constant_checks(self, part, change):
+        bundled = load_default_scenario().build_system()
+        message = (
+            "spring: force-law stiffness at martensite fraction 0 (wire_diameter, "
+            "coil_diameter, active_coils, material moduli) is inf N/m"
+        )
+        with pytest.raises(ValidationError, match="^" + re.escape(message)):
+            replace(bundled, **{part: replace(getattr(bundled, part), **change)})

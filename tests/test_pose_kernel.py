@@ -4,9 +4,12 @@ The engine evaluates the moment balance and the 3x3 Newton step with
 hand-fused code.  These tests pin that code bit for bit to the plain
 compositions it replaces: the residual to the scalar laws of
 ``tests/reference_model.py`` and ``backbone._frame_t``, and the elimination
-to the generic partial-pivot loop kept below.  The solve's one loop of chord
-and Newton steps is pinned to the two-loop solve it replaced, also kept
-below.  Equal bits here keep the trace CSV byte-identical.
+to the generic partial-pivot loop kept below, for every right-hand side one
+factorisation serves.  The solve's one loop of chord and Newton steps is
+pinned to the two-loop solve it replaced, also kept below; that solve takes
+its steps with the generic loop and hands on the Jacobian itself, where the
+engine hands on its ``_factor3`` factorisation.  Equal bits here keep the
+trace CSV byte-identical.
 """
 
 import math
@@ -24,10 +27,11 @@ from sma_neck.engine import (
     PoseOutOfRange,
     SimConfig,
     _capped,
+    _factor3,
     _polar,
-    _solve3,
     _solve_pose_statics,
     _Statics,
+    _substitute3,
 )
 from sma_neck.scenario import load_default_scenario
 from reference_model import _elastic_moment_t, _line_of_action_t, _tendon_moment_t
@@ -157,11 +161,11 @@ def _generic_solve3(j, r):
 
 
 def _assert_same_solution(j, r):
-    got, want = _solve3(j, r), _generic_solve3(j, r)
+    lu, want = _factor3(j), _generic_solve3(j, r)
     if want is None:
-        assert got is None
+        assert lu is None
     else:
-        assert got is not None and _bits(got) == _bits(want)
+        assert lu is not None and _bits(_substitute3(lu, r)) == _bits(want)
 
 
 _ENTRY = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0])
@@ -199,7 +203,7 @@ class TestSolve3Oracle:
     )
     @pytest.mark.parametrize("r", [(1.0, -2.0, 3.0), (0.0, -0.0, 0.0)])
     def test_ties_and_zero_sub_pivots(self, j, r):
-        assert _solve3(j, r) is not None
+        assert _factor3(j) is not None
         _assert_same_solution(j, r)
 
     @pytest.mark.parametrize(
@@ -215,7 +219,23 @@ class TestSolve3Oracle:
     )
     def test_singular_returns_none(self, j):
         assert _generic_solve3(j, (1.0, 2.0, 3.0)) is None
-        assert _solve3(j, (1.0, 2.0, 3.0)) is None
+        assert _factor3(j) is None
+
+    def test_one_factorisation_serves_many_right_hand_sides(self):
+        # as in a solve: chord steps and the correction reuse one
+        # factorisation, each with its own residual
+        rng = random.Random(11)
+        for _ in range(1000):
+            scale = 10.0 ** rng.uniform(-12, 12)
+            j = [[rng.gauss(0.0, scale) for _ in range(3)] for _ in range(3)]
+            lu = _factor3(j)
+            for r in (
+                [rng.gauss(0.0, 1.0) for _ in range(3)],
+                (0.0, -0.0, 0.0),
+                [rng.gauss(0.0, 1e-12) for _ in range(3)],
+                [rng.gauss(0.0, 1.0) for _ in range(3)],
+            ):
+                assert _bits(_substitute3(lu, r)) == _bits(_generic_solve3(j, r))
 
 
 # --- the pose solve's step loop -------------------------------------------
@@ -266,7 +286,7 @@ def _two_loop_solve_pose_statics(
         # chord steps: a step that does not lower the residual is dropped,
         # and a second one from the same point would repeat it
         for _ in range(min(_CHORD_STEPS, iterations)):
-            step = _solve3(jacobian, res)
+            step = _generic_solve3(jacobian, res)
             if step is None:
                 break
             iterations -= 1
@@ -290,7 +310,7 @@ def _two_loop_solve_pose_statics(
         if norm < tol:
             break
         jacobian = statics.jacobian((x0, x1, x2), forces)
-        step = _solve3(jacobian, res)
+        step = _generic_solve3(jacobian, res)
         if step is None:
             # singular Jacobian: nudge along the residual direction
             scale = max_move / max(norm, 1e-300)
@@ -326,7 +346,7 @@ def _two_loop_solve_pose_statics(
         )
     corrected = (x0, x1, x2)
     if jacobian is not None:
-        step = _solve3(jacobian, res)
+        step = _generic_solve3(jacobian, res)
         if step is not None:
             s0, s1, s2 = _capped(*step, max_move)
             corrected = (x0 + s0, x1 + s1, x2 + s2)
@@ -335,7 +355,7 @@ def _two_loop_solve_pose_statics(
 
 _BUNDLED_STATICS = _Statics(load_default_scenario().build_system())
 # the second row is twice the first, so the elimination meets an exact zero
-# pivot and _solve3 returns None whatever the residual
+# pivot and _factor3 returns None
 _SINGULAR = ((1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (1.0, 1.0, 1.0))
 _KEPT = ("none", "converged", "scaled_column", "singular")
 
@@ -345,12 +365,13 @@ def _kept_jacobian(kind, jacobian_forces, column, scale):
     none (and the straight pose), the one a converged solve from a bent pose
     returned with the corrected pose it returned, that Jacobian with
     ``column`` scaled by ``scale`` (so that chord steps overshoot and get
-    dropped), or a singular one (and the straight pose)."""
+    dropped), or a singular one (and the straight pose).  The solve is the
+    two-loop one, which hands on the Jacobian itself."""
     if kind == "none":
         return None, (0.0, 0.0, 0.0)
     if kind == "singular":
         return _SINGULAR, (0.0, 0.0, 0.0)
-    *_, jacobian, corrected = _solve_pose_statics(
+    *_, jacobian, corrected = _two_loop_solve_pose_statics(
         _BUNDLED_STATICS, jacobian_forces, 2.0, -1.0, 0.05,
         SimConfig(dt=1e-3, duration=1e-3),
     )
@@ -377,7 +398,7 @@ def _first_chord_dropped(statics, forces, x, config, jacobian):
     """Whether the solve's first chord step, if it takes one, is dropped."""
     res, _ = statics.residual(*_polar(x[0], x[1]), x[2], forces)
     norm = math.sqrt(res[0] * res[0] + res[1] * res[1] + res[2] * res[2])
-    step = None if jacobian is None else _solve3(jacobian, res)
+    step = None if jacobian is None else _generic_solve3(jacobian, res)
     if step is None or norm < config.solver_tolerance:
         return False
     s0, s1, s2 = _capped(*step, 0.5 / statics.length)
@@ -388,26 +409,32 @@ def _first_chord_dropped(statics, forces, x, config, jacobian):
 
 
 def _flat_bits(value):
-    """The bits of a float or of a (nested) tuple of floats; None as is."""
-    if value is None:
-        return None
+    """The bits of a float or of a (nested) tuple of floats; None and ints
+    as they are."""
+    if value is None or isinstance(value, int):
+        return value
     if isinstance(value, float):
         return _bits((value,))
     return tuple(_flat_bits(v) for v in value)
 
 
 def _assert_same_solve(forces, x, budget, tolerance, jacobian):
-    """Run both solves on one input; require the same seven results to the
-    bit, or the same exception with the same best pose.  Returns the
-    exception type, or the returned Jacobian."""
+    """Run both solves on one input, the engine's with the factorisation of
+    ``jacobian``; require the same seven results to the bit, the returned
+    factorisation that of the returned Jacobian and the very one passed in
+    where the Jacobian was handed back, or the same exception with the same
+    best pose.  Returns the exception type, or the returned Jacobian."""
     config = SimConfig(
         dt=1e-3, duration=1e-3, solver_tolerance=tolerance,
         max_newton_iterations=budget,
     )
+    kept = None if jacobian is None else _factor3(jacobian)
     outcomes = []
-    for solve in (_two_loop_solve_pose_statics, _solve_pose_statics):
+    for solve, given in (
+        (_two_loop_solve_pose_statics, jacobian), (_solve_pose_statics, kept)
+    ):
         try:
-            outcomes.append(solve(_BUNDLED_STATICS, forces, *x, config, jacobian))
+            outcomes.append(solve(_BUNDLED_STATICS, forces, *x, config, given))
         except (NoConvergence, PoseOutOfRange, ValueError) as exc:
             outcomes.append(exc)
     want, got = outcomes
@@ -423,9 +450,15 @@ def _assert_same_solve(forces, x, budget, tolerance, jacobian):
         return type(want)
     assert not isinstance(got, Exception), got
     assert len(got) == len(want) == 7
-    for a, b in zip(got, want):
-        assert _flat_bits(a) == _flat_bits(b), (a, b)
-    return got[5]
+    for i, (a, b) in enumerate(zip(got, want)):
+        if i != 5:
+            assert _flat_bits(a) == _flat_bits(b), (a, b)
+    returned = want[5]
+    if returned is jacobian:
+        assert got[5] is kept
+    else:
+        assert _flat_bits(got[5]) == _flat_bits(_factor3(returned))
+    return returned
 
 
 _START = st.just(0.0) | st.floats(-1.0, 1.0) | st.floats(-30.0, 30.0)
@@ -472,7 +505,7 @@ class TestOneStepLoop:
         Jacobian, a fresh Newton solve and a stalled one.  No draw in the 8 A
         force range balances past 180 degrees, so ``PoseOutOfRange`` is left to
         the solve tests in ``tests/test_engine.py``."""
-        assert _solve3(_SINGULAR, (1.0, -2.0, 3.0)) is None
+        assert _factor3(_SINGULAR) is None
         rng = random.Random(20231020)
         seen = set()
 

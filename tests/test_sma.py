@@ -283,6 +283,13 @@ class TestForceRate:
 
 
 class TestStepSpring:
+    def test_branch_constants_are_the_members(self):
+        # the kernel tests and sets branches through these globals; a copy
+        # or a plain string would break the identity tests of the callers
+        assert sma._IDLE is Branch.IDLE
+        assert sma._REVERSE is Branch.REVERSE
+        assert sma._FORWARD is Branch.FORWARD
+
     def test_fixed_point(self, material, geometry, env):
         state = make_spring(temperature=env.ambient_temperature, force=0.0)
         out = step_spring(material, geometry, env, state, 0.0, 0.0, 1e-3)
