@@ -201,7 +201,11 @@ class TestSolve3Oracle:
             [[1e-320, 1.0, 0.0], [1.0, 1e-320, 0.0], [0.0, 0.0, 1.0]],
         ],
     )
-    @pytest.mark.parametrize("r", [(1.0, -2.0, 3.0), (0.0, -0.0, 0.0)])
+    # a zero residual pins the skip of every zero factor: subtracting
+    # 0 * -0.0 would flip a zero's sign into the solution
+    @pytest.mark.parametrize(
+        "r", [(1.0, -2.0, 3.0), (0.0, -0.0, 0.0), (0.0, 0.0, 0.0)]
+    )
     def test_ties_and_zero_sub_pivots(self, j, r):
         assert _factor3(j) is not None
         _assert_same_solution(j, r)
