@@ -30,7 +30,6 @@ from .scenario import (
     ValidationError,
     dump_scenario,
     load_default_scenario,
-    load_scenario,
     load_with_overrides,
 )
 from .sma import (
@@ -45,7 +44,7 @@ from .sma import (
     shear_stress,
     step_spring,
 )
-from .traceio import read_trace, write_trace
+from .traceio import write_trace
 from .units import UnitsError
 
 __version__ = "0.1.0"
@@ -82,9 +81,7 @@ __all__ = [
     "emit_plots",
     "forward_fraction",
     "load_default_scenario",
-    "load_scenario",
     "load_with_overrides",
-    "read_trace",
     "residual",
     "reverse_fraction",
     "shear_stress",

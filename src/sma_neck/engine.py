@@ -77,7 +77,8 @@ class NoConvergence(RuntimeError):
 
 
 class PoseOutOfRange(RuntimeError):
-    """The solved bending angle left the workspace bound [0, pi]."""
+    """The solved bending angle left the workspace bound [0, pi], or a unit's
+    chord at the solved pose left the float range."""
 
 
 # the failures a run can end in; a sweep records them per row
@@ -241,18 +242,16 @@ class SimTrace:
     """Time-indexed record of every observable quantity of a run.
 
     Columns are stdlib arrays, one entry per row: ``t``, ``kappa``, ``phi``,
-    ``theta`` and ``residual_norm`` are ``array('d')`` and ``phi_defined`` is
-    ``array('b')`` (1 where the backbone was bent, 0 where it was effectively
-    straight and the reported bending-plane angle is carried over from the
-    last bent row).  ``spring_temperatures``, ``spring_fractions`` and
-    ``unit_forces`` (the ``PER_UNIT`` columns) are each a tuple of three
-    ``array('d')``, one per unit, indexed ``[unit][row]``.  A row thus takes
-    14 doubles and 1 byte.  ``COLUMNS`` names every column.
+    ``theta`` and ``residual_norm`` are ``array('d')``.
+    ``spring_temperatures``, ``spring_fractions`` and ``unit_forces`` (the
+    ``PER_UNIT`` columns) are each a tuple of three ``array('d')``, one per
+    unit, indexed ``[unit][row]``.  A row thus takes 14 doubles.  ``COLUMNS``
+    names every column.
     """
 
     COLUMNS = (
         "t", "kappa", "phi", "theta", "spring_temperatures", "spring_fractions",
-        "unit_forces", "residual_norm", "phi_defined",
+        "unit_forces", "residual_norm",
     )
     PER_UNIT = ("spring_temperatures", "spring_fractions", "unit_forces")
 
@@ -265,7 +264,6 @@ class SimTrace:
         self.spring_fractions = (array("d"), array("d"), array("d"))
         self.unit_forces = (array("d"), array("d"), array("d"))
         self.residual_norm = array("d")
-        self.phi_defined = array("b")
         self.markers: dict[str, float] = {}
 
     def append(
@@ -278,7 +276,6 @@ class SimTrace:
         fractions: tuple[float, float, float],
         forces: tuple[float, float, float],
         residual_norm: float,
-        phi_defined: bool,
     ) -> None:
         if self.t and t <= self.t[-1]:
             raise ValueError("trace times must be strictly increasing")
@@ -299,13 +296,12 @@ class SimTrace:
         b.append(forces[1])
         c.append(forces[2])
         self.residual_norm.append(residual_norm)
-        self.phi_defined.append(phi_defined)
 
     def __len__(self) -> int:
         return len(self.t)
 
     def _arrays(self):
-        """(column name, array) for each of the 15 column arrays, a per-unit
+        """(column name, array) for each of the 14 column arrays, a per-unit
         column unit by unit."""
         for name in self.COLUMNS:
             column = getattr(self, name)
@@ -330,10 +326,11 @@ class SimTrace:
                     f"trace column {name!r} has {len(column)} rows, 't' has {rows}"
                 )
 
-    def _copy(self) -> "SimTrace":
-        """A trace with its own copy of every column array and of the
-        markers."""
-        return copy.deepcopy(self)
+    @property
+    def phi_defined(self) -> array:
+        """``array('b')`` of each row's ``theta >= STRAIGHT_THRESHOLD``: 0 where
+        the backbone was straight and ``phi`` carries the last bent row's."""
+        return array("b", [theta >= STRAIGHT_THRESHOLD for theta in self.theta])
 
     def max_bending_angle(self) -> float:
         """Largest bending angle over the run (rad)."""
@@ -369,8 +366,7 @@ class _Statics:
     """
 
     __slots__ = (
-        "length", "ei_y", "gj_over_l", "bases", "heads", "rest_chords",
-        "attachments", "head_weight", "gravity_on",
+        "length", "ei_y", "gj_over_l", "attachments", "head_weight", "gravity_on",
     )
 
     def __init__(self, system: NeckSystem):
@@ -378,14 +374,10 @@ class _Statics:
         self.length = bb.length
         self.ei_y = bb.bending_stiffness_y
         self.gj_over_l = bb.torsional_stiffness / bb.length
-        self.bases = tuple(u.base_attachment for u in system.units)
-        self.heads = tuple(u.head_attachment_local for u in system.units)
-        self.rest_chords = tuple(
-            rest_chord_length(u, bb) for u in system.units
-        )
+        # per unit: head attachment (local), base attachment, rest chord
         self.attachments = tuple(
-            head + base + (rest,)
-            for head, base, rest in zip(self.heads, self.bases, self.rest_chords)
+            u.head_attachment_local + u.base_attachment + (rest_chord_length(u, bb),)
+            for u in system.units
         )
         self.head_weight = system.head_mass * GRAVITY
         self.gravity_on = system.gravity_enabled and system.head_mass > 0.0
@@ -659,6 +651,10 @@ def _solve_pose_statics(
         raise PoseOutOfRange(
             f"bending angle {math.degrees(theta):.1f} deg exceeds 180 deg"
         )
+    # an overflowed chord leaves a non-finite contraction for the next step's
+    # stretch rate; finite ones are under 1.4e154 m, so their sum is finite
+    if not math.isfinite(contractions[0] + contractions[1] + contractions[2]):
+        raise PoseOutOfRange(f"unit chord contractions {contractions} m are not finite")
     corrected = (x0, x1, x2)
     if factors is not None:
         s0, s1, s2 = _capped(*_substitute3(factors, res), max_move)
@@ -799,7 +795,7 @@ def simulate(
         dx_prev, dx_prev2, factors = prefix.dx_prev, prefix.dx_prev2, prefix.factors
         a, b, c = prefix.poses
         last_phi, crossing_recorded = prefix.last_phi, prefix.crossing_recorded
-        trace = prefix.trace._copy()
+        trace = copy.deepcopy(prefix.trace)
     else:
         first = 0
         states = [u.spring for u in system.units]
@@ -867,7 +863,7 @@ def simulate(
                 # with a moved fraction, hence the second test
                 prefixes[config] = _IdlePrefix(
                     key, step_index, top, dx_prev, dx_prev2, (a, b, c), factors,
-                    last_phi, crossing_recorded, trace._copy(),
+                    last_phi, crossing_recorded, copy.deepcopy(trace),
                 )
                 recording = False
             forces = tuple(forces)
@@ -895,9 +891,6 @@ def simulate(
         theta = kappa * statics.length
         if theta >= STRAIGHT_THRESHOLD:
             last_phi = phi
-            phi_defined = True
-        else:
-            phi_defined = False
 
         s0, s1, s2 = states
         if not crossing_recorded:
@@ -920,14 +913,13 @@ def simulate(
             (s0.martensite_fraction, s1.martensite_fraction, s2.martensite_fraction),
             forces,
             res_norm,
-            phi_defined,
         )
 
     if recording:
         # idle to the end: the whole run is the prefix
         prefixes[config] = _IdlePrefix(
             key, n_steps, tuple(states), dx_prev, dx_prev2, (a, b, c), factors,
-            last_phi, crossing_recorded, trace._copy(),
+            last_phi, crossing_recorded, copy.deepcopy(trace),
         )
     return trace
 

@@ -2,10 +2,9 @@
 
 A scenario is a YAML document with explicit per-field units (see
 ``data/default_scenario.yaml``).  ``FIELDS`` is the schema: one row per
-document field, walked by the parser, the dumper, the ``--set`` path check
-and the calibration parameter accessors.  Loading is strict: unknown keys,
-missing units and invariant violations are errors that name the offending
-field path.
+document field, walked by the parser, the dumper and the calibration
+parameter accessors.  Loading is strict: unknown keys, missing units and
+invariant violations are errors that name the offending field path.
 """
 
 from __future__ import annotations
@@ -513,20 +512,6 @@ def _section_keys() -> dict[str, set[str]]:
 
 _SECTION_KEYS = _section_keys()
 
-# Every dotted path a ``--set`` override may name; list items are addressed
-# by index, which these paths leave out (``profile.current``).
-SCHEMA_PATHS = frozenset(
-    [section for section in _SECTION_KEYS if section]
-    + [f.path for f in FIELDS]
-    + [
-        f"{f.path}.{row.path}"
-        for f in FIELDS
-        if isinstance(f.kind, Codec)
-        for row in f.kind.fields
-    ]
-    + [f"calibration.bounds.{name}" for name in CALIBRATABLE_PARAMETERS]
-)
-
 
 def _calibratable(name: str) -> Field:
     try:
@@ -553,11 +538,6 @@ def _wrap_invariant(path: str, fn, *args, **kwargs):
         if isinstance(exc, (ValidationError, UnitsError)):
             raise
         raise ValidationError(f"{path}: {exc}") from exc
-
-
-def load_scenario(text: str) -> Scenario:
-    """Parse and fully validate a scenario document given as text."""
-    return load_with_overrides(text)
 
 
 def _read_scenario(path) -> str:
@@ -587,7 +567,7 @@ def default_scenario_text() -> str:
 
 
 def load_default_scenario() -> Scenario:
-    return load_scenario(default_scenario_text())
+    return load_with_overrides(default_scenario_text())
 
 
 def parse_document(doc: dict) -> Scenario:
@@ -661,9 +641,9 @@ def dump_scenario(scenario: Scenario) -> str:
 def apply_override(doc: dict, assignment: str) -> None:
     """Apply one ``dotted.key=value`` override to the raw document in place.
 
-    The path must be in the document or in ``SCHEMA_PATHS``, so an optional
-    field (or section) the document leaves out can be set; a typo fails here
-    with the unknown key named.  List items are addressed numerically, e.g.
+    A key the document lacks is added, so an optional field (or section) it
+    leaves out can be set; a typo is then rejected by ``parse_document`` as an
+    unknown key in a file is.  List items are addressed numerically, e.g.
     ``profile.0.current``, and must exist.
     """
     if "=" not in assignment:
@@ -677,33 +657,23 @@ def apply_override(doc: dict, assignment: str) -> None:
     except yaml.YAMLError as exc:
         raise ValidationError(f"override {assignment!r}: bad value: {exc}") from exc
     node = doc
-    schema_path: list[str] = []
     for i, key in enumerate(keys):
-        is_last = i == len(keys) - 1
         if isinstance(node, list):
             try:
-                idx = int(key)
-                node[idx]
+                slot = int(key)
+                node[slot]
             except (ValueError, IndexError):
                 raise ValidationError(
                     f"override {dotted!r}: no list item {key!r}"
                 ) from None
-            if is_last:
-                node[idx] = value
-            else:
-                node = node[idx]
         elif isinstance(node, dict):
-            schema_path.append(key)
-            if key not in node:
-                if ".".join(schema_path) not in SCHEMA_PATHS:
-                    raise ValidationError(f"override {dotted!r}: unknown key {key!r}")
-                node[key] = {}
-            if is_last:
-                node[key] = value
-            else:
-                node = node[key]
+            slot = key
         else:
             raise ValidationError(f"override {dotted!r}: {key!r} is not a container")
+        if i == len(keys) - 1:
+            node[slot] = value
+        else:
+            node = node[slot] if isinstance(node, list) else node.setdefault(slot, {})
 
 
 def load_with_overrides(text: str, overrides=()) -> Scenario:
@@ -716,4 +686,7 @@ def load_with_overrides(text: str, overrides=()) -> Scenario:
         raise ParseError("scenario document must be a mapping")
     for assignment in overrides:
         apply_override(doc, assignment)
-    return parse_document(doc)
+    try:
+        return parse_document(doc)
+    except RecursionError:  # a long override path nests one mapping per key
+        raise ParseError("scenario document: nested too deeply") from None

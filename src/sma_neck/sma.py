@@ -96,13 +96,16 @@ class SmaMaterial:
             )
         if not (self.young_austenite > self.young_martensite > 0.0):
             raise ValueError("moduli must satisfy young_austenite > young_martensite > 0")
-        if self.stress_influence_reverse <= 0.0 or self.stress_influence_forward <= 0.0:
+        # written so that NaN fails each check
+        if not (
+            self.stress_influence_reverse > 0.0 and self.stress_influence_forward > 0.0
+        ):
             raise ValueError("stress influence coefficients must be positive")
-        if self.specific_heat <= 0.0:
+        if not self.specific_heat > 0.0:
             raise ValueError("specific_heat must be positive")
-        if self.resistance_martensite <= 0.0 or self.resistance_austenite <= 0.0:
+        if not (self.resistance_martensite > 0.0 and self.resistance_austenite > 0.0):
             raise ValueError("resistances must be positive")
-        if self.latent_heat < 0.0:
+        if not self.latent_heat >= 0.0:
             raise ValueError("latent_heat must be non-negative")
 
 
@@ -137,9 +140,10 @@ class ThermalEnvironment:
     convection_coefficient: float
 
     def __post_init__(self):
-        if self.ambient_temperature <= 0.0:
+        # written so that NaN fails each check
+        if not self.ambient_temperature > 0.0:
             raise ValueError("ambient_temperature must be positive (kelvin)")
-        if self.convection_coefficient <= 0.0:
+        if not self.convection_coefficient > 0.0:
             raise ValueError("convection_coefficient must be positive")
 
 
@@ -165,7 +169,7 @@ class SpringState:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if not self.force >= 0.0:
+        if not 0.0 <= self.force < math.inf:
             raise ValueError("force must be non-negative (tendon cannot push)")
 
 
@@ -505,10 +509,13 @@ def step_spring(
     Raises StepTooLarge when the temperature moves more than
     ``max_temperature_step`` in a single step.
     """
-    if dt <= 0.0:
+    # written so that NaN fails each check
+    if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive")
-    if current < 0.0:
+    if not 0.0 <= current < math.inf:
         raise ValueError("current must be non-negative")
+    if not math.isfinite(stretch_rate):
+        raise ValueError("stretch_rate must be finite")
     k = _spring_constants(material, geometry, env)
 
     t0 = state.temperature

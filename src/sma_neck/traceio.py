@@ -62,23 +62,3 @@ def write_trace(trace: SimTrace, destination) -> Path:
         raise OSError(f"writing trace to {path}: {exc}") from exc
     return path
 
-
-def read_trace(source) -> dict[str, list[float]]:
-    """Parse a trace CSV back into a column -> values mapping."""
-    path = Path(source)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise OSError(f"reading trace from {path}: {exc}") from exc
-    lines = [line for line in text.splitlines() if line]
-    if not lines:
-        raise ValueError(f"{path}: empty trace file")
-    names = lines[0].split(",")
-    columns: dict[str, list[float]] = {name: [] for name in names}
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(names):
-            raise ValueError(f"{path}: ragged row: {line!r}")
-        for name, part in zip(names, parts):
-            columns[name].append(float(part))
-    return columns

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -98,6 +99,14 @@ def make_system(material, geometry, env, backbone, radius=0.035, pretension=2.0,
         head_mass=0.25,
         gravity_enabled=False,
     )
+
+
+def read_csv(path) -> dict[str, list[float]]:
+    """A CSV file with a header row as a column name -> values mapping."""
+    with open(path, newline="") as handle:
+        names, *rows = csv.reader(handle)
+    assert all(len(row) == len(names) for row in rows), path
+    return {name: [float(row[i]) for row in rows] for i, name in enumerate(names)}
 
 
 def pose_from_vars(x):

@@ -10,9 +10,10 @@ from sma_neck.cli import main
 from sma_neck.scenario import (
     default_scenario_text,
     dump_scenario,
-    load_scenario,
+    load_with_overrides,
 )
-from sma_neck.traceio import HEADER, read_trace
+from sma_neck.traceio import HEADER
+from conftest import read_csv
 
 FAST = ['--set', 'simulation.duration=0.3 s', '--set', 'simulation.dt=2 ms']
 
@@ -162,7 +163,7 @@ def test_small_current_sweep_solves_every_row(scenario_file, tmp_path):
 
 
 def test_calibrate_requires_section(tmp_path, capsys):
-    scenario = load_scenario(default_scenario_text())
+    scenario = load_with_overrides(default_scenario_text())
     trimmed = dump_scenario(replace(scenario, calibration=None))
     path = tmp_path / "no_cal.yaml"
     path.write_text(trimmed)
@@ -178,12 +179,39 @@ def test_unit_override_units_error(scenario_file, capsys):
     assert capsys.readouterr().err.startswith("error: units:")
 
 
+_DEEP_PATH = ".".join(["x"] * 50_000)
+
+
+@pytest.mark.parametrize(
+    "override, line",
+    [
+        ("dtt=2 ms", "scenario: unknown key(s): dtt"),
+        ("simulation.dtt=2 ms", "simulation: unknown key(s): dtt"),
+        (
+            "calibration.bounds.poisson=[0.1, 0.2]",
+            "calibration.bounds.poisson: not a calibratable parameter",
+        ),
+        ("profile.0.amps=5 A", "profile[0]: unknown key(s): amps"),
+        (f"simulation.dtt.{_DEEP_PATH}=1", "simulation: unknown key(s): dtt"),
+    ],
+    ids=["top_level", "section", "bound", "profile_row", "deep_path"],
+)
+def test_override_typo_fails_as_an_unknown_key(scenario_file, capsys, override, line):
+    """An override path the schema lacks is rejected by the parser, as the
+    same key in a file is."""
+    code = main(["validate-config", "--scenario", str(scenario_file), "--set", override])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == f"error: validation: {line}"
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("springs", [1, 2, 3])
 def test_springs_per_unit_fill_the_fixed_columns(scenario_file, tmp_path, springs):
     code = main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path),
                  "--quiet", "--set", f"pennate.springs_per_unit={springs}", *FAST])
     assert code == 0
-    columns = read_trace(tmp_path / "neck_trace.csv")
+    columns = read_csv(tmp_path / "neck_trace.csv")
     assert list(columns) == HEADER and len(HEADER) == 20
     for k in (1, 2, 3):
         assert columns[f"T{2 * k - 1}_K"] == columns[f"T{2 * k}_K"]
@@ -440,7 +468,7 @@ def test_max_force_combination_solves_every_step(scenario_file, tmp_path):
                  "--set", "simulation.duration=1 s", "--set", "simulation.dt=2 ms",
                  "--set", "profile=[{unit: 1, start: 0 s, end: 1 s, current: 8 A}]"])
     assert code == 0
-    residuals = read_trace(tmp_path / "neck_trace.csv")["residual_Nm"]
+    residuals = read_csv(tmp_path / "neck_trace.csv")["residual_Nm"]
     assert len(residuals) == 500
     assert all(r < 1e-9 for r in residuals)
 
@@ -463,6 +491,9 @@ def test_scenario_file_that_is_not_utf8_fails_to_parse(tmp_path, capsys):
         ("material", "override 'material': nested too deeply"),
         # ValueError from int() past its 4300-digit limit
         ("pennate.springs_per_unit", "override 'pennate.springs_per_unit': Exceeds"),
+        # RecursionError showing the mappings a long path adds under an
+        # unset field
+        ("path", "scenario document: nested too deeply"),
     ],
 )
 def test_oversized_yaml_fails_to_parse(tmp_path, capsys, source, detail):
@@ -472,6 +503,8 @@ def test_oversized_yaml_fails_to_parse(tmp_path, capsys, source, detail):
         argv = ["--scenario", str(path)]
     elif source == "material":
         argv = ["--set", "material=" + "[" * 5_000 + "]" * 5_000]
+    elif source == "path":
+        argv = ["--set", f"spring.initial_temperature.{_DEEP_PATH}=1 K"]
     else:
         argv = ["--set", f"{source}=1" + "0" * 5_000]
     code = main(["validate-config", *argv])

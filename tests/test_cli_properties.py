@@ -14,18 +14,32 @@ from hypothesis import strategies as st
 from sma_neck.cli import main
 from sma_neck.units import DIMENSIONS, canonical_unit
 from sma_neck.scenario import (
+    CALIBRATABLE_PARAMETERS,
     FIELDS,
-    SCHEMA_PATHS,
+    Codec,
     apply_parameters,
     default_scenario_text,
     load_with_overrides,
 )
 
+# every dotted path of the schema: its sections, fields, list-row keys and
+# bound names
+SCHEMA_PATHS = sorted(
+    ({f.path.rpartition(".")[0] for f in FIELDS} - {""})
+    | {f.path for f in FIELDS}
+    | {
+        f"{f.path}.{row.path}"
+        for f in FIELDS
+        if isinstance(f.kind, Codec)
+        for row in f.kind.fields
+    }
+    | {f"calibration.bounds.{name}" for name in CALIBRATABLE_PARAMETERS}
+)
 # list rows are addressed by index on the command line; the bare schema path
 # stays in the draw as an address that must be rejected cleanly
-PATHS = sorted(SCHEMA_PATHS) + [
+PATHS = SCHEMA_PATHS + [
     path.replace(rows, f"{rows}.0", 1)
-    for path in sorted(SCHEMA_PATHS)
+    for path in SCHEMA_PATHS
     for rows in ("profile", "calibration.targets", "pennate.azimuths")
     if path.startswith(f"{rows}.") or path == rows
 ]

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -15,12 +16,14 @@ from sma_neck import (
     PoseOutOfRange,
     Segment,
     SimConfig,
+    SimTrace,
     residual,
     simulate,
     solve_pose,
     sweep,
 )
 from sma_neck import engine, sma
+from sma_neck.backbone import STRAIGHT_THRESHOLD
 from sma_neck.engine import MAX_STEPS, _factor3, _solve_pose_statics, _Statics
 from sma_neck.scenario import (
     ValidationError,
@@ -611,12 +614,41 @@ class TestSimulate:
         assert not any(trace.phi_defined[: i_on - 1])
         assert trace.phi_defined[-1]
 
+    @pytest.mark.parametrize("radius", [1e200, 1e300])
+    def test_chord_past_the_float_range_is_out_of_range(
+        self, material, geometry, env, backbone, radius
+    ):
+        """Attachments so far out that a chord's squared length overflows end
+        the run at the rest solve, instead of handing the next spring step a
+        NaN or infinite stretch rate."""
+        system = make_system(material, geometry, env, backbone, radius=radius)
+        with pytest.raises(PoseOutOfRange, match=r"^at t=0 s \(step 0\): unit chord"):
+            simulate(system, quick_config(duration=0.01))
+
+    def test_phi_defined_is_theta_past_the_straight_threshold(self):
+        """Each row's flag is ``theta >= STRAIGHT_THRESHOLD``, on the bundled
+        run and on rows built by hand one ulp either side of the threshold."""
+        scenario = load_default_scenario()
+        trace = simulate(scenario.build_system(), scenario.build_config())
+        flags = trace.phi_defined
+        assert flags.typecode == "b"
+        assert list(flags) == [theta >= STRAIGHT_THRESHOLD for theta in trace.theta]
+
+        by_hand = SimTrace()
+        below = math.nextafter(STRAIGHT_THRESHOLD, 0.0)
+        for i, theta in enumerate((0.0, below, STRAIGHT_THRESHOLD, 0.5, below)):
+            by_hand.append(
+                (i + 1) * 1e-3, 1.0, 0.5, theta, (300.0,) * 3, (1.0,) * 3,
+                (1.0,) * 3, 0.0,
+            )
+        assert by_hand.phi_defined == array("b", [0, 0, 1, 1, 0])
+
     def test_trace_memory_per_step(self):
         """A 2,000-step run of the bundled system holds at most 150 B of
-        trace a step: 14 doubles and one byte a row in growable arrays (rows
-        of float objects in lists and tuples held over 500 B).  A row takes
-        the same memory at any current, and the fixed part (15 array headers,
-        the markers) is under 1 kB, so 2,000 steps at zero current give the
+        trace a step: 14 doubles a row in growable arrays (rows of float
+        objects in lists and tuples held over 500 B).  A row takes the same
+        memory at any current, and the fixed part (14 array headers, the
+        markers) is under 1 kB, so 2,000 steps at zero current give the
         per-step figure of a long run."""
         scenario = load_default_scenario()
         system = scenario.build_system()

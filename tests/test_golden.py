@@ -11,7 +11,8 @@ import pytest
 
 from sma_neck.cli import main
 from sma_neck.scenario import load_default_scenario
-from sma_neck.traceio import HEADER, read_trace
+from sma_neck.traceio import HEADER
+from conftest import read_csv
 
 GOLDEN_ROWS = (
     "1,0.309436338,1.04719755,1.59564566,311.373705,311.373705,298.15,298.15,"
@@ -36,7 +37,7 @@ GOLDEN_ROWS = (
 def default_trace(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
     assert main(["simulate", "--out", str(out), "--quiet"]) == 0
-    return read_trace(out / "neck_trace.csv")
+    return read_csv(out / "neck_trace.csv")
 
 
 @pytest.mark.parametrize("line", GOLDEN_ROWS, ids=lambda line: f"t={line.split(',')[0]}s")

@@ -322,7 +322,6 @@ def _trace(t, columns, rows, markers) -> SimTrace:
         setattr(trace, name, array("d", values))
     for name, values in rows.items():
         setattr(trace, name, tuple(array("d", unit) for unit in zip(*values)))
-    trace.phi_defined = array("b", [1] * len(t))
     trace.markers = dict(markers)
     return trace
 

@@ -87,7 +87,7 @@ def test_near_constant_panel_gets_distinct_tick_labels(tmp_path, noise):
         phi = math.radians(60.0 + (i % 3 - 1) * noise)
         trace.append(
             (i + 1) * 1e-3, 1.0, phi, 0.1, (300.0,) * 3, (1.0,) * 3, (1.0,) * 3,
-            0.0, True,
+            0.0,
         )
     emit_plots(trace, tmp_path, run_id="held")
     labels = _y_tick_labels((tmp_path / "held_phi.svg").read_text())
@@ -103,7 +103,7 @@ def test_ragged_trace_refused_like_the_csv(tmp_path):
     for i in range(5):
         trace.append(
             (i + 1) * 1e-3, 1.0, 0.5, 0.1, (300.0,) * 3, (1.0,) * 3, (1.0,) * 3,
-            0.0, True,
+            0.0,
         )
     del trace.unit_forces[1][3:]
     message = "trace column 'unit_forces' has 3 rows, 't' has 5"

@@ -64,8 +64,8 @@ def _composed_residual(statics, kappa, phi, eps, forces):
     ``elastic_moment`` are built from."""
     tip, rot = _frame_t(kappa, phi, eps, statics.length)
     lines = [
-        _line_of_action_t(head, base, rest, tip, rot)
-        for head, base, rest in zip(statics.heads, statics.bases, statics.rest_chords)
+        _line_of_action_t((hx, hy, hz), (bx, by, bz), rest, tip, rot)
+        for hx, hy, hz, bx, by, bz, rest in statics.attachments
     ]
     mx, my, mz = _tendon_moment_t(tip, lines, forces)
     if statics.gravity_on:

@@ -6,7 +6,6 @@ from sma_neck import ParseError, UnitsError, ValidationError
 from sma_neck.scenario import (
     default_scenario_text,
     dump_scenario,
-    load_scenario,
     load_with_overrides,
 )
 
@@ -17,7 +16,7 @@ def default_text():
 
 
 def test_default_scenario_loads(default_text):
-    scenario = load_scenario(default_text)
+    scenario = load_with_overrides(default_text)
     assert scenario.schema_version == 1
     assert [round(math.degrees(a)) for a in scenario.azimuths] == [60, 180, 300]
     assert scenario.springs_per_unit == 2
@@ -28,15 +27,15 @@ def test_default_scenario_loads(default_text):
 
 def test_malformed_yaml_is_parse_error():
     with pytest.raises(ParseError):
-        load_scenario("material: [unclosed")
+        load_with_overrides("material: [unclosed")
     with pytest.raises(ParseError):
-        load_scenario("- just\n- a\n- list\n")
+        load_with_overrides("- just\n- a\n- list\n")
 
 
 def test_band_ordering_violation_names_the_field(default_text):
     broken = default_text.replace("austenite_finish: 84 degC", "austenite_finish: 40 degC")
     with pytest.raises(ValidationError, match="material"):
-        load_scenario(broken)
+        load_with_overrides(broken)
 
 
 def test_profile_end_before_start(default_text):
@@ -45,7 +44,7 @@ def test_profile_end_before_start(default_text):
         "- {unit: 1, start: 5 s, end: 2 s, current: 5 A}",
     )
     with pytest.raises(ValidationError, match=r"profile\[0\].end"):
-        load_scenario(broken)
+        load_with_overrides(broken)
 
 
 def test_overlapping_segments_rejected(default_text):
@@ -55,7 +54,7 @@ def test_overlapping_segments_rejected(default_text):
         "  - {unit: 1, start: 4 s, end: 6 s, current: 3 A}",
     )
     with pytest.raises(ValidationError, match="overlap"):
-        load_scenario(broken)
+        load_with_overrides(broken)
 
 
 def test_unknown_key_rejected(default_text):
@@ -63,19 +62,19 @@ def test_unknown_key_rejected(default_text):
         "poisson: 0.33", "poisson: 0.33\n  possion_ratio: 0.3"
     )
     with pytest.raises(ValidationError, match="unknown key"):
-        load_scenario(broken)
+        load_with_overrides(broken)
 
 
 def test_missing_unit_is_units_error(default_text):
     broken = default_text.replace("wire_diameter: 1 mm", "wire_diameter: 0.001")
     with pytest.raises(UnitsError, match="spring.wire_diameter"):
-        load_scenario(broken)
+        load_with_overrides(broken)
 
 
 def test_schema_version_checked(default_text):
     broken = default_text.replace("schema_version: 1", "schema_version: 99")
     with pytest.raises(ValidationError, match="schema_version"):
-        load_scenario(broken)
+        load_with_overrides(broken)
 
 
 @pytest.mark.parametrize(
@@ -86,14 +85,14 @@ def test_schema_version_checked(default_text):
 def test_dump_load_round_trip_is_identity(default_text, overrides):
     scenario = load_with_overrides(default_text, overrides)
     dumped = dump_scenario(scenario)
-    again = load_scenario(dumped)
+    again = load_with_overrides(dumped)
     assert again == scenario
     assert dump_scenario(again) == dumped
 
 
 def test_override_equivalence(default_text):
     edited = default_text.replace("ambient_temperature: 25 degC", "ambient_temperature: 30 degC")
-    via_file = load_scenario(edited)
+    via_file = load_with_overrides(edited)
     via_override = load_with_overrides(
         default_text, ['environment.ambient_temperature=30 degC']
     )
@@ -122,7 +121,7 @@ def test_springs_per_unit_override(default_text):
 
 
 def test_calibration_section_parsed(default_text):
-    scenario = load_scenario(default_text)
+    scenario = load_with_overrides(default_text)
     cal = scenario.calibration
     assert cal is not None
     assert set(cal.free) == {"convection_coefficient", "phase_transform_tensor"}
@@ -138,11 +137,11 @@ def test_calibration_bad_parameter_name(default_text):
         "free: [ambient_temperature]",
     )
     with pytest.raises(ValidationError, match="calibration"):
-        load_scenario(broken)
+        load_with_overrides(broken)
 
 
 def test_initial_temperature_defaults_to_ambient(default_text):
-    scenario = load_scenario(default_text)
+    scenario = load_with_overrides(default_text)
     state = scenario.initial_spring_state()
     assert state.temperature == scenario.environment.ambient_temperature
     assert state.martensite_fraction == 1.0

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -452,8 +453,6 @@ def test_phase_root_matches_bisection_oracle(
 
 class TestInvariantValidation:
     def test_material_ordering(self, material):
-        from dataclasses import replace
-
         with pytest.raises(ValueError):
             replace(material, austenite_finish=material.austenite_start - 1.0)
         with pytest.raises(ValueError):
@@ -474,3 +473,33 @@ class TestInvariantValidation:
             SpringState(300.0, 1.0, math.nan)
         with pytest.raises(ValueError, match="temperature must be positive"):
             SpringState(math.nan, 1.0, 0.0)
+
+    def test_spring_state_rejects_infinite_force(self):
+        with pytest.raises(ValueError, match="force must be non-negative"):
+            SpringState(300.0, 1.0, math.inf)
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("stress_influence_reverse", "stress influence coefficients must be positive"),
+            ("stress_influence_forward", "stress influence coefficients must be positive"),
+            ("resistance_martensite", "resistances must be positive"),
+            ("resistance_austenite", "resistances must be positive"),
+            ("specific_heat", "specific_heat must be positive"),
+            ("latent_heat", "latent_heat must be non-negative"),
+        ],
+    )
+    def test_material_rejects_nan(self, material, name, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(material, **{name: math.nan})
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("ambient_temperature", r"ambient_temperature must be positive \(kelvin\)"),
+            ("convection_coefficient", "convection_coefficient must be positive"),
+        ],
+    )
+    def test_environment_rejects_nan(self, env, name, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(env, **{name: math.nan})

@@ -114,10 +114,12 @@ def _composed_two_latch_step(
     dt: float,
     max_temperature_step: float = 1.0,
 ) -> _TwoLatchState:
-    if dt <= 0.0:
+    if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive")
-    if current < 0.0:
+    if not 0.0 <= current < math.inf:
         raise ValueError("current must be non-negative")
+    if not math.isfinite(stretch_rate):
+        raise ValueError("stretch_rate must be finite")
 
     t0 = state.temperature
     xi0 = state.martensite_fraction
@@ -636,6 +638,29 @@ def test_step_to_a_non_positive_temperature_raises(fraction, transforms):
     )
     assert landed.temperature <= 0.0
     assert (landed.martensite_fraction != fraction) is transforms
+
+
+@pytest.mark.parametrize(
+    "current, stretch_rate, dt, message",
+    [
+        (math.nan, 0.0, 1e-3, "current must be non-negative"),
+        (math.inf, 0.0, 1e-3, "current must be non-negative"),
+        (8.0, 0.0, math.nan, "dt must be positive"),
+        (8.0, 0.0, math.inf, "dt must be positive"),
+        (8.0, math.nan, 1e-3, "stretch_rate must be finite"),
+        (8.0, math.inf, 1e-3, "stretch_rate must be finite"),
+        (8.0, -math.inf, 1e-3, "stretch_rate must be finite"),
+    ],
+)
+def test_non_finite_argument_is_refused(current, stretch_rate, dt, message):
+    """A NaN or infinite argument raises its check's ValueError at entry,
+    not a state with a NaN or infinite force, nor a StepTooLarge."""
+    material, geometry, env = TRIPLES[0]
+    for state in _states(material, geometry):
+        args = (material, geometry, env, state, current, stretch_rate, dt)
+        assert assert_same_step(*args) is None
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            step_spring(*args)
 
 
 def test_overflow_is_reported_as_overflow():

@@ -5,7 +5,9 @@ constants were hoisted out of it, kept verbatim: each step calls
 ``pennate_force`` and ``tendon_force_from_stretch`` through
 ``_combined_force`` for every unit and takes ``cos(pennation)`` anew.
 ``simulate`` must return the same trace to the bit, markers included, and
-fail with the same exception and message.  Three things are threaded
+fail with the same exception and message.  The loop still computes each
+row's ``phi_defined`` flag, which ``SimTrace`` derives from ``theta``, and
+the flags must agree.  Three things are threaded
 through it since, as ``simulate`` has them: the Jacobian each pose solve hands
 to the next, the last pose as the start where the predicted one is bent past
 180 degrees, and the chord-corrected poses the solves return as the history
@@ -16,6 +18,7 @@ poses instead, as the loop did before; ``tests/test_engine.py`` compares
 
 import math
 import struct
+from array import array
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -41,6 +44,17 @@ from reference_model import pennate_force, tendon_force_from_stretch
 # --- the loop, verbatim --------------------------------------------------------
 
 
+class _FlaggedTrace(SimTrace):
+    """The oracle's trace: it stores the ``phi_defined`` flags the loop
+    computes in place of the property that derives them."""
+
+    phi_defined = None
+
+    def __init__(self):
+        super().__init__()
+        self.phi_defined = array("b")
+
+
 def _combined_force(
     system: NeckSystem, unit: PennateUnit, spring_force: float, contraction: float
 ) -> float:
@@ -53,7 +67,7 @@ def _combined_force(
 
 def reference_simulate(
     system: NeckSystem, config: SimConfig, *, denoised: bool = True
-) -> SimTrace:
+) -> _FlaggedTrace:
     statics = _Statics(system)
     profile = config.current_profile
     dt = config.dt
@@ -87,7 +101,7 @@ def reference_simulate(
         corrected = (kappa * math.cos(phi), kappa * math.sin(phi), eps)
     a = b = c = corrected
 
-    trace = SimTrace()
+    trace = _FlaggedTrace()
     last_phi = phi
     crossing_recorded = False
 
@@ -158,8 +172,8 @@ def reference_simulate(
             tuple(s.martensite_fraction for s in states),
             forces,
             res_norm,
-            phi_defined,
         )
+        trace.phi_defined.append(phi_defined)
 
     return trace
 
@@ -167,9 +181,7 @@ def reference_simulate(
 # --- comparison ----------------------------------------------------------------
 
 def _bits(value):
-    """Exact bit pattern of a float, or the value of a ``phi_defined`` flag."""
-    if isinstance(value, int):
-        return value
+    """Exact bit pattern of a float."""
     assert type(value) is float, value
     return struct.pack("<d", value)
 
@@ -198,6 +210,8 @@ def assert_same_run(system, config):
         for i, (x, y) in enumerate(zip(rows_got, rows_want)):
             assert type(x) is type(y), (column, i, x, y)
             assert _bits(x) == _bits(y), (column, i, x, y)
+    assert got.phi_defined.typecode == "b"
+    assert got.phi_defined == want.phi_defined
     assert list(got.markers) == list(want.markers)
     for name, value in want.markers.items():
         assert _bits(got.markers[name]) == _bits(value), name

@@ -3,9 +3,10 @@ import tracemalloc
 
 import pytest
 
-from sma_neck import CurrentProfile, SimConfig, read_trace, simulate, write_trace
+from sma_neck import CurrentProfile, SimConfig, simulate, write_trace
 from sma_neck.engine import SimTrace
 from sma_neck.traceio import HEADER
+from conftest import read_csv
 
 
 def make_trace(system, steps=200, amps=7.0):
@@ -37,7 +38,7 @@ def test_row_count_is_header_plus_steps(system, tmp_path):
 def test_round_trip_within_serialization_precision(system, tmp_path):
     trace = make_trace(system, steps=120)
     path = write_trace(trace, tmp_path / "t.csv")
-    columns = read_trace(path)
+    columns = read_csv(path)
     assert columns["t_s"] == pytest.approx(list(trace.t), rel=1e-8)
     assert columns["kappa_per_m"] == pytest.approx(list(trace.kappa), rel=1e-8, abs=1e-12)
     assert columns["theta_deg"] == pytest.approx(
@@ -84,7 +85,7 @@ def _synthetic_trace(rows):
         x = math.pi + i / 7  # nine significant digits in every field
         trace.append(
             (i + 1) * 1e-3, x, -x, x / 3, (300.0 + x, 301.0 + x, 302.0 + x),
-            (1 / x, 2 / x, 3 / x), (2.0 * x, 3.0 * x, 5.0 * x), 1e-11 * x, True,
+            (1 / x, 2 / x, 3 / x), (2.0 * x, 3.0 * x, 5.0 * x), 1e-11 * x,
         )
     return trace
 
