@@ -183,7 +183,7 @@ _DEEP_PATH = ".".join(["x"] * 50_000)
 
 
 @pytest.mark.parametrize(
-    "override, line",
+    "override, first",
     [
         ("dtt=2 ms", "scenario: unknown key(s): dtt"),
         ("simulation.dtt=2 ms", "simulation: unknown key(s): dtt"),
@@ -196,13 +196,13 @@ _DEEP_PATH = ".".join(["x"] * 50_000)
     ],
     ids=["top_level", "section", "bound", "profile_row", "deep_path"],
 )
-def test_override_typo_fails_as_an_unknown_key(scenario_file, capsys, override, line):
+def test_override_typo_fails_as_an_unknown_key(scenario_file, capsys, override, first):
     """An override path the schema lacks is rejected by the parser, as the
     same key in a file is."""
     code = main(["validate-config", "--scenario", str(scenario_file), "--set", override])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.splitlines()[0] == f"error: validation: {line}"
+    assert err.splitlines()[0] == f"error: validation: {first}"
     assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
 
 

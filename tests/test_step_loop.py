@@ -7,12 +7,12 @@ constants were hoisted out of it, kept verbatim: each step calls
 ``simulate`` must return the same trace to the bit, markers included, and
 fail with the same exception and message.  The loop still computes each
 row's ``phi_defined`` flag, which ``SimTrace`` derives from ``theta``, and
-the flags must agree.  Three things are threaded
-through it since, as ``simulate`` has them: the Jacobian each pose solve hands
-to the next, the last pose as the start where the predicted one is bent past
-180 degrees, and the chord-corrected poses the solves return as the history
-the start is predicted from.  ``denoised=False`` predicts from the accepted
-poses instead, as the loop did before; ``tests/test_engine.py`` compares
+the flags must agree.  Three things are threaded through it since, as
+``simulate`` has them: the Jacobian each pose solve hands to the next, the
+last pose as the start where the predicted one is bent past 180 degrees, and
+the chord-corrected poses the solves return as the history the start is
+predicted from.  ``denoised=False`` predicts from the accepted poses
+instead, as the loop did before; ``tests/test_engine.py`` compares
 ``simulate`` with that variant.
 """
 
