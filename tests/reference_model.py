@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 
 from sma_neck.backbone import ArcPose, BackboneGeometry, _frame_t, _Vec3
+from sma_neck.engine import _require_normal
 from sma_neck.pennate import PennateUnit, rest_chord_length
 from sma_neck.sma import (
     SmaMaterial,
@@ -25,6 +26,8 @@ from sma_neck.sma import (
     ThermalEnvironment,
     _forward_band,
     _reverse_band,
+    _SpringConstants,
+    shear_stress,
 )
 
 
@@ -93,6 +96,54 @@ def force_coefficients(
     transform = math.pi * d3 * material.phase_transform_tensor / (8.0 * _SQRT3 * big_d)
     thermal = math.pi * d3 * material.thermal_expansion_factor / (8.0 * _SQRT3 * big_d)
     return stiffness, transform, thermal
+
+
+# --- spring-constant validation (engine) ------------------------------------
+# The check as it was written with the constants built inside each check, at
+# both fractions: the oracle of ``engine._check_spring_constants``, which must
+# give the same verdict and message.
+
+
+def _check_spring_constants(
+    material: SmaMaterial, spring: SpringGeometry, env: ThermalEnvironment
+) -> None:
+    """Reject fields whose derived per-spring constants leave the float
+    range: the shear stress per newton, and the products of the kernel's
+    ``_SpringConstants`` that ``step_spring`` uses.  Each field passes its
+    own check, yet a 1e-200 m wire cubed is 0 and a 1e200 m coil cubed
+    overflows; a run would then end in a traceback or a NaN step."""
+    _require_normal(
+        "shear stress per newton (wire_diameter, coil_diameter)", "Pa",
+        lambda: shear_stress(spring, 1.0),
+    )
+    force_law = (
+        ("stiffness", "N/m", "active_coils, material moduli", 1.0,
+         lambda k, xi: k.stiffness(xi)),
+        ("transformation coefficient", "N", "material.phase_transform_tensor",
+         material.phase_transform_tensor, lambda k, xi: k.transform),
+        ("thermal coefficient", "N/K", "material.thermal_expansion_factor",
+         material.thermal_expansion_factor, lambda k, xi: k.thermal),
+    )
+    # the constants are built inside each check, so that a coil whose cube
+    # overflows reads as an infinite constant
+    for xi in (0.0, 1.0):
+        for name, unit, fields, factor, product in force_law:
+            # zero only where the material constant it scales is zero
+            _require_normal(
+                f"force-law {name} at martensite fraction {xi:g} "
+                f"(wire_diameter, coil_diameter, {fields})", unit,
+                lambda: product(_SpringConstants(material, spring, env), xi),
+                factor == 0.0,
+            )
+    _require_normal(
+        "heat capacity (spring_mass, material.specific_heat)", "J/K",
+        lambda: _SpringConstants(material, spring, env).heat_capacity,
+    )
+    _require_normal(
+        "convective conductance (surface_area, "
+        "environment.convection_coefficient)", "W/K",
+        lambda: _SpringConstants(material, spring, env).conductance,
+    )
 
 
 # --- band kinetics and the arc anchors (sma) -------------------------------

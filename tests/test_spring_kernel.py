@@ -19,7 +19,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from sma_neck import sma
+from sma_neck import engine, sma
 from sma_neck.scenario import load_default_scenario
 from sma_neck.sma import (
     Branch,
@@ -35,6 +35,7 @@ from sma_neck.sma import (
     step_spring,
 )
 from reference_model import (
+    _check_spring_constants as reference_check,
     _forward_entry_latch,
     _reverse_entry_latch,
     force_coefficients,
@@ -570,6 +571,79 @@ def test_spring_constants_equal_the_force_law(moduli, poisson, tensor, expansion
         assert type(got_exc) is type(want_exc), (xi, got_exc, want_exc)
         if want_exc is None:
             assert list(map(_bits, got)) == list(map(_bits, want)), (xi, got, want)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    moduli=st.tuples(_MAGNITUDE, _MAGNITUDE),
+    poisson=st.just(-1.0) | st.floats(-1.0, 0.5),
+    tensor=_SIGNED,
+    expansion=_SIGNED,
+    diameters=st.tuples(_MAGNITUDE, _MAGNITUDE),
+    coils=st.just(1.0) | st.floats(0.0, 308.0).map(lambda e: 10.0**e),
+    masses=st.tuples(_MAGNITUDE, _MAGNITUDE),
+    specific_heat=_MAGNITUDE,
+    convection=_MAGNITUDE,
+)
+# one example per check that can fail, in the order they are made
+@example(moduli=(28e9, 75e9), poisson=0.33, tensor=-0.55e9, expansion=2.85e6,
+         diameters=(1e-200, 8e-3), coils=20.0, masses=(1e-3, 1e-4),
+         specific_heat=837.0, convection=90.0)
+@example(moduli=(28e9, 75e9), poisson=-1.0, tensor=-0.55e9, expansion=2.85e6,
+         diameters=(1e-3, 8e-3), coils=20.0, masses=(1e-3, 1e-4),
+         specific_heat=837.0, convection=90.0)
+@example(moduli=(28e9, 75e9), poisson=0.33, tensor=-0.55e9, expansion=2.85e6,
+         diameters=(1e-3, 1e200), coils=20.0, masses=(1e-3, 1e-4),
+         specific_heat=837.0, convection=90.0)
+@example(moduli=(28e9, 75e9), poisson=0.33, tensor=-1e-305, expansion=2.85e6,
+         diameters=(1e-3, 8e-3), coils=20.0, masses=(1e-3, 1e-4),
+         specific_heat=837.0, convection=90.0)
+@example(moduli=(28e9, 75e9), poisson=0.33, tensor=-0.55e9, expansion=1e-305,
+         diameters=(1e-3, 8e-3), coils=20.0, masses=(1e-3, 1e-4),
+         specific_heat=837.0, convection=90.0)
+@example(moduli=(1e-300, 75e9), poisson=0.33, tensor=-0.55e9, expansion=2.85e6,
+         diameters=(1e-3, 8e-3), coils=20.0, masses=(1e-3, 1e-4),
+         specific_heat=837.0, convection=90.0)
+@example(moduli=(28e9, 75e9), poisson=0.33, tensor=0.0, expansion=0.0,
+         diameters=(1e-3, 8e-3), coils=20.0, masses=(1e200, 1e-4),
+         specific_heat=1e200, convection=90.0)
+@example(moduli=(28e9, 75e9), poisson=0.33, tensor=-0.55e9, expansion=2.85e6,
+         diameters=(1e-3, 8e-3), coils=20.0, masses=(1e-3, 1e-320),
+         specific_heat=837.0, convection=1e-10)
+# two checks that fail at once, for each pair the order could swap
+@example(moduli=(1e-300, 75e9), poisson=0.33, tensor=-1e-305, expansion=2.85e6,
+         diameters=(1e-3, 8e-3), coils=20.0, masses=(1e-3, 1e-4),
+         specific_heat=837.0, convection=90.0)
+@example(moduli=(1e-300, 75e9), poisson=0.33, tensor=-0.55e9, expansion=1e-305,
+         diameters=(1e-3, 8e-3), coils=20.0, masses=(1e-3, 1e-4),
+         specific_heat=837.0, convection=90.0)
+@example(moduli=(28e9, 75e9), poisson=0.33, tensor=-0.55e9, expansion=2.85e6,
+         diameters=(1e-3, 8e-3), coils=20.0, masses=(1e200, 1e-320),
+         specific_heat=1e200, convection=1e-10)
+def test_spring_constant_validation_equals_the_reference(
+    moduli, poisson, tensor, expansion, diameters, coils, masses, specific_heat,
+    convection,
+):
+    """``engine._check_spring_constants`` gives the verdict of the check in
+    ``tests/reference_model.py``, which builds the constants inside each of its
+    checks: both pass, or both raise the same ``ValidationError`` message."""
+    young_m, young_a = sorted(moduli)
+    wire, coil = sorted(diameters)
+    assume(young_m < young_a and wire < coil)
+    material = replace(
+        _BUNDLED.material, young_martensite=young_m, young_austenite=young_a,
+        poisson=poisson, phase_transform_tensor=tensor,
+        thermal_expansion_factor=expansion, specific_heat=specific_heat,
+    )
+    geometry = replace(
+        _BUNDLED.spring_geometry, wire_diameter=wire, coil_diameter=coil,
+        active_coils=coils, spring_mass=masses[0], surface_area=masses[1],
+    )
+    env = replace(_BUNDLED.env, convection_coefficient=convection)
+    got, got_exc = _outcome(engine._check_spring_constants, material, geometry, env)
+    want, want_exc = _outcome(reference_check, material, geometry, env)
+    assert type(got_exc) is type(want_exc), (got_exc, want_exc)
+    assert str(got_exc) == str(want_exc)
 
 
 # --- exceptions ---------------------------------------------------------------
