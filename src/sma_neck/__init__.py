@@ -35,6 +35,7 @@ from .scenario import (
 from .sma import (
     Branch,
     SmaMaterial,
+    SpringConstants,
     SpringGeometry,
     SpringState,
     StepTooLarge,
@@ -67,6 +68,7 @@ __all__ = [
     "SimConfig",
     "SimTrace",
     "SmaMaterial",
+    "SpringConstants",
     "SpringGeometry",
     "SpringState",
     "StepTooLarge",

@@ -36,13 +36,12 @@ from .pennate import PennateUnit, rest_chord_length
 from .sma import (
     _IDLE,
     SmaMaterial,
+    SpringConstants,
     SpringGeometry,
     SpringState,
     StepTooLarge,
     ThermalEnvironment,
     _reverse_band,
-    _spring_constants,
-    _SpringConstants,
     shear_stress,
     step_spring,
 )
@@ -137,7 +136,7 @@ class NeckSystem:
     def __post_init__(self):
         if len(self.units) != 3:
             raise ValueError("a neck system needs exactly 3 pennate units")
-        if self.head_mass < 0.0:
+        if not self.head_mass >= 0.0:  # NaN fails it too
             raise ValueError("head_mass must be non-negative")
         if self.force_combination not in ("additive", "max"):
             raise ValueError("force_combination must be 'additive' or 'max'")
@@ -148,42 +147,43 @@ def _check_spring_constants(
     material: SmaMaterial, spring: SpringGeometry, env: ThermalEnvironment
 ) -> None:
     """Reject fields whose derived per-spring constants leave the float
-    range: the shear stress per newton, and the products of the kernel's
-    ``_SpringConstants`` that ``step_spring`` uses.  Each field passes its
+    range: the shear stress per newton, and the products of the
+    ``SpringConstants`` that ``step_spring`` uses.  Each field passes its
     own check, yet a 1e-200 m wire cubed is 0 and a 1e200 m coil cubed
     overflows; a run would then end in a traceback or a NaN step."""
     _require_normal(
         "shear stress per newton (wire_diameter, coil_diameter)", "Pa",
         lambda: shear_stress(spring, 1.0),
     )
-    force_law = (
-        ("stiffness", "N/m", "active_coils, material moduli", 1.0,
-         lambda k, xi: k.stiffness(xi)),
-        ("transformation coefficient", "N", "material.phase_transform_tensor",
-         material.phase_transform_tensor, lambda k, xi: k.transform),
-        ("thermal coefficient", "N/K", "material.thermal_expansion_factor",
-         material.thermal_expansion_factor, lambda k, xi: k.thermal),
-    )
-    # the constants are built inside each check, so that a coil whose cube
-    # overflows reads as an infinite constant
-    for xi in (0.0, 1.0):
-        for name, unit, fields, factor, product in force_law:
-            # zero only where the material constant it scales is zero
-            _require_normal(
-                f"force-law {name} at martensite fraction {xi:g} "
-                f"(wire_diameter, coil_diameter, {fields})", unit,
-                lambda: product(_SpringConstants(material, spring, env), xi),
-                factor == 0.0,
-            )
-    _require_normal(
-        "heat capacity (spring_mass, material.specific_heat)", "J/K",
-        lambda: _SpringConstants(material, spring, env).heat_capacity,
-    )
-    _require_normal(
-        "convective conductance (surface_area, "
-        "environment.convection_coefficient)", "W/K",
-        lambda: _SpringConstants(material, spring, env).conductance,
-    )
+    try:
+        k = SpringConstants(material, spring, env)
+    except OverflowError:  # a coil whose cube overflows: every product is inf
+        k = None
+    # the force-law coefficients are zero only where the material constant
+    # they scale is zero; the transformation and thermal ones do not depend
+    # on the fraction, so they are checked at fraction 0 alone
+    for what, unit, product, may_be_zero in (
+        ("force-law stiffness at martensite fraction 0 (wire_diameter, "
+         "coil_diameter, active_coils, material moduli)", "N/m",
+         lambda k: k.stiffness(0.0), False),
+        ("force-law transformation coefficient at martensite fraction 0 "
+         "(wire_diameter, coil_diameter, material.phase_transform_tensor)", "N",
+         lambda k: k.transform, material.phase_transform_tensor == 0.0),
+        ("force-law thermal coefficient at martensite fraction 0 "
+         "(wire_diameter, coil_diameter, material.thermal_expansion_factor)", "N/K",
+         lambda k: k.thermal, material.thermal_expansion_factor == 0.0),
+        ("force-law stiffness at martensite fraction 1 (wire_diameter, "
+         "coil_diameter, active_coils, material moduli)", "N/m",
+         lambda k: k.stiffness(1.0), False),
+        ("heat capacity (spring_mass, material.specific_heat)", "J/K",
+         lambda k: k.heat_capacity, False),
+        ("convective conductance (surface_area, "
+         "environment.convection_coefficient)", "W/K",
+         lambda k: k.conductance, False),
+    ):
+        _require_normal(
+            what, unit, lambda: math.inf if k is None else product(k), may_be_zero
+        )
 
 
 def _require_normal(what: str, unit: str, compute, may_be_zero: bool = False):
@@ -698,26 +698,20 @@ def _prefix_key(system: NeckSystem) -> NeckSystem:
 
     Until a spring leaves the idle path, ``step_spring`` reads the
     transformation coefficient only as ``transform * 0.0`` in its idle force
-    update, which is a zero with the coefficient's sign, and the rest solve
-    does not read it at all.  So the loop state after the prefix is the same
-    for every tensor of one sign.  A coefficient that overflowed makes that
-    product NaN, so such a tensor is kept as it is.  The coefficient is read
-    from the kernel's cached constants, which the run's first step reuses.
-    Keys compare with ``==``, which does not tell 0.0 from -0.0; of the other
-    calibratable fields only a zero pennation angle can be either, and the
-    engine reads it only through its cosine.
+    update, which is a zero with the coefficient's sign (``NeckSystem``
+    refuses a coefficient that is not finite, whose product would be NaN),
+    and the rest solve does not read it at all.  So the loop state after the
+    prefix is the same for every tensor of one sign.  Keys compare with
+    ``==``, which does not tell 0.0 from -0.0; of the other calibratable
+    fields only a zero pennation angle can be either, and the engine reads it
+    only through its cosine.
     """
     material = system.material
-    tensor = material.phase_transform_tensor
-    k = _spring_constants(material, system.spring_geometry, system.env)
-    if math.isfinite(k.transform):
-        tensor = math.copysign(1.0, tensor)
+    tensor = math.copysign(1.0, material.phase_transform_tensor)
     # set on a copy rather than by replace, which would run the
     # spring-constant checks on a tensor of magnitude 1
     key = copy.copy(system)
-    object.__setattr__(
-        key, "material", replace(material, phase_transform_tensor=tensor)
-    )
+    object.__setattr__(key, "material", replace(material, phase_transform_tensor=tensor))
     return key
 
 
@@ -758,7 +752,8 @@ def simulate(
     profile = config.current_profile
     dt = config.dt
     n_steps = int(round(config.duration / dt))
-    material, geometry, env = system.material, system.spring_geometry, system.env
+    material, geometry = system.material, system.spring_geometry
+    spring_constants = SpringConstants(material, geometry, system.env)
     bound = config.max_temperature_step
     take_max = system.force_combination == "max"
 
@@ -838,9 +833,7 @@ def simulate(
             for k, (index, cos_p, neg_cos_p, fibers, stiffness) in enumerate(constants):
                 contraction = dx_prev[k]
                 state = states[k] = step_spring(
-                    material,
-                    geometry,
-                    env,
+                    spring_constants,
                     states[k],
                     profile.current(index, t_prev),
                     neg_cos_p * ((contraction - dx_prev2[k]) / dt),

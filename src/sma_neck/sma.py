@@ -4,9 +4,9 @@ One spring couples three rates: Joule heating drives temperature, temperature
 drives the martensite fraction through cosine transformation kinetics with
 stress-shifted band edges, and both feed a rate-form force law whose stiffness
 coefficient depends on the phase mix.  ``step_spring`` advances all three
-states over one explicit time step; everything here is a pure function of its
-inputs (``step_spring`` caches the constants of the last spring it stepped,
-which changes no result).
+states over one explicit time step, from the constants a ``SpringConstants``
+derives once from the alloy, the coil and its environment.  Everything here is
+a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -187,15 +187,19 @@ def _state(
     ``__init__`` and ``__post_init__``: equal to, and hashing like, the one
     the checked constructor builds from the same fields.
 
-    Only the temperature is checked, with the constructor's message.  The
-    other invariants hold by construction on both return paths of the step:
-    the fraction is clamped to [0, 1] or carried from the input state, the
-    latch comes from an entry-latch helper or is carried, and the force is
-    ``max(..., 0.0)``.  A NaN fraction change makes the temperature change
-    NaN, so ``StepTooLarge`` is raised before a NaN fraction could get here.
+    The temperature, and the force's upper end, are checked with the
+    constructor's messages: a finite stretch rate can overflow the force to
+    inf, and inf - inf to NaN.  The other invariants hold by construction on
+    both return paths of the step: the fraction is clamped to [0, 1] or
+    carried from the input state, the latch comes from an entry-latch helper
+    or is carried, and the force is ``max(..., 0.0)``.  A NaN fraction change
+    makes the temperature change NaN, so ``StepTooLarge`` is raised before a
+    NaN fraction could get here.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive (kelvin)")
+    if not force < math.inf:
+        raise ValueError("force must be non-negative (tendon cannot push)")
     state = _new_object(SpringState)
     fields = state.__dict__
     fields["temperature"] = temperature
@@ -317,14 +321,15 @@ class _Kinetics:
         self.forward_slope_c = self.forward_slope / material.stress_influence_forward
 
 
-class _SpringConstants(_Kinetics):
-    """The products ``step_spring`` derives from one (material, geometry, env)
-    triple, computed once, with the slopes of ``_Kinetics``; scenario
-    validation checks these same products.  Each entry uses the operands and
-    the left-to-right order of its law in ``tests/reference_model.py`` or of
-    ``shear_stress``, so that every product rounds as it does there.  Raw
-    fields are read from the three objects themselves.  A coil diameter whose
-    cube overflows raises ``OverflowError``.
+class SpringConstants(_Kinetics):
+    """The products ``step_spring`` reads, derived once from one spring's
+    alloy, coil and environment, with the slopes of ``_Kinetics``: build one
+    and pass it to every step of that spring.  Scenario validation checks
+    these same products.  Each entry uses the operands and the left-to-right
+    order of its law in ``tests/reference_model.py`` or of ``shear_stress``,
+    so that every product rounds as it does there.  Raw fields are read from
+    the three objects themselves.  A coil diameter whose cube overflows
+    raises ``OverflowError``.
     """
 
     __slots__ = (
@@ -368,29 +373,6 @@ class _SpringConstants(_Kinetics):
         return self.d4 * (young / self.shear_divisor) / self.stiffness_divisor
 
 
-# One entry: the engine passes the same three objects on every step, a
-# calibration passes new ones per candidate.  The entry holds the objects it
-# was built from, so an id cannot be reused while it is kept; a caller reads
-# the entry once and checks that same entry, so racing threads at worst
-# build it twice.
-_last_constants: _SpringConstants | None = None
-
-
-def _spring_constants(
-    material: SmaMaterial, geometry: SpringGeometry, env: ThermalEnvironment
-) -> _SpringConstants:
-    global _last_constants
-    k = _last_constants
-    if (
-        k is None
-        or k.material is not material
-        or k.geometry is not geometry
-        or k.env is not env
-    ):
-        k = _last_constants = _SpringConstants(material, geometry, env)
-    return k
-
-
 def _fraction(
     k: _Kinetics,
     branch: Branch,
@@ -428,7 +410,7 @@ def _fraction(
 
 
 def _idle_temperature(
-    k: _SpringConstants, temperature: float, fraction: float, current: float, dt: float
+    k: SpringConstants, temperature: float, fraction: float, current: float, dt: float
 ) -> float:
     """Classic RK4 on the heat balance with the phase fraction held, so the
     Joule power is one number for all four stages."""
@@ -446,7 +428,7 @@ def _idle_temperature(
 
 
 def _temperature_on_branch(
-    k: _SpringConstants,
+    k: SpringConstants,
     branch: Branch,
     temperature: float,
     stress: float,
@@ -476,9 +458,7 @@ def _temperature_on_branch(
 
 
 def step_spring(
-    material: SmaMaterial,
-    geometry: SpringGeometry,
-    env: ThermalEnvironment,
+    constants: SpringConstants,
     state: SpringState,
     current: float,
     stretch_rate: float,
@@ -497,12 +477,11 @@ def step_spring(
     The force then advances by the rate law using the realized discrete
     rates, floored at zero.
 
-    This is a fused kernel: the products derived from the (material,
-    geometry, env) triple are computed once and kept for the next call with
-    the same three objects, and an idle spring's RK4 takes the Joule power
-    once per step.  It computes exactly what the plain ``heating_rate``, band
-    kinetics, entry latches and ``force_coefficients`` of
-    ``tests/reference_model.py`` and ``shear_stress`` compose to;
+    This is a fused kernel: it reads the products of ``constants``, the
+    spring's ``SpringConstants``, and an idle spring's RK4 takes the Joule
+    power once per step.  It computes exactly what the plain
+    ``heating_rate``, band kinetics, entry latches and ``force_coefficients``
+    of ``tests/reference_model.py`` and ``shear_stress`` compose to;
     ``tests/test_spring_kernel.py`` pins every bit of the result and every
     exception to that composition.
 
@@ -516,7 +495,8 @@ def step_spring(
         raise ValueError("current must be non-negative")
     if not math.isfinite(stretch_rate):
         raise ValueError("stretch_rate must be finite")
-    k = _spring_constants(material, geometry, env)
+    k = constants
+    material, geometry = k.material, k.geometry
 
     t0 = state.temperature
     xi0 = state.martensite_fraction

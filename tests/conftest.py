@@ -9,6 +9,7 @@ from sma_neck import (
     NeckSystem,
     PennateUnit,
     SmaMaterial,
+    SpringConstants,
     SpringGeometry,
     SpringState,
     ThermalEnvironment,
@@ -50,6 +51,12 @@ def geometry():
 @pytest.fixture
 def env():
     return ThermalEnvironment(ambient_temperature=298.15, convection_coefficient=95.0)
+
+
+@pytest.fixture
+def constants(material, geometry, env):
+    """The spring constants ``step_spring`` takes for the three fixtures."""
+    return SpringConstants(material, geometry, env)
 
 
 @pytest.fixture

@@ -9,8 +9,10 @@ and one plain reference here.  The band kinetics are also public
 (``sma.reverse_fraction`` and ``sma.forward_fraction`` call the kernel's
 ``sma._fraction``); the plain copies below are what the spring oracle
 composes.  ``effective_modulus`` and ``force_coefficients`` are the force
-law's coefficients that the package derives only in ``sma._SpringConstants``,
-whose products validation checks.  No run path calls this module.
+law's coefficients that the package derives only in ``sma.SpringConstants``,
+whose products validation checks; ``_check_spring_constants`` below is that
+validation as it built those constants once per check.  No run path calls
+this module.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from sma_neck.engine import _require_normal
 from sma_neck.pennate import PennateUnit, rest_chord_length
 from sma_neck.sma import (
     SmaMaterial,
+    SpringConstants,
     SpringGeometry,
     ThermalEnvironment,
     _forward_band,
     _reverse_band,
-    _SpringConstants,
     shear_stress,
 )
 
@@ -109,7 +111,7 @@ def _check_spring_constants(
 ) -> None:
     """Reject fields whose derived per-spring constants leave the float
     range: the shear stress per newton, and the products of the kernel's
-    ``_SpringConstants`` that ``step_spring`` uses.  Each field passes its
+    ``SpringConstants`` that ``step_spring`` uses.  Each field passes its
     own check, yet a 1e-200 m wire cubed is 0 and a 1e200 m coil cubed
     overflows; a run would then end in a traceback or a NaN step."""
     _require_normal(
@@ -132,17 +134,17 @@ def _check_spring_constants(
             _require_normal(
                 f"force-law {name} at martensite fraction {xi:g} "
                 f"(wire_diameter, coil_diameter, {fields})", unit,
-                lambda: product(_SpringConstants(material, spring, env), xi),
+                lambda: product(SpringConstants(material, spring, env), xi),
                 factor == 0.0,
             )
     _require_normal(
         "heat capacity (spring_mass, material.specific_heat)", "J/K",
-        lambda: _SpringConstants(material, spring, env).heat_capacity,
+        lambda: SpringConstants(material, spring, env).heat_capacity,
     )
     _require_normal(
         "convective conductance (surface_area, "
         "environment.convection_coefficient)", "W/K",
-        lambda: _SpringConstants(material, spring, env).conductance,
+        lambda: SpringConstants(material, spring, env).conductance,
     )
 
 

@@ -29,7 +29,7 @@ from sma_neck import (
 )
 from sma_neck.calibrate import apply_parameters
 from sma_neck.scenario import load_default_scenario
-from sma_neck.sma import SpringState, step_spring
+from sma_neck.sma import SpringConstants, SpringState, step_spring
 from reference_model import phase_resistance
 
 TABLE_CURRENTS = (4.0, 5.0, 6.0, 7.0, 8.0)
@@ -129,9 +129,10 @@ def test_criterion_2_thermal_steady_state(scenario):
             martensite_fraction=1.0,
             force=0.0,
         )
+        constants = SpringConstants(material, geometry, env)
         dt = 2e-3
         for _ in range(int(14.0 * tau / dt)):
-            state = step_spring(material, geometry, env, state, current, 0.0, dt)
+            state = step_spring(constants, state, current, 0.0, dt)
         if state.martensite_fraction != 1.0:
             failures.append(f"kinetics not frozen at I={current}")
         error = abs(state.temperature - t_ss)

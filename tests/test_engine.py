@@ -1031,3 +1031,27 @@ class TestSystemValidation:
         )
         with pytest.raises(ValidationError, match="^" + re.escape(message)):
             replace(bundled, **{part: replace(getattr(bundled, part), **change)})
+
+    @pytest.mark.parametrize(
+        "part, name, message",
+        [
+            # a bare ZeroDivisionError inside simulate
+            ("backbone", "length", "length must be positive"),
+            # NoConvergence at residual nan at step 0
+            ("backbone", "bending_stiffness_y", "bending_stiffness_y must be positive"),
+            ("backbone", "torsional_stiffness", "torsional_stiffness must be positive"),
+            # NoConvergence at step 2
+            ("unit", "tendon_stiffness", "tendon_stiffness must be positive"),
+            # ran to the end with gravity off, since nan > 0.0 is false
+            (None, "head_mass", "head_mass must be non-negative"),
+        ],
+    )
+    def test_nan_field_is_rejected(self, part, name, message):
+        bundled = load_default_scenario().build_system()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            if part is None:
+                replace(bundled, **{name: math.nan})
+            elif part == "unit":
+                replace(bundled.units[0], **{name: math.nan})
+            else:
+                replace(getattr(bundled, part), **{name: math.nan})

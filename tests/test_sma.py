@@ -205,7 +205,9 @@ class TestHeatingRate:
             material, geometry, env, t, xi, 3.0, 0.0
         )
 
-    def test_matches_finite_difference_of_trajectory(self, material, geometry, env):
+    def test_matches_finite_difference_of_trajectory(
+        self, constants, material, geometry, env
+    ):
         # Richardson check: (T(t+h) - T(t))/h converges to the reported rate
         # with observed order >= 1 as h shrinks
         state = make_spring(temperature=env.ambient_temperature + 5.0, force=0.0)
@@ -215,14 +217,16 @@ class TestHeatingRate:
         )
         errors = []
         for h in (2e-3, 1e-3):
-            stepped = step_spring(material, geometry, env, state, current, 0.0, h)
+            stepped = step_spring(constants, state, current, 0.0, h)
             fd = (stepped.temperature - state.temperature) / h
             errors.append(abs(fd - rate))
         assert errors[1] < errors[0]
         order = math.log2(errors[0] / errors[1])
         assert order >= 0.99
 
-    def test_integrated_steady_state_matches_analytic(self, material, geometry, env):
+    def test_integrated_steady_state_matches_analytic(
+        self, constants, material, geometry, env
+    ):
         # oracle: set the rate to zero and solve for temperature
         current = 2.0
         resistance = phase_resistance(material, 1.0)
@@ -231,13 +235,15 @@ class TestHeatingRate:
         )
         state = make_spring(temperature=env.ambient_temperature, force=0.0)
         for _ in range(90_000):
-            state = step_spring(material, geometry, env, state, current, 0.0, 1e-3)
+            state = step_spring(constants, state, current, 0.0, 1e-3)
         assert state.temperature == pytest.approx(t_ss, abs=0.05)
         assert state.martensite_fraction == 1.0
 
 
 class TestEnergyBalance:
-    def test_reverse_transformation_conserves_energy(self, material, geometry, env):
+    def test_reverse_transformation_conserves_energy(
+        self, constants, material, geometry, env
+    ):
         # oracle: over a full heating run the stored heat (sensible plus the
         # latent heat of the fraction that transformed) equals the
         # trapezoid integral of Joule input minus convective loss
@@ -253,7 +259,7 @@ class TestEnergyBalance:
         start = state = make_spring(temperature=env.ambient_temperature, force=2.0)
         joule_in = net_in = 0.0
         for _ in range(14000):
-            stepped = step_spring(material, geometry, env, state, current, 0.0, dt)
+            stepped = step_spring(constants, state, current, 0.0, dt)
             (j0, n0), (j1, n1) = powers(state), powers(stepped)
             joule_in += 0.5 * dt * (j0 + j1)
             net_in += 0.5 * dt * (n0 + n1)
@@ -291,20 +297,22 @@ class TestStepSpring:
         assert sma._REVERSE is Branch.REVERSE
         assert sma._FORWARD is Branch.FORWARD
 
-    def test_fixed_point(self, material, geometry, env):
+    def test_fixed_point(self, constants, env):
         state = make_spring(temperature=env.ambient_temperature, force=0.0)
-        out = step_spring(material, geometry, env, state, 0.0, 0.0, 1e-3)
+        out = step_spring(constants, state, 0.0, 0.0, 1e-3)
         assert out.temperature == state.temperature
         assert out.martensite_fraction == state.martensite_fraction
         assert out.force == state.force
 
-    def test_fraction_falls_only_after_band_entry(self, material, geometry, env):
+    def test_fraction_falls_only_after_band_entry(
+        self, constants, material, geometry, env
+    ):
         # hold a constant current; the fraction must stay put until the
         # stress-shifted band edge is crossed, then fall
         state = make_spring(temperature=env.ambient_temperature, force=2.0)
         crossed_at = None
         for i in range(6000):
-            state = step_spring(material, geometry, env, state, 5.0, 0.0, 1e-3)
+            state = step_spring(constants, state, 5.0, 0.0, 1e-3)
             sigma = shear_stress(geometry, state.force)
             edge = material.austenite_start + sigma / material.stress_influence_reverse
             if state.martensite_fraction < 1.0 and crossed_at is None:
@@ -313,25 +321,25 @@ class TestStepSpring:
         assert crossed_at is not None
         assert state.martensite_fraction < 1.0
 
-    def test_step_too_large(self, material, geometry, env):
+    def test_step_too_large(self, constants, env):
         state = make_spring(temperature=env.ambient_temperature, force=0.0)
         with pytest.raises(StepTooLarge):
-            step_spring(material, geometry, env, state, 8.0, 0.0, 0.5)
+            step_spring(constants, state, 8.0, 0.0, 0.5)
 
-    def test_overflowing_step_is_too_large(self, material, geometry, env):
+    def test_overflowing_step_is_too_large(self, constants, env):
         # I^2 overflows to inf and the RK4 stages to NaN; NaN must not pass
         # the temperature guard
         state = make_spring(temperature=env.ambient_temperature, force=0.0)
         with pytest.raises(StepTooLarge):
-            step_spring(material, geometry, env, state, 1e155, 0.0, 1e-3)
+            step_spring(constants, state, 1e155, 0.0, 1e-3)
 
-    def test_force_floors_at_zero(self, material, geometry, env):
+    def test_force_floors_at_zero(self, constants, env):
         state = make_spring(temperature=env.ambient_temperature, force=0.05)
         # rapid shortening would drive the force negative; it must clamp
-        out = step_spring(material, geometry, env, state, 0.0, -0.5, 1e-3)
+        out = step_spring(constants, state, 0.0, -0.5, 1e-3)
         assert out.force == 0.0
 
-    def test_fraction_bounds_under_random_currents(self, material, geometry, env):
+    def test_fraction_bounds_under_random_currents(self, constants, env):
         # invariant: fraction stays in [0, 1] for any admissible input sequence
         rng = random.Random(20240811)
         state = make_spring(temperature=env.ambient_temperature, force=2.0)
@@ -340,21 +348,21 @@ class TestStepSpring:
             if i % 200 == 0:
                 current = rng.uniform(0.0, 8.0)
             stretch_rate = 2e-4 * math.sin(2e-3 * i)
-            state = step_spring(material, geometry, env, state, current, stretch_rate, 1e-3)
+            state = step_spring(constants, state, current, stretch_rate, 1e-3)
             assert 0.0 <= state.martensite_fraction <= 1.0
             assert state.force >= 0.0
 
-    def test_hysteresis_loop(self, material, geometry, env):
+    def test_hysteresis_loop(self, constants, env):
         # heat through the austenite band, cool back through the martensite
         # band: fraction returns to 1 and the (T, xi) loop has nonzero area
         state = make_spring(temperature=env.ambient_temperature, force=2.0)
         path = []
         for _ in range(14000):
-            state = step_spring(material, geometry, env, state, 7.0, 0.0, 1e-3)
+            state = step_spring(constants, state, 7.0, 0.0, 1e-3)
             path.append((state.temperature, state.martensite_fraction))
         assert state.martensite_fraction < 0.05
         for _ in range(120_000):
-            state = step_spring(material, geometry, env, state, 0.0, 0.0, 1e-3)
+            state = step_spring(constants, state, 0.0, 0.0, 1e-3)
             path.append((state.temperature, state.martensite_fraction))
         assert state.martensite_fraction == pytest.approx(1.0, abs=1e-9)
         area = 0.0
@@ -362,11 +370,11 @@ class TestStepSpring:
             area += 0.5 * (x0 + x1) * (t1 - t0)
         assert abs(area) > 1.0  # kelvin * fraction units
 
-    def test_branch_bookkeeping(self, material, geometry, env):
+    def test_branch_bookkeeping(self, constants, env):
         state = make_spring(temperature=env.ambient_temperature, force=2.0)
         assert state.branch is Branch.IDLE
         for _ in range(5000):
-            state = step_spring(material, geometry, env, state, 6.0, 0.0, 1e-3)
+            state = step_spring(constants, state, 6.0, 0.0, 1e-3)
         assert state.branch is Branch.REVERSE
         assert state.fraction_at_branch_start == 1.0
 
@@ -406,7 +414,7 @@ def _bisection_root(fn, lo, hi, f_lo, f_hi):
     stretch_rate=st.floats(-2e-3, 2e-3),
 )
 def test_phase_root_matches_bisection_oracle(
-    material, geometry, env, branch, band_position, latch, force, drive, stretch_rate
+    constants, material, geometry, branch, band_position, latch, force, drive, stretch_rate
 ):
     # A state on its branch's cosine arc, inside the stress-shifted band:
     # 6-12 A heats a reverse state, 0-1 A lets a forward state cool.
@@ -441,7 +449,7 @@ def test_phase_root_matches_bisection_oracle(
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sma, "_zeroin", recorded)
-        step_spring(material, geometry, env, state, current, stretch_rate, 1e-3)
+        step_spring(constants, state, current, stretch_rate, 1e-3)
     # the band edge can outrun the temperature, which needs no root
     assume(solves)
     (fn, lo, hi, f_lo, f_hi, root), = solves

@@ -24,6 +24,7 @@ from sma_neck.scenario import load_default_scenario
 from sma_neck.sma import (
     Branch,
     SmaMaterial,
+    SpringConstants,
     SpringGeometry,
     SpringState,
     StepTooLarge,
@@ -291,12 +292,19 @@ def _bits(x):
     return struct.pack("<d", x)
 
 
+def fused_step(material, geometry, env, *step_args):
+    """``step_spring`` with the composition's arguments: the constants of
+    the triple are built on every call, so an overflowing coil raises here
+    and is compared as an outcome."""
+    return step_spring(SpringConstants(material, geometry, env), *step_args)
+
+
 def assert_same_step(material, geometry, env, state, current, stretch_rate, dt, bound=1.0):
     """Run both steps on one input and require the same state or the same
     exception; return the fused step's state (None when both raised)."""
     args = (material, geometry, env, state, current, stretch_rate, dt, bound)
     want, want_exc = _outcome(composed_step_spring, *args)
-    got, got_exc = _outcome(step_spring, *args)
+    got, got_exc = _outcome(fused_step, *args)
     if want_exc is not None or got_exc is not None:
         assert type(got_exc) is type(want_exc), (got_exc, want_exc)
         assert str(got_exc) == str(want_exc)
@@ -398,6 +406,10 @@ def _step_case(triple, branch, force, anchor, offset, free_t, reverse_latch,
 @example(triple=6, branch=Branch.FORWARD, force=1e-4, anchor="mid_forward",
          offset=0.0, free_t=300.0, reverse_latch=1.0, forward_latch=0.0,
          on_arc=True, fraction=0.0, current=0.0, stretch_rate=-2e-3, dt=5e-3)
+# a finite stretch rate whose force overflows to inf, which the state refuses
+@example(triple=0, branch=Branch.IDLE, force=2.0, anchor="free", offset=0.0,
+         free_t=298.15, reverse_latch=1.0, forward_latch=0.0, on_arc=False,
+         fraction=1.0, current=0.0, stretch_rate=1e308, dt=1e-3)
 def test_step_equals_composition(**draw):
     assert_same_step(*_step_case(**draw))
 
@@ -537,7 +549,7 @@ def _cube_overflows(x):
          diameters=(1e-3, 1e200), coils=20.0, fraction=0.5)
 def test_spring_constants_equal_the_force_law(moduli, poisson, tensor, expansion,
                                               diameters, coils, fraction):
-    """``sma._SpringConstants`` is the package's only derivation of the force
+    """``SpringConstants`` is the package's only derivation of the force
     law's coefficients, and scenario validation checks its products; its
     stiffness at fractions 0, 1 and one between, its transformation and its
     thermal coefficient must be the bits of ``force_coefficients``, or raise
@@ -556,7 +568,7 @@ def test_spring_constants_equal_the_force_law(moduli, poisson, tensor, expansion
     )
 
     def kernel(xi):
-        k = sma._SpringConstants(material, geometry, _BUNDLED.env)
+        k = SpringConstants(material, geometry, _BUNDLED.env)
         return k.stiffness(xi), k.transform, k.thermal
 
     for xi in (0.0, 1.0, fraction):
@@ -683,7 +695,7 @@ def test_same_exceptions(triple, current, dt, bound, raises):
     for state in _states(material, geometry):
         assert_same_step(material, geometry, env, state, current, 0.0, dt, bound)
         _, exc = _outcome(
-            step_spring, material, geometry, env, state, current, 0.0, dt, bound
+            fused_step, material, geometry, env, state, current, 0.0, dt, bound
         )
         assert type(exc) is (raises or type(None))
 
@@ -704,7 +716,7 @@ def test_step_to_a_non_positive_temperature_raises(fraction, transforms):
     args = (material, geometry, env, state, 0.0, 0.0, 30.0, 1e9)
     assert assert_same_step(*args) is None
     with pytest.raises(ValueError, match=r"^temperature must be positive \(kelvin\)$"):
-        step_spring(*args)
+        fused_step(*args)
     # the composition, which builds no SpringState, shows the path taken
     landed = _composed_two_latch_step(
         material, geometry, env, _TwoLatchState(1.0, fraction, 2.0, 1.0, 1.0, Branch.IDLE),
@@ -734,14 +746,14 @@ def test_non_finite_argument_is_refused(current, stretch_rate, dt, message):
         args = (material, geometry, env, state, current, stretch_rate, dt)
         assert assert_same_step(*args) is None
         with pytest.raises(ValueError, match=f"^{message}$"):
-            step_spring(*args)
+            fused_step(*args)
 
 
 def test_overflow_is_reported_as_overflow():
     material, geometry, env = TRIPLES[0]
     state = _states(material, geometry)[0]
     with pytest.raises(StepTooLarge) as err:
-        step_spring(material, geometry, env, state, 1e155, 0.0, 1e-3)
+        step_spring(SpringConstants(material, geometry, env), state, 1e155, 0.0, 1e-3)
     assert err.value.overflowed
 
 
@@ -750,7 +762,7 @@ def test_overflowing_coil_cube_raises_the_same_error():
     huge_coil = replace(geometry, coil_diameter=1e200)
     for state in _states(material, geometry):
         assert_same_step(material, huge_coil, env, state, 5.0, 0.0, 1e-3)
-        _, exc = _outcome(step_spring, material, huge_coil, env, state, 5.0, 0.0, 1e-3)
+        _, exc = _outcome(fused_step, material, huge_coil, env, state, 5.0, 0.0, 1e-3)
         assert type(exc) is OverflowError
 
 

@@ -7,8 +7,9 @@ constants were hoisted out of it, kept verbatim: each step calls
 ``simulate`` must return the same trace to the bit, markers included, and
 fail with the same exception and message.  The loop still computes each
 row's ``phi_defined`` flag, which ``SimTrace`` derives from ``theta``, and
-the flags must agree.  Three things are threaded through it since, as
-``simulate`` has them: the Jacobian each pose solve hands to the next, the
+the flags must agree.  Four things are threaded through it since, as
+``simulate`` has them: the ``SpringConstants`` built once per run for every
+``step_spring`` call, the Jacobian each pose solve hands to the next, the
 last pose as the start where the predicted one is bent past 180 degrees, and
 the chord-corrected poses the solves return as the history the start is
 predicted from.  ``denoised=False`` predicts from the accepted poses
@@ -37,7 +38,7 @@ from sma_neck.engine import (
     simulate,
 )
 from sma_neck.scenario import default_scenario_text, load_with_overrides
-from sma_neck.sma import _reverse_band, shear_stress, step_spring
+from sma_neck.sma import SpringConstants, _reverse_band, shear_stress, step_spring
 from reference_model import pennate_force, tendon_force_from_stretch
 
 
@@ -75,6 +76,7 @@ def reference_simulate(
 
     units = system.units
     states = [u.spring for u in units]
+    constants = SpringConstants(system.material, system.spring_geometry, system.env)
 
     def unit_forces(dx):
         return tuple(
@@ -114,9 +116,7 @@ def reference_simulate(
                 rate = (dx_prev[k] - dx_prev2[k]) / dt
                 stretch_rate = -math.cos(unit.pennation_angle) * rate
                 states[k] = step_spring(
-                    system.material,
-                    system.spring_geometry,
-                    system.env,
+                    constants,
                     states[k],
                     amps,
                     stretch_rate,
