@@ -197,3 +197,21 @@ def test_failure_in_the_prefix_stores_nothing(scenario):
         assert str(failed.value) == str(fresh.value)
         assert "(step 1)" in str(failed.value)
     assert prefixes == {}
+
+
+def test_prefix_that_ends_at_the_first_step(scenario, monkeypatch):
+    """Springs that start at 340 K leave the idle path in the first step, so
+    the stored prefix is the rest solve alone with an empty trace; the run
+    continued from it still sets the crossing marker at step 1."""
+    start = replace(scenario, spring_initial_temperature=340.0)
+    config = replace(_row_config(start, 8.0, 0.5), max_temperature_step=5.0)
+    prefixes = {}
+    simulate(_system(start, phase_transform_tensor=-1e9), config, prefixes=prefixes)
+    assert prefixes[config].step == 0
+    system = _system(start, phase_transform_tensor=-2e9)
+    want = simulate(system, config)
+    assert want.markers["crossing_t_s"] == config.dt
+    calls = _counted(monkeypatch)
+    assert_same_trace(simulate(system, config, prefixes=prefixes), want)
+    assert prefixes[config].step == 0
+    assert len(calls) == 3 * 250
