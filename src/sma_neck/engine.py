@@ -38,7 +38,6 @@ from .sma import (
     SmaMaterial,
     SpringConstants,
     SpringGeometry,
-    SpringState,
     StepTooLarge,
     ThermalEnvironment,
     _reverse_band,
@@ -722,14 +721,9 @@ class _IdlePrefix:
 
     key: NeckSystem  # _prefix_key of the run's system
     step: int
-    states: tuple[SpringState, SpringState, SpringState]
-    dx_prev: tuple[float, float, float]
-    dx_prev2: tuple[float, float, float]
-    poses: tuple  # the last three corrected poses a, b, c
-    factors: tuple | None  # of the kept Jacobian, from _factor3
-    last_phi: float
-    crossing_recorded: bool
-    trace: SimTrace  # a copy, never handed out
+    # (states, dx_prev, dx_prev2, a, b, c, factors, last_phi, trace) as
+    # simulate's loop carries them; a deep copy, never handed out
+    loop: tuple
 
 
 def simulate(
@@ -785,40 +779,33 @@ def simulate(
         if prefix is not None and prefix.key != key:
             prefix = None
     if prefix is not None:
-        first = prefix.step
-        states = list(prefix.states)
-        dx_prev, dx_prev2, factors = prefix.dx_prev, prefix.dx_prev2, prefix.factors
-        a, b, c = prefix.poses
-        last_phi, crossing_recorded = prefix.last_phi, prefix.crossing_recorded
-        trace = copy.deepcopy(prefix.trace)
+        first, loop = prefix.step, copy.deepcopy(prefix.loop)
     else:
         first = 0
-        states = [u.spring for u in system.units]
+        springs = [u.spring for u in system.units]
         # resolve the initial equilibrium so pretension imbalances are not
         # attributed to the first step; the straight pose is where each rest
         # chord was measured, so every chord contraction there is zero and so
         # is each tendon's stiffness force (see the step below)
         rest_forces = []
-        for (_, cos_p, _, fibers, _), state in zip(constants, states):
+        for (_, cos_p, _, fibers, _), state in zip(constants, springs):
             active = fibers * state.force * cos_p
             rest_forces.append(max(active, 0.0) if take_max else active + 0.0)
         try:
-            _, phi, _, _, dx_prev, factors, c = _solve_pose_statics(
+            _, phi, _, _, dx, factors, c = _solve_pose_statics(
                 statics, tuple(rest_forces), 0.0, 0.0, 0.0, config
             )
         except SOLVER_FAILURES as exc:
             _annotate_failure(exc, 0, 0.0)
             raise
-        dx_prev2 = dx_prev
         # the last three corrected poses a, b, c as (u_x, u_y, twist); each
         # solve starts from their quadratic extrapolation along the solution
         # path (predictor-corrector continuation), or from c while fewer
         # exist.  Extrapolated, the accepted poses' tolerance-level errors
         # would grow by sqrt(19) in root mean square.
-        a = b = c
-        trace = SimTrace()
-        last_phi = phi
-        crossing_recorded = False
+        loop = (springs, dx, dx, c, c, c, factors, phi, SimTrace())
+    states, dx_prev, dx_prev2, a, b, c, factors, last_phi, trace = loop
+    crossing_recorded = "crossing_t_s" in trace.markers
     # a run that starts afresh with a dict stores its idle prefix: the state
     # at the top of the first step in which a spring leaves the idle path
     recording = key is not None and prefix is None
@@ -827,7 +814,7 @@ def simulate(
         t_prev = step_index * dt
         t = t_prev + dt
         if recording:
-            top = tuple(states)
+            top = list(states)
         try:
             forces = []
             for k, (index, cos_p, neg_cos_p, fibers, stiffness) in enumerate(constants):
@@ -854,10 +841,9 @@ def simulate(
             ):
                 # an arc entered and completed within the step returns IDLE
                 # with a moved fraction, hence the second test
-                prefixes[config] = _IdlePrefix(
-                    key, step_index, top, dx_prev, dx_prev2, (a, b, c), factors,
-                    last_phi, crossing_recorded, copy.deepcopy(trace),
-                )
+                prefixes[config] = _IdlePrefix(key, step_index, copy.deepcopy(
+                    (top, dx_prev, dx_prev2, a, b, c, factors, last_phi, trace)
+                ))
                 recording = False
             forces = tuple(forces)
             start = c
@@ -910,10 +896,9 @@ def simulate(
 
     if recording:
         # idle to the end: the whole run is the prefix
-        prefixes[config] = _IdlePrefix(
-            key, n_steps, tuple(states), dx_prev, dx_prev2, (a, b, c), factors,
-            last_phi, crossing_recorded, copy.deepcopy(trace),
-        )
+        prefixes[config] = _IdlePrefix(key, n_steps, copy.deepcopy(
+            (states, dx_prev, dx_prev2, a, b, c, factors, last_phi, trace)
+        ))
     return trace
 
 
