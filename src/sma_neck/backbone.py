@@ -37,7 +37,7 @@ class BackboneGeometry:
 
     def __post_init__(self):
         for name in ("length", "bending_stiffness_y", "torsional_stiffness"):
-            if not getattr(self, name) > 0.0:  # NaN fails it too
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN and inf fail it too
                 raise ValueError(f"{name} must be positive")
 
 

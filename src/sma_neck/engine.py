@@ -135,7 +135,7 @@ class NeckSystem:
     def __post_init__(self):
         if len(self.units) != 3:
             raise ValueError("a neck system needs exactly 3 pennate units")
-        if not self.head_mass >= 0.0:  # NaN fails it too
+        if not 0.0 <= self.head_mass < math.inf:  # NaN and inf fail it too
             raise ValueError("head_mass must be non-negative")
         if self.force_combination not in ("additive", "max"):
             raise ValueError("force_combination must be 'additive' or 'max'")

@@ -42,7 +42,7 @@ class PennateUnit:
             raise ValueError("unit index starts at 1")
         if not 0.0 <= self.pennation_angle < 0.5 * math.pi:
             raise ValueError("pennation_angle must lie in [0, pi/2)")
-        if not self.tendon_stiffness > 0.0:  # NaN fails it too
+        if not 0.0 < self.tendon_stiffness < math.inf:  # NaN and inf fail it too
             raise ValueError("tendon_stiffness must be positive")
         if self.fibers < 1:
             raise ValueError("a pennate unit needs at least one spring")

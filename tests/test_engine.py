@@ -1035,23 +1035,25 @@ class TestSystemValidation:
     @pytest.mark.parametrize(
         "part, name, message",
         [
-            # a bare ZeroDivisionError inside simulate
+            # NaN and inf: a bare ZeroDivisionError inside simulate
             ("backbone", "length", "length must be positive"),
-            # NoConvergence at residual nan at step 0
+            # NaN and inf: NoConvergence at residual nan at step 0
             ("backbone", "bending_stiffness_y", "bending_stiffness_y must be positive"),
             ("backbone", "torsional_stiffness", "torsional_stiffness must be positive"),
-            # NoConvergence at step 2
+            # NaN and inf: NoConvergence at step 2
             ("unit", "tendon_stiffness", "tendon_stiffness must be positive"),
-            # ran to the end with gravity off, since nan > 0.0 is false
+            # NaN ran to the end with gravity off, since nan > 0.0 is false;
+            # inf with gravity on: NoConvergence at residual nan at step 0
             (None, "head_mass", "head_mass must be non-negative"),
         ],
     )
     def test_nan_field_is_rejected(self, part, name, message):
         bundled = load_default_scenario().build_system()
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            if part is None:
-                replace(bundled, **{name: math.nan})
-            elif part == "unit":
-                replace(bundled.units[0], **{name: math.nan})
-            else:
-                replace(getattr(bundled, part), **{name: math.nan})
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                if part is None:
+                    replace(bundled, **{name: value})
+                elif part == "unit":
+                    replace(bundled.units[0], **{name: value})
+                else:
+                    replace(getattr(bundled, part), **{name: value})
