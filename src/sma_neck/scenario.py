@@ -489,8 +489,8 @@ FIELDS: tuple[Field, ...] = (
     Field("calibration.targets", _TARGETS),
     Field("calibration.hold", "time", 5.0),
     Field("calibration.unit", "integer", 1, _UNIT_INDEX, "calibration.unit_index"),
-    Field("calibration.passes", "integer", 2, _at_least(1)),
-    Field("calibration.golden_iterations", "integer", 10, _at_least(3)),
+    Field("calibration.passes", "integer", 2),
+    Field("calibration.golden_iterations", "integer", 10),
     Field("calibration.dt", "time", None, _POSITIVE),
 )
 
