@@ -462,6 +462,40 @@ def test_azimuths_not_120_deg_apart_fail_validation(scenario_file, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "overrides, first",
+    [
+        (
+            ("profile=[{unit: 1, start: 0 s, end: 5 s, current: 5 A}, "
+             "{unit: 1, start: 1 s, end: 3 s, current: 8 A}]",),
+            "profile: segments for unit 1 overlap at 1 s",
+        ),
+        (("calibration.dt=0 s",), "calibration.dt: must be positive"),
+        (("calibration.dt=-1 ms",), "calibration.dt: must be positive"),
+        (
+            ("backbone.length=1e-12 m",),
+            "scenario: unit 1: head and base attachments coincide at rest",
+        ),
+        (
+            # the spring constants are checked before the rest geometry
+            ("backbone.length=1e-12 m", "spring.wire_diameter=1e-200 m"),
+            "spring: shear stress per newton (wire_diameter, coil_diameter) is inf Pa; "
+            "it must be finite and at least 2.23e-308 in magnitude",
+        ),
+    ],
+    ids=["overlap", "dt_zero", "dt_negative", "coincident", "spring_first"],
+)
+def test_run_rule_fails_validation_naming_its_field(
+    scenario_file, capsys, overrides, first
+):
+    sets = [arg for assignment in overrides for arg in ("--set", assignment)]
+    code = main(["validate-config", "--scenario", str(scenario_file), *sets])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == f"error: validation: {first}"
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+
+
 def test_max_force_combination_solves_every_step(scenario_file, tmp_path):
     code = main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path),
                  "--quiet", "--set", "pennate.force_combination=max",
