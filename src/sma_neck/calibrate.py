@@ -56,7 +56,6 @@ def evaluate_targets(
     rows = sweep(
         candidate.build_system(),
         [amps for amps, _ in spec.targets],
-        spec.hold,
         candidate.calibration_config(spec),
         unit_index=spec.unit_index,
         prefixes=prefixes,

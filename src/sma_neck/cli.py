@@ -152,7 +152,7 @@ def _cmd_sweep(args) -> int:
     if not 1 <= args.unit <= 3:
         raise ValidationError("--unit: must be 1, 2 or 3")
     system = scenario.build_system()
-    rows = sweep(system, currents, args.hold, config, unit_index=args.unit)
+    rows = sweep(system, currents, config, unit_index=args.unit)
     args.out.mkdir(parents=True, exist_ok=True)
     csv_path = args.out / f"{scenario.run_id}_sweep.csv"
     lines = ["I_A,max_theta_deg"]

@@ -102,9 +102,15 @@ class Segment:
 
 @dataclass(frozen=True)
 class CurrentProfile:
-    """Per-unit piecewise-constant current schedule."""
+    """Per-unit piecewise-constant current schedule; a unit's segments may not overlap."""
 
     segments: tuple[Segment, ...] = ()
+
+    def __post_init__(self):
+        ordered = sorted(self.segments, key=lambda s: (s.unit, s.start))
+        for a, b in zip(ordered, ordered[1:]):
+            if a.unit == b.unit and b.start < a.end:
+                raise ValueError(f"segments for unit {a.unit} overlap at {b.start:.6g} s")
 
     def current(self, unit_index: int, t: float) -> float:
         for seg in self.segments:
@@ -140,6 +146,8 @@ class NeckSystem:
         if self.force_combination not in ("additive", "max"):
             raise ValueError("force_combination must be 'additive' or 'max'")
         _check_spring_constants(self.material, self.spring_geometry, self.env)
+        for unit in self.units:
+            rest_chord_length(unit, self.backbone)  # rejects coincident attachments
 
 
 def _check_spring_constants(
@@ -905,29 +913,23 @@ def simulate(
 def sweep(
     system: NeckSystem,
     currents,
-    hold: float,
     config: SimConfig,
     unit_index: int = 1,
     *,
     prefixes: dict | None = None,
 ) -> list[SweepRow]:
-    """Run one simulation per current (applied to ``unit_index`` for ``hold``
-    seconds each, from the same initial system, with ``config``'s other
-    settings) and report the peak bending angle.  Failures are reported per
-    row; the sweep continues.  ``prefixes`` goes to every row's ``simulate``
-    (each row has its own config, so its own entry)."""
+    """Run one simulation per current (applied to ``unit_index`` for the
+    whole of ``config.duration``, from the same initial system, with
+    ``config``'s other settings) and report the peak bending angle.  Failures
+    are reported per row; the sweep continues.  ``prefixes`` goes to every
+    row's ``simulate`` (each row has its own config, so its own entry)."""
     currents = list(currents)
     if not currents:
         raise ValueError("currents must be non-empty")
-    if hold <= 0.0:
-        raise ValueError("hold must be positive")
     rows: list[SweepRow] = []
     for amps in currents:
-        run_cfg = replace(
-            config,
-            duration=hold,
-            current_profile=CurrentProfile.constant(unit_index, float(amps), hold),
-        )
+        profile = CurrentProfile.constant(unit_index, float(amps), config.duration)
+        run_cfg = replace(config, current_profile=profile)
         try:
             trace = simulate(system, run_cfg, prefixes=prefixes)
             rows.append(SweepRow(float(amps), trace.max_bending_angle()))

@@ -18,7 +18,7 @@ import yaml
 
 from .backbone import BackboneGeometry
 from .engine import CurrentProfile, NeckSystem, Segment, SimConfig, ValidationError
-from .pennate import PennateUnit, rest_chord_length
+from .pennate import PennateUnit
 from .sma import (
     SmaMaterial,
     SpringGeometry,
@@ -76,6 +76,8 @@ class CalibrationSpec:
                 )
         if not 0.0 < self.hold < math.inf:
             raise ValidationError("calibration.hold: must be positive")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ValidationError("calibration.dt: must be positive")
         for name, least in (("passes", 1), ("golden_iterations", 3)):
             count = getattr(self, name)
             if not isinstance(count, int):
@@ -140,8 +142,7 @@ class Scenario:
                 fibers=self.springs_per_unit,
             )
             units.append(unit)
-        # NeckSystem checks the spring constants, before the geometry
-        system = NeckSystem(
+        return NeckSystem(
             material=self.material,
             spring_geometry=self.spring,
             env=self.environment,
@@ -151,9 +152,6 @@ class Scenario:
             gravity_enabled=self.gravity_enabled,
             force_combination=self.force_combination,
         )
-        for unit in units:
-            rest_chord_length(unit, self.backbone)  # rejects degenerate geometry
-        return system
 
     def build_config(self, **changes) -> SimConfig:
         """The scenario's run settings, with ``changes`` (SimConfig field
@@ -399,7 +397,9 @@ _SEGMENTS = _rows(
     astuple,
 )
 _PROFILE = Codec(
-    lambda raw, label: CurrentProfile(_SEGMENTS.parse(raw, label)),
+    lambda raw, label: _wrap_invariant(
+        label, CurrentProfile, _SEGMENTS.parse(raw, label)
+    ),
     lambda profile: _SEGMENTS.dump(profile.segments),
     _SEGMENTS.fields,
 )
@@ -491,7 +491,7 @@ FIELDS: tuple[Field, ...] = (
     Field("calibration.unit", "integer", 1, _UNIT_INDEX, "calibration.unit_index"),
     Field("calibration.passes", "integer", 2),
     Field("calibration.golden_iterations", "integer", 10),
-    Field("calibration.dt", "time", None, _POSITIVE),
+    Field("calibration.dt", "time", None),
 )
 
 _OPTIONAL_SECTION = "calibration"
@@ -593,15 +593,6 @@ def parse_document(doc: dict) -> Scenario:
     for group, kwargs in groups.items():
         attributes[group] = _wrap_invariant(group, _GROUPS[group], **kwargs)
     scenario = Scenario(**attributes)
-
-    ordered = sorted(
-        scenario.simulation.current_profile.segments, key=lambda s: (s.unit, s.start)
-    )
-    for a, b in zip(ordered, ordered[1:]):
-        if a.unit == b.unit and b.start < a.end:
-            raise ValidationError(
-                f"profile: segments for unit {a.unit} overlap at {b.start:.6g} s"
-            )
     # building the system checks the cross-type invariants (degenerate
     # attachments, spring constants) before the scenario is handed out
     _wrap_invariant("scenario", scenario.build_system)

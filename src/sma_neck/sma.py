@@ -122,13 +122,14 @@ class SpringGeometry:
     surface_area: float
 
     def __post_init__(self):
-        if self.wire_diameter <= 0.0:
+        # written so that NaN and inf fail each check
+        if not 0.0 < self.wire_diameter < math.inf:
             raise ValueError("wire_diameter must be positive")
-        if self.coil_diameter <= self.wire_diameter:
+        if not self.wire_diameter < self.coil_diameter < math.inf:
             raise ValueError("coil_diameter must exceed wire_diameter")
-        if self.active_coils < 1.0:
+        if not 1.0 <= self.active_coils < math.inf:
             raise ValueError("active_coils must be at least 1")
-        if self.spring_mass <= 0.0 or self.surface_area <= 0.0:
+        if not (0.0 < self.spring_mass < math.inf and 0.0 < self.surface_area < math.inf):
             raise ValueError("spring_mass and surface_area must be positive")
 
 
@@ -501,8 +502,6 @@ def step_spring(
     t0 = state.temperature
     xi0 = state.martensite_fraction
     f0 = state.force
-    if f0 < 0.0:
-        raise ValueError("force must be non-negative")
     stress0 = 8.0 * f0 * geometry.coil_diameter / k.pi_d3
     latch = state.fraction_at_branch_start
 

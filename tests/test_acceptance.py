@@ -303,7 +303,7 @@ def test_criterion_7_table_reproduction(scenario, calibration_result):
     fitted = apply_parameters(scenario, result.parameters)
     system = fitted.build_system()
     config = SimConfig(dt=scenario.simulation.dt, duration=5.0)
-    rows = sweep(system, TABLE_CURRENTS, 5.0, config)
+    rows = sweep(system, TABLE_CURRENTS, config)
     achieved = []
     for row, target_deg in zip(rows, TABLE_ANGLES_DEG):
         if row.max_bending_angle is None:
@@ -340,8 +340,8 @@ def test_criterion_8_determinism_and_convergence(scenario, system, tmp_path):
     worst = 0.0
     for amps, coarse_row, fine_row in zip(
         TABLE_CURRENTS,
-        sweep(system, TABLE_CURRENTS, 5.0, SimConfig(dt=1e-3, duration=5.0)),
-        sweep(system, TABLE_CURRENTS, 5.0, SimConfig(dt=0.5e-3, duration=5.0)),
+        sweep(system, TABLE_CURRENTS, SimConfig(dt=1e-3, duration=5.0)),
+        sweep(system, TABLE_CURRENTS, SimConfig(dt=0.5e-3, duration=5.0)),
     ):
         coarse = coarse_row.max_bending_angle
         fine = fine_row.max_bending_angle

@@ -171,6 +171,15 @@ def test_spec_rejects_nan_and_infinite_values(targets, changes, message):
         quick_spec(targets, **changes)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+def test_spec_rejects_a_step_that_is_not_positive_and_finite(dt):
+    # only the schema checked it: a library spec reached calibrate, which
+    # failed with a bare "dt must be positive and finite"
+    spec = quick_spec([(8.0, 30.0)])
+    with pytest.raises(ValidationError, match="^calibration.dt: must be positive$"):
+        replace(spec, dt=dt)
+
+
 def test_unit_the_system_lacks_is_rejected(base_scenario):
     # fitting rows that had no current would report a converged fit
     spec = quick_spec([(8.0, 30.0)], unit_index=4, passes=1, golden_iterations=3)

@@ -172,6 +172,35 @@ def test_calibrate_requires_section(tmp_path, capsys):
     assert "calibration" in capsys.readouterr().err
 
 
+def test_output_path_that_is_a_file_exits_two(scenario_file, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["sweep", "--scenario", str(scenario_file), "--out", str(taken),
+                 "--currents", "4", "--hold", "0.3", *FAST])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: io: [Errno 17] File exists: ")
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_calibration_that_cannot_improve_exits_two(scenario_file, tmp_path, capsys):
+    # the non-improving spec of test_calibrate.py: a 0.5 s step fails every
+    # run, so the loss is a flat failure penalty
+    code = main([
+        "calibrate", "--scenario", str(scenario_file), "--out", str(tmp_path),
+        "--set", "calibration.targets=[{current: 5 A, max_bending: 5 deg}]",
+        "--set", "calibration.bounds.phase_transform_tensor=[-1.5 GPa, -0.3 GPa]",
+        "--set", "calibration.dt=0.5 s", "--set", "calibration.hold=1 s",
+        "--set", "calibration.passes=1", "--set", "calibration.golden_iterations=4",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: calibration: calibration did not improve: ")
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_unit_override_units_error(scenario_file, capsys):
     code = main(["validate-config", "--scenario", str(scenario_file),
                  "--set", "spring.wire_diameter=0.001"])

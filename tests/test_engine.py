@@ -959,10 +959,29 @@ def test_segment_rejects_non_finite_and_out_of_order_values(start, end, current)
         Segment(1, start, end, current)
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["listed_in_order", "reversed"])
+def test_overlapping_segments_are_rejected(reverse):
+    # the first segment listed that covers t set the current, so these two
+    # peaked at 7.89 or at 12.47 deg depending on their order
+    segments = (Segment(1, 0.0, 2.0, 5.0), Segment(1, 1.0, 3.0, 8.0))
+    with pytest.raises(ValueError, match="^segments for unit 1 overlap at 1 s$"):
+        CurrentProfile(segments[::-1] if reverse else segments)
+
+
+def test_touching_segments_and_other_units_may_share_times():
+    profile = CurrentProfile((
+        Segment(2, 0.0, 2.0, 4.0),
+        Segment(1, 1.0, 3.0, 8.0),
+        Segment(1, 0.0, 1.0, 5.0),
+    ))
+    assert [profile.current(1, t) for t in (0.5, 1.0, 3.0)] == [5.0, 8.0, 0.0]
+    assert profile.current(2, 1.0) == 4.0
+
+
 class TestSweep:
     def test_single_current_matches_simulate(self, system):
         cfg = quick_config(duration=1.0)
-        rows = sweep(system, [6.0], 1.0, cfg)
+        rows = sweep(system, [6.0], cfg)
         direct = simulate(
             system,
             replace(cfg, current_profile=CurrentProfile.constant(1, 6.0, 1.0)),
@@ -971,38 +990,51 @@ class TestSweep:
 
     def test_duplicate_currents_identical(self, system):
         cfg = quick_config(duration=0.6)
-        rows = sweep(system, [5.0, 5.0], 0.6, cfg)
+        rows = sweep(system, [5.0, 5.0], cfg)
         assert rows[0].max_bending_angle == rows[1].max_bending_angle
 
     def test_monotone_in_current(self, system):
         cfg = quick_config(duration=1.2)
-        rows = sweep(system, [4.0, 6.0, 8.0], 1.2, cfg)
+        rows = sweep(system, [4.0, 6.0, 8.0], cfg)
         angles = [row.max_bending_angle for row in rows]
         assert angles[0] < angles[1] < angles[2]
 
     def test_row_failures_do_not_stop_the_sweep(self, system):
         cfg = quick_config(duration=0.4, max_temperature_step=1e-6)
-        rows = sweep(system, [0.0, 8.0], 0.4, cfg)
+        rows = sweep(system, [0.0, 8.0], cfg)
         assert rows[0].error is None
         assert rows[1].error is not None and rows[1].max_bending_angle is None
 
     def test_rejects_empty_currents(self, system):
         with pytest.raises(ValueError):
-            sweep(system, [], 1.0, quick_config())
+            sweep(system, [], quick_config())
 
     @pytest.mark.parametrize("unit_index", [0, 4])
     def test_unit_the_system_lacks_is_rejected(self, system, unit_index):
         # a row on a missing unit would run with no current at all
         with pytest.raises(ValueError, match=f"unit {unit_index}, which the system"):
-            sweep(system, [8.0], 1.0, quick_config(dt=2e-3), unit_index=unit_index)
+            sweep(system, [8.0], quick_config(dt=2e-3), unit_index=unit_index)
+
+    def test_each_row_runs_the_whole_duration(self, system, monkeypatch):
+        traces = []
+
+        def recording_simulate(*args, **kwargs):
+            traces.append(simulate(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(engine, "simulate", recording_simulate)
+        cfg = quick_config(dt=2e-3, duration=0.3)
+        rows = sweep(system, [4.0, 8.0], cfg)
+        assert len(traces) == len(rows) == 2
+        assert [len(trace.t) for trace in traces] == [round(cfg.duration / cfg.dt)] * 2
 
     def test_rows_keep_their_own_jacobian(self):
         # each run hands its pose solves' Jacobian on within the run only,
         # so a row's peak does not depend on the rows before it
         scenario = load_default_scenario()
-        system, cfg = scenario.build_system(), scenario.build_config(dt=2e-3)
-        both = sweep(system, [8.0, 4.0], 1.0, cfg)
-        alone = sweep(system, [4.0], 1.0, cfg) + sweep(system, [8.0], 1.0, cfg)
+        system, cfg = scenario.build_system(), scenario.build_config(dt=2e-3, duration=1.0)
+        both = sweep(system, [8.0, 4.0], cfg)
+        alone = sweep(system, [4.0], cfg) + sweep(system, [8.0], cfg)
         assert [row.max_bending_angle for row in both] == [
             alone[1].max_bending_angle, alone[0].max_bending_angle
         ]
@@ -1031,6 +1063,20 @@ class TestSystemValidation:
         )
         with pytest.raises(ValidationError, match="^" + re.escape(message)):
             replace(bundled, **{part: replace(getattr(bundled, part), **change)})
+
+    def test_coincident_rest_attachments_are_rejected(self):
+        # only Scenario.build_system checked it; a library-built system
+        # reached simulate
+        bundled = load_default_scenario().build_system()
+        unit = bundled.units[0]
+        hx, hy, hz = unit.head_attachment_local
+        on_anchor = replace(
+            unit, base_attachment=(hx, hy, hz + bundled.backbone.length)
+        )
+        with pytest.raises(
+            ValueError, match="^unit 1: head and base attachments coincide at rest$"
+        ):
+            replace(bundled, units=(on_anchor, *bundled.units[1:]))
 
     @pytest.mark.parametrize(
         "part, name, message",

@@ -501,6 +501,24 @@ class TestInvariantValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             replace(material, **{name: math.nan})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            # NaN failed the first step with "force must be non-negative
+            # (tendon cannot push)"; an infinite coil_diameter stepped
+            ("wire_diameter", "wire_diameter must be positive"),
+            ("coil_diameter", "coil_diameter must exceed wire_diameter"),
+            ("active_coils", "active_coils must be at least 1"),
+            # NaN and inf: "heat balance overflowed"
+            ("spring_mass", "spring_mass and surface_area must be positive"),
+            ("surface_area", "spring_mass and surface_area must be positive"),
+        ],
+    )
+    def test_geometry_rejects_nan_and_inf(self, geometry, name, message, value):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(geometry, **{name: value})
+
     @pytest.mark.parametrize(
         "name, message",
         [
