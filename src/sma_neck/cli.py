@@ -1,6 +1,7 @@
 """Command-line entry point: simulate, sweep, calibrate, validate-config.
 
-Exit codes: 0 success, 1 scenario validation failure, 2 solver failure.
+Exit codes: 0 success; 1 for parse, units and validation failures; 2 for
+solver, calibration and io failures.
 Every failure prints one machine-parseable line (``error: <kind>: <detail>``)
 followed by a human explanation; stack traces never reach the user.
 """
