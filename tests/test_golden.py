@@ -10,6 +10,7 @@ tolerance, so each pinned row is also checked against the bundled tolerance.
 import pytest
 
 from sma_neck.cli import main
+from sma_neck.engine import simulate
 from sma_neck.scenario import load_default_scenario
 from sma_neck.traceio import HEADER
 from conftest import read_csv
@@ -49,3 +50,15 @@ def test_whole_second_rows(default_trace, line):
     for name, g, w in zip(HEADER, got, want):
         assert g == pytest.approx(w, rel=1e-8), name
     assert got[-1] < load_default_scenario().simulation.solver_tolerance
+
+
+def test_undriven_units_stay_cold():
+    """The bundled run drives unit 1 only.  In every row units 2 and 3 stay
+    at exactly the ambient temperature and fully martensite."""
+    scenario = load_default_scenario()
+    system = scenario.build_system()
+    trace = simulate(system, scenario.build_config())
+    assert len(trace.t) == 6000
+    for unit in (1, 2):
+        assert set(trace.spring_temperatures[unit]) == {system.env.ambient_temperature}
+        assert set(trace.spring_fractions[unit]) == {1.0}

@@ -410,23 +410,30 @@ def _step_case(triple, branch, force, anchor, offset, free_t, reverse_latch,
 @example(triple=0, branch=Branch.IDLE, force=2.0, anchor="free", offset=0.0,
          free_t=298.15, reverse_latch=1.0, forward_latch=0.0, on_arc=False,
          fraction=1.0, current=0.0, stretch_rate=1e308, dt=1e-3)
+# a cold spring: idle at the ambient temperature, fully martensite, no current
+@example(triple=0, branch=Branch.IDLE, force=2.0, anchor="free", offset=0.0,
+         free_t=298.15, reverse_latch=0.5, forward_latch=0.0, on_arc=False,
+         fraction=1.0, current=0.0, stretch_rate=-2e-3, dt=1e-3)
 def test_step_equals_composition(**draw):
     assert_same_step(*_step_case(**draw))
 
 
 def test_draws_reach_every_path():
     """The same inputs, drawn by a seeded loop, reach every path of the step:
-    idle, entries into both arcs, both arcs with a root, exits, completions
-    and a force floored at zero.  Each reached state must match the oracle."""
+    idle, cold, entries into both arcs, both arcs with a root, exits,
+    completions and a force floored at zero.  Each reached state must match
+    the oracle.  Every eighth draw is made cold: at the ambient temperature,
+    fully martensite and without current."""
     rng = random.Random(20231018)
     seen = set()
 
     def unit():
         return rng.choice([0.0, 1.0, rng.random()])
 
-    for _ in range(4000):
-        case = _step_case(
-            triple=rng.randrange(len(TRIPLES)),
+    for draw in range(4000):
+        triple = rng.randrange(len(TRIPLES))
+        inputs = dict(
+            triple=triple,
             branch=rng.choice(list(Branch)),
             force=rng.choice([0.0, rng.uniform(0.0, 2e-3), rng.uniform(0.0, 8.0)]),
             anchor=rng.choice(_ANCHORS),
@@ -440,12 +447,26 @@ def test_draws_reach_every_path():
             stretch_rate=rng.choice([-2e-3, 2e-3, rng.uniform(-2e-3, 2e-3)]),
             dt=rng.choice([1e-4, 5e-3, rng.uniform(1e-4, 5e-3)]),
         )
+        ambient = TRIPLES[triple][2].ambient_temperature
+        if draw % 8 == 0:
+            inputs.update(anchor="free", offset=0.0, free_t=ambient, on_arc=False,
+                          fraction=1.0, current=0.0)
+        case = _step_case(**inputs)
         state = case[3]
         new = assert_same_step(*case)
         if new is None:
             seen.add("raised")
             continue
         seen.add((state.branch.name, new.branch.name))
+        if (
+            state.branch is Branch.IDLE
+            and state.temperature == ambient
+            and state.martensite_fraction == 1.0
+            and inputs["current"] == 0.0
+        ):
+            assert _bits(new.temperature) == _bits(ambient)
+            assert new.martensite_fraction == 1.0 and new.branch is Branch.IDLE
+            seen.add("cold")
         if new.force == 0.0 and state.force > 0.0:
             seen.add("floored")
         moved = new.martensite_fraction != state.martensite_fraction
@@ -458,10 +479,81 @@ def test_draws_reach_every_path():
         ("IDLE", "IDLE"), ("IDLE", "REVERSE"), ("IDLE", "FORWARD"),
         ("REVERSE", "REVERSE"), ("REVERSE", "IDLE"),
         ("FORWARD", "FORWARD"), ("FORWARD", "IDLE"),
-        ("moved", "REVERSE"), ("moved", "FORWARD"), "floored",
+        ("moved", "REVERSE"), ("moved", "FORWARD"), "floored", "cold",
         ("left", "REVERSE"), ("left", "FORWARD"),
     ]:
         assert path in seen, path
+
+
+# --- the cold spring ----------------------------------------------------------
+
+_MATERIAL, _GEOMETRY, _ENV = TRIPLES[0]
+# The bundled spring, and spring constants under which the heat balance of a
+# cold spring is not exactly still, or the step raises before its end.
+_COLD_TRIPLES = {
+    "bundled": TRIPLES[0],
+    "other": TRIPLES[-1],
+    # the convection term is inf * 0: "heat balance overflowed"
+    "convection_inf": (_MATERIAL, _GEOMETRY, ThermalEnvironment(298.15, math.inf)),
+    # the Joule power is 0 * inf: "heat balance overflowed"
+    "resistance_inf": (replace(_MATERIAL, resistance_austenite=math.inf), _GEOMETRY, _ENV),
+    # the latent term is (m L) * 0.0 with m L = inf: "heat balance overflowed"
+    "latent_inf": (replace(_MATERIAL, latent_heat=1e308),
+                   replace(_GEOMETRY, spring_mass=10.0), _ENV),
+    # the heat capacity underflows to 0: ZeroDivisionError
+    "capacity_zero": (replace(_MATERIAL, specific_heat=1e-200),
+                      replace(_GEOMETRY, spring_mass=1e-200), _ENV),
+    # the shear modulus's divisor 2 (1 + poisson) is 0: ZeroDivisionError
+    "poisson_minus_one": (replace(_MATERIAL, poisson=-1.0), _GEOMETRY, _ENV),
+    # pi d^3 underflows to 0 in the shear stress: ZeroDivisionError
+    "wire_cube_zero": (_MATERIAL, replace(_GEOMETRY, wire_diameter=1e-200), _ENV),
+}
+# one input moved off the cold state at a time, by the least amount
+_COLD_PERTURBATIONS = (
+    None, "temperature", "fraction", "current", Branch.REVERSE, Branch.FORWARD,
+)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(
+    constants=st.sampled_from(sorted(_COLD_TRIPLES)),
+    tensor=st.sampled_from([-0.55e9, 0.55e9, 0.0, -0.0]) | st.floats(-1e12, 1e12),
+    expansion=st.sampled_from([2.85e6, -2.85e6, 0.0, -0.0]) | st.floats(-1e9, 1e9),
+    force=st.sampled_from([0.0, -0.0]) | st.floats(0.0, 8.0),
+    latch=_UNIT,
+    current=st.sampled_from([0.0, -0.0]),
+    stretch_rate=st.sampled_from([0.0, -0.0, -2e-3, 2e-3, -1e308, 1e308])
+    | st.floats(-2e-3, 2e-3),
+    dt=st.sampled_from([1e-4, 1e-3, 5e-3]) | st.floats(1e-6, 10.0),
+    bound=st.sampled_from([1.0, math.nan, -1.0, 0.0, math.inf]),
+    perturb=st.sampled_from(_COLD_PERTURBATIONS),
+)
+# the force law's d_xi term turns a force of -0.0 into 0.0
+@example(constants="bundled", tensor=0.55e9, expansion=-2.85e6, force=-0.0, latch=1.0,
+         current=0.0, stretch_rate=-0.0, dt=1e-3, bound=1.0, perturb=None)
+def test_cold_step_equals_the_idle_path(constants, tensor, expansion, force, latch,
+                                        current, stretch_rate, dt, bound, perturb):
+    """A cold spring, idle at the ambient temperature, fully martensite and
+    without current, returns the state of the full idle path bit for bit, or
+    raises the same exception with the same message: zero forces of both
+    signs, overflowing stretch rates, coefficients of both signs, bounds that
+    refuse even a zero change, and constants under which the heat balance
+    overflows or divides by zero.  Draws that move one input off the cold
+    state by the least amount take the full path."""
+    material, geometry, env = _COLD_TRIPLES[constants]
+    material = replace(material, phase_transform_tensor=tensor,
+                       thermal_expansion_factor=expansion)
+    temperature, fraction, branch = env.ambient_temperature, 1.0, Branch.IDLE
+    if perturb == "temperature":
+        temperature = math.nextafter(temperature, math.inf)
+    elif perturb == "fraction":
+        fraction = math.nextafter(1.0, 0.0)
+    elif perturb == "current":
+        current = 5e-324
+    elif perturb is not None:
+        branch = perturb
+    state = SpringState(temperature, fraction, force, latch, branch)
+    assert_same_step(material, geometry, env, state, current, stretch_rate, dt, bound)
 
 
 # --- the band kinetics -------------------------------------------------------
