@@ -337,7 +337,7 @@ class SpringConstants(_Kinetics):
         "geometry", "env",
         "conductance", "heat_capacity", "zero_latent",
         "shear_divisor", "d4", "stiffness_divisor", "transform", "thermal",
-        "latent_gain", "pi_d3",
+        "latent_gain", "pi_d3", "cold_exact",
     )
 
     def __init__(
@@ -366,6 +366,25 @@ class SpringConstants(_Kinetics):
         self.latent_gain = material.latent_heat / material.specific_heat
         # as in shear_stress
         self.pi_d3 = math.pi * d * d * d
+        # whether step_spring may return a cold spring (idle at the ambient
+        # temperature, fully martensite, no current) without its heat
+        # balance: where the idle RK4's stage rate there, as
+        # _idle_temperature takes it, is exactly 0.0, every stage is, and the
+        # temperature comes back bit for bit.  The rate is NaN where a
+        # constant is infinite; where the heat capacity or pi d^3 is 0.0 the
+        # full step raises ZeroDivisionError, so the flag is false there too
+        ambient = env.ambient_temperature
+        power = 0.0 * 0.0 * (
+            material.resistance_martensite * 1.0
+            + material.resistance_austenite * (1.0 - 1.0)
+        )
+        try:
+            rate = (
+                power - self.conductance * (ambient - ambient) + self.zero_latent
+            ) / self.heat_capacity
+        except ZeroDivisionError:
+            rate = math.nan
+        self.cold_exact = rate == 0.0 and self.pi_d3 != 0.0
 
     def stiffness(self, fraction: float) -> float:
         """The force law's stiffness (N/m) at martensite fraction ``fraction``."""
@@ -382,23 +401,35 @@ def _fraction(
     latch: float,
 ) -> float:
     """The martensite fraction on the active ``branch``'s cosine arc anchored
-    at ``latch``: the band kinetics of ``step_spring`` and the public laws."""
-    m = k.material
+    at ``latch``: the band kinetics of the public laws and the entry latches.
+    ``step_spring`` runs the same arcs, ``_reverse_arc`` and
+    ``_forward_arc``, with these checks made once per step."""
     if not 0.0 <= latch <= 1.0:
         raise ValueError("fraction_at_start must lie in [0, 1]")
     if stress < 0.0:
         raise ValueError("stress must be non-negative")
     if branch is _REVERSE:
-        a_start = m.austenite_start
-        shift = stress / m.stress_influence_reverse
-        if temperature <= a_start + shift:
-            return latch
-        if temperature >= m.austenite_finish + shift:
-            return 0.0
-        arg = k.reverse_slope * (temperature - a_start) - k.reverse_slope_c * stress
-        value = 0.5 * latch * (math.cos(arg) + 1.0)
-        return min(max(value, 0.0), latch)
-    # Branch.FORWARD
+        return _reverse_arc(k, temperature, stress, latch)
+    return _forward_arc(k, temperature, stress, latch)
+
+
+def _reverse_arc(k: _Kinetics, temperature: float, stress: float, latch: float) -> float:
+    """The reverse branch's arc of ``_fraction``, without its checks."""
+    m = k.material
+    a_start = m.austenite_start
+    shift = stress / m.stress_influence_reverse
+    if temperature <= a_start + shift:
+        return latch
+    if temperature >= m.austenite_finish + shift:
+        return 0.0
+    arg = k.reverse_slope * (temperature - a_start) - k.reverse_slope_c * stress
+    value = 0.5 * latch * (math.cos(arg) + 1.0)
+    return min(max(value, 0.0), latch)
+
+
+def _forward_arc(k: _Kinetics, temperature: float, stress: float, latch: float) -> float:
+    """The forward branch's arc of ``_fraction``, without its checks."""
+    m = k.material
     m_finish = m.martensite_finish
     shift = stress / m.stress_influence_forward
     if temperature >= m.martensite_start + shift:
@@ -440,14 +471,23 @@ def _temperature_on_branch(
     """Classic RK4 on the heat balance with the phase fraction (and hence the
     resistance) evaluated on the active ``branch``'s arc at every stage.
     Latent heat is not in the stage function; it is applied by the coupled
-    correction afterwards."""
+    correction afterwards.
+
+    ``_fraction``'s latch check is made once, here, with its message; the
+    step's closure runs only after a call with the same latch.  Its stress
+    check cannot fail on this path: stress0 = 8 f0 D / (pi d^3) with
+    f0 >= 0, and the closure's stress is 8 max(F, 0) D / (pi d^3).
+    """
+    if not 0.0 <= latch <= 1.0:
+        raise ValueError("fraction_at_start must lie in [0, 1]")
     m = k.material
     r_m, r_a = m.resistance_martensite, m.resistance_austenite
     g, ambient, capacity = k.conductance, k.env.ambient_temperature, k.heat_capacity
     latent = k.zero_latent
+    arc = _reverse_arc if branch is _REVERSE else _forward_arc
 
     def rate(t: float) -> float:
-        xi = _fraction(k, branch, t, stress, latch)
+        xi = arc(k, t, stress, latch)
         power = current * current * (r_m * xi + r_a * (1.0 - xi))
         return (power - g * (t - ambient) + latent) / capacity
 
@@ -480,7 +520,12 @@ def step_spring(
 
     This is a fused kernel: it reads the products of ``constants``, the
     spring's ``SpringConstants``, and an idle spring's RK4 takes the Joule
-    power once per step.  It computes exactly what the plain
+    power once per step.  A cold spring (idle at the ambient temperature,
+    fully martensite, without current) skips the heat balance, whose every
+    stage is exactly zero there, where ``constants.cold_exact`` says so; it
+    keeps the idle path's temperature guard and force law.  The RK4 stages
+    and the closure of an active step call the branch's arc routine
+    directly, with the latch checked once.  It computes exactly what the plain
     ``heating_rate``, band kinetics, entry latches and ``force_coefficients``
     of ``tests/reference_model.py`` and ``shear_stress`` compose to;
     ``tests/test_spring_kernel.py`` pins every bit of the result and every
@@ -497,15 +542,29 @@ def step_spring(
     if not math.isfinite(stretch_rate):
         raise ValueError("stretch_rate must be finite")
     k = constants
-    material, geometry = k.material, k.geometry
-
     t0 = state.temperature
     xi0 = state.martensite_fraction
     f0 = state.force
-    stress0 = 8.0 * f0 * geometry.coil_diameter / k.pi_d3
     latch = state.fraction_at_branch_start
-
     branch = state.branch
+
+    if (
+        current == 0.0
+        and branch is _IDLE
+        and xi0 == 1.0
+        and t0 == k.env.ambient_temperature
+        and k.cold_exact
+    ):
+        # A cold spring: the idle path's operations, in its order, on a
+        # temperature that does not move and a fraction that cannot.
+        elastic_force = f0 + k.stiffness(xi0) * stretch_rate * dt
+        if not 0.0 <= max_temperature_step:
+            raise StepTooLarge(0.0, max_temperature_step)
+        force_new = max(elastic_force + k.transform * 0.0 + k.thermal * 0.0, 0.0)
+        return _state(t0, xi0, force_new, latch, branch)
+
+    material, geometry = k.material, k.geometry
+    stress0 = 8.0 * f0 * geometry.coil_diameter / k.pi_d3
     if branch is _IDLE:
         t_star = _idle_temperature(k, t0, xi0, current, dt)
     else:
@@ -559,12 +618,13 @@ def step_spring(
     # Both couplings are affine in d_xi, so the residual below is strictly
     # decreasing: its root in the bracket is unique, and zeroin finds it.
     latent_gain, coil_diameter, pi_d3 = k.latent_gain, geometry.coil_diameter, k.pi_d3
+    arc = _reverse_arc if branch is _REVERSE else _forward_arc
 
     def residual(d_xi: float) -> float:
         t_cand = t_star + latent_gain * d_xi
         force_cand = elastic_force + transform * d_xi + thermal * (t_cand - t0)
         stress_cand = 8.0 * max(force_cand, 0.0) * coil_diameter / pi_d3
-        xi_cand = _fraction(k, branch, t_cand, stress_cand, latch)
+        xi_cand = arc(k, t_cand, stress_cand, latch)
         return xi_cand - xi0 - d_xi
 
     if branch is _REVERSE:

@@ -463,6 +463,7 @@ def test_draws_reach_every_path():
             and state.temperature == ambient
             and state.martensite_fraction == 1.0
             and inputs["current"] == 0.0
+            and SpringConstants(*TRIPLES[triple]).cold_exact
         ):
             assert _bits(new.temperature) == _bits(ambient)
             assert new.martensite_fraction == 1.0 and new.branch is Branch.IDLE
@@ -503,7 +504,8 @@ _COLD_TRIPLES = {
     # the heat capacity underflows to 0: ZeroDivisionError
     "capacity_zero": (replace(_MATERIAL, specific_heat=1e-200),
                       replace(_GEOMETRY, spring_mass=1e-200), _ENV),
-    # the shear modulus's divisor 2 (1 + poisson) is 0: ZeroDivisionError
+    # the shear modulus's divisor 2 (1 + poisson) is 0: ZeroDivisionError, in
+    # the stiffness, which the cold return computes too
     "poisson_minus_one": (replace(_MATERIAL, poisson=-1.0), _GEOMETRY, _ENV),
     # pi d^3 underflows to 0 in the shear stress: ZeroDivisionError
     "wire_cube_zero": (_MATERIAL, replace(_GEOMETRY, wire_diameter=1e-200), _ENV),
@@ -528,9 +530,15 @@ _COLD_PERTURBATIONS = (
     bound=st.sampled_from([1.0, math.nan, -1.0, 0.0, math.inf]),
     perturb=st.sampled_from(_COLD_PERTURBATIONS),
 )
-# the force law's d_xi term turns a force of -0.0 into 0.0
+# the force law's d_xi term turns a force of -0.0 into 0.0, and with the
+# bundled signs its d_T term does
 @example(constants="bundled", tensor=0.55e9, expansion=-2.85e6, force=-0.0, latch=1.0,
          current=0.0, stretch_rate=-0.0, dt=1e-3, bound=1.0, perturb=None)
+@example(constants="bundled", tensor=-0.55e9, expansion=2.85e6, force=-0.0, latch=1.0,
+         current=0.0, stretch_rate=-0.0, dt=1e-3, bound=1.0, perturb=None)
+# the stiffness raises before the bound is checked
+@example(constants="poisson_minus_one", tensor=-0.55e9, expansion=2.85e6, force=2.0,
+         latch=1.0, current=0.0, stretch_rate=0.0, dt=1e-3, bound=math.nan, perturb=None)
 def test_cold_step_equals_the_idle_path(constants, tensor, expansion, force, latch,
                                         current, stretch_rate, dt, bound, perturb):
     """A cold spring, idle at the ambient temperature, fully martensite and
@@ -539,7 +547,8 @@ def test_cold_step_equals_the_idle_path(constants, tensor, expansion, force, lat
     signs, overflowing stretch rates, coefficients of both signs, bounds that
     refuse even a zero change, and constants under which the heat balance
     overflows or divides by zero.  Draws that move one input off the cold
-    state by the least amount take the full path."""
+    state by the least amount take the full path.  The reference is both the
+    composed laws and ``step_spring`` with the cold return switched off."""
     material, geometry, env = _COLD_TRIPLES[constants]
     material = replace(material, phase_transform_tensor=tensor,
                        thermal_expansion_factor=expansion)
@@ -554,6 +563,21 @@ def test_cold_step_equals_the_idle_path(constants, tensor, expansion, force, lat
         branch = perturb
     state = SpringState(temperature, fraction, force, latch, branch)
     assert_same_step(material, geometry, env, state, current, stretch_rate, dt, bound)
+    # the kernel's own idle path: the same constants with the cold return off
+    cold = SpringConstants(material, geometry, env)
+    assert cold.cold_exact is (constants in ("bundled", "other", "poisson_minus_one"))
+    full = SpringConstants(material, geometry, env)
+    full.cold_exact = False
+    step = (state, current, stretch_rate, dt, bound)
+    got, got_exc = _outcome(step_spring, cold, *step)
+    want, want_exc = _outcome(step_spring, full, *step)
+    assert type(got_exc) is type(want_exc), (got_exc, want_exc)
+    assert str(got_exc) == str(want_exc)
+    if want_exc is None:
+        assert [_bits(getattr(got, name)) for name in _FIELDS[:4]] == [
+            _bits(getattr(want, name)) for name in _FIELDS[:4]
+        ]
+        assert got.branch is want.branch
 
 
 # --- the band kinetics -------------------------------------------------------
@@ -573,7 +597,10 @@ def test_kinetics_equal_the_plain_laws(triple, anchor, offset, free_t, stress, l
                                        fraction):
     """``reverse_fraction``, ``forward_fraction`` and the kernel's entry
     latches are ``sma._fraction`` and its slopes; each must return the bits,
-    or raise the exception, of the plain law in ``tests/reference_model.py``."""
+    or raise the exception, of the plain law in ``tests/reference_model.py``.
+    ``_reverse_arc`` and ``_forward_arc``, which the step runs without
+    ``_fraction``'s checks, must return ``_fraction``'s bits wherever those
+    checks pass, and the checks must raise their own messages."""
     material = TRIPLES[triple][0]
     a_start, a_finish = _reverse_band(material, max(stress, 0.0))
     m_start, m_finish = _forward_band(material, max(stress, 0.0))
@@ -600,6 +627,16 @@ def test_kinetics_equal_the_plain_laws(triple, anchor, offset, free_t, stress, l
         assert str(got_exc) == str(want_exc)
         if want_exc is None:
             assert _bits(got) == _bits(want), (fused, got, want)
+    for branch, arc in ((Branch.REVERSE, sma._reverse_arc), (Branch.FORWARD, sma._forward_arc)):
+        checked, exc = _outcome(sma._fraction, kinetics, branch, temperature, stress, latch)
+        if not 0.0 <= latch <= 1.0:
+            assert str(exc) == "fraction_at_start must lie in [0, 1]"
+        elif stress < 0.0:
+            assert str(exc) == "stress must be non-negative"
+        else:
+            assert exc is None
+            assert _bits(arc(kinetics, temperature, stress, latch)) == _bits(checked)
+        assert exc is None or type(exc) is ValueError
 
 
 # --- the force-law constants -------------------------------------------------
