@@ -107,6 +107,15 @@ class SmaMaterial:
             raise ValueError("resistances must be positive")
         if not self.latent_heat >= 0.0:
             raise ValueError("latent_heat must be non-negative")
+        # the chain above holds for an infinite band end, and NaN and inf pass
+        # no check of the force-law constants: each is refused by name
+        if not -math.inf < self.martensite_finish:
+            raise ValueError("martensite_finish must be finite")
+        if not self.austenite_finish < math.inf:
+            raise ValueError("austenite_finish must be finite")
+        for name in ("poisson", "phase_transform_tensor", "thermal_expansion_factor"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

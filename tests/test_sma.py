@@ -501,6 +501,45 @@ class TestInvariantValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             replace(material, **{name: math.nan})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["poisson", "phase_transform_tensor", "thermal_expansion_factor"]
+    )
+    def test_material_rejects_non_finite_force_law_constants(self, material, name, value):
+        # each constructed, and NeckSystem then refused it without naming the
+        # field ("force-law ... at martensite fraction 0")
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            replace(material, **{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("austenite_finish", math.inf), ("martensite_finish", -math.inf)],
+    )
+    def test_material_rejects_an_infinite_band_end(self, material, name, value):
+        # the ordering holds, so each constructed, and a run heating to any
+        # temperature kept every fraction at 1
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            replace(material, **{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            (name, value)
+            for name in (
+                "martensite_finish", "martensite_start", "austenite_start",
+                "austenite_finish",
+            )
+            for value in (math.nan, math.inf, -math.inf)
+            if (name, value)
+            not in (("martensite_finish", -math.inf), ("austenite_finish", math.inf))
+        ],
+    )
+    def test_material_band_keeps_its_ordering_message(self, material, name, value):
+        """A non-finite transformation temperature that breaks the ordering
+        fails with the ordering's message, as before."""
+        with pytest.raises(ValueError, match="^transformation temperatures must satisfy "):
+            replace(material, **{name: value})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "name, message",
