@@ -516,8 +516,8 @@ class TestInvariantValidation:
         [("austenite_finish", math.inf), ("martensite_finish", -math.inf)],
     )
     def test_material_rejects_an_infinite_band_end(self, material, name, value):
-        # the ordering holds, so each constructed, and a run heating to any
-        # temperature kept every fraction at 1
+        # the ordering holds, so each constructed and the bundled run exited
+        # 0; with austenite_finish=inf no fraction left 1
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             replace(material, **{name: value})
 

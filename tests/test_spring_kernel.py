@@ -489,8 +489,8 @@ def test_draws_reach_every_path():
 # --- the cold spring ----------------------------------------------------------
 
 _MATERIAL, _GEOMETRY, _ENV = TRIPLES[0]
-# The bundled spring, and spring constants under which the heat balance of a
-# cold spring is not exactly still, or the step raises before its end.
+# Two ordinary springs, and constants under which a cold spring's full step
+# is not still: its heat balance is NaN, or the step raises before its end.
 _COLD_TRIPLES = {
     "bundled": TRIPLES[0],
     "other": TRIPLES[-1],
@@ -510,7 +510,8 @@ _COLD_TRIPLES = {
     # pi d^3 underflows to 0 in the shear stress: ZeroDivisionError
     "wire_cube_zero": (_MATERIAL, replace(_GEOMETRY, wire_diameter=1e-200), _ENV),
 }
-# one input moved off the cold state at a time, by the least amount
+# one input moved off the cold state at a time: the temperature or the
+# fraction by one ulp, the current to 1 mA (a subnormal one squares to 0.0)
 _COLD_PERTURBATIONS = (
     None, "temperature", "fraction", "current", Branch.REVERSE, Branch.FORWARD,
 )
@@ -547,7 +548,7 @@ def test_cold_step_equals_the_idle_path(constants, tensor, expansion, force, lat
     signs, overflowing stretch rates, coefficients of both signs, bounds that
     refuse even a zero change, and constants under which the heat balance
     overflows or divides by zero.  Draws that move one input off the cold
-    state by the least amount take the full path.  The reference is both the
+    state take the full path.  The reference is both the
     composed laws and ``step_spring`` with the cold return switched off."""
     material, geometry, env = _COLD_TRIPLES[constants]
     material = replace(material, phase_transform_tensor=tensor,
@@ -558,7 +559,7 @@ def test_cold_step_equals_the_idle_path(constants, tensor, expansion, force, lat
     elif perturb == "fraction":
         fraction = math.nextafter(1.0, 0.0)
     elif perturb == "current":
-        current = 5e-324
+        current = 1e-3
     elif perturb is not None:
         branch = perturb
     state = SpringState(temperature, fraction, force, latch, branch)
