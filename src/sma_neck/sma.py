@@ -18,7 +18,9 @@ from enum import Enum
 
 _SQRT3 = math.sqrt(3.0)
 _EPS = sys.float_info.epsilon
-_ROOT_TOLERANCE = 1e-14  # bracket width at which step_spring's root is accepted
+# step_spring's closure root lies within this, plus 4 eps |x|, of the true
+# root: the length of the last Newton step, or half the bisected bracket
+_ROOT_TOLERANCE = 1e-14
 
 
 class Branch(Enum):
@@ -522,8 +524,9 @@ def step_spring(
     cooling through the martensite band, idle otherwise) with the starting
     fraction latched on entry.  On an active branch the fraction change, the
     latent-heat temperature correction and the stress feedback on the band
-    edges are solved together as one monotone scalar root, found by Brent's
-    zeroin, so that the update is stable for physically large latent heats.
+    edges are solved together as one monotone scalar root, found by
+    safeguarded Newton from a zero change (``_closure_root``), so that the
+    update is stable for physically large latent heats.
     The force then advances by the rate law using the realized discrete
     rates, floored at zero.
 
@@ -534,11 +537,13 @@ def step_spring(
     stage is exactly zero there, where ``constants.cold_exact`` says so; it
     keeps the idle path's temperature guard and force law.  The RK4 stages
     and the closure of an active step call the branch's arc routine
-    directly, with the latch checked once.  It computes exactly what the plain
+    directly, with the latch checked once.  It computes what the plain
     ``heating_rate``, band kinetics, entry latches and ``force_coefficients``
-    of ``tests/reference_model.py`` and ``shear_stress`` compose to;
-    ``tests/test_spring_kernel.py`` pins every bit of the result and every
-    exception to that composition.
+    of ``tests/reference_model.py`` and ``shear_stress`` compose to, with
+    the closure solved by that module's Brent zeroin;
+    ``tests/test_spring_kernel.py`` pins every exception, and every bit of
+    the result, to that composition, except where the root lies inside the
+    closure's bracket: there the two roots agree within the root tolerance.
 
     Raises StepTooLarge when the temperature moves more than
     ``max_temperature_step`` in a single step.
@@ -625,28 +630,33 @@ def step_spring(
     # Joint per-step closure: the fraction change feeds back on the
     # temperature (latent heat) and on the band edges (stress shift).
     # Both couplings are affine in d_xi, so the residual below is strictly
-    # decreasing: its root in the bracket is unique, and zeroin finds it.
+    # decreasing: its root in the bracket is unique, and _closure_root
+    # finds it.
     latent_gain, coil_diameter, pi_d3 = k.latent_gain, geometry.coil_diameter, k.pi_d3
-    arc = _reverse_arc if branch is _REVERSE else _forward_arc
+    force_gain = transform + thermal * latent_gain
+    stress_gain = 8.0 * coil_diameter / pi_d3 * force_gain
+    if branch is _REVERSE:
+        arc, lower, upper, far = _reverse_arc, 0.0, latch, -xi0
+        slope_t, slope_c = k.reverse_slope, k.reverse_slope_c
+    else:
+        arc, lower, upper, far = _forward_arc, latch, 1.0, 1.0 - xi0
+        slope_t, slope_c = k.forward_slope, k.forward_slope_c
+    arg_gain = slope_t * latent_gain
 
-    def residual(d_xi: float) -> float:
+    def residual(d_xi: float) -> tuple[float, float]:
         t_cand = t_star + latent_gain * d_xi
         force_cand = elastic_force + transform * d_xi + thermal * (t_cand - t0)
         stress_cand = 8.0 * max(force_cand, 0.0) * coil_diameter / pi_d3
         xi_cand = arc(k, t_cand, stress_cand, latch)
-        return xi_cand - xi0 - d_xi
+        # The arc is lower + (upper - lower) (1 + cos(arg)) / 2 inside its
+        # band, with arg in (0, pi), so its slope in arg, -(upper - lower)
+        # sin(arg) / 2, is -sqrt((xi - lower) (upper - xi)).  That is 0
+        # where the arc returns an end: outside the band, or clamped.
+        arg_slope = arg_gain - slope_c * stress_gain if force_cand > 0.0 else arg_gain
+        arc_slope = -math.sqrt((xi_cand - lower) * (upper - xi_cand)) * arg_slope
+        return xi_cand - xi0 - d_xi, arc_slope - 1.0
 
-    if branch is _REVERSE:
-        lo, hi = -xi0, 0.0
-    else:
-        lo, hi = 0.0, 1.0 - xi0
-    r_lo = residual(lo)
-    r_hi = residual(hi)
-    if branch is _REVERSE:
-        # residual(0) >= 0 means the band edge outran the temperature.
-        d_xi = 0.0 if r_hi >= 0.0 else _zeroin(residual, lo, hi, r_lo, r_hi)
-    else:
-        d_xi = 0.0 if r_lo <= 0.0 else _zeroin(residual, lo, hi, r_lo, r_hi)
+    d_xi = _closure_root(residual, far)
     t_new = t_star + latent_gain * d_xi
     xi_new = min(max(xi0 + d_xi, 0.0), 1.0)
     d_xi = xi_new - xi0
@@ -668,49 +678,49 @@ def step_spring(
     return _state(t_new, xi_new, force_new, latch, branch)
 
 
-def _zeroin(fn, a: float, b: float, fa: float, fb: float) -> float:
-    """Root of a decreasing scalar ``fn`` on [a, b], given fa = fn(a) and
-    fb = fn(b), by Brent's zeroin (Algorithms for Minimization without
-    Derivatives, 1973, ch. 4): inverse quadratic or secant steps, with a
-    bisection step whenever they would not shrink the bracket fast enough.
-    The root lies within _ROOT_TOLERANCE + 4 eps |x| of the returned x."""
-    if fa <= 0.0:
-        return a
-    if fb >= 0.0:
-        return b
-    c, fc = a, fa
-    d = e = b - a
+def _closure_root(residual, far: float) -> float:
+    """The active step's fraction change: the root of the decreasing
+    ``residual`` between 0 and ``far``, the change that completes the
+    transformation (-xi0 on the reverse branch, 1 - xi0 on the forward one).
+    ``residual(d_xi)`` returns the residual and its slope in d_xi.
+
+    Where the residual at 0 already has the sign of the far side (the band
+    edge outran the temperature), the change is 0.  Otherwise safeguarded
+    Newton from 0 (rtsafe: Press et al., Numerical Recipes, sec. 9.4) keeps
+    a sign bracket and bisects it where a Newton step would leave it, would
+    not halve the last step, or the slope is not negative.  ``far`` is
+    evaluated only when a step would leave through it or end within the
+    tolerance of it; where its residual has the sign of the side beyond the
+    root, the transformation completes and ``far`` is returned exactly.  The
+    root lies within _ROOT_TOLERANCE + 4 eps |x| of the returned x."""
+    f, slope = residual(0.0)
+    reverse = far < 0.0
+    if f >= 0.0 if reverse else f <= 0.0:
+        return 0.0
+    lo, hi = (far, 0.0) if reverse else (0.0, far)
+    x, step, far_known = 0.0, math.inf, False
     while True:
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * _ROOT_TOLERANCE
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:  # inverse quadratic interpolation
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < 3.0 * xm * q - abs(tol1 * q) and p < abs(0.5 * e * q):
-                e, d = d, p / q
-            else:
-                d = e = xm
+        last = step
+        step = -f / slope if slope < 0.0 else math.nan
+        target = x + step
+        newton = lo < target < hi and abs(step) <= 0.5 * abs(last)
+        if not far_known and not (
+            newton and abs(far - target) > _ROOT_TOLERANCE + 4.0 * _EPS * abs(target)
+        ):
+            f_far = residual(far)[0]
+            if f_far <= 0.0 if reverse else f_far >= 0.0:
+                return far
+            far_known = True
+        if not newton:
+            target = 0.5 * (lo + hi)
+            step = target - x
+        if abs(step) <= _ROOT_TOLERANCE + 4.0 * _EPS * abs(target):
+            return target
+        x = target
+        f, slope = residual(x)
+        if f == 0.0:
+            return x
+        if f > 0.0:
+            lo = x
         else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = fn(b)
-        if (fb > 0.0) == (fc > 0.0) and fb != 0.0:
-            c, fc = a, fa
-            d = e = b - a
+            hi = x

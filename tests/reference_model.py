@@ -11,7 +11,9 @@ and one plain reference here.  The band kinetics are also public
 composes.  ``effective_modulus`` and ``force_coefficients`` are the force
 law's coefficients that the package derives only in ``sma.SpringConstants``,
 whose products validation checks; ``_check_spring_constants`` below is that
-validation as it built those constants once per check.  No run path calls
+validation as it built those constants once per check.  ``_zeroin`` is the
+bracketing root the spring oracle solves the step's closure with, where
+``sma._closure_root`` runs Newton.  No run path calls
 this module.
 """
 
@@ -27,6 +29,8 @@ from sma_neck.sma import (
     SpringConstants,
     SpringGeometry,
     ThermalEnvironment,
+    _EPS,
+    _ROOT_TOLERANCE,
     _forward_band,
     _reverse_band,
     shear_stress,
@@ -146,6 +150,59 @@ def _check_spring_constants(
         "environment.convection_coefficient)", "W/K",
         lambda: SpringConstants(material, spring, env).conductance,
     )
+
+
+# --- the step's closure root (sma) ------------------------------------------
+# Brent's zeroin, as the spring step ran it before its safeguarded Newton
+# root: the oracle the spring composition solves its closure with.
+
+
+def _zeroin(fn, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of a decreasing scalar ``fn`` on [a, b], given fa = fn(a) and
+    fb = fn(b), by Brent's zeroin (Algorithms for Minimization without
+    Derivatives, 1973, ch. 4): inverse quadratic or secant steps, with a
+    bisection step whenever they would not shrink the bracket fast enough.
+    The root lies within _ROOT_TOLERANCE + 4 eps |x| of the returned x."""
+    if fa <= 0.0:
+        return a
+    if fb >= 0.0:
+        return b
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * _ROOT_TOLERANCE
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p = 2.0 * xm * s
+                q = 1.0 - s
+            else:  # inverse quadratic interpolation
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * xm * q - abs(tol1 * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = fn(b)
+        if (fb > 0.0) == (fc > 0.0) and fb != 0.0:
+            c, fc = a, fa
+            d = e = b - a
 
 
 # --- band kinetics and the arc anchors (sma) -------------------------------

@@ -24,13 +24,13 @@ GOLDEN_ROWS = (
     "298.15,298.15,1,1,1,1,1,1,11.0180949,4.04465812,4.04465812,2.29526578e-10",
     "4,1.03532724,1.04719755,5.33878932,341.065461,341.065461,298.15,298.15,"
     "298.15,298.15,0.99360813,0.99360813,1,1,1,1,13.0050626,4.12118912,"
-    "4.12118912,2.56973378e-12",
+    "4.12118912,5.94833173e-10",
     "5,1.34512324,1.04719755,6.9362896,346.070487,346.070487,298.15,298.15,"
     "298.15,298.15,0.950859675,0.950859675,1,1,1,1,15.7774437,4.22666164,"
-    "4.22666164,4.22706566e-12",
+    "4.22666164,4.0085182e-10",
     "6,1.19862442,1.04719755,6.18085085,339.769532,339.769532,298.15,298.15,"
     "298.15,298.15,0.950859675,0.950859675,1,1,1,1,14.4659967,4.17710989,"
-    "4.17710989,8.91637527e-10",
+    "4.17710989,7.64503312e-10",
 )
 
 

@@ -440,20 +440,25 @@ def test_phase_root_matches_bisection_oracle(
         **latches,
     )
     solves = []
-    zeroin = sma._zeroin
+    closure_root = sma._closure_root
 
-    def recorded(fn, lo, hi, f_lo, f_hi):
-        root = zeroin(fn, lo, hi, f_lo, f_hi)
-        solves.append((fn, lo, hi, f_lo, f_hi, root))
+    def recorded(residual, far):
+        root = closure_root(residual, far)
+        solves.append((residual, far, root))
         return root
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sma, "_zeroin", recorded)
+        mp.setattr(sma, "_closure_root", recorded)
         step_spring(constants, state, current, stretch_rate, 1e-3)
-    # the band edge can outrun the temperature, which needs no root
+    # a branch left or not entered needs no root
     assume(solves)
-    (fn, lo, hi, f_lo, f_hi, root), = solves
-    assert abs(root - _bisection_root(fn, lo, hi, f_lo, f_hi)) <= 1e-13
+    (residual, far, root), = solves
+
+    def fn(d_xi):
+        return residual(d_xi)[0]
+
+    lo, hi = sorted((0.0, far))
+    assert abs(root - _bisection_root(fn, lo, hi, fn(lo), fn(hi))) <= 1e-13
     if root not in (lo, hi):
         step = 1e-14
         assert fn(root) == 0.0 or fn(root - step) > 0.0 > fn(root + step)
