@@ -46,10 +46,12 @@ class PennateUnit:
             raise ValueError("tendon_stiffness must be positive")
         if self.fibers < 1:
             raise ValueError("a pennate unit needs at least one spring")
-        object.__setattr__(self, "base_attachment", tuple(map(float, self.base_attachment)))
-        object.__setattr__(
-            self, "head_attachment_local", tuple(map(float, self.head_attachment_local))
-        )
+        for name in ("base_attachment", "head_attachment_local"):
+            point = tuple(map(float, getattr(self, name)))
+            # written so that NaN fails it too
+            if not all(-math.inf < v < math.inf for v in point):
+                raise ValueError(f"{name} coordinates must be finite")
+            object.__setattr__(self, name, point)
 
 
 def rest_chord_length(unit: PennateUnit, geometry: BackboneGeometry) -> float:

@@ -177,6 +177,8 @@ class SpringState:
     def __post_init__(self):
         if not self.temperature > 0.0:
             raise ValueError("temperature must be positive (kelvin)")
+        if not self.temperature < math.inf:
+            raise ValueError("temperature must be finite")
         for name in ("martensite_fraction", "fraction_at_branch_start"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -201,15 +203,20 @@ def _state(
 
     The temperature, and the force's upper end, are checked with the
     constructor's messages: a finite stretch rate can overflow the force to
-    inf, and inf - inf to NaN.  The other invariants hold by construction on
+    inf, and inf - inf to NaN, and an infinite temperature bound lets the
+    temperature reach inf.  The other invariants hold by construction on
     both return paths of the step: the fraction is clamped to [0, 1] or
     carried from the input state, the latch comes from an entry-latch helper
     or is carried, and the force is ``max(..., 0.0)``.  A NaN fraction change
     makes the temperature change NaN, so ``StepTooLarge`` is raised before a
     NaN fraction could get here.
     """
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive (kelvin)")
+    if not 0.0 < temperature < math.inf:
+        raise ValueError(
+            "temperature must be finite"
+            if temperature > 0.0
+            else "temperature must be positive (kelvin)"
+        )
     if not force < math.inf:
         raise ValueError("force must be non-negative (tendon cannot push)")
     state = _new_object(SpringState)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,3 +153,14 @@ class TestValidation:
     def test_tendon_stiffness_positive(self):
         with pytest.raises(ValueError):
             make_unit(1, 0.0, tendon_stiffness=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["base_attachment", "head_attachment_local"])
+    def test_attachment_coordinates_finite(self, name, axis, value):
+        # each constructed, and the run ended in NoConvergence at residual
+        # nan at step 0
+        point = list(getattr(make_unit(1, 0.0), name))
+        point[axis] = value
+        with pytest.raises(ValueError, match=f"^{name} coordinates must be finite$"):
+            replace(make_unit(1, 0.0), **{name: tuple(point)})

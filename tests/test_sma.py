@@ -491,6 +491,13 @@ class TestInvariantValidation:
         with pytest.raises(ValueError, match="force must be non-negative"):
             SpringState(300.0, 1.0, math.inf)
 
+    def test_spring_state_rejects_infinite_temperature(self):
+        # it constructed, and the run ended in StepTooLarge at step 1
+        with pytest.raises(ValueError, match=r"^temperature must be finite$"):
+            SpringState(math.inf, 1.0, 0.0)
+        with pytest.raises(ValueError, match=r"^temperature must be positive \(kelvin\)$"):
+            SpringState(-math.inf, 1.0, 0.0)
+
     @pytest.mark.parametrize(
         "name, message",
         [

@@ -868,6 +868,9 @@ def _states(material, geometry):
         (1e153, 1e-3, 1.0, StepTooLarge),  # a huge finite step
         (1e154, 1e-3, 1.0, StepTooLarge),
         (1e155, 1e-3, 1.0, StepTooLarge),  # the heat balance overflows to NaN
+        # the heat balance overflows to inf, which an infinite bound lets
+        # through to the state's temperature check
+        (1e154, 1e-3, math.inf, ValueError),
         (8.0, 1e-3, 1e-4, StepTooLarge),  # an ordinary step over a tight bound
         (8.0, 0.0, 1.0, ValueError),
         (8.0, -1e-3, 1.0, ValueError),
