@@ -640,15 +640,18 @@ def step_spring(
     # decreasing: its root in the bracket is unique, and _closure_root
     # finds it.
     latent_gain, coil_diameter, pi_d3 = k.latent_gain, geometry.coil_diameter, k.pi_d3
-    force_gain = transform + thermal * latent_gain
-    stress_gain = 8.0 * coil_diameter / pi_d3 * force_gain
     if branch is _REVERSE:
         arc, lower, upper, far = _reverse_arc, 0.0, latch, -xi0
-        slope_t, slope_c = k.reverse_slope, k.reverse_slope_c
+        slope, slope_c = k.reverse_slope, k.reverse_slope_c
     else:
         arc, lower, upper, far = _forward_arc, latch, 1.0, 1.0 - xi0
-        slope_t, slope_c = k.forward_slope, k.forward_slope_c
-    arg_gain = slope_t * latent_gain
+        slope, slope_c = k.forward_slope, k.forward_slope_c
+    # the arc argument's slope in d_xi: through the temperature, and through
+    # the stress too while the candidate force is positive
+    slack_gain = slope * latent_gain
+    taut_gain = slack_gain - slope_c * (
+        8.0 * coil_diameter / pi_d3 * (transform + thermal * latent_gain)
+    )
 
     def residual(d_xi: float) -> tuple[float, float]:
         t_cand = t_star + latent_gain * d_xi
@@ -659,8 +662,9 @@ def step_spring(
         # band, with arg in (0, pi), so its slope in arg, -(upper - lower)
         # sin(arg) / 2, is -sqrt((xi - lower) (upper - xi)).  That is 0
         # where the arc returns an end: outside the band, or clamped.
-        arg_slope = arg_gain - slope_c * stress_gain if force_cand > 0.0 else arg_gain
-        arc_slope = -math.sqrt((xi_cand - lower) * (upper - xi_cand)) * arg_slope
+        arc_slope = -math.sqrt((xi_cand - lower) * (upper - xi_cand)) * (
+            taut_gain if force_cand > 0.0 else slack_gain
+        )
         return xi_cand - xi0 - d_xi, arc_slope - 1.0
 
     d_xi = _closure_root(residual, far)
@@ -707,13 +711,11 @@ def _closure_root(residual, far: float) -> float:
     lo, hi = (far, 0.0) if reverse else (0.0, far)
     x, step, far_known = 0.0, math.inf, False
     while True:
-        last = step
-        step = -f / slope if slope < 0.0 else math.nan
+        tol = _ROOT_TOLERANCE + 4.0 * _EPS * abs(x)
+        last, step = step, -f / slope if slope < 0.0 else math.nan
         target = x + step
         newton = lo < target < hi and abs(step) <= 0.5 * abs(last)
-        if not far_known and not (
-            newton and abs(far - target) > _ROOT_TOLERANCE + 4.0 * _EPS * abs(target)
-        ):
+        if not far_known and not (newton and abs(far - target) > tol):
             f_far = residual(far)[0]
             if f_far <= 0.0 if reverse else f_far >= 0.0:
                 return far
@@ -721,7 +723,7 @@ def _closure_root(residual, far: float) -> float:
         if not newton:
             target = 0.5 * (lo + hi)
             step = target - x
-        if abs(step) <= _ROOT_TOLERANCE + 4.0 * _EPS * abs(target):
+        if abs(step) <= tol:
             return target
         x = target
         f, slope = residual(x)
