@@ -703,7 +703,9 @@ def _closure_root(residual, far: float) -> float:
     evaluated only when a step would leave through it or end within the
     tolerance of it; where its residual has the sign of the side beyond the
     root, the transformation completes and ``far`` is returned exactly.  The
-    root lies within _ROOT_TOLERANCE + 4 eps |x| of the returned x."""
+    iteration stops at a step no longer than _ROOT_TOLERANCE + 4 eps |x|,
+    zeroin's tolerance: a bisected bracket then holds the root within it,
+    and a Newton step, where the residual is smooth, much closer."""
     f, slope = residual(0.0)
     reverse = far < 0.0
     if f >= 0.0 if reverse else f <= 0.0:

@@ -153,8 +153,9 @@ def _check_spring_constants(
 
 
 # --- the step's closure root (sma) ------------------------------------------
-# Brent's zeroin, as the spring step ran it before its safeguarded Newton
-# root: the oracle the spring composition solves its closure with.
+# Brent's zeroin on the closure's whole bracket: the root the spring
+# composition solves its closure with, where sma._closure_root runs
+# safeguarded Newton from d_xi = 0.
 
 
 def _zeroin(fn, a: float, b: float, fa: float, fb: float) -> float:

@@ -464,6 +464,23 @@ def test_phase_root_matches_bisection_oracle(
         assert fn(root) == 0.0 or fn(root - step) > 0.0 > fn(root + step)
 
 
+@pytest.mark.parametrize("far", [-0.3, 0.3])
+def test_closure_root_returns_a_completed_end_exactly(far):
+    """A residual that reaches 0 exactly at the completed transformation's
+    end, with a slope 1.5 times too steep: each Newton step covers two
+    thirds of the distance left, so the steps end within the tolerance of
+    the end without leaving the bracket.  The end is returned exactly, not
+    a float beside it, so the fraction lands on exactly 0 or 1."""
+    calls = []
+
+    def residual(d_xi):
+        calls.append(d_xi)
+        return far - d_xi, -1.5
+
+    assert sma._closure_root(residual, far) == far
+    assert calls[0] == 0.0 and far in calls
+
+
 class TestInvariantValidation:
     def test_material_ordering(self, material):
         with pytest.raises(ValueError):
