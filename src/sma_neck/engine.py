@@ -40,6 +40,7 @@ from .sma import (
     SpringGeometry,
     StepTooLarge,
     ThermalEnvironment,
+    ValidationError,  # re-exported: the scenario layer imports it from here
     _reverse_band,
     shear_stress,
     step_spring,
@@ -56,10 +57,6 @@ _DIFFERENCE_STEP = sys.float_info.epsilon ** (1.0 / 3.0)
 # most time steps one run may take (duration / dt); the bundled scenario
 # takes 6000
 MAX_STEPS = 1_000_000
-
-
-class ValidationError(ValueError):
-    """A field violates an invariant; the message names the field path."""
 
 
 class NoConvergence(RuntimeError):
@@ -127,7 +124,8 @@ class CurrentProfile:
 class NeckSystem:
     """The assembled neck: alloy, spring geometry, environment, backbone and
     the three pennate units, plus head mass (kg) for the optional gravity
-    moment."""
+    moment.  Building one builds, and so checks, its springs'
+    ``SpringConstants``, which it keeps as ``spring_constants``."""
 
     material: SmaMaterial
     spring_geometry: SpringGeometry
@@ -137,6 +135,7 @@ class NeckSystem:
     head_mass: float = 0.0
     gravity_enabled: bool = False
     force_combination: str = "additive"  # or "max"
+    spring_constants: SpringConstants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.units) != 3:
@@ -145,69 +144,10 @@ class NeckSystem:
             raise ValueError("head_mass must be non-negative")
         if self.force_combination not in ("additive", "max"):
             raise ValueError("force_combination must be 'additive' or 'max'")
-        _check_spring_constants(self.material, self.spring_geometry, self.env)
+        constants = SpringConstants(self.material, self.spring_geometry, self.env)
+        object.__setattr__(self, "spring_constants", constants)
         for unit in self.units:
             rest_chord_length(unit, self.backbone)  # rejects coincident attachments
-
-
-def _check_spring_constants(
-    material: SmaMaterial, spring: SpringGeometry, env: ThermalEnvironment
-) -> None:
-    """Reject fields whose derived per-spring constants leave the float
-    range: the shear stress per newton, and the products of the
-    ``SpringConstants`` that ``step_spring`` uses.  Each field passes its
-    own check, yet a 1e-200 m wire cubed is 0 and a 1e200 m coil cubed
-    overflows; a run would then end in a traceback or a NaN step."""
-    _require_normal(
-        "shear stress per newton (wire_diameter, coil_diameter)", "Pa",
-        lambda: shear_stress(spring, 1.0),
-    )
-    try:
-        k = SpringConstants(material, spring, env)
-    except OverflowError:  # a coil whose cube overflows: every product is inf
-        k = None
-    # the force-law coefficients are zero only where the material constant
-    # they scale is zero; the transformation and thermal ones do not depend
-    # on the fraction, so they are checked at fraction 0 alone
-    for what, unit, product, may_be_zero in (
-        ("force-law stiffness at martensite fraction 0 (wire_diameter, "
-         "coil_diameter, active_coils, material moduli)", "N/m",
-         lambda k: k.stiffness(0.0), False),
-        ("force-law transformation coefficient at martensite fraction 0 "
-         "(wire_diameter, coil_diameter, material.phase_transform_tensor)", "N",
-         lambda k: k.transform, material.phase_transform_tensor == 0.0),
-        ("force-law thermal coefficient at martensite fraction 0 "
-         "(wire_diameter, coil_diameter, material.thermal_expansion_factor)", "N/K",
-         lambda k: k.thermal, material.thermal_expansion_factor == 0.0),
-        ("force-law stiffness at martensite fraction 1 (wire_diameter, "
-         "coil_diameter, active_coils, material moduli)", "N/m",
-         lambda k: k.stiffness(1.0), False),
-        ("heat capacity (spring_mass, material.specific_heat)", "J/K",
-         lambda k: k.heat_capacity, False),
-        ("convective conductance (surface_area, "
-         "environment.convection_coefficient)", "W/K",
-         lambda k: k.conductance, False),
-    ):
-        _require_normal(
-            what, unit, lambda: math.inf if k is None else product(k), may_be_zero
-        )
-
-
-def _require_normal(what: str, unit: str, compute, may_be_zero: bool = False):
-    """A derived spring constant must be a finite, normal float: a zero or
-    subnormal one has underflowed, and dividing by it overflows."""
-    try:
-        value = compute()
-    except (ZeroDivisionError, OverflowError):  # an intermediate left the range
-        value = math.inf
-    if math.isfinite(value) and (
-        abs(value) >= sys.float_info.min or (may_be_zero and value == 0.0)
-    ):
-        return
-    raise ValidationError(
-        f"spring: {what} is {value:.3g} {unit}; it must be finite and at least "
-        f"{sys.float_info.min:.3g} in magnitude"
-    )
 
 
 @dataclass(frozen=True)
@@ -716,7 +656,9 @@ def _prefix_key(system: NeckSystem) -> NeckSystem:
     material = system.material
     tensor = math.copysign(1.0, material.phase_transform_tensor)
     # set on a copy rather than by replace, which would run the
-    # spring-constant checks on a tensor of magnitude 1
+    # spring-constant checks on a tensor of magnitude 1; the copy keeps the
+    # system's spring_constants, which no key comparison reads and no run
+    # of a key uses
     key = copy.copy(system)
     object.__setattr__(key, "material", replace(material, phase_transform_tensor=tensor))
     return key
@@ -754,8 +696,7 @@ def simulate(
     profile = config.current_profile
     dt = config.dt
     n_steps = int(round(config.duration / dt))
-    material, geometry = system.material, system.spring_geometry
-    spring_constants = SpringConstants(material, geometry, system.env)
+    spring_constants = system.spring_constants
     bound = config.max_temperature_step
     take_max = system.force_combination == "max"
 
@@ -884,8 +825,8 @@ def simulate(
             for s in states:
                 if s.martensite_fraction < 1.0:
                     crossing_recorded = True
-                    sigma = shear_stress(geometry, s.force)
-                    as_prime, af_prime = _reverse_band(material, sigma)
+                    sigma = shear_stress(system.spring_geometry, s.force)
+                    as_prime, af_prime = _reverse_band(system.material, sigma)
                     trace.markers["crossing_t_s"] = t
                     trace.markers["as_prime_K"] = as_prime
                     trace.markers["af_prime_K"] = af_prime

@@ -36,6 +36,10 @@ class Branch(Enum):
 _IDLE, _REVERSE, _FORWARD = Branch.IDLE, Branch.REVERSE, Branch.FORWARD
 
 
+class ValidationError(ValueError):
+    """A field violates an invariant; the message names the field path."""
+
+
 class StepTooLarge(RuntimeError):
     """Per-step temperature change exceeded the stability bound (reduce dt),
     or the heat balance overflowed, which no dt cures."""
@@ -109,13 +113,17 @@ class SmaMaterial:
             raise ValueError("resistances must be positive")
         if not self.latent_heat >= 0.0:
             raise ValueError("latent_heat must be non-negative")
-        # the chain above holds for an infinite band end, and NaN and inf pass
-        # no check of the force-law constants: each is refused by name
+        # the chain above holds for an infinite band end, NaN and inf pass no
+        # check of the force-law constants, and the positive heat-balance
+        # constants above may be inf: each is refused by name
         if not -math.inf < self.martensite_finish:
             raise ValueError("martensite_finish must be finite")
         if not self.austenite_finish < math.inf:
             raise ValueError("austenite_finish must be finite")
-        for name in ("poisson", "phase_transform_tensor", "thermal_expansion_factor"):
+        for name in (
+            "poisson", "phase_transform_tensor", "thermal_expansion_factor",
+            "resistance_martensite", "resistance_austenite", "latent_heat",
+        ):
             if not -math.inf < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite")
 
@@ -157,6 +165,9 @@ class ThermalEnvironment:
             raise ValueError("ambient_temperature must be positive (kelvin)")
         if not self.convection_coefficient > 0.0:
             raise ValueError("convection_coefficient must be positive")
+        for name in ("ambient_temperature", "convection_coefficient"):
+            if not getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -340,22 +351,45 @@ class _Kinetics:
         self.forward_slope_c = self.forward_slope / material.stress_influence_forward
 
 
+def _require_normal(what: str, unit: str, compute, may_be_zero: bool = False):
+    """A derived spring constant must be a finite, normal float: a zero or
+    subnormal one has underflowed, and dividing by it overflows."""
+    try:
+        value = compute()
+    except ZeroDivisionError:  # a divisor underflowed to 0
+        value = math.inf
+    if math.isfinite(value) and (
+        abs(value) >= sys.float_info.min or (may_be_zero and value == 0.0)
+    ):
+        return
+    raise ValidationError(
+        f"spring: {what} is {value:.3g} {unit}; it must be finite and at least "
+        f"{sys.float_info.min:.3g} in magnitude"
+    )
+
+
 class SpringConstants(_Kinetics):
     """The products ``step_spring`` reads, derived once from one spring's
     alloy, coil and environment, with the slopes of ``_Kinetics``: build one
-    and pass it to every step of that spring.  Scenario validation checks
-    these same products.  Each entry uses the operands and the left-to-right
-    order of its law in ``tests/reference_model.py`` or of ``shear_stress``,
-    so that every product rounds as it does there.  Raw fields are read from
-    the three objects themselves.  A coil diameter whose cube overflows
-    raises ``OverflowError``.
+    and pass it to every step of that spring.  Each entry uses the operands
+    and the left-to-right order of its law in ``tests/reference_model.py``
+    or of ``shear_stress``, so that every product rounds as it does there.
+    Raw fields are read from the three objects themselves.
+
+    The constructor checks what it derives, since fields that pass their own
+    checks can leave the float range together: a 1e-200 m wire cubed is 0,
+    and a 1e200 m coil cubed overflows.  The shear stress per newton, the
+    force law's coefficients at fractions 0 and 1, the heat capacity and the
+    convective conductance must be finite normal floats (the transformation
+    and thermal coefficients may be zero where their material constant is),
+    and the latent heat per spring must be finite.  Anything else raises a
+    ``ValidationError`` naming the product and its fields; a coil whose cube
+    overflows is refused as an infinite stiffness.
     """
 
     __slots__ = (
-        "geometry", "env",
-        "conductance", "heat_capacity", "zero_latent",
-        "shear_divisor", "d4", "stiffness_divisor", "transform", "thermal",
-        "latent_gain", "pi_d3", "cold_exact",
+        "geometry", "env", "conductance", "heat_capacity", "shear_divisor", "d4",
+        "stiffness_divisor", "transform", "thermal", "latent_gain", "pi_d3",
     )
 
     def __init__(
@@ -363,10 +397,9 @@ class SpringConstants(_Kinetics):
     ):
         super().__init__(material)
         self.geometry, self.env = geometry, env
-        # heating_rate; the latent term is (m L) * 0.0, NaN if m L overflows
+        # heating_rate
         self.conductance = geometry.surface_area * env.convection_coefficient
         self.heat_capacity = geometry.spring_mass * material.specific_heat
-        self.zero_latent = geometry.spring_mass * material.latent_heat * 0.0
         # the phase-mixture shear modulus's divisor, as in effective_modulus
         self.shear_divisor = 2.0 * (1.0 + material.poisson)
         # the force law's coefficients, as in force_coefficients
@@ -374,7 +407,12 @@ class SpringConstants(_Kinetics):
         big_d = geometry.coil_diameter
         d3 = d * d * d
         self.d4 = d3 * d
-        self.stiffness_divisor = 8.0 * geometry.active_coils * big_d**3
+        try:
+            self.stiffness_divisor = 8.0 * geometry.active_coils * big_d**3
+        except OverflowError:
+            # the stiffness check below divides by this zero, and so reads
+            # the stiffness of a coil whose cube overflows as inf
+            self.stiffness_divisor = 0.0
         self.transform = (
             math.pi * d3 * material.phase_transform_tensor / (8.0 * _SQRT3 * big_d)
         )
@@ -384,25 +422,38 @@ class SpringConstants(_Kinetics):
         self.latent_gain = material.latent_heat / material.specific_heat
         # as in shear_stress
         self.pi_d3 = math.pi * d * d * d
-        # whether step_spring may return a cold spring (idle at the ambient
-        # temperature, fully martensite, no current) without its heat
-        # balance: where the idle RK4's stage rate there, as
-        # _idle_temperature takes it, is exactly 0.0, every stage is, and the
-        # temperature comes back bit for bit.  The rate is NaN where a
-        # constant is infinite; where the heat capacity or pi d^3 is 0.0 the
-        # full step raises ZeroDivisionError, so the flag is false there too
-        ambient = env.ambient_temperature
-        power = 0.0 * 0.0 * (
-            material.resistance_martensite * 1.0
-            + material.resistance_austenite * (1.0 - 1.0)
-        )
-        try:
-            rate = (
-                power - self.conductance * (ambient - ambient) + self.zero_latent
-            ) / self.heat_capacity
-        except ZeroDivisionError:
-            rate = math.nan
-        self.cold_exact = rate == 0.0 and self.pi_d3 != 0.0
+
+        # the transformation and thermal coefficients do not depend on the
+        # fraction, so they are checked at fraction 0 alone
+        for what, unit, compute, may_be_zero in (
+            ("shear stress per newton (wire_diameter, coil_diameter)", "Pa",
+             lambda: shear_stress(geometry, 1.0), False),
+            ("force-law stiffness at martensite fraction 0 (wire_diameter, "
+             "coil_diameter, active_coils, material moduli)", "N/m",
+             lambda: self.stiffness(0.0), False),
+            ("force-law transformation coefficient at martensite fraction 0 "
+             "(wire_diameter, coil_diameter, material.phase_transform_tensor)", "N",
+             lambda: self.transform, material.phase_transform_tensor == 0.0),
+            ("force-law thermal coefficient at martensite fraction 0 "
+             "(wire_diameter, coil_diameter, material.thermal_expansion_factor)", "N/K",
+             lambda: self.thermal, material.thermal_expansion_factor == 0.0),
+            ("force-law stiffness at martensite fraction 1 (wire_diameter, "
+             "coil_diameter, active_coils, material moduli)", "N/m",
+             lambda: self.stiffness(1.0), False),
+            ("heat capacity (spring_mass, material.specific_heat)", "J/K",
+             lambda: self.heat_capacity, False),
+            ("convective conductance (surface_area, "
+             "environment.convection_coefficient)", "W/K",
+             lambda: self.conductance, False),
+        ):
+            _require_normal(what, unit, compute, may_be_zero)
+        # zero and subnormal are fine: the heat balance multiplies by it
+        latent = geometry.spring_mass * material.latent_heat
+        if not latent < math.inf:
+            raise ValidationError(
+                "spring: latent heat per spring (spring_mass, material.latent_heat) "
+                f"is {latent:.3g} J; it must be finite"
+            )
 
     def stiffness(self, fraction: float) -> float:
         """The force law's stiffness (N/m) at martensite fraction ``fraction``."""
@@ -463,17 +514,19 @@ def _idle_temperature(
     k: SpringConstants, temperature: float, fraction: float, current: float, dt: float
 ) -> float:
     """Classic RK4 on the heat balance with the phase fraction held, so the
-    Joule power is one number for all four stages."""
+    Joule power is one number for all four stages.  The composition's latent
+    term, (m L) * 0.0, is +0.0 for the finite m L a ``SpringConstants``
+    holds, and adding it moves no numerator (the Joule power is never -0.0),
+    so neither RK4 adds it."""
     m = k.material
     power = current * current * (
         m.resistance_martensite * fraction + m.resistance_austenite * (1.0 - fraction)
     )
     g, ambient, capacity = k.conductance, k.env.ambient_temperature, k.heat_capacity
-    latent = k.zero_latent
-    k1 = (power - g * (temperature - ambient) + latent) / capacity
-    k2 = (power - g * (temperature + 0.5 * dt * k1 - ambient) + latent) / capacity
-    k3 = (power - g * (temperature + 0.5 * dt * k2 - ambient) + latent) / capacity
-    k4 = (power - g * (temperature + dt * k3 - ambient) + latent) / capacity
+    k1 = (power - g * (temperature - ambient)) / capacity
+    k2 = (power - g * (temperature + 0.5 * dt * k1 - ambient)) / capacity
+    k3 = (power - g * (temperature + 0.5 * dt * k2 - ambient)) / capacity
+    k4 = (power - g * (temperature + dt * k3 - ambient)) / capacity
     return temperature + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
@@ -501,13 +554,12 @@ def _temperature_on_branch(
     m = k.material
     r_m, r_a = m.resistance_martensite, m.resistance_austenite
     g, ambient, capacity = k.conductance, k.env.ambient_temperature, k.heat_capacity
-    latent = k.zero_latent
     arc = _reverse_arc if branch is _REVERSE else _forward_arc
 
     def rate(t: float) -> float:
         xi = arc(k, t, stress, latch)
         power = current * current * (r_m * xi + r_a * (1.0 - xi))
-        return (power - g * (t - ambient) + latent) / capacity
+        return (power - g * (t - ambient)) / capacity
 
     k1 = rate(temperature)
     k2 = rate(temperature + 0.5 * dt * k1)
@@ -540,9 +592,10 @@ def step_spring(
     This is a fused kernel: it reads the products of ``constants``, the
     spring's ``SpringConstants``, and an idle spring's RK4 takes the Joule
     power once per step.  A cold spring (idle at the ambient temperature,
-    fully martensite, without current) skips the heat balance, whose every
-    stage is exactly zero there, where ``constants.cold_exact`` says so; it
-    keeps the idle path's temperature guard and force law.  The RK4 stages
+    fully martensite, without current) skips the heat balance: for the
+    finite constants that ``SpringConstants`` admits, its every stage is
+    exactly zero there.  It keeps the idle path's temperature guard and
+    force law.  The RK4 stages
     and the closure of an active step call the branch's arc routine
     directly, with the latch checked once.  It computes what the plain
     ``heating_rate``, band kinetics, entry latches and ``force_coefficients``
@@ -574,7 +627,6 @@ def step_spring(
         and branch is _IDLE
         and xi0 == 1.0
         and t0 == k.env.ambient_temperature
-        and k.cold_exact
     ):
         # A cold spring: the idle path's operations, in its order, on a
         # temperature that does not move and a fraction that cannot.

@@ -10,25 +10,25 @@ and one plain reference here.  The band kinetics are also public
 ``sma._fraction``); the plain copies below are what the spring oracle
 composes.  ``effective_modulus`` and ``force_coefficients`` are the force
 law's coefficients that the package derives only in ``sma.SpringConstants``,
-whose products validation checks; ``_check_spring_constants`` below is that
-validation as it built those constants once per check.  ``_zeroin`` is the
-bracketing root the spring oracle solves the step's closure with, where
-``sma._closure_root`` runs Newton.  No run path calls
+whose constructor checks them and the heat balance's products;
+``_check_spring_constants`` below is that check composed from these laws.
+``_zeroin`` is the bracketing root the spring oracle solves the step's
+closure with, where ``sma._closure_root`` runs Newton.  No run path calls
 this module.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from sma_neck.backbone import ArcPose, BackboneGeometry, _frame_t, _Vec3
-from sma_neck.engine import _require_normal
 from sma_neck.pennate import PennateUnit, rest_chord_length
 from sma_neck.sma import (
     SmaMaterial,
-    SpringConstants,
     SpringGeometry,
     ThermalEnvironment,
+    ValidationError,
     _EPS,
     _ROOT_TOLERANCE,
     _forward_band,
@@ -104,52 +104,72 @@ def force_coefficients(
     return stiffness, transform, thermal
 
 
-# --- spring-constant validation (engine) ------------------------------------
-# The check as it was written with the constants built inside each check, at
-# both fractions: the oracle of ``engine._check_spring_constants``, which must
-# give the same verdict and message.
+# --- spring-constant validation (sma) ---------------------------------------
+# The checks ``sma.SpringConstants`` makes of what it derives, composed from
+# the plain force law and the plain products of the heat balance: the
+# constructor must give the same verdict and message.
+
+
+def _require_normal(what: str, unit: str, compute, may_be_zero: bool = False):
+    """A derived spring constant must be a finite, normal float."""
+    try:
+        value = compute()
+    except (ZeroDivisionError, OverflowError):  # an intermediate left the range
+        value = math.inf
+    if math.isfinite(value) and (
+        abs(value) >= sys.float_info.min or (may_be_zero and value == 0.0)
+    ):
+        return
+    raise ValidationError(
+        f"spring: {what} is {value:.3g} {unit}; it must be finite and at least "
+        f"{sys.float_info.min:.3g} in magnitude"
+    )
 
 
 def _check_spring_constants(
     material: SmaMaterial, spring: SpringGeometry, env: ThermalEnvironment
 ) -> None:
     """Reject fields whose derived per-spring constants leave the float
-    range: the shear stress per newton, and the products of the kernel's
-    ``SpringConstants`` that ``step_spring`` uses.  Each field passes its
-    own check, yet a 1e-200 m wire cubed is 0 and a 1e200 m coil cubed
-    overflows; a run would then end in a traceback or a NaN step."""
+    range: the shear stress per newton, the force law's coefficients at both
+    fractions, the heat capacity and the convective conductance must be
+    finite normal floats, and the latent heat per spring finite.  Each field
+    passes its own check, yet a 1e-200 m wire cubed is 0 and a 1e200 m coil
+    cubed overflows; a step would then raise or return NaN."""
     _require_normal(
         "shear stress per newton (wire_diameter, coil_diameter)", "Pa",
         lambda: shear_stress(spring, 1.0),
     )
     force_law = (
-        ("stiffness", "N/m", "active_coils, material moduli", 1.0,
-         lambda k, xi: k.stiffness(xi)),
+        ("stiffness", "N/m", "active_coils, material moduli", 1.0, 0),
         ("transformation coefficient", "N", "material.phase_transform_tensor",
-         material.phase_transform_tensor, lambda k, xi: k.transform),
+         material.phase_transform_tensor, 1),
         ("thermal coefficient", "N/K", "material.thermal_expansion_factor",
-         material.thermal_expansion_factor, lambda k, xi: k.thermal),
+         material.thermal_expansion_factor, 2),
     )
-    # the constants are built inside each check, so that a coil whose cube
-    # overflows reads as an infinite constant
     for xi in (0.0, 1.0):
-        for name, unit, fields, factor, product in force_law:
+        for name, unit, fields, factor, index in force_law:
             # zero only where the material constant it scales is zero
             _require_normal(
                 f"force-law {name} at martensite fraction {xi:g} "
                 f"(wire_diameter, coil_diameter, {fields})", unit,
-                lambda: product(SpringConstants(material, spring, env), xi),
+                lambda: force_coefficients(material, spring, xi)[index],
                 factor == 0.0,
             )
     _require_normal(
         "heat capacity (spring_mass, material.specific_heat)", "J/K",
-        lambda: SpringConstants(material, spring, env).heat_capacity,
+        lambda: spring.spring_mass * material.specific_heat,
     )
     _require_normal(
         "convective conductance (surface_area, "
         "environment.convection_coefficient)", "W/K",
-        lambda: SpringConstants(material, spring, env).conductance,
+        lambda: spring.surface_area * env.convection_coefficient,
     )
+    latent = spring.spring_mass * material.latent_heat
+    if not math.isfinite(latent):
+        raise ValidationError(
+            "spring: latent heat per spring (spring_mass, material.latent_heat) "
+            f"is {latent:.3g} J; it must be finite"
+        )
 
 
 # --- the step's closure root (sma) ------------------------------------------

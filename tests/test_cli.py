@@ -294,6 +294,12 @@ def test_invalid_number_is_one_error_line(scenario_file, tmp_path, capsys, argv)
         # normal at fraction 0, 4.59e-309 N/m at fraction 1
         ("material.young_martensite=1e-300 Pa",
          "force-law stiffness at martensite fraction 1"),
+        # m L overflows: the first step's heat balance overflowed
+        pytest.param(
+            ("material.latent_heat=1e308 J/kg", "spring.spring_mass=10 kg"),
+            "latent heat per spring (spring_mass, material.latent_heat)",
+            id="material.latent_heat=1e308 J/kg, spring.spring_mass=10 kg",
+        ),
         # both degenerate: the shear stress is checked first
         pytest.param(
             ("spring.wire_diameter=1e-200 m", "spring.coil_diameter=1e200 m"),

@@ -541,6 +541,15 @@ class TestInvariantValidation:
             replace(material, **{name: value})
 
     @pytest.mark.parametrize(
+        "name", ["resistance_martensite", "resistance_austenite", "latent_heat"]
+    )
+    def test_material_rejects_an_infinite_heat_balance_constant(self, material, name):
+        # each constructed, and every run ended at step 1 in StepTooLarge
+        # ("heat balance overflowed")
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            replace(material, **{name: math.inf})
+
+    @pytest.mark.parametrize(
         "name, value",
         [("austenite_finish", math.inf), ("martensite_finish", -math.inf)],
     )
@@ -597,3 +606,10 @@ class TestInvariantValidation:
     def test_environment_rejects_nan(self, env, name, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             replace(env, **{name: math.nan})
+
+    @pytest.mark.parametrize("name", ["ambient_temperature", "convection_coefficient"])
+    def test_environment_rejects_inf(self, env, name):
+        # an infinite ambient ended a run at step 1 in StepTooLarge; an
+        # infinite coefficient was refused only as an infinite conductance
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            replace(env, **{name: math.inf})

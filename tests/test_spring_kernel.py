@@ -25,7 +25,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from sma_neck import engine, sma
+from sma_neck import sma
 from sma_neck.scenario import load_default_scenario
 from sma_neck.sma import (
     Branch,
@@ -35,6 +35,7 @@ from sma_neck.sma import (
     SpringState,
     StepTooLarge,
     ThermalEnvironment,
+    ValidationError,
     _forward_band,
     _reverse_band,
     shear_stress,
@@ -308,8 +309,8 @@ def _bits(x):
 
 def fused_step(material, geometry, env, *step_args):
     """``step_spring`` with the composition's arguments: the constants of
-    the triple are built on every call, so an overflowing coil raises here
-    and is compared as an outcome."""
+    the triple are built on every call, so constants that the constructor
+    refuses raise here."""
     return step_spring(SpringConstants(material, geometry, env), *step_args)
 
 
@@ -343,8 +344,16 @@ def assert_same_step(material, geometry, env, state, current, stretch_rate, dt, 
     exception; return the fused step's state (None when both raised).  The
     bits must match, except where the composition's closure searched its
     bracket for a root: there each float must match within the root
-    tolerance."""
+    tolerance.  Constants that the reference check refuses are refused by
+    ``SpringConstants`` with its message before any step, and the
+    composition is not run on them."""
     args = (material, geometry, env, state, current, stretch_rate, dt, bound)
+    _, refusal = _outcome(reference_check, material, geometry, env)
+    if refusal is not None:
+        _, got_exc = _outcome(fused_step, *args)
+        assert type(got_exc) is ValidationError, (got_exc, refusal)
+        assert str(got_exc) == str(refusal)
+        return None
     roots = []
     want, want_exc = _outcome(composed_step_spring, *args, roots)
     got, got_exc = _outcome(fused_step, *args)
@@ -519,7 +528,6 @@ def test_draws_reach_every_path():
             and state.temperature == ambient
             and state.martensite_fraction == 1.0
             and inputs["current"] == 0.0
-            and SpringConstants(*TRIPLES[triple]).cold_exact
         ):
             assert _bits(new.temperature) == _bits(ambient)
             assert new.martensite_fraction == 1.0 and new.branch is Branch.IDLE
@@ -545,32 +553,79 @@ def test_draws_reach_every_path():
 # --- the cold spring ----------------------------------------------------------
 
 _MATERIAL, _GEOMETRY, _ENV = TRIPLES[0]
-# Two ordinary springs, and constants under which a cold spring's full step
-# is not still: its heat balance is NaN, or the step raises before its end.
-_COLD_TRIPLES = {
-    "bundled": TRIPLES[0],
-    "other": TRIPLES[-1],
-    # the convection term is inf * 0: "heat balance overflowed"
-    "convection_inf": (_MATERIAL, _GEOMETRY, ThermalEnvironment(298.15, math.inf)),
-    # the Joule power is 0 * inf: "heat balance overflowed"
-    "resistance_inf": (replace(_MATERIAL, resistance_austenite=math.inf), _GEOMETRY, _ENV),
-    # the latent term is (m L) * 0.0 with m L = inf: "heat balance overflowed"
-    "latent_inf": (replace(_MATERIAL, latent_heat=1e308),
-                   replace(_GEOMETRY, spring_mass=10.0), _ENV),
-    # the heat capacity underflows to 0: ZeroDivisionError
-    "capacity_zero": (replace(_MATERIAL, specific_heat=1e-200),
-                      replace(_GEOMETRY, spring_mass=1e-200), _ENV),
-    # the shear modulus's divisor 2 (1 + poisson) is 0: ZeroDivisionError, in
-    # the stiffness, which the cold return computes too
-    "poisson_minus_one": (replace(_MATERIAL, poisson=-1.0), _GEOMETRY, _ENV),
-    # pi d^3 underflows to 0 in the shear stress: ZeroDivisionError
-    "wire_cube_zero": (_MATERIAL, replace(_GEOMETRY, wire_diameter=1e-200), _ENV),
-}
+_COLD_TRIPLES = {"bundled": TRIPLES[0], "other": TRIPLES[-1]}
 # one input moved off the cold state at a time: the temperature or the
 # fraction by one ulp, the current to 1 mA (a subnormal one squares to 0.0)
 _COLD_PERTURBATIONS = (
     None, "temperature", "fraction", "current", Branch.REVERSE, Branch.FORWARD,
 )
+
+
+def _not_normal(what, value, unit):
+    """The message of a spring constant that is not a finite normal float."""
+    return (
+        f"spring: {what} is {value} {unit}; it must be finite and at least "
+        f"{sys.float_info.min:.3g} in magnitude"
+    )
+
+
+# Constants under which a cold spring's full step was not still: its heat
+# balance was NaN, or the step raised before its end.  Each is now refused
+# where it is built, so the cold return needs no guard of its own.
+_REFUSED_COLD_CONSTANTS = {
+    # the convection term was inf * 0: "heat balance overflowed"
+    "convection_inf": (
+        lambda: ThermalEnvironment(298.15, math.inf),
+        ValueError, "convection_coefficient must be finite",
+    ),
+    # the Joule power was 0 * inf: "heat balance overflowed"
+    "resistance_inf": (
+        lambda: replace(_MATERIAL, resistance_austenite=math.inf),
+        ValueError, "resistance_austenite must be finite",
+    ),
+    # the latent term was (m L) * 0.0 with m L = inf: "heat balance overflowed"
+    "latent_inf": (
+        lambda: SpringConstants(replace(_MATERIAL, latent_heat=1e308),
+                                replace(_GEOMETRY, spring_mass=10.0), _ENV),
+        ValidationError,
+        "spring: latent heat per spring (spring_mass, material.latent_heat) "
+        "is inf J; it must be finite",
+    ),
+    # the heat capacity underflows to 0: a ZeroDivisionError in the RK4
+    "capacity_zero": (
+        lambda: SpringConstants(replace(_MATERIAL, specific_heat=1e-200),
+                                replace(_GEOMETRY, spring_mass=1e-200), _ENV),
+        ValidationError,
+        _not_normal("heat capacity (spring_mass, material.specific_heat)", "0", "J/K"),
+    ),
+    # the shear modulus's divisor 2 (1 + poisson) is 0: a ZeroDivisionError
+    # in the stiffness, which the cold return computes too
+    "poisson_minus_one": (
+        lambda: SpringConstants(replace(_MATERIAL, poisson=-1.0), _GEOMETRY, _ENV),
+        ValidationError,
+        _not_normal("force-law stiffness at martensite fraction 0 (wire_diameter, "
+                    "coil_diameter, active_coils, material moduli)", "inf", "N/m"),
+    ),
+    # pi d^3 underflows to 0: a ZeroDivisionError in the shear stress
+    "wire_cube_zero": (
+        lambda: SpringConstants(_MATERIAL, replace(_GEOMETRY, wire_diameter=1e-200), _ENV),
+        ValidationError,
+        _not_normal("shear stress per newton (wire_diameter, coil_diameter)", "inf", "Pa"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED_COLD_CONSTANTS))
+def test_constants_a_cold_step_cannot_take_are_refused(name):
+    """Each set of constants under which a cold step raised or went NaN is
+    refused by the constructor named, with its message.  The last three
+    built a ``SpringConstants`` whose first step raised a bare
+    ``ZeroDivisionError``."""
+    build, error, message = _REFUSED_COLD_CONSTANTS[name]
+    with pytest.raises(error) as refused:
+        build()
+    assert type(refused.value) is error
+    assert str(refused.value) == message
 
 
 @settings(max_examples=800, deadline=None, derandomize=True, database=None)
@@ -593,19 +648,15 @@ _COLD_PERTURBATIONS = (
          current=0.0, stretch_rate=-0.0, dt=1e-3, bound=1.0, perturb=None)
 @example(constants="bundled", tensor=-0.55e9, expansion=2.85e6, force=-0.0, latch=1.0,
          current=0.0, stretch_rate=-0.0, dt=1e-3, bound=1.0, perturb=None)
-# the stiffness raises before the bound is checked
-@example(constants="poisson_minus_one", tensor=-0.55e9, expansion=2.85e6, force=2.0,
-         latch=1.0, current=0.0, stretch_rate=0.0, dt=1e-3, bound=math.nan, perturb=None)
 def test_cold_step_equals_the_idle_path(constants, tensor, expansion, force, latch,
                                         current, stretch_rate, dt, bound, perturb):
     """A cold spring, idle at the ambient temperature, fully martensite and
-    without current, returns the state of the full idle path bit for bit, or
+    without current, returns the state of the composed laws bit for bit, or
     raises the same exception with the same message: zero forces of both
-    signs, overflowing stretch rates, coefficients of both signs, bounds that
-    refuse even a zero change, and constants under which the heat balance
-    overflows or divides by zero.  Draws that move one input off the cold
-    state take the full path.  The reference is both the
-    composed laws and ``step_spring`` with the cold return switched off."""
+    signs, overflowing stretch rates, coefficients of both signs and bounds
+    that refuse even a zero change.  Draws that move one input off the cold
+    state take the full path.  A coefficient that the constructor refuses
+    (a subnormal one) is refused with the reference check's message."""
     material, geometry, env = _COLD_TRIPLES[constants]
     material = replace(material, phase_transform_tensor=tensor,
                        thermal_expansion_factor=expansion)
@@ -620,21 +671,6 @@ def test_cold_step_equals_the_idle_path(constants, tensor, expansion, force, lat
         branch = perturb
     state = SpringState(temperature, fraction, force, latch, branch)
     assert_same_step(material, geometry, env, state, current, stretch_rate, dt, bound)
-    # the kernel's own idle path: the same constants with the cold return off
-    cold = SpringConstants(material, geometry, env)
-    assert cold.cold_exact is (constants in ("bundled", "other", "poisson_minus_one"))
-    full = SpringConstants(material, geometry, env)
-    full.cold_exact = False
-    step = (state, current, stretch_rate, dt, bound)
-    got, got_exc = _outcome(step_spring, cold, *step)
-    want, want_exc = _outcome(step_spring, full, *step)
-    assert type(got_exc) is type(want_exc), (got_exc, want_exc)
-    assert str(got_exc) == str(want_exc)
-    if want_exc is None:
-        assert [_bits(getattr(got, name)) for name in _FIELDS[:4]] == [
-            _bits(getattr(want, name)) for name in _FIELDS[:4]
-        ]
-        assert got.branch is want.branch
 
 
 # --- the band kinetics -------------------------------------------------------
@@ -705,14 +741,6 @@ _MAGNITUDE = st.floats(-323.0, 308.0).map(lambda e: 10.0**e) | st.floats(
 _SIGNED = st.just(0.0) | _MAGNITUDE | _MAGNITUDE.map(lambda v: -v)
 
 
-def _cube_overflows(x):
-    try:
-        x**3
-    except OverflowError:
-        return True
-    return False
-
-
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(
     moduli=st.tuples(_MAGNITUDE, _MAGNITUDE),
@@ -736,10 +764,10 @@ def _cube_overflows(x):
 def test_spring_constants_equal_the_force_law(moduli, poisson, tensor, expansion,
                                               diameters, coils, fraction):
     """``SpringConstants`` is the package's only derivation of the force
-    law's coefficients, and scenario validation checks its products; its
-    stiffness at fractions 0, 1 and one between, its transformation and its
-    thermal coefficient must be the bits of ``force_coefficients``, or raise
-    its exception."""
+    law's coefficients, and its constructor checks them: it refuses what the
+    reference check refuses, with its message, and otherwise its stiffness
+    at fractions 0, 1 and one between, its transformation and its thermal
+    coefficient must be the bits of ``force_coefficients``."""
     young_m, young_a = sorted(moduli)
     wire, coil = sorted(diameters)
     assume(young_m < young_a and wire < coil)
@@ -753,22 +781,17 @@ def test_spring_constants_equal_the_force_law(moduli, poisson, tensor, expansion
         active_coils=coils,
     )
 
-    def kernel(xi):
-        k = SpringConstants(material, geometry, _BUNDLED.env)
-        return k.stiffness(xi), k.transform, k.thermal
-
+    k, got_exc = _outcome(SpringConstants, material, geometry, _BUNDLED.env)
+    _, refusal = _outcome(reference_check, material, geometry, _BUNDLED.env)
+    if refusal is not None:
+        assert type(got_exc) is ValidationError, (got_exc, refusal)
+        assert str(got_exc) == str(refusal)
+        return
+    assert got_exc is None, got_exc
     for xi in (0.0, 1.0, fraction):
-        got, got_exc = _outcome(kernel, xi)
-        want, want_exc = _outcome(force_coefficients, material, geometry, xi)
-        if poisson == -1.0 and _cube_overflows(coil):
-            # two degenerate inputs: the oracle divides by 2 (1 + poisson)
-            # before it cubes the coil, the constructor the other way round;
-            # validation reads either error as an infinite constant
-            assert {type(got_exc), type(want_exc)} == {ZeroDivisionError, OverflowError}
-            continue
-        assert type(got_exc) is type(want_exc), (xi, got_exc, want_exc)
-        if want_exc is None:
-            assert list(map(_bits, got)) == list(map(_bits, want)), (xi, got, want)
+        got = k.stiffness(xi), k.transform, k.thermal
+        want = force_coefficients(material, geometry, xi)
+        assert list(map(_bits, got)) == list(map(_bits, want)), (xi, got, want)
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
@@ -782,49 +805,65 @@ def test_spring_constants_equal_the_force_law(moduli, poisson, tensor, expansion
     masses=st.tuples(_MAGNITUDE, _MAGNITUDE),
     specific_heat=_MAGNITUDE,
     convection=_MAGNITUDE,
+    latent_heat=st.just(0.0) | _MAGNITUDE,
 )
 # one example per check that can fail, in the order they are made
 @example(moduli=(28e9, 75e9), poisson=0.33, tensor=-0.55e9, expansion=2.85e6,
          diameters=(1e-200, 8e-3), coils=20.0, masses=(1e-3, 1e-4),
-         specific_heat=837.0, convection=90.0)
+         specific_heat=837.0, convection=90.0, latent_heat=32e3)
 @example(moduli=(28e9, 75e9), poisson=-1.0, tensor=-0.55e9, expansion=2.85e6,
          diameters=(1e-3, 8e-3), coils=20.0, masses=(1e-3, 1e-4),
-         specific_heat=837.0, convection=90.0)
+         specific_heat=837.0, convection=90.0, latent_heat=32e3)
 @example(moduli=(28e9, 75e9), poisson=0.33, tensor=-0.55e9, expansion=2.85e6,
          diameters=(1e-3, 1e200), coils=20.0, masses=(1e-3, 1e-4),
-         specific_heat=837.0, convection=90.0)
+         specific_heat=837.0, convection=90.0, latent_heat=32e3)
 @example(moduli=(28e9, 75e9), poisson=0.33, tensor=-1e-305, expansion=2.85e6,
          diameters=(1e-3, 8e-3), coils=20.0, masses=(1e-3, 1e-4),
-         specific_heat=837.0, convection=90.0)
+         specific_heat=837.0, convection=90.0, latent_heat=32e3)
 @example(moduli=(28e9, 75e9), poisson=0.33, tensor=-0.55e9, expansion=1e-305,
          diameters=(1e-3, 8e-3), coils=20.0, masses=(1e-3, 1e-4),
-         specific_heat=837.0, convection=90.0)
+         specific_heat=837.0, convection=90.0, latent_heat=32e3)
 @example(moduli=(1e-300, 75e9), poisson=0.33, tensor=-0.55e9, expansion=2.85e6,
          diameters=(1e-3, 8e-3), coils=20.0, masses=(1e-3, 1e-4),
-         specific_heat=837.0, convection=90.0)
+         specific_heat=837.0, convection=90.0, latent_heat=32e3)
 @example(moduli=(28e9, 75e9), poisson=0.33, tensor=0.0, expansion=0.0,
          diameters=(1e-3, 8e-3), coils=20.0, masses=(1e200, 1e-4),
-         specific_heat=1e200, convection=90.0)
+         specific_heat=1e200, convection=90.0, latent_heat=32e3)
 @example(moduli=(28e9, 75e9), poisson=0.33, tensor=-0.55e9, expansion=2.85e6,
          diameters=(1e-3, 8e-3), coils=20.0, masses=(1e-3, 1e-320),
-         specific_heat=837.0, convection=1e-10)
+         specific_heat=837.0, convection=1e-10, latent_heat=32e3)
+@example(moduli=(28e9, 75e9), poisson=0.33, tensor=-0.55e9, expansion=2.85e6,
+         diameters=(1e-3, 8e-3), coils=20.0, masses=(10.0, 1e-4),
+         specific_heat=837.0, convection=90.0, latent_heat=1e308)
 # two checks that fail at once, for each pair the order could swap
 @example(moduli=(1e-300, 75e9), poisson=0.33, tensor=-1e-305, expansion=2.85e6,
          diameters=(1e-3, 8e-3), coils=20.0, masses=(1e-3, 1e-4),
-         specific_heat=837.0, convection=90.0)
+         specific_heat=837.0, convection=90.0, latent_heat=32e3)
 @example(moduli=(1e-300, 75e9), poisson=0.33, tensor=-0.55e9, expansion=1e-305,
          diameters=(1e-3, 8e-3), coils=20.0, masses=(1e-3, 1e-4),
-         specific_heat=837.0, convection=90.0)
+         specific_heat=837.0, convection=90.0, latent_heat=32e3)
 @example(moduli=(28e9, 75e9), poisson=0.33, tensor=-0.55e9, expansion=2.85e6,
          diameters=(1e-3, 8e-3), coils=20.0, masses=(1e200, 1e-320),
-         specific_heat=1e200, convection=1e-10)
+         specific_heat=1e200, convection=1e-10, latent_heat=32e3)
+@example(moduli=(28e9, 75e9), poisson=0.33, tensor=-0.55e9, expansion=2.85e6,
+         diameters=(1e-3, 8e-3), coils=20.0, masses=(1e200, 1e-320),
+         specific_heat=1e-200, convection=1e-10, latent_heat=1e308)
+# accepted at the ends of the range: a cold step takes the composition's bits
+@example(moduli=(1e300, 1.5e300), poisson=0.5, tensor=1e-200, expansion=-1e-200,
+         diameters=(1e-3, 8e-3), coils=20.0, masses=(1e-150, 1e150),
+         specific_heat=1e-150, convection=1e-150, latent_heat=1e300)
+# a subnormal latent heat per spring is allowed
+@example(moduli=(28e9, 75e9), poisson=0.33, tensor=-0.55e9, expansion=2.85e6,
+         diameters=(1e-3, 8e-3), coils=20.0, masses=(1e-3, 1e-4),
+         specific_heat=837.0, convection=90.0, latent_heat=1e-320)
 def test_spring_constant_validation_equals_the_reference(
     moduli, poisson, tensor, expansion, diameters, coils, masses, specific_heat,
-    convection,
+    convection, latent_heat,
 ):
-    """``engine._check_spring_constants`` gives the verdict of the check in
-    ``tests/reference_model.py``, which builds the constants inside each of its
-    checks: both pass, or both raise the same ``ValidationError`` message."""
+    """``SpringConstants`` gives the verdict of the check in
+    ``tests/reference_model.py``, which composes the plain laws: both pass,
+    or both raise the same ``ValidationError`` message.  Where both pass, a
+    cold spring steps to the composition's bits."""
     young_m, young_a = sorted(moduli)
     wire, coil = sorted(diameters)
     assume(young_m < young_a and wire < coil)
@@ -832,16 +871,22 @@ def test_spring_constant_validation_equals_the_reference(
         _BUNDLED.material, young_martensite=young_m, young_austenite=young_a,
         poisson=poisson, phase_transform_tensor=tensor,
         thermal_expansion_factor=expansion, specific_heat=specific_heat,
+        latent_heat=latent_heat,
     )
     geometry = replace(
         _BUNDLED.spring_geometry, wire_diameter=wire, coil_diameter=coil,
         active_coils=coils, spring_mass=masses[0], surface_area=masses[1],
     )
     env = replace(_BUNDLED.env, convection_coefficient=convection)
-    got, got_exc = _outcome(engine._check_spring_constants, material, geometry, env)
-    want, want_exc = _outcome(reference_check, material, geometry, env)
+    _, got_exc = _outcome(SpringConstants, material, geometry, env)
+    _, want_exc = _outcome(reference_check, material, geometry, env)
     assert type(got_exc) is type(want_exc), (got_exc, want_exc)
     assert str(got_exc) == str(want_exc)
+    if want_exc is None:
+        cold = SpringState(env.ambient_temperature, 1.0, 2.0)
+        new = assert_same_step(material, geometry, env, cold, 0.0, 2e-3, 1e-3)
+        assert new is not None
+        assert _bits(new.temperature) == _bits(env.ambient_temperature)
 
 
 # --- exceptions ---------------------------------------------------------------
@@ -946,13 +991,23 @@ def test_overflow_is_reported_as_overflow():
     assert err.value.overflowed
 
 
-def test_overflowing_coil_cube_raises_the_same_error():
+def test_overflowing_coil_cube_is_refused_at_construction():
+    """A coil whose cube overflows is refused as an infinite stiffness where
+    its constants are built; the composition, which cubes it in the force
+    law, still raises ``OverflowError``."""
     material, geometry, env = TRIPLES[0]
     huge_coil = replace(geometry, coil_diameter=1e200)
     for state in _states(material, geometry):
-        assert_same_step(material, huge_coil, env, state, 5.0, 0.0, 1e-3)
-        _, exc = _outcome(fused_step, material, huge_coil, env, state, 5.0, 0.0, 1e-3)
-        assert type(exc) is OverflowError
+        args = (material, huge_coil, env, state, 5.0, 0.0, 1e-3)
+        assert assert_same_step(*args) is None
+        with pytest.raises(ValidationError) as refused:
+            fused_step(*args)
+        assert str(refused.value).startswith(
+            "spring: force-law stiffness at martensite fraction 0 (wire_diameter, "
+            "coil_diameter, active_coils, material moduli) is inf N/m;"
+        )
+        with pytest.raises(OverflowError):
+            composed_step_spring(*args)
 
 
 # --- the constants follow their inputs ---------------------------------------
