@@ -11,7 +11,9 @@ root tolerance where the root lies inside the bracket.  So every field of the
 returned state must match to the bit, except on a step whose composition
 searched its bracket for a root: there the temperature, fraction and force
 may differ by what the root tolerance moves them.  Every exception must match
-in type and message.
+in type and message.  Constants that the reference check in
+``tests/reference_model.py`` refuses are refused by ``SpringConstants``,
+with its message, before any step.
 """
 
 import math
