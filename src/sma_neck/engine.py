@@ -20,7 +20,9 @@ solve within one run, so no run sees another's.
 
 Spring stretch rates are fed back from the pose change of the previous
 accepted step (one-step lag), which breaks the algebraic loop between the
-force law and the pose solve.
+force law and the pose solve.  A spring that starts a run cold (idle at the
+ambient temperature, fully martensite) is carried as its force alone until
+its unit is first driven: its temperature and fraction cannot move.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .sma import (
     ThermalEnvironment,
     ValidationError,  # re-exported: the scenario layer imports it from here
     _reverse_band,
+    _state,
     shear_stress,
     step_spring,
 )
@@ -643,11 +646,12 @@ def _prefix_key(system: NeckSystem) -> NeckSystem:
     """``system`` as far as the idle prefix of a run can tell it apart:
     ``phase_transform_tensor`` is replaced by its sign.
 
-    Until a spring leaves the idle path, ``step_spring`` reads the
-    transformation coefficient only as ``transform * 0.0`` in its idle force
-    update, which is a zero with the coefficient's sign (``NeckSystem``
-    refuses a coefficient that is not finite, whose product would be NaN),
-    and the rest solve does not read it at all.  So the loop state after the
+    Until a spring leaves the idle path, ``step_spring`` and the carried
+    force update of ``simulate`` read the transformation coefficient only as
+    ``transform * 0.0`` in the idle force law, which is a zero with the
+    coefficient's sign (``NeckSystem`` refuses a coefficient that is not
+    finite, whose product would be NaN), and the rest solve does not read
+    it at all.  So the loop state after the
     prefix is the same for every tensor of one sign.  Keys compare with
     ``==``, which does not tell 0.0 from -0.0; of the other calibratable
     fields only a zero pennation angle can be either, and the engine reads it
@@ -671,8 +675,8 @@ class _IdlePrefix:
 
     key: NeckSystem  # _prefix_key of the run's system
     step: int
-    # (states, dx_prev, dx_prev2, a, b, c, factors, last_phi, trace) as
-    # simulate's loop carries them; a deep copy, never handed out
+    # (states, carried, dx_prev, dx_prev2, a, b, c, factors, last_phi,
+    # trace) as simulate's loop carries them; a deep copy, never handed out
     loop: tuple
 
 
@@ -691,6 +695,13 @@ def simulate(
     ``phase_transform_tensor`` (see ``_prefix_key``); otherwise it stores its
     own, replacing the entry.  A run that fails inside its prefix stores
     nothing.  The trace is the same, bit for bit, either way.
+
+    A unit whose spring starts the run cold (idle, fraction 1.0, at exactly
+    the ambient temperature) is carried as its force alone while its current
+    is 0.0: each step applies the idle path's force law of ``step_spring``,
+    whose heat balance is exactly zero there, with its checks and messages.
+    At the first step the unit is driven, its ``SpringState`` is rebuilt
+    and it takes ``step_spring`` from then on.
     """
     statics = _Statics(system)
     profile = config.current_profile
@@ -699,6 +710,12 @@ def simulate(
     spring_constants = system.spring_constants
     bound = config.max_temperature_step
     take_max = system.force_combination == "max"
+    # a cold spring's force law, as step_spring's idle path has it at
+    # fraction 1 with a zero temperature change; its two zero terms are
+    # added up once, which leaves every sum as it was: a sum of signed zeros
+    # is -0.0 only when every term is
+    cold_stiffness = spring_constants.stiffness(1.0)
+    cold_zero = spring_constants.transform * 0.0 + spring_constants.thermal * 0.0
 
     # per unit, taken once per run: its profile index, cos(pennation) and its
     # negative, its spring count and its tendon stiffness
@@ -732,6 +749,16 @@ def simulate(
     else:
         first = 0
         springs = [u.spring for u in system.units]
+        ambient = system.env.ambient_temperature
+        # per unit, the force of a spring carried cold, or None
+        carried = [
+            s.force
+            if s.branch is _IDLE
+            and s.martensite_fraction == 1.0
+            and s.temperature == ambient
+            else None
+            for s in springs
+        ]
         # resolve the initial equilibrium so pretension imbalances are not
         # attributed to the first step; the straight pose is where each rest
         # chord was measured, so every chord contraction there is zero and so
@@ -752,8 +779,8 @@ def simulate(
         # path (predictor-corrector continuation), or from c while fewer
         # exist.  Extrapolated, the accepted poses' tolerance-level errors
         # would grow by sqrt(19) in root mean square.
-        loop = (springs, dx, dx, c, c, c, factors, phi, SimTrace())
-    states, dx_prev, dx_prev2, a, b, c, factors, last_phi, trace = loop
+        loop = (springs, carried, dx, dx, c, c, c, factors, phi, SimTrace())
+    states, carried, dx_prev, dx_prev2, a, b, c, factors, last_phi, trace = loop
     crossing_recorded = "crossing_t_s" in trace.markers
     # a run that starts afresh with a dict stores its idle prefix: the state
     # at the top of the first step in which a spring leaves the idle path
@@ -763,35 +790,52 @@ def simulate(
         t_prev = step_index * dt
         t = t_prev + dt
         if recording:
-            top = list(states)
+            top = list(states), list(carried)
         try:
             forces = []
             for k, (index, cos_p, neg_cos_p, fibers, stiffness) in enumerate(constants):
                 contraction = dx_prev[k]
-                state = states[k] = step_spring(
-                    spring_constants,
-                    states[k],
-                    profile.current(index, t_prev),
-                    neg_cos_p * ((contraction - dx_prev2[k]) / dt),
-                    dt,
-                    bound,
-                )
+                amps = profile.current(index, t_prev)
+                rate = neg_cos_p * ((contraction - dx_prev2[k]) / dt)
+                force = carried[k]
+                if force is not None and amps == 0.0:
+                    # step_spring's checks, with its messages
+                    if not math.isfinite(rate):
+                        raise ValueError("stretch_rate must be finite")
+                    force = carried[k] = max(
+                        force + cold_stiffness * rate * dt + cold_zero, 0.0
+                    )
+                    if not force < math.inf:
+                        raise ValueError("force must be non-negative (tendon cannot push)")
+                else:
+                    if force is not None:
+                        # first driven: the cold state with the carried force
+                        cold = states[k]
+                        states[k] = _state(
+                            cold.temperature, cold.martensite_fraction, force,
+                            cold.fraction_at_branch_start, cold.branch,
+                        )
+                        carried[k] = None
+                    state = states[k] = step_spring(
+                        spring_constants, states[k], amps, rate, dt, bound
+                    )
+                    force = state.force
                 # the tendon force: the springs' pull along the tendon
                 # (pennate_force) with the stiffness force of the last chord
                 # contraction (tendon_force_from_stretch), combined; both
                 # laws' references are in tests/reference_model.py
-                active = fibers * state.force * cos_p
+                active = fibers * force * cos_p
                 passive = 0.0 if contraction <= 0.0 else stiffness * contraction
                 forces.append(max(active, passive) if take_max else active + passive)
             if recording and any(
                 new.branch is not _IDLE
                 or new.martensite_fraction != old.martensite_fraction
-                for old, new in zip(top, states)
+                for old, new in zip(top[0], states)
             ):
                 # an arc entered and completed within the step returns IDLE
                 # with a moved fraction, hence the second test
                 prefixes[config] = _IdlePrefix(key, step_index, copy.deepcopy(
-                    (top, dx_prev, dx_prev2, a, b, c, factors, last_phi, trace)
+                    (*top, dx_prev, dx_prev2, a, b, c, factors, last_phi, trace)
                 ))
                 recording = False
             forces = tuple(forces)
@@ -846,7 +890,7 @@ def simulate(
     if recording:
         # idle to the end: the whole run is the prefix
         prefixes[config] = _IdlePrefix(key, n_steps, copy.deepcopy(
-            (states, dx_prev, dx_prev2, a, b, c, factors, last_phi, trace)
+            (states, carried, dx_prev, dx_prev2, a, b, c, factors, last_phi, trace)
         ))
     return trace
 

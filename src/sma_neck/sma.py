@@ -114,15 +114,17 @@ class SmaMaterial:
         if not self.latent_heat >= 0.0:
             raise ValueError("latent_heat must be non-negative")
         # the chain above holds for an infinite band end, NaN and inf pass no
-        # check of the force-law constants, and the positive heat-balance
-        # constants above may be inf: each is refused by name
+        # check of the force-law constants, and the positive constants above
+        # may be inf: each is refused by name.  An infinite stress influence
+        # is allowed: the band edges then do not shift with stress.
         if not -math.inf < self.martensite_finish:
             raise ValueError("martensite_finish must be finite")
         if not self.austenite_finish < math.inf:
             raise ValueError("austenite_finish must be finite")
         for name in (
-            "poisson", "phase_transform_tensor", "thermal_expansion_factor",
-            "resistance_martensite", "resistance_austenite", "latent_heat",
+            "young_austenite", "poisson", "phase_transform_tensor",
+            "thermal_expansion_factor", "resistance_martensite",
+            "resistance_austenite", "specific_heat", "latent_heat",
         ):
             if not -math.inf < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite")
@@ -591,16 +593,17 @@ def step_spring(
 
     This is a fused kernel: it reads the products of ``constants``, the
     spring's ``SpringConstants``, and an idle spring's RK4 takes the Joule
-    power once per step.  A cold spring (idle at the ambient temperature,
-    fully martensite, without current) skips the heat balance: for the
-    finite constants that ``SpringConstants`` admits, its every stage is
-    exactly zero there.  It keeps the idle path's temperature guard and
-    force law.  The RK4 stages
-    and the closure of an active step call the branch's arc routine
-    directly, with the latch checked once.  It computes what the plain
-    ``heating_rate``, band kinetics, entry latches and ``force_coefficients``
-    of ``tests/reference_model.py`` and ``shear_stress`` compose to, with
-    the closure solved by that module's Brent zeroin;
+    power once per step.  The RK4 stages and the closure of an active step
+    call the branch's arc routine directly, with the latch checked once.
+    A cold spring (idle at the ambient temperature, fully martensite,
+    without current) takes the idle path like any other: for the finite
+    constants that ``SpringConstants`` admits, every stage of its heat
+    balance is exactly zero, so only its force moves.  ``engine.simulate``
+    carries such a spring as that force alone while it stays undriven.
+    The step computes what the plain ``heating_rate``, band kinetics, entry
+    latches and ``force_coefficients`` of ``tests/reference_model.py`` and
+    ``shear_stress`` compose to, with the closure solved by that module's
+    Brent zeroin;
     ``tests/test_spring_kernel.py`` pins every exception, and every bit of
     the result, to that composition, except where the root lies inside the
     closure's bracket: there the two roots agree within the root tolerance.
@@ -621,20 +624,6 @@ def step_spring(
     f0 = state.force
     latch = state.fraction_at_branch_start
     branch = state.branch
-
-    if (
-        current == 0.0
-        and branch is _IDLE
-        and xi0 == 1.0
-        and t0 == k.env.ambient_temperature
-    ):
-        # A cold spring: the idle path's operations, in its order, on a
-        # temperature that does not move and a fraction that cannot.
-        elastic_force = f0 + k.stiffness(xi0) * stretch_rate * dt
-        if not 0.0 <= max_temperature_step:
-            raise StepTooLarge(0.0, max_temperature_step)
-        force_new = max(elastic_force + k.transform * 0.0 + k.thermal * 0.0, 0.0)
-        return _state(t0, xi0, force_new, latch, branch)
 
     material, geometry = k.material, k.geometry
     stress0 = 8.0 * f0 * geometry.coil_diameter / k.pi_d3

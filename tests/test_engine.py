@@ -853,7 +853,11 @@ class TestForceCombination:
     ):
         # each step's tendon force combines the pennate force of the stepped
         # spring with the stiffness force of the contraction the previous
-        # solve returned (the rest solve, before the first step)
+        # solve returned (the rest solve, before the first step).  The
+        # springs are stepped here by sma.step_spring on those contractions,
+        # as the reference loop of tests/test_step_loop.py steps them, so
+        # the two undriven units, which simulate carries as a force alone,
+        # are checked as the driven one is
         scenario = load_with_overrides(
             default_scenario_text(),
             [
@@ -865,32 +869,39 @@ class TestForceCombination:
             ],
         )
         system = scenario.build_system()
-        spring_forces, contractions = [], []
-        step_fn, solve_fn = engine.step_spring, engine._solve_pose_statics
-
-        def recorded_step(*args):
-            state = step_fn(*args)
-            spring_forces.append(state.force)
-            return state
+        config = scenario.build_config()
+        contractions = []
+        solve_fn = engine._solve_pose_statics
 
         def recorded_solve(*args):
             result = solve_fn(*args)
             contractions.append(result[4])
             return result
 
-        monkeypatch.setattr(engine, "step_spring", recorded_step)
         monkeypatch.setattr(engine, "_solve_pose_statics", recorded_solve)
-        trace = simulate(system, scenario.build_config())
-        assert len(spring_forces) == 3 * len(trace)
+        trace = simulate(system, config)
         assert len(contractions) == len(trace) + 1
+        states = [unit.spring for unit in system.units]
+        dx_prev2 = contractions[0]
         passive_wins = active_wins = 0
         for i, forces in enumerate(zip(*trace.unit_forces)):
+            dx_prev = contractions[i]
             for k, unit in enumerate(system.units):
-                active = pennate_force(unit, spring_forces[3 * i + k])
-                passive = tendon_force_from_stretch(unit, contractions[i][k])
+                rate = (dx_prev[k] - dx_prev2[k]) / config.dt
+                states[k] = sma.step_spring(
+                    system.spring_constants,
+                    states[k],
+                    config.current_profile.current(unit.index, i * config.dt),
+                    -math.cos(unit.pennation_angle) * rate,
+                    config.dt,
+                    config.max_temperature_step,
+                )
+                active = pennate_force(unit, states[k].force)
+                passive = tendon_force_from_stretch(unit, dx_prev[k])
                 assert forces[k] == combine(active, passive)
                 passive_wins += passive > active
                 active_wins += active > passive
+            dx_prev2 = dx_prev
         # the tendon is stiff enough that the heated unit's stretch force
         # outgrows its spring pull, so each operand of "max" wins somewhere
         assert passive_wins and active_wins

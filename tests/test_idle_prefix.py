@@ -6,8 +6,9 @@ at the top of the first step in which a spring leaves the idle path) under
 its config, and a later run of the same config whose system differs only in
 the size of ``phase_transform_tensor`` continues from it.  Each case here
 compares every column and marker of the continued trace with a run from the
-start (``struct`` bits, so that -0.0 and 0.0 differ) and counts the spring
-steps the continued run took, to show that it did continue.
+start (``struct`` bits, so that -0.0 and 0.0 differ) and counts the pose
+solves the continued run made, to show that it did continue: one per step
+it ran, plus the rest solve of a run from the start.
 """
 
 from __future__ import annotations
@@ -64,15 +65,17 @@ def _row_config(scenario, amps, hold):
 
 
 def _counted(monkeypatch):
-    """Count the engine's spring steps."""
+    """Count the engine's pose solves: one per step a run takes, and the rest
+    solve of a run that does not continue from a prefix.  (Spring steps
+    would not do: a cold, undriven spring is carried without one.)"""
     calls = []
-    step_spring = engine.step_spring
+    solve = engine._solve_pose_statics
 
     def counting(*args):
         calls.append(1)
-        return step_spring(*args)
+        return solve(*args)
 
-    monkeypatch.setattr(engine, "step_spring", counting)
+    monkeypatch.setattr(engine, "_solve_pose_statics", counting)
     return calls
 
 
@@ -96,7 +99,7 @@ def test_tensor_candidates_continue_from_the_prefix(
         assert_same_trace(got, want)
         assert prefixes[config].step == idle_steps
         # the first candidate runs from the start; the others skip the prefix
-        assert len(calls) == 3 * (steps if i == 0 else steps - idle_steps)
+        assert len(calls) == (1 + steps if i == 0 else steps - idle_steps)
 
 
 def test_crossing_marker_set_at_the_first_step_is_restored(scenario, monkeypatch):
@@ -114,7 +117,7 @@ def test_crossing_marker_set_at_the_first_step_is_restored(scenario, monkeypatch
     calls = _counted(monkeypatch)
     assert_same_trace(simulate(system, config, prefixes=prefixes), want)
     assert prefixes[config].step == 469
-    assert len(calls) == 3 * (1000 - 469)
+    assert len(calls) == 1000 - 469
 
 
 def test_arc_entered_and_completed_in_one_step_ends_the_prefix(scenario, monkeypatch):
@@ -135,7 +138,7 @@ def test_arc_entered_and_completed_in_one_step_ends_the_prefix(scenario, monkeyp
     calls = _counted(monkeypatch)
     assert_same_trace(simulate(system, config, prefixes=prefixes), want)
     assert prefixes[config].step == 612
-    assert len(calls) == 3 * (750 - 612)
+    assert len(calls) == 750 - 612
 
 
 def test_opposite_signs_do_not_share_an_entry(scenario, monkeypatch):
@@ -147,7 +150,7 @@ def test_opposite_signs_do_not_share_an_entry(scenario, monkeypatch):
     want = simulate(system, config)
     calls = _counted(monkeypatch)
     assert_same_trace(simulate(system, config, prefixes=prefixes), want)
-    assert len(calls) == 3 * 750
+    assert len(calls) == 1 + 750
     assert negative.key.material.phase_transform_tensor == -1.0
     assert prefixes[config].key.material.phase_transform_tensor == 1.0
 
@@ -160,7 +163,7 @@ def test_changed_convection_misses_and_replaces_the_entry(scenario, monkeypatch)
     want = simulate(system, config)
     calls = _counted(monkeypatch)
     assert_same_trace(simulate(system, config, prefixes=prefixes), want)
-    assert len(calls) == 3 * 750
+    assert len(calls) == 1 + 750
     assert list(prefixes) == [config]
     assert prefixes[config].key.env.convection_coefficient == 90.0
 
@@ -214,4 +217,4 @@ def test_prefix_that_ends_at_the_first_step(scenario, monkeypatch):
     calls = _counted(monkeypatch)
     assert_same_trace(simulate(system, config, prefixes=prefixes), want)
     assert prefixes[config].step == 0
-    assert len(calls) == 3 * 250
+    assert len(calls) == 250

@@ -573,7 +573,8 @@ def _not_normal(what, value, unit):
 
 # Constants under which a cold spring's full step was not still: its heat
 # balance was NaN, or the step raised before its end.  Each is now refused
-# where it is built, so the cold return needs no guard of its own.
+# where it is built, so that the heat balance of a cold step is exactly zero
+# and simulate's carried update, its force law alone, needs no guard.
 _REFUSED_COLD_CONSTANTS = {
     # the convection term was inf * 0: "heat balance overflowed"
     "convection_inf": (
@@ -601,7 +602,7 @@ _REFUSED_COLD_CONSTANTS = {
         _not_normal("heat capacity (spring_mass, material.specific_heat)", "0", "J/K"),
     ),
     # the shear modulus's divisor 2 (1 + poisson) is 0: a ZeroDivisionError
-    # in the stiffness, which the cold return computes too
+    # in the stiffness, which a cold step computes too
     "poisson_minus_one": (
         lambda: SpringConstants(replace(_MATERIAL, poisson=-1.0), _GEOMETRY, _ENV),
         ValidationError,
@@ -653,7 +654,8 @@ def test_constants_a_cold_step_cannot_take_are_refused(name):
 def test_cold_step_equals_the_idle_path(constants, tensor, expansion, force, latch,
                                         current, stretch_rate, dt, bound, perturb):
     """A cold spring, idle at the ambient temperature, fully martensite and
-    without current, returns the state of the composed laws bit for bit, or
+    without current, takes the idle path, whose heat balance is exactly
+    zero there, and returns the state of the composed laws bit for bit, or
     raises the same exception with the same message: zero forces of both
     signs, overflowing stretch rates, coefficients of both signs and bounds
     that refuse even a zero change.  Draws that move one input off the cold
@@ -865,7 +867,61 @@ def test_spring_constant_validation_equals_the_reference(
     """``SpringConstants`` gives the verdict of the check in
     ``tests/reference_model.py``, which composes the plain laws: both pass,
     or both raise the same ``ValidationError`` message.  Where both pass, a
-    cold spring steps to the composition's bits."""
+    cold spring steps to the composition's bits.  Drawn over the whole float
+    range, few constants pass; ``test_near_spring_constant_validation_equals_
+    the_reference`` draws near the bundled ones, where most do."""
+    _assert_spring_constant_validation(
+        moduli, poisson, tensor, expansion, diameters, coils, masses, specific_heat,
+        convection, latent_heat,
+    )
+
+
+def _near(value):
+    """A float within three decades of ``value``, log-uniformly."""
+    return st.floats(-3.0, 3.0).map(lambda e: value * 10.0**e)
+
+
+def _near_signed(value):
+    return st.sampled_from([0.0, -0.0]) | _near(value) | _near(-value)
+
+
+_GEOMETRY_BUNDLED = _BUNDLED.spring_geometry
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    moduli=st.tuples(_near(_BUNDLED.material.young_martensite),
+                     _near(_BUNDLED.material.young_austenite)),
+    poisson=st.floats(-1.0, 0.5),
+    tensor=_near_signed(_BUNDLED.material.phase_transform_tensor),
+    expansion=_near_signed(_BUNDLED.material.thermal_expansion_factor),
+    diameters=st.tuples(_near(_GEOMETRY_BUNDLED.wire_diameter),
+                        _near(_GEOMETRY_BUNDLED.coil_diameter)),
+    coils=st.floats(1.0, 1e3),
+    masses=st.tuples(_near(_GEOMETRY_BUNDLED.spring_mass),
+                     _near(_GEOMETRY_BUNDLED.surface_area)),
+    specific_heat=_near(_BUNDLED.material.specific_heat),
+    convection=_near(_BUNDLED.env.convection_coefficient),
+    latent_heat=st.just(0.0) | _near(_BUNDLED.material.latent_heat),
+)
+def test_near_spring_constant_validation_equals_the_reference(
+    moduli, poisson, tensor, expansion, diameters, coils, masses, specific_heat,
+    convection, latent_heat,
+):
+    """As ``test_spring_constant_validation_equals_the_reference``, with
+    every constant drawn within three decades of the bundled one (the
+    coefficients of either sign or zero), so that most draws build a
+    spring and its cold step is held to the composition's bits."""
+    _assert_spring_constant_validation(
+        moduli, poisson, tensor, expansion, diameters, coils, masses, specific_heat,
+        convection, latent_heat,
+    )
+
+
+def _assert_spring_constant_validation(
+    moduli, poisson, tensor, expansion, diameters, coils, masses, specific_heat,
+    convection, latent_heat,
+):
     young_m, young_a = sorted(moduli)
     wire, coil = sorted(diameters)
     assume(young_m < young_a and wire < coil)

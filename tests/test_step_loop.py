@@ -20,9 +20,10 @@ instead, as the loop did before; ``tests/test_engine.py`` compares
 import math
 import struct
 from array import array
+from dataclasses import replace
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from sma_neck import engine
 from sma_neck.backbone import STRAIGHT_THRESHOLD
@@ -252,6 +253,24 @@ def _segments(draw):
     return segments
 
 
+def _start(system, tensor, expansion, force, warmer):
+    """``system`` with the force-law coefficients ``tensor`` and
+    ``expansion``, every spring starting at ``force`` (None keeps the
+    scenario's) and unit k's spring ``warmer[k]`` kelvin off ambient."""
+    ambient = system.env.ambient_temperature
+    units = []
+    for unit, offset in zip(system.units, warmer):
+        spring = replace(unit.spring, temperature=ambient + offset)
+        if force is not None:
+            spring = replace(spring, force=force)
+        units.append(replace(unit, spring=spring))
+    material = replace(
+        system.material, phase_transform_tensor=tensor,
+        thermal_expansion_factor=expansion,
+    )
+    return replace(system, material=material, units=tuple(units))
+
+
 # a failing draw is reported as drawn, without shrinking: each example runs
 # two simulations of up to 1.2 s of model time, so shrinking takes minutes
 @settings(
@@ -266,14 +285,40 @@ def _segments(draw):
     combination=st.sampled_from(("additive", "max")),
     springs=st.integers(1, 4),
     tendon_stiffness=st.sampled_from((1000.0, 6000.0)),
+    # the signs reach the trace through the zero terms of an idle spring's
+    # force law, where a spring starts at a force of -0.0
+    tensor=st.sampled_from((-0.55e9, 0.55e9, 0.0, -0.0)),
+    expansion=st.sampled_from((2.85e6, -2.85e6, 0.0, -0.0)),
+    force=st.sampled_from((None, 0.0, -0.0)),
+    # a spring off ambient is not carried cold: it takes step_spring from
+    # the first step; 35 K up starts inside the austenite band
+    warmer=st.lists(st.sampled_from((0.0, 0.0, 3.0, -3.0, 35.0)), min_size=3, max_size=3),
 )
+# undriven springs at a force of -0.0 under "max", which keeps its sign in
+# the trace: the force stays -0.0 with both coefficients -0.0, and a +0.0
+# term turns it to 0.0
+@example(segments=[], dt_ms=2, duration=0.3, gravity=False, combination="max",
+         springs=2, tendon_stiffness=1000.0, tensor=-0.0, expansion=-0.0,
+         force=-0.0, warmer=[0.0, 0.0, 0.0])
+@example(segments=[], dt_ms=2, duration=0.3, gravity=False, combination="max",
+         springs=2, tendon_stiffness=1000.0, tensor=-0.0, expansion=0.0,
+         force=-0.0, warmer=[0.0, 0.0, 0.0])
+@example(segments=[], dt_ms=2, duration=0.3, gravity=False, combination="max",
+         springs=2, tendon_stiffness=1000.0, tensor=0.0, expansion=-0.0,
+         force=-0.0, warmer=[0.0, 0.0, 0.0])
+# a carried spring driven after 0.1 s beside one that starts warm
+@example(segments=[(2, 0.1, 0.4, 8.0)], dt_ms=1, duration=0.5, gravity=True,
+         combination="additive", springs=2, tendon_stiffness=1000.0,
+         tensor=-0.55e9, expansion=2.85e6, force=None, warmer=[35.0, 0.0, 0.0])
 def test_loop_equals_reference(
-    segments, dt_ms, duration, gravity, combination, springs, tendon_stiffness
+    segments, dt_ms, duration, gravity, combination, springs, tendon_stiffness,
+    tensor, expansion, force, warmer,
 ):
     scenario = _scenario(
         segments, dt_ms, duration, gravity, combination, springs, tendon_stiffness
     )
-    assert_same_run(scenario.build_system(), scenario.build_config())
+    system = _start(scenario.build_system(), tensor, expansion, force, warmer)
+    assert_same_run(system, scenario.build_config())
 
 
 @pytest.mark.parametrize("combination", ["additive", "max"])
