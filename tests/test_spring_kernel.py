@@ -868,8 +868,8 @@ def test_spring_constant_validation_equals_the_reference(
     ``tests/reference_model.py``, which composes the plain laws: both pass,
     or both raise the same ``ValidationError`` message.  Where both pass, a
     cold spring steps to the composition's bits.  Drawn over the whole float
-    range, few constants pass; ``test_near_spring_constant_validation_equals_
-    the_reference`` draws near the bundled ones, where most do."""
+    range, few constants pass; the near-bundled variant below draws where
+    most do."""
     _assert_spring_constant_validation(
         moduli, poisson, tensor, expansion, diameters, coils, masses, specific_heat,
         convection, latent_heat,

@@ -14,7 +14,10 @@ last pose as the start where the predicted one is bent past 180 degrees, and
 the chord-corrected poses the solves return as the history the start is
 predicted from.  ``denoised=False`` predicts from the accepted poses
 instead, as the loop did before; ``tests/test_engine.py`` compares
-``simulate`` with that variant.
+``simulate`` with that variant.  ``simulate`` carries a spring that starts
+cold as its force alone until its unit is driven; the reference steps it
+with ``step_spring`` throughout, so the draws include the coefficients'
+signs and springs that start off ambient.
 """
 
 import math
