@@ -227,7 +227,10 @@ class SimTrace:
         forces: tuple[float, float, float],
         residual_norm: float,
     ) -> None:
-        if self.t and t <= self.t[-1]:
+        # one chain that NaN fails too; every earlier time passed it, so is finite
+        if not (self.t[-1] if self.t else -math.inf) < t < math.inf:
+            if not math.isfinite(t):
+                raise ValueError("trace times must be finite")
             raise ValueError("trace times must be strictly increasing")
         self.t.append(t)
         self.kappa.append(kappa)

@@ -6,7 +6,9 @@ stress-shifted band-edge markers, martensite fractions).
 
 Every panel plots against time, so ``emit_plots`` works out the time range
 and each point's pixel x text once for all five panels; a series then formats
-only its y values, about one number format per point.
+only its y values, about one number format per point.  A series whose trace
+column holds one value (``traceio.holds_one_value``) is that value alone, and
+its one pixel y is formatted once and joined onto the x texts.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .engine import SimTrace
+from .traceio import holds_one_value
 from .units import celsius_from_kelvin
 
 _WIDTH, _HEIGHT = 640, 400
@@ -55,7 +58,8 @@ def _line_plot(
 ) -> None:
     """Write one panel.  Every series is drawn against the same x values:
     ``x_range`` is their drawn range and ``x_texts`` each one's pixel x as
-    ``%.2f`` text (see ``emit_plots``)."""
+    ``%.2f`` text (see ``emit_plots``).  A series holds a value per x, or one
+    value drawn at every x."""
     x_lo, x_hi = x_range
     y_lo = min([min(ys) for _, ys in series] + [y for _, y in h_lines])
     y_hi = max([max(ys) for _, ys in series] + [y for _, y in h_lines])
@@ -142,11 +146,16 @@ def _line_plot(
         )
     for idx, (label, ys) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
-        # sy inline: one format per point, the same arithmetic in the same order
-        points = " ".join([
-            f"{x_text},{_MT + (y_hi - y) / (y_hi - y_lo) * plot_h:.2f}"
-            for x_text, y in zip(x_texts, ys)
-        ])
+        if len(ys) == 1:
+            # one value at every x: its pixel y formatted once
+            y_text = f",{sy(ys[0]):.2f}"
+            points = f"{y_text} ".join(x_texts) + y_text
+        else:
+            # sy inline: one format per point, the same arithmetic in the same order
+            points = " ".join([
+                f"{x_text},{_MT + (y_hi - y) / (y_hi - y_lo) * plot_h:.2f}"
+                for x_text, y in zip(x_texts, ys)
+            ])
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>'
@@ -163,10 +172,16 @@ def _line_plot(
         raise OSError(f"writing plot to {path}: {exc}") from exc
 
 
+def _series(label, column, convert=None):
+    """(label, values) of a trace column, converted by ``convert``; a column
+    that holds one value gives that value alone."""
+    if holds_one_value(column):
+        column = column[:1]
+    return label, column if convert is None else list(map(convert, column))
+
+
 def _per_unit(columns, convert=None):
-    if convert is not None:
-        columns = [list(map(convert, column)) for column in columns]
-    return [(f"unit {k + 1}", column) for k, column in enumerate(columns)]
+    return [_series(f"unit {k + 1}", column, convert) for k, column in enumerate(columns)]
 
 
 # panel -> (title, y label, series of a trace as (label, values), whether the
@@ -174,11 +189,11 @@ def _per_unit(columns, convert=None):
 _PANEL_TABLE = {
     "phi": (
         "bending-plane angle", "phi [deg]",
-        lambda trace: [("phi", [math.degrees(v) for v in trace.phi])], False, False,
+        lambda trace: [_series("phi", trace.phi, math.degrees)], False, False,
     ),
     "theta": (
         "bending angle", "theta [deg]",
-        lambda trace: [("theta", [math.degrees(v) for v in trace.theta])], False, False,
+        lambda trace: [_series("theta", trace.theta, math.degrees)], False, False,
     ),
     "force": (
         "tendon forces", "force [N]",

@@ -6,16 +6,19 @@ output for a given trace.  The contract has two temperature and two fraction
 columns per unit whatever the unit's spring count: unit k's spring state
 fills ``T{2k-1}_K``/``T{2k}_K`` and ``xi{2k-1}``/``xi{2k}``.
 
-``write_trace`` formats each row with one ``%`` operation and streams the rows
-to the open file in chunks, so the memory a write takes does not grow with
-the run length.  A trace whose columns differ in length is refused before
-the file is opened.
+``write_trace`` builds one row template per write and formats each row with
+one ``%`` operation.  A column that holds one value (``holds_one_value``) has
+its text in the template, formatted once; an undriven unit's temperature and
+fraction are such columns.  The rows stream to the open file in chunks, so
+the memory a write takes does not grow with the run length.  A trace whose
+columns differ in length is refused before the file is opened.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
+from array import array
+from itertools import islice, repeat
 from pathlib import Path
 
 from .engine import SimTrace
@@ -31,11 +34,15 @@ HEADER = (
     + ["residual_Nm"]
 )
 
-
-# one CSV row: every field at 9 significant digits, unit k's temperature
-# and fraction each filling their two spring columns
-_ROW = ",".join(["%.9g"] * len(HEADER)) + "\n"
 _CHUNK_ROWS = 1024
+
+
+def holds_one_value(column: array) -> bool:
+    """Whether every entry of the ``array('d')`` ``column`` has the first
+    entry's bits: 0.0 and -0.0, or NaNs with different payloads, are two
+    values.  Compares in place, without a copy of the column."""
+    with memoryview(column) as view, view.cast("B") as raw, raw.cast("Q") as bits:
+        return bits[1:] == bits[:-1]
 
 
 def write_trace(trace: SimTrace, destination) -> Path:
@@ -44,21 +51,33 @@ def write_trace(trace: SimTrace, destination) -> Path:
         raise ValueError("refusing to write an empty trace")
     trace.check_columns()
     path = Path(destination)
-    rows = zip(
-        trace.t, trace.kappa, trace.phi, map(math.degrees, trace.theta),
-        *trace.spring_temperatures, *trace.spring_fractions, *trace.unit_forces,
-        trace.residual_norm,
-    )
+    # (column, how it is converted, how many CSV fields it fills) in header
+    # order: unit k's temperature and fraction each fill two spring columns
+    columns = [
+        (trace.t, None, 1), (trace.kappa, None, 1), (trace.phi, None, 1),
+        (trace.theta, math.degrees, 1),
+        *((column, None, 2) for column in trace.spring_temperatures),
+        *((column, None, 2) for column in trace.spring_fractions),
+        *((column, None, 1) for column in trace.unit_forces),
+        (trace.residual_norm, None, 1),
+    ]
+    fields, varying = [], []
+    for column, convert, copies in columns:
+        if holds_one_value(column):
+            value = column[0] if convert is None else convert(column[0])
+            fields += [("%.9g" % value).replace("%", "%%")] * copies
+        else:
+            fields += ["%.9g"] * copies
+            # zip takes an iterator of each entry: an array twice gives each
+            # row's value twice (only unconverted columns have two copies)
+            varying += [column if convert is None else map(convert, column)] * copies
+    row = ",".join(fields) + "\n"
+    rows = zip(*varying) if varying else repeat((), len(trace))
     try:
         with open(path, "w", newline="\n") as out:
             out.write(",".join(HEADER) + "\n")
-            while chunk := [
-                _ROW % (t, k, p, th, a, a, b, b, c, c, x, x, y, y, z, z, f1, f2, f3, r)
-                for t, k, p, th, a, b, c, x, y, z, f1, f2, f3, r
-                in islice(rows, _CHUNK_ROWS)
-            ]:
+            while chunk := [row % r for r in islice(rows, _CHUNK_ROWS)]:
                 out.write("".join(chunk))
     except OSError as exc:
         raise OSError(f"writing trace to {path}: {exc}") from exc
     return path
-

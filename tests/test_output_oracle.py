@@ -381,10 +381,49 @@ def _far_trace(times, phi) -> SimTrace:
     )
 
 
+def _zero_fraction_trace(zeros) -> SimTrace:
+    """Unit 2's fraction column is ``zeros``; every other column but unit 3's
+    temperature varies."""
+    times = [0.0, 0.5, 1.0, 1.5]
+    ramp = [0.25, 1.5, -3.0, 7.75]
+    rows = {name: [(300.0 + v, 2.0 * v, 330.0) for v in ramp] for name in _ROWS}
+    rows["spring_fractions"] = [(v, zero, -v) for v, zero in zip(ramp, zeros)]
+    return _trace(times, {name: ramp for name in _COLUMNS}, rows, {"crossing_t_s": 1.0})
+
+
+def _one_row_trace() -> SimTrace:
+    """One row, so every column holds one value."""
+    return _trace(
+        [0.25],
+        {"kappa": [1.5], "phi": [-0.5], "theta": [0.125], "residual_norm": [1e-9]},
+        {name: [(300.0, -0.0, 0.5)] for name in _ROWS},
+        {"as_prime_K": 310.0, "crossing_t_s": 0.25},
+    )
+
+
+def _one_flat_series_trace() -> SimTrace:
+    """One series of every panel holds one value: phi and theta, and unit 3's
+    temperature, fraction and force."""
+    times = [0.0, 0.5, 1.0, 1.5, 2.0]
+    ramp = [0.25, 1.5, -3.0, 7.75, 0.5]
+    return _trace(
+        times,
+        {"kappa": ramp, "phi": [0.75] * 5, "theta": [0.5] * 5, "residual_norm": ramp},
+        {name: [(300.0 + v, 2.0 * v, 0.375) for v in ramp] for name in _ROWS},
+        {"as_prime_K": 310.0, "af_prime_K": 320.0, "crossing_t_s": 1.0},
+    )
+
+
+# a column holding one value bit for bit is formatted once; -0.0 in every row
+# is such a column (the CSV prints -0), 0.0 and -0.0 mixed is not
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @example(trace=_tie_trace())
 @example(trace=_far_trace([1e300], 0.5))
 @example(trace=_far_trace([0.0, 1.0], 1e300))
+@example(trace=_zero_fraction_trace([-0.0] * 4))
+@example(trace=_zero_fraction_trace([0.0, -0.0, 0.0, -0.0]))
+@example(trace=_one_row_trace())
+@example(trace=_one_flat_series_trace())
 @given(trace=traces())
 def test_drawn_traces_write_the_oracle_bytes(trace):
     with tempfile.TemporaryDirectory() as root:

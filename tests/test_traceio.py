@@ -1,11 +1,13 @@
 import math
+import struct
 import tracemalloc
+from array import array
 
 import pytest
 
 from sma_neck import CurrentProfile, SimConfig, simulate, write_trace
 from sma_neck.engine import SimTrace
-from sma_neck.traceio import HEADER
+from sma_neck.traceio import HEADER, holds_one_value
 from conftest import read_csv
 
 
@@ -127,3 +129,57 @@ def test_per_unit_column_without_three_units_refused(tmp_path, units):
     with pytest.raises(ValueError, match=f"'spring_fractions' has {units} units, not 3"):
         write_trace(trace, tmp_path / "t.csv")
     assert not (tmp_path / "t.csv").exists()
+
+
+def _append_row(trace, t):
+    trace.append(t, 1.0, 0.5, 0.25, (300.0,) * 3, (1.0,) * 3, (0.0,) * 3, 1e-12)
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_trace_time_refused(tmp_path, t, rows):
+    """A NaN or infinite time is refused as the first row or a later one; NaN
+    once passed the order check, and so did every time after it."""
+    trace = _synthetic_trace(rows)
+    with pytest.raises(ValueError, match="trace times must be finite"):
+        _append_row(trace, t)
+    assert len(trace) == rows and all(len(column) == rows for _, column in trace._arrays())
+    _append_row(trace, 1.0)
+    text = write_trace(trace, tmp_path / "t.csv").read_text()
+    assert "nan" not in text and "inf" not in text
+
+
+@pytest.mark.parametrize("t", [0.003, 0.002])
+def test_trace_time_not_after_the_last_refused(t):
+    trace = _synthetic_trace(3)
+    with pytest.raises(ValueError, match="trace times must be strictly increasing"):
+        _append_row(trace, t)
+
+
+def _column(*bits):
+    column = array("d")
+    column.frombytes(struct.pack(f"={len(bits)}Q", *bits))
+    return column
+
+
+def test_one_value_means_the_same_bits():
+    nan, other_nan = 0x7FF8000000000000, 0x7FF8000000000001
+    assert holds_one_value(array("d", [2.5]))
+    assert holds_one_value(array("d", [-0.0] * 4))
+    assert holds_one_value(_column(nan, nan, nan))
+    assert not holds_one_value(array("d", [0.0, -0.0, 0.0]))
+    assert not holds_one_value(_column(nan, other_nan))
+    assert not holds_one_value(array("d", [1.0, 1.0, 1.0, 2.0]))
+
+
+def test_one_value_columns_keep_their_text(tmp_path):
+    """Unit 2's fraction, -0.0 in every row, prints -0 in both of its columns;
+    unit 3's force, mixing 0.0 and -0.0, prints each row's own sign."""
+    trace = _synthetic_trace(4)
+    trace.spring_fractions[1][:] = array("d", [-0.0] * 4)
+    trace.unit_forces[2][:] = array("d", [0.0, -0.0, -0.0, 0.0])
+    lines = write_trace(trace, tmp_path / "t.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[HEADER.index("xi3")] for row in rows] == ["-0"] * 4
+    assert [row[HEADER.index("xi4")] for row in rows] == ["-0"] * 4
+    assert [row[HEADER.index("Fk3_N")] for row in rows] == ["0", "-0", "-0", "0"]
