@@ -64,15 +64,16 @@ def heat_ledger(trace, profile, constants: SpringConstants, springs, indices):
     return ledgers
 
 
-def _bundled_run(amps, dt):
-    """The bundled scenario, 5 s of ``amps`` on unit 1 and 1 s of cooling,
-    at step ``dt``: its trace, profile, spring constants, initial springs and
-    unit indices."""
+def _bundled_run(amps, dt, pulse="5 s", duration="6 s"):
+    """The bundled scenario, ``pulse`` of ``amps`` on unit 1 and cooling to
+    ``duration``, at step ``dt``: its trace, profile, spring constants,
+    initial springs and unit indices."""
     scenario = load_with_overrides(
         default_scenario_text(),
         [
             f"simulation.dt={dt}",
-            f"profile=[{{unit: 1, start: 0 s, end: 5 s, current: {amps} A}}]",
+            f"simulation.duration={duration}",
+            f"profile=[{{unit: 1, start: 0 s, end: {pulse}, current: {amps} A}}]",
         ],
     )
     system, config = scenario.build_system(), scenario.build_config()
@@ -105,4 +106,26 @@ def test_heat_ledger_closes_at_first_order(amps):
         if dt == "2 ms":
             assert driven.joule > 0.0 and driven.latent < 0.0
             assert abs(driven.gap) / driven.joule <= GAP_BOUNDS[amps]
+    assert 1.9 <= gaps["2 ms"] / gaps["1 ms"] <= 2.1
+
+
+def test_heat_ledger_closes_through_the_forward_arc():
+    """8 A on unit 1 for 2 s, then cooling to 13 s: the driven spring heats
+    through the reverse arc and, without current, cools back through the
+    forward one.  Its fraction rises again after its minimum, so the forward
+    arc ran; the gap still halves with dt, and at the calibration step it is
+    bounded: measured at 1.066e-4 of the Joule energy at dt 2 ms, with the
+    margin above."""
+    gaps = {}
+    for dt in ("2 ms", "1 ms"):
+        trace, *rest = _bundled_run(8.0, dt, pulse="2 s", duration="13 s")
+        fractions = list(trace.spring_fractions[0])
+        lowest = fractions.index(min(fractions))
+        assert max(fractions[lowest:]) > fractions[lowest]
+        driven, *undriven = heat_ledger(trace, *rest)
+        gaps[dt] = driven.gap
+        for ledger in undriven:
+            assert ledger == Ledger(0.0, 0.0, 0.0, 0.0)
+        if dt == "2 ms":
+            assert abs(driven.gap) / driven.joule <= 1.07e-4 * 1.25
     assert 1.9 <= gaps["2 ms"] / gaps["1 ms"] <= 2.1
