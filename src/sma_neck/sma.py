@@ -546,13 +546,20 @@ def _temperature_on_branch(
     Latent heat is not in the stage function; it is applied by the coupled
     correction afterwards.
 
-    ``_fraction``'s latch check is made once, here, with its message; the
-    step's closure runs only after a call with the same latch.  Its stress
-    check cannot fail on this path: stress0 = 8 f0 D / (pi d^3) with
-    f0 >= 0, and the closure's stress is 8 max(F, 0) D / (pi d^3).
+    ``step_spring`` calls this only with a nonzero current.  Without one,
+    the Joule power current * current * R(xi) is +0.0 for every finite xi
+    and the finite positive resistances ``SmaMaterial`` admits, so every
+    stage is (0.0 - g (T - T_amb)) / C whatever the arc returns, and the
+    step takes ``_idle_temperature``, the same bits without the arc.  (The
+    arc could differ only by raising: ``math.cos`` refuses an arc argument
+    that overflows to inf, which takes a stress shift near the float
+    range's end.)
+
+    ``step_spring`` makes ``_fraction``'s latch check, with its message,
+    once a step before this or the closure runs.  Its stress check cannot
+    fail on this path: stress0 = 8 f0 D / (pi d^3) with f0 >= 0, and the
+    closure's stress is 8 max(F, 0) D / (pi d^3).
     """
-    if not 0.0 <= latch <= 1.0:
-        raise ValueError("fraction_at_start must lie in [0, 1]")
     m = k.material
     r_m, r_a = m.resistance_martensite, m.resistance_austenite
     g, ambient, capacity = k.conductance, k.env.ambient_temperature, k.heat_capacity
@@ -595,6 +602,10 @@ def step_spring(
     spring's ``SpringConstants``, and an idle spring's RK4 takes the Joule
     power once per step.  The RK4 stages and the closure of an active step
     call the branch's arc routine directly, with the latch checked once.
+    An unpowered step on an arc (current 0.0 or -0.0) takes the idle RK4
+    for its heat balance too, with the latch still checked first: the Joule
+    power is then +0.0 whatever the arc returns, so that RK4 gives the arc
+    RK4's bits, and only the closure evaluates the arc.
     A cold spring (idle at the ambient temperature, fully martensite,
     without current) takes the idle path like any other: for the finite
     constants that ``SpringConstants`` admits, every stage of its heat
@@ -627,10 +638,20 @@ def step_spring(
 
     material, geometry = k.material, k.geometry
     stress0 = 8.0 * f0 * geometry.coil_diameter / k.pi_d3
+    # without current the Joule power is +0.0 at every fraction, so an arc's
+    # heat balance is the fraction-held one, bit for bit
+    powered = current != 0.0
     if branch is _IDLE:
         t_star = _idle_temperature(k, t0, xi0, current, dt)
     else:
-        t_star = _temperature_on_branch(k, branch, t0, stress0, latch, current, dt)
+        # _fraction's latch check, once a step: an entry latch below lies in
+        # [0, 1] by construction
+        if not 0.0 <= latch <= 1.0:
+            raise ValueError("fraction_at_start must lie in [0, 1]")
+        if powered:
+            t_star = _temperature_on_branch(k, branch, t0, stress0, latch, current, dt)
+        else:
+            t_star = _idle_temperature(k, t0, xi0, current, dt)
     heating = t_star > t0
 
     # Branch exits: direction reversed or the transformation has completed.
@@ -662,7 +683,7 @@ def step_spring(
             latch = _forward_entry_latch(k, t0, stress0, xi0)
         else:
             # Idle: the fraction holds and no closure is needed.
-            if state.branch is not _IDLE:
+            if state.branch is not _IDLE and powered:
                 # an arc was left, so the step is redone with the fraction held
                 t_star = _idle_temperature(k, t0, xi0, current, dt)
             delta_t = t_star - t0
@@ -673,7 +694,8 @@ def step_spring(
             # and the NaN of an infinite coefficient
             force_new = max(elastic_force + transform * 0.0 + thermal * delta_t, 0.0)
             return _state(t_star, xi0, force_new, latch, branch)
-        t_star = _temperature_on_branch(k, branch, t0, stress0, latch, current, dt)
+        if powered:
+            t_star = _temperature_on_branch(k, branch, t0, stress0, latch, current, dt)
 
     # Joint per-step closure: the fraction change feeds back on the
     # temperature (latent heat) and on the band edges (stress shift).

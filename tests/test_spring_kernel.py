@@ -552,9 +552,75 @@ def test_draws_reach_every_path():
         assert path in seen, path
 
 
-# --- the cold spring ----------------------------------------------------------
+# --- unpowered arc steps -------------------------------------------------------
 
 _MATERIAL, _GEOMETRY, _ENV = TRIPLES[0]
+# an environment above the reverse band: a spring without current heats through
+# it there, and leaves the forward arc
+_HOT_ENV = ThermalEnvironment(ambient_temperature=400.0, convection_coefficient=95.0)
+
+
+def _unpowered_case(path, branch):
+    """The environment and state of an unpowered step that takes ``path`` on
+    ``branch``'s arc: stays on it, enters it from idle mid-band or leaves it.
+    The state sits mid-band, on the arc."""
+    stress = shear_stress(_GEOMETRY, 2.0)
+    if branch is Branch.REVERSE:
+        mid, latch = 0.5 * sum(_reverse_band(_MATERIAL, stress)), 1.0
+        fraction = reverse_fraction(_MATERIAL, mid, stress, latch)
+        # the arc is ridden while heating, so in the hot room
+        on_env, off_env = _HOT_ENV, _ENV
+    else:
+        mid, latch = 0.5 * sum(_forward_band(_MATERIAL, stress)), 0.0
+        fraction = forward_fraction(_MATERIAL, mid, stress, latch)
+        on_env, off_env = _ENV, _HOT_ENV
+    if path == "enter":
+        return on_env, SpringState(mid, fraction, 2.0)
+    env = on_env if path == "stay" else off_env
+    return env, SpringState(mid, fraction, 2.0, latch, branch)
+
+
+@pytest.mark.parametrize("current", [0.0, -0.0])
+@pytest.mark.parametrize("path", ["stay", "enter", "leave"])
+@pytest.mark.parametrize("branch", [Branch.REVERSE, Branch.FORWARD])
+def test_unpowered_arc_steps_equal_composition(branch, path, current):
+    """Without current, a step on an arc takes the fraction-held heat
+    balance, whose Joule power is +0.0 as the arc's is at every stage.  It
+    must return the composition's bits on each arc, at a current of 0.0 and
+    of -0.0, on a step that stays on the arc, one that enters it and one
+    that leaves it."""
+    env, state = _unpowered_case(path, branch)
+    new = assert_same_step(_MATERIAL, _GEOMETRY, env, state, current, 0.0, 5e-3)
+    assert new is not None
+    if path == "leave":
+        assert new.branch is Branch.IDLE
+        assert new.martensite_fraction == state.martensite_fraction
+    else:
+        assert new.branch is branch
+        assert new.martensite_fraction != state.martensite_fraction
+        if path == "enter":
+            assert state.branch is Branch.IDLE
+
+
+@pytest.mark.parametrize("latch", [1.5, -0.5, math.nan])
+@pytest.mark.parametrize("path", ["stay", "leave"])
+@pytest.mark.parametrize("branch", [Branch.REVERSE, Branch.FORWARD])
+def test_unpowered_arc_step_checks_the_latch(branch, path, latch):
+    """An unpowered step on an arc whose latch lies outside [0, 1] raises
+    the latch check's ValueError before the heat balance, as the
+    composition's first arc evaluation does, also where the step would leave
+    the arc without a closure.  The checked constructor refuses such a
+    state, so it is built as ``step_spring`` builds its results."""
+    env, valid = _unpowered_case(path, branch)
+    state = sma._state(valid.temperature, valid.martensite_fraction, valid.force,
+                       latch, branch)
+    assert assert_same_step(_MATERIAL, _GEOMETRY, env, state, 0.0, 0.0, 5e-3) is None
+    with pytest.raises(ValueError, match=r"^fraction_at_start must lie in \[0, 1\]$"):
+        fused_step(_MATERIAL, _GEOMETRY, env, state, 0.0, 0.0, 5e-3)
+
+
+# --- the cold spring ----------------------------------------------------------
+
 _COLD_TRIPLES = {"bundled": TRIPLES[0], "other": TRIPLES[-1]}
 # one input moved off the cold state at a time: the temperature or the
 # fraction by one ulp, the current to 1 mA (a subnormal one squares to 0.0)
