@@ -562,22 +562,18 @@ _HOT_ENV = ThermalEnvironment(ambient_temperature=400.0, convection_coefficient=
 
 def _unpowered_case(path, branch):
     """The environment and state of an unpowered step that takes ``path`` on
-    ``branch``'s arc: stays on it, enters it from idle mid-band or leaves it.
-    The state sits mid-band, on the arc."""
-    stress = shear_stress(_GEOMETRY, 2.0)
-    if branch is Branch.REVERSE:
-        mid, latch = 0.5 * sum(_reverse_band(_MATERIAL, stress)), 1.0
-        fraction = reverse_fraction(_MATERIAL, mid, stress, latch)
-        # the arc is ridden while heating, so in the hot room
-        on_env, off_env = _HOT_ENV, _ENV
-    else:
-        mid, latch = 0.5 * sum(_forward_band(_MATERIAL, stress)), 0.0
-        fraction = forward_fraction(_MATERIAL, mid, stress, latch)
-        on_env, off_env = _ENV, _HOT_ENV
+    ``branch``'s arc: stays on it, enters it from idle or leaves it.  The
+    state sits mid-band on the arc anchored at the branch's start (fully
+    martensite for the reverse arc, fully austenite for the forward one)."""
+    reverse = branch is Branch.REVERSE
+    state = make_state(_MATERIAL, _GEOMETRY, branch, 2.0,
+                       "mid_reverse" if reverse else "mid_forward", 0.0, 0.0,
+                       1.0, 0.0, True, 0.0)
+    # the reverse arc is ridden while heating, so in the hot room
+    on_env, off_env = (_HOT_ENV, _ENV) if reverse else (_ENV, _HOT_ENV)
     if path == "enter":
-        return on_env, SpringState(mid, fraction, 2.0)
-    env = on_env if path == "stay" else off_env
-    return env, SpringState(mid, fraction, 2.0, latch, branch)
+        return on_env, replace(state, branch=Branch.IDLE)
+    return (on_env if path == "stay" else off_env), state
 
 
 @pytest.mark.parametrize("current", [0.0, -0.0])
