@@ -27,7 +27,7 @@ from .scenario import (
 )
 from .sma import StepTooLarge
 from .traceio import write_trace
-from .units import UnitsError
+from .units import UnitsError, echo
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -139,12 +139,15 @@ def _cmd_sweep(args) -> int:
     try:
         currents = [float(tok) for tok in args.currents.split(",") if tok.strip()]
     except ValueError:
-        raise ValidationError(f"--currents: cannot parse {args.currents!r}") from None
+        raise ValidationError(
+            f"--currents: cannot parse {echo(args.currents)}"
+        ) from None
     if not currents:
         raise ValidationError("--currents: need at least one value")
     if not all(math.isfinite(a) and a >= 0.0 for a in currents):
         raise ValidationError(
-            f"--currents: values must be finite and non-negative, got {args.currents!r}"
+            "--currents: values must be finite and non-negative, got "
+            + echo(args.currents)
         )
     try:
         config = scenario.build_config(duration=args.hold)

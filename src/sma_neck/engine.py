@@ -23,6 +23,11 @@ accepted step (one-step lag), which breaks the algebraic loop between the
 force law and the pose solve.  A spring that starts a run cold (idle at the
 ambient temperature, fully martensite) is carried as its force alone until
 its unit is first driven: its temperature and fraction cannot move.
+
+Each step's row goes to the run's record: the ``SimTrace`` that ``simulate``
+returns, or, for a ``sweep`` row, a running maximum of the bending angle,
+which is all a row reports.  The idle prefix a run stores for later runs of
+its config (see ``simulate``) holds that record as it stood.
 """
 
 from __future__ import annotations
@@ -295,6 +300,26 @@ class SimTrace:
         if not self.phi:
             raise ValueError("empty trace")
         return self.phi[-1]
+
+
+class _PeakRecord:
+    """What a sweep row keeps of a run: its row count and its largest bending
+    angle (rad).  ``simulate(..., _peak=True)`` returns one in place of the
+    trace; its ``len()`` and ``max_bending_angle()`` read as the trace's
+    would, to the bit."""
+
+    __slots__ = ("rows", "peak")
+
+    def __init__(self, rows: int, peak: float):
+        self.rows = rows
+        self.peak = peak
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def max_bending_angle(self) -> float:
+        """Largest bending angle over the run (rad)."""
+        return self.peak
 
 
 @dataclass(frozen=True)
@@ -674,17 +699,25 @@ def _prefix_key(system: NeckSystem) -> NeckSystem:
 @dataclass(frozen=True)
 class _IdlePrefix:
     """The loop state of a run at the top of the first step in which a
-    spring leaves the idle path, or at the end of a run that never does."""
+    spring leaves the idle path, or at the end of a run that never does.
+
+    The state ends in the run's record of its ``step`` rows so far: the
+    ``SimTrace`` of a trace run, or the largest bending angle of a peak run
+    (a float, ``-inf`` before the first row)."""
 
     key: NeckSystem  # _prefix_key of the run's system
     step: int
     # (states, carried, dx_prev, dx_prev2, a, b, c, factors, last_phi,
-    # trace) as simulate's loop carries them; a deep copy, never handed out
+    # record) as simulate's loop carries them; a deep copy, never handed out
     loop: tuple
 
 
 def simulate(
-    system: NeckSystem, config: SimConfig, *, prefixes: dict | None = None
+    system: NeckSystem,
+    config: SimConfig,
+    *,
+    prefixes: dict | None = None,
+    _peak: bool = False,
 ) -> SimTrace:
     """Run the coupled spring/pose dynamics and return the full trace.
 
@@ -692,12 +725,23 @@ def simulate(
     failures are re-raised with the failing step and time attached, plus the
     best pose when the pose solve stalled.
 
+    Each step hands its row to the run's record.  That is the ``SimTrace``
+    returned, with its crossing markers.  ``sweep`` passes the private
+    ``_peak=True``: the record is then the largest bending angle so far, a
+    float that each row updates with one comparison, and the run returns it
+    as a ``_PeakRecord`` whose ``len()`` and ``max_bending_angle()`` equal
+    the trace's.
+
     ``prefixes`` is a dict the caller owns (calibration passes one per
     search).  A run given one continues from the idle prefix stored under
     ``config`` when that prefix came from the same system up to the sign of
     ``phase_transform_tensor`` (see ``_prefix_key``); otherwise it stores its
-    own, replacing the entry.  A run that fails inside its prefix stores
-    nothing.  The trace is the same, bit for bit, either way.
+    own, replacing the entry.  The prefix holds the run's record so far.  A
+    peak run keeps its entries under ``(config, _PeakRecord)``, apart from a
+    trace run's, so one dict serves ``simulate`` and ``sweep`` and neither
+    kind of run continues from the other's record.  A run that fails inside
+    its prefix stores nothing.  The result is the same, bit for bit, either
+    way.
 
     A unit whose spring starts the run cold (idle, fraction 1.0, at exactly
     the ambient temperature) is carried as its force alone while its current
@@ -744,7 +788,8 @@ def simulate(
     prefix = key = None
     if prefixes is not None:
         key = _prefix_key(system)
-        prefix = prefixes.get(config)
+        slot = (config, _PeakRecord) if _peak else config
+        prefix = prefixes.get(slot)
         if prefix is not None and prefix.key != key:
             prefix = None
     if prefix is not None:
@@ -782,9 +827,10 @@ def simulate(
         # path (predictor-corrector continuation), or from c while fewer
         # exist.  Extrapolated, the accepted poses' tolerance-level errors
         # would grow by sqrt(19) in root mean square.
-        loop = (springs, carried, dx, dx, c, c, c, factors, phi, SimTrace())
-    states, carried, dx_prev, dx_prev2, a, b, c, factors, last_phi, trace = loop
-    crossing_recorded = "crossing_t_s" in trace.markers
+        record = -math.inf if _peak else SimTrace()
+        loop = (springs, carried, dx, dx, c, c, c, factors, phi, record)
+    states, carried, dx_prev, dx_prev2, a, b, c, factors, last_phi, record = loop
+    crossing_recorded = _peak or "crossing_t_s" in record.markers
     # a run that starts afresh with a dict stores its idle prefix: the state
     # at the top of the first step in which a spring leaves the idle path
     recording = key is not None and prefix is None
@@ -837,8 +883,8 @@ def simulate(
             ):
                 # an arc entered and completed within the step returns IDLE
                 # with a moved fraction, hence the second test
-                prefixes[config] = _IdlePrefix(key, step_index, copy.deepcopy(
-                    (*top, dx_prev, dx_prev2, a, b, c, factors, last_phi, trace)
+                prefixes[slot] = _IdlePrefix(key, step_index, copy.deepcopy(
+                    (*top, dx_prev, dx_prev2, a, b, c, factors, last_phi, record)
                 ))
                 recording = False
             forces = tuple(forces)
@@ -864,6 +910,12 @@ def simulate(
         a, b, c = b, c, corrected
 
         theta = kappa * statics.length
+        if _peak:
+            # running maximum: the float max(trace.theta) returns, as max
+            # keeps the first of equal values and theta is never NaN
+            if theta > record:
+                record = theta
+            continue
         if theta >= STRAIGHT_THRESHOLD:
             last_phi = phi
 
@@ -874,12 +926,12 @@ def simulate(
                     crossing_recorded = True
                     sigma = shear_stress(system.spring_geometry, s.force)
                     as_prime, af_prime = _reverse_band(system.material, sigma)
-                    trace.markers["crossing_t_s"] = t
-                    trace.markers["as_prime_K"] = as_prime
-                    trace.markers["af_prime_K"] = af_prime
+                    record.markers["crossing_t_s"] = t
+                    record.markers["as_prime_K"] = as_prime
+                    record.markers["af_prime_K"] = af_prime
                     break
 
-        trace.append(
+        record.append(
             t,
             kappa,
             last_phi,
@@ -892,10 +944,10 @@ def simulate(
 
     if recording:
         # idle to the end: the whole run is the prefix
-        prefixes[config] = _IdlePrefix(key, n_steps, copy.deepcopy(
-            (states, carried, dx_prev, dx_prev2, a, b, c, factors, last_phi, trace)
+        prefixes[slot] = _IdlePrefix(key, n_steps, copy.deepcopy(
+            (states, carried, dx_prev, dx_prev2, a, b, c, factors, last_phi, record)
         ))
-    return trace
+    return _PeakRecord(n_steps, record) if _peak else record
 
 
 def sweep(
@@ -909,8 +961,10 @@ def sweep(
     """Run one simulation per current (applied to ``unit_index`` for the
     whole of ``config.duration``, from the same initial system, with
     ``config``'s other settings) and report the peak bending angle.  Failures
-    are reported per row; the sweep continues.  ``prefixes`` goes to every
-    row's ``simulate`` (each row has its own config, so its own entry)."""
+    are reported per row; the sweep continues.  Each row's ``simulate``
+    records only that peak (``_peak=True``): no trace, no crossing markers.
+    ``prefixes`` goes to every row's ``simulate`` (each row has its own
+    config, so its own entry, apart from a trace run's of that config)."""
     currents = list(currents)
     if not currents:
         raise ValueError("currents must be non-empty")
@@ -919,8 +973,8 @@ def sweep(
         profile = CurrentProfile.constant(unit_index, float(amps), config.duration)
         run_cfg = replace(config, current_profile=profile)
         try:
-            trace = simulate(system, run_cfg, prefixes=prefixes)
-            rows.append(SweepRow(float(amps), trace.max_bending_angle()))
+            record = simulate(system, run_cfg, prefixes=prefixes, _peak=True)
+            rows.append(SweepRow(float(amps), record.max_bending_angle()))
         except SOLVER_FAILURES as exc:
             rows.append(SweepRow(float(amps), None, str(exc)))
     return rows

@@ -25,7 +25,7 @@ from .sma import (
     SpringState,
     ThermalEnvironment,
 )
-from .units import UnitsError, format_quantity, parse_quantity
+from .units import UnitsError, clip, echo, format_quantity, parse_quantity
 
 SCHEMA_VERSION = 1
 
@@ -55,7 +55,7 @@ class CalibrationSpec:
             if name not in CALIBRATABLE_PARAMETERS:
                 allowed = ", ".join(sorted(CALIBRATABLE_PARAMETERS))
                 raise ValidationError(
-                    f"calibration.free: {name!r} is not calibratable "
+                    f"calibration.free: {echo(name)} is not calibratable "
                     f"(allowed: {allowed})"
                 )
             if name not in self.bounds:
@@ -203,7 +203,8 @@ class Field:
     plain kind (``integer``, ``boolean``, ``string``) or a ``Codec``.  An
     absent field takes ``default``; a ``None`` default marks an optional field
     that dumps leave out while unset.  ``check`` is a ``(predicate, message)``
-    constraint on the parsed value; ``{!r}`` in the message shows the value.
+    constraint on the parsed value; ``{}`` in the message shows the value as
+    ``units.echo`` quotes it.
     ``target`` is the dotted attribute path
     on ``Scenario``; left empty, it is ``path`` in a ``_GROUPS`` section and
     the last component of ``path`` elsewhere.  ``calibratable`` marks a
@@ -238,7 +239,7 @@ class Field:
         else:
             value = parse_quantity(raw, self.kind, label)
         if self.check is not None and not self.check[0](value):
-            raise ValidationError(f"{label}: {self.check[1].format(value)}")
+            raise ValidationError(f"{label}: {self.check[1].format(echo(value))}")
         return value
 
     def dump(self, value):
@@ -291,7 +292,7 @@ def _is_file_stem(v: str) -> bool:
 _FILE_STEM = (
     _is_file_stem,
     f"must be a file-name stem of at most {_MAX_STEM_BYTES} UTF-8 bytes, without "
-    "'/', '\\' or NUL and not '.' or '..', got {!r}",
+    "'/', '\\' or NUL and not '.' or '..', got {}",
 )
 
 
@@ -300,13 +301,13 @@ def _at_least(n: int):
 
 
 def _one_of(*choices: str):
-    return (lambda v: v in choices, f"must be one of {sorted(choices)}, got {{!r}}")
+    return (lambda v: v in choices, f"must be one of {sorted(choices)}, got {{}}")
 
 
 def _reject_unknown(mapping: dict, known, label: str) -> None:
     unknown = set(mapping) - set(known)
     if unknown:
-        names = ", ".join(sorted(map(str, unknown)))
+        names = clip(", ".join(sorted(map(str, unknown))))
         raise ValidationError(f"{label}: unknown key(s): {names}")
 
 
@@ -359,7 +360,10 @@ def _parse_azimuths(raw, label):
 def _parse_free(raw, label):
     if not isinstance(raw, list) or not raw:
         raise ValidationError(f"{label}: expected a non-empty list")
-    return tuple(str(name) for name in raw)
+    # a container's str is its repr, which an alias chain makes huge
+    return tuple(
+        echo(name) if isinstance(name, (list, dict, set)) else str(name) for name in raw
+    )
 
 
 def _parse_bounds(raw, label):
@@ -368,7 +372,9 @@ def _parse_bounds(raw, label):
     bounds: dict[str, tuple[float, float]] = {}
     for name, pair in raw.items():
         if name not in CALIBRATABLE_PARAMETERS:
-            raise ValidationError(f"{label}.{name}: not a calibratable parameter")
+            raise ValidationError(
+                f"{label}.{clip(str(name))}: not a calibratable parameter"
+            )
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValidationError(f"{label}.{name}: expected [low, high]")
         kind = CALIBRATABLE_PARAMETERS[name].kind
@@ -415,7 +421,7 @@ FIELDS: tuple[Field, ...] = (
     Field(
         "schema_version",
         "integer",
-        check=(lambda v: v == SCHEMA_VERSION, f"expected {SCHEMA_VERSION}, got {{!r}}"),
+        check=(lambda v: v == SCHEMA_VERSION, f"expected {SCHEMA_VERSION}, got {{}}"),
     ),
     Field("material.young_martensite", "pressure"),
     Field("material.young_austenite", "pressure"),
@@ -560,6 +566,12 @@ def _safe_load(text: str, what: str):
         raise ParseError(f"{what}: {exc}") from None
 
 
+def _yaml_error(exc: yaml.YAMLError) -> str:
+    """A PyYAML error's text with each of its few lines clipped: a line can
+    quote a whole alias name or tag from the input."""
+    return "\n".join(clip(line) for line in str(exc).split("\n"))
+
+
 def default_scenario_text() -> str:
     return (
         resources.files("sma_neck").joinpath("data/default_scenario.yaml").read_text()
@@ -638,15 +650,17 @@ def apply_override(doc: dict, assignment: str) -> None:
     ``profile.0.current``, and must exist.
     """
     if "=" not in assignment:
-        raise ValidationError(f"override {assignment!r}: expected key=value")
+        raise ValidationError(f"override {echo(assignment)}: expected key=value")
     dotted, raw_value = assignment.split("=", 1)
     keys = dotted.strip().split(".")
     if not keys or any(not k for k in keys):
-        raise ValidationError(f"override {assignment!r}: empty key path")
+        raise ValidationError(f"override {echo(assignment)}: empty key path")
     try:
-        value = _safe_load(raw_value, f"override {dotted.strip()!r}")
+        value = _safe_load(raw_value, f"override {echo(dotted.strip())}")
     except yaml.YAMLError as exc:
-        raise ValidationError(f"override {assignment!r}: bad value: {exc}") from exc
+        raise ValidationError(
+            f"override {echo(assignment)}: bad value: {_yaml_error(exc)}"
+        ) from exc
     node = doc
     for i, key in enumerate(keys):
         if isinstance(node, list):
@@ -655,12 +669,14 @@ def apply_override(doc: dict, assignment: str) -> None:
                 node[slot]
             except (ValueError, IndexError):
                 raise ValidationError(
-                    f"override {dotted!r}: no list item {key!r}"
+                    f"override {echo(dotted)}: no list item {echo(key)}"
                 ) from None
         elif isinstance(node, dict):
             slot = key
         else:
-            raise ValidationError(f"override {dotted!r}: {key!r} is not a container")
+            raise ValidationError(
+                f"override {echo(dotted)}: {echo(key)} is not a container"
+            )
         if i == len(keys) - 1:
             node[slot] = value
         else:
@@ -672,7 +688,7 @@ def load_with_overrides(text: str, overrides=()) -> Scenario:
     try:
         doc = _safe_load(text, "malformed scenario document")
     except yaml.YAMLError as exc:
-        raise ParseError(f"malformed scenario document: {exc}") from exc
+        raise ParseError(f"malformed scenario document: {_yaml_error(exc)}") from exc
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a mapping")
     for assignment in overrides:

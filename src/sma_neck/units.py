@@ -9,6 +9,8 @@ Dimensionless values are plain numbers.
 from __future__ import annotations
 
 import math
+import reprlib
+from itertools import islice
 
 
 class UnitsError(ValueError):
@@ -51,6 +53,52 @@ _TABLES: dict[str, dict[str, tuple[float, float]]] = {
 
 DIMENSIONS = frozenset(_TABLES) | {"dimensionless", "count"}
 
+# most characters an error message quotes of one input value
+ECHO_CHARS = 200
+
+
+class _BoundedRepr(reprlib.Repr):
+    """``reprlib.Repr`` that keeps a mapping's key order, as ``repr`` does."""
+
+    def repr_dict(self, x, level):
+        if not x:
+            return "{}"
+        if level <= 0:
+            return "{" + self.fillvalue + "}"
+        pieces = [
+            f"{self.repr1(key, level - 1)}: {self.repr1(value, level - 1)}"
+            for key, value in islice(x.items(), self.maxdict)
+        ]
+        if len(x) > self.maxdict:
+            pieces.append(self.fillvalue)
+        return "{" + ", ".join(pieces) + "}"
+
+
+# a YAML alias chain n levels deep repr()s to 2^n items, so the walk stops
+# at a few levels and items, and a string is sliced before it is quoted
+_ECHO = _BoundedRepr()
+_ECHO.maxlevel = 4
+_ECHO.maxlist = _ECHO.maxtuple = _ECHO.maxdict = 6
+_ECHO.maxset = _ECHO.maxfrozenset = 6
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = ECHO_CHARS
+
+
+def clip(text: str) -> str:
+    """``text`` cut to at most ``ECHO_CHARS`` characters, ending in "..."
+    where it was cut."""
+    if len(text) <= ECHO_CHARS:
+        return text
+    return text[: ECHO_CHARS - 3] + "..."
+
+
+def echo(value: object) -> str:
+    """``repr(value)`` for an error message, at most ``ECHO_CHARS``
+    characters long and built in bounded time.  A short string, number,
+    list or mapping reads exactly as ``repr``; a longer one is cut with
+    "...".  Every message that quotes an input value quotes it through
+    this."""
+    return clip(_ECHO.repr(value))
+
 
 def parse_quantity(raw: object, dimension: str, field: str) -> float:
     """Convert a scenario value to SI.
@@ -62,7 +110,7 @@ def parse_quantity(raw: object, dimension: str, field: str) -> float:
     """
     if dimension in ("dimensionless", "count"):
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise UnitsError(f"{field}: expected a plain number, got {raw!r}")
+            raise UnitsError(f"{field}: expected a plain number, got {echo(raw)}")
         try:
             value = float(raw)
         except OverflowError:  # an integer beyond the float range
@@ -73,29 +121,29 @@ def parse_quantity(raw: object, dimension: str, field: str) -> float:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         raise UnitsError(
             f"{field}: missing unit; write e.g. "
-            f'"{raw} {canonical_unit(dimension)}"'
+            f'"{echo(raw)} {canonical_unit(dimension)}"'
         )
     if not isinstance(raw, str):
-        raise UnitsError(f"{field}: expected '<number> <unit>', got {raw!r}")
+        raise UnitsError(f"{field}: expected '<number> <unit>', got {echo(raw)}")
     parts = raw.strip().split(None, 1)
     if len(parts) != 2:
-        raise UnitsError(f"{field}: expected '<number> <unit>', got {raw!r}")
+        raise UnitsError(f"{field}: expected '<number> <unit>', got {echo(raw)}")
     number, unit = parts
     try:
         value = float(number)
     except ValueError:
-        raise UnitsError(f"{field}: cannot parse number in {raw!r}") from None
+        raise UnitsError(f"{field}: cannot parse number in {echo(raw)}") from None
     table = _TABLES[dimension]
     if unit not in table:
         known = ", ".join(sorted(table))
-        raise UnitsError(f"{field}: unknown unit {unit!r} (accepted: {known})")
+        raise UnitsError(f"{field}: unknown unit {echo(unit)} (accepted: {known})")
     scale, offset = table[unit]
     return _finite(value * scale + offset, raw, field)
 
 
 def _finite(value: float, raw: object, field: str) -> float:
     if not math.isfinite(value):
-        raise UnitsError(f"{field}: value must be finite, got {raw!r}")
+        raise UnitsError(f"{field}: value must be finite, got {echo(raw)}")
     return value
 
 

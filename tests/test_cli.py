@@ -560,9 +560,6 @@ def test_scenario_file_that_is_not_utf8_fails_to_parse(tmp_path, capsys):
         ("material", "override 'material': nested too deeply"),
         # ValueError from int() past its 4300-digit limit
         ("pennate.springs_per_unit", "override 'pennate.springs_per_unit': Exceeds"),
-        # RecursionError showing the mappings a long path adds under an
-        # unset field
-        ("path", "scenario document: nested too deeply"),
     ],
 )
 def test_oversized_yaml_fails_to_parse(tmp_path, capsys, source, detail):
@@ -572,8 +569,6 @@ def test_oversized_yaml_fails_to_parse(tmp_path, capsys, source, detail):
         argv = ["--scenario", str(path)]
     elif source == "material":
         argv = ["--set", "material=" + "[" * 5_000 + "]" * 5_000]
-    elif source == "path":
-        argv = ["--set", f"spring.initial_temperature.{_DEEP_PATH}=1 K"]
     else:
         argv = ["--set", f"{source}=1" + "0" * 5_000]
     code = main(["validate-config", *argv])
@@ -582,3 +577,145 @@ def test_oversized_yaml_fails_to_parse(tmp_path, capsys, source, detail):
     assert err.startswith(f"error: parse: {detail}")
     assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+# the most bytes one line of stderr may take, whatever the size of the input
+# value its error message quotes
+MAX_ERROR_LINE = 1024
+_MEGABYTE = "x" * 1_000_000
+
+
+def _alias_chain(depth: int) -> str:
+    """A YAML flow list whose item i is a pair of item i-1, by alias: its
+    last item repr()s to 2^(depth+1) leaves."""
+    items = ["&a0 [x, x]"] + [f"&a{i} [*a{i - 1}, *a{i - 1}]" for i in range(1, depth + 1)]
+    return "[" + ", ".join(items) + "]"
+
+
+def _assert_one_bounded_error(code, err, kind):
+    assert code == 1
+    lines = err.splitlines()
+    assert [line for line in lines if line.startswith("error: ")] == [lines[0]]
+    assert lines[0].startswith(f"error: {kind}: ")
+    assert max(len(line.encode()) for line in lines) <= MAX_ERROR_LINE
+    assert "Traceback" not in err
+
+
+_LEAVES = {"poisson": "material", "wire_diameter": "spring",
+           "force_combination": "pennate", "run_id": "output", "free": "calibration"}
+
+
+@pytest.mark.parametrize("route", ["file", "set"])
+@pytest.mark.parametrize(
+    "leaf, value, kind",
+    [
+        *(
+            (leaf, _alias_chain(depth), kind)
+            for depth in (1, 18, 30)
+            for leaf, kind in (
+                ("poisson", "units"), ("wire_diameter", "units"), ("free", "validation")
+            )
+        ),
+        ("poisson", _MEGABYTE, "units"),
+        ("wire_diameter", "1 " + _MEGABYTE, "units"),
+        ("wire_diameter", "1" + "0" * 4000, "units"),  # no unit, 4001 digits
+        ("force_combination", _MEGABYTE, "validation"),
+        ("run_id", _MEGABYTE, "validation"),
+        ("free", f"[{_MEGABYTE}]", "validation"),
+        (None, _MEGABYTE, "validation"),  # an unknown key
+    ],
+    ids=[
+        *(f"{leaf}-chain{depth}" for depth in (1, 18, 30)
+          for leaf in ("poisson", "wire_diameter", "free")),
+        "poisson-1MB", "wire_diameter-unit-1MB", "wire_diameter-4001-digits", "force_combination-1MB",
+        "run_id-1MB", "free-1MB", "unknown-key-1MB",
+    ],
+)
+def test_huge_input_value_gives_one_bounded_error_line(
+    tmp_path, capsys, route, leaf, value, kind
+):
+    """An input value is quoted in at most a few hundred characters: a YAML
+    alias chain 18 levels deep once printed a 5.2 MB line, and one of 30
+    levels would need gigabytes to quote."""
+    code = main(["validate-config", *_validate_argv(tmp_path, route, leaf, value)])
+    _assert_one_bounded_error(code, capsys.readouterr().err, kind)
+
+
+def _validate_argv(tmp_path, route, leaf, value):
+    """``validate-config`` arguments that put ``value`` at ``leaf`` of the
+    bundled document (or under a new key ``value`` when ``leaf`` is None),
+    in a scenario file or by ``--set``."""
+    if route == "set":
+        return ["--set", f"{value}=1" if leaf is None else f"{_LEAVES[leaf]}.{leaf}={value}"]
+    lines = default_scenario_text().splitlines()
+    if leaf is None:
+        # an explicit key: a simple key holds at most 1024 characters
+        lines += [f"? {value}", ": 1"]
+    else:
+        (row,) = [i for i, line in enumerate(lines) if line.startswith(f"  {leaf}:")]
+        lines[row] = f"  {leaf}: {value}"
+    path = tmp_path / "huge.yaml"
+    path.write_text("\n".join(lines) + "\n")
+    return ["--scenario", str(path)]
+
+
+@pytest.mark.parametrize("route, kind", [("file", "parse"), ("set", "validation")])
+@pytest.mark.parametrize(
+    "value", ["*" + _MEGABYTE, "!!python/name:" + _MEGABYTE], ids=["alias", "tag"]
+)
+def test_yaml_error_quoting_a_huge_name_gives_bounded_lines(
+    tmp_path, capsys, route, kind, value
+):
+    # PyYAML's message quotes the whole undefined alias or unknown tag
+    code = main(["validate-config", *_validate_argv(tmp_path, route, "poisson", value)])
+    _assert_one_bounded_error(code, capsys.readouterr().err, kind)
+
+
+@pytest.mark.parametrize(
+    "currents", [_MEGABYTE, "1,-" + "1" * 1_000_000], ids=["unparsed", "negative"]
+)
+def test_huge_currents_give_one_bounded_error_line(tmp_path, capsys, currents):
+    code = main(["sweep", "--out", str(tmp_path), "--currents", currents, "--hold", "1"])
+    _assert_one_bounded_error(code, capsys.readouterr().err, "validation")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["--set", "material.poisson=[1, a, {b: 2, a: 3}]"],
+         "units: material.poisson: expected a plain number, got [1, 'a', {'b': 2, 'a': 3}]"),
+        (["--set", "spring.wire_diameter=1 furlong"],
+         "units: spring.wire_diameter: unknown unit 'furlong' (accepted: cm, m, mm)"),
+        (["--set", "pennate.force_combination=mean"],
+         "validation: pennate.force_combination: must be one of ['additive', 'max'], "
+         "got 'mean'"),
+        (["--set", "schema_version=2"], "validation: scenario.schema_version: expected 1, got 2"),
+        (["--set", "calibration.free=[poisson]"],
+         "validation: calibration.free: 'poisson' is not calibratable (allowed: "
+         "convection_coefficient, pennation_angle, phase_transform_tensor, "
+         "tendon_stiffness)"),
+        (["--set", "nope"], "validation: override 'nope': expected key=value"),
+        (["--set", "profile.7.current=1 A"],
+         "validation: override 'profile.7.current': no list item '7'"),
+    ],
+    ids=["list", "unit", "choice", "schema", "free", "no_equals", "list_item"],
+)
+def test_short_values_are_quoted_as_repr_quotes_them(capsys, argv, first):
+    code = main(["validate-config", *argv])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[0] == f"error: {first}"
+
+
+def test_long_path_under_an_unset_field_names_the_field(capsys):
+    """A long override path under an unset field nests one mapping per key.
+    Its message quotes four levels of them; the full repr once recursed past
+    the interpreter's limit."""
+    code = main(["validate-config", "--set", f"spring.initial_temperature.{_DEEP_PATH}=1 K"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == (
+        "error: units: spring.initial_temperature: expected '<number> <unit>', "
+        "got {'x': {'x': {'x': {'x': {...}}}}}"
+    )
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1

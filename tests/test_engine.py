@@ -1041,7 +1041,8 @@ class TestSweep:
         cfg = quick_config(dt=2e-3, duration=0.3)
         rows = sweep(system, [4.0, 8.0], cfg)
         assert len(traces) == len(rows) == 2
-        assert [len(trace.t) for trace in traces] == [round(cfg.duration / cfg.dt)] * 2
+        # a row records its peak alone; its len() is its row count
+        assert [len(record) for record in traces] == [round(cfg.duration / cfg.dt)] * 2
 
     def test_rows_keep_their_own_jacobian(self):
         # each run hands its pose solves' Jacobian on within the run only,

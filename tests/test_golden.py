@@ -4,7 +4,8 @@ The rows at each whole second of ``simulate`` on the bundled scenario (5 A
 on unit 1 for 5 s, then 1 s of cooling) are pinned in all 20 CSV columns.
 Any change to the physics, the step loop or the column contract that moves
 a written value shows here.  The residual column is solver noise below the
-tolerance, so each pinned row is also checked against the bundled tolerance.
+tolerance, so it is pinned only to a tenth of the tolerance, and every one
+of its cells is checked against the tolerance.
 """
 
 import pytest
@@ -14,6 +15,14 @@ from sma_neck.engine import simulate
 from sma_neck.scenario import load_default_scenario
 from sma_neck.traceio import HEADER
 from conftest import read_csv
+
+# N m, the bundled scenario's
+TOLERANCE = load_default_scenario().simulation.solver_tolerance
+# residual_Nm is solver noise below the tolerance: a change that moves solver
+# bits moves it by about 7e-12 to 4e-11 N m.  rel=1e-8 alone, with
+# pytest.approx's implicit abs=1e-12, would pin that noise, so its cells are
+# compared to within a tenth of the tolerance instead
+RESIDUAL_ABS = TOLERANCE / 10
 
 GOLDEN_ROWS = (
     "1,0.309436338,1.04719755,1.59564566,311.373705,311.373705,298.15,298.15,"
@@ -48,8 +57,16 @@ def test_whole_second_rows(default_trace, line):
     row = round(want[0] * 1000) - 1  # dt 1 ms, first row at t = dt
     got = [default_trace[name][row] for name in HEADER]
     for name, g, w in zip(HEADER, got, want):
-        assert g == pytest.approx(w, rel=1e-8), name
-    assert got[-1] < load_default_scenario().simulation.solver_tolerance
+        if name == "residual_Nm":
+            assert g == pytest.approx(w, rel=0.0, abs=RESIDUAL_ABS), name
+        else:
+            assert g == pytest.approx(w, rel=1e-8), name
+
+
+def test_every_residual_is_within_the_tolerance(default_trace):
+    residuals = default_trace["residual_Nm"]
+    assert len(residuals) == 6000
+    assert all(0.0 <= r < TOLERANCE for r in residuals)
 
 
 def test_undriven_units_stay_cold():
