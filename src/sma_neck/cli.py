@@ -217,6 +217,16 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _io_detail(exc: OSError) -> str:
+    """``str(exc)``, with the file names it quotes through ``units.echo``."""
+    if exc.filename is None:
+        return str(exc)
+    detail = f"[Errno {exc.errno}] {exc.strerror}: {echo(exc.filename)}"
+    if exc.filename2 is not None:
+        detail += f" -> {echo(exc.filename2)}"
+    return detail
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -263,7 +273,9 @@ def main(argv=None) -> int:
             EXIT_SOLVER,
         )
     except OSError as exc:
-        return _fail("io", str(exc), "A file could not be read or written.", EXIT_SOLVER)
+        return _fail(
+            "io", _io_detail(exc), "A file could not be read or written.", EXIT_SOLVER
+        )
 
 
 if __name__ == "__main__":

@@ -680,6 +680,18 @@ def test_huge_currents_give_one_bounded_error_line(tmp_path, capsys, currents):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_huge_out_path_gives_one_bounded_error_line(tmp_path, capsys):
+    # the operating system refuses the name; its message quoted it whole
+    out = tmp_path / ("x" * 300_000)
+    code = main(["sweep", "--currents", "4", "--hold", "0.01", "--set", "simulation.dt=2 ms",
+                 "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("error: io: [Errno ")
+    assert "File name too long: '" in lines[0]
+    assert max(len(line.encode()) for line in lines) <= MAX_ERROR_LINE
+
+
 @pytest.mark.parametrize(
     "argv, first",
     [
