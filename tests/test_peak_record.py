@@ -67,7 +67,6 @@ def assert_same_peak(record, trace) -> None:
     assert type(record) is engine._PeakRecord
     assert len(record) == len(trace)
     assert _bits(record.max_bending_angle()) == _bits(max(trace.theta))
-    assert _bits(record.max_bending_angle()) == _bits(trace.max_bending_angle())
 
 
 # each example runs up to 1500 steps five times; shrinking would take minutes
@@ -105,9 +104,9 @@ def test_peak_record_equals_the_trace(amps, unit, hold, dt):
     assert_same_peak(continued, trace)
 
 
-def _shared_case(amps=8.0, hold=1.5):
-    """A calibration row's system and base config, and the config of its
-    sweep row, which a ``simulate`` can take too."""
+def _shared_case(amps, hold=1.5):
+    """A calibration row's base config, and the config of its sweep row at
+    ``amps``, which a ``simulate`` can take too."""
     base = _SCENARIO.calibration_config(_SCENARIO.calibration)
     base = replace(base, duration=hold)
     row = replace(base, current_profile=CurrentProfile.constant(1, amps, hold))
